@@ -19,9 +19,9 @@ from .errors import InputSyntaxError, SolverError
 from .groups import closure, composition_series, orbit_sum_invariant, parse_cycles
 from .oracle import (coset_product_certificate, default_labeling_invariants,
                      invariant_value, label_roots)
-from .pipeline import _as_labeling, _as_polynomial, solve
+from .pipeline import as_labeling, as_polynomial, solve
 from .polynomial import render_polynomial, sanity_check, to_monic
-from .radical import emit, _json_obj
+from .radical import emit, json_ast
 from .rootfinder import find_roots, relabel
 
 __all__ = ["main"]
@@ -135,7 +135,7 @@ def _solve_json_payload(report, args):
         "expressions": [
             {
                 "root": i,
-                "ast": _json_obj(expr),
+                "ast": json_ast(expr),
                 "text": emit(expr, "text"),
                 "value": {"re": report.evaluations[i - 1].re_string(),
                           "im": report.evaluations[i - 1].im_string()},
@@ -172,7 +172,7 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_roots(args, out) -> int:
     poly, _, _ = _resolve_inputs(args)
-    polynomial = _as_polynomial(poly)
+    polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     rs = find_roots(reduction.monic, args.digits)
     if reduction.scale != 1:
@@ -203,7 +203,7 @@ def _cmd_check(args, out) -> int:
     poly, generators, root_order = _resolve_inputs(args)
     if not generators:
         raise InputSyntaxError("generators are required (--generators)")
-    polynomial = _as_polynomial(poly)
+    polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     degree = reduction.monic.degree
     gens = [parse_cycles(t, degree) for t in generators.split(";")]
@@ -214,7 +214,7 @@ def _cmd_check(args, out) -> int:
         result = label_roots(group, rs)
         sigma, labeled = result.permutation, result.labeled
     else:
-        sigma = _as_labeling(labeling, degree)
+        sigma = as_labeling(labeling, degree)
         labeled = relabel(rs, sigma)
     out.write(f"labeling: {','.join(map(str, sigma.images))}\n")
     for monomial, orbit in default_labeling_invariants(group, with_names=True):
@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", choices=("text", "latex", "json"),
                          default="text")
     p_solve.add_argument("--verify", action="store_true",
-                         help="re-evaluate expressions against the roots")
+                         help="compare each expression's value to its root")
     p_solve.add_argument("--stats", action="store_true",
                          help="print the multiplication count and budget")
     p_solve.set_defaults(func=_cmd_solve)

@@ -11,15 +11,16 @@ from .radical import SolveReport, evaluate, reconstruct, verify
 from .resolvent import (MultiplicationCounter, build_theta0, forward_pass,
                         multiplication_budget, plan_precision, round_theta_m,
                         zeta_tables)
-from .rootfinder import find_roots, relabel, root_magnitude_bound
+from .rootfinder import (aberth_stage, polish_roots, relabel,
+                         root_magnitude_bound)
 
-__all__ = ["solve"]
+__all__ = ["solve", "as_polynomial", "as_labeling"]
 
 _COARSE_DIGITS = 32
 _PHASE_RETRIES = 3
 
 
-def _as_polynomial(poly) -> IntPolynomial:
+def as_polynomial(poly) -> IntPolynomial:
     if isinstance(poly, IntPolynomial):
         return poly
     if isinstance(poly, str):
@@ -38,7 +39,7 @@ def _as_generators(generators, degree: int):
     return gens
 
 
-def _as_labeling(labeling, degree: int) -> Permutation:
+def as_labeling(labeling, degree: int) -> Permutation:
     if isinstance(labeling, Permutation):
         sigma = labeling
     else:
@@ -62,9 +63,10 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     (label j takes the j-th listed position of the canonically ordered roots).
 
     The digit budget comes from the precision plan unless overridden; on
-    PhaseAmbiguous the budget is doubled, up to 3 times.
+    PhaseAmbiguous the budget is doubled, up to 3 times.  One Aberth run is
+    polished to the plan's 32 digits and to every budget tried.
     """
-    polynomial = _as_polynomial(poly)
+    polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     monic = reduction.monic
     degree = monic.degree
@@ -72,7 +74,8 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     group = closure(gens, degree)
     series = composition_series(group)
 
-    coarse = find_roots(monic, _COARSE_DIGITS)
+    start = aberth_stage(monic)
+    coarse = polish_roots(monic, start, _COARSE_DIGITS)
     x0_bound = root_magnitude_bound(coarse)
     plan = plan_precision(series, x0_bound, margin)
     budget_digits = digits if digits is not None else plan.digits
@@ -82,14 +85,13 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
         notes.append(f"solved the monic reduction ({reduction.note}); "
                      f"divide the roots by {reduction.scale}")
 
-    last_phase_error: PhaseAmbiguous | None = None
     for attempt in range(_PHASE_RETRIES + 1):
-        roots = find_roots(monic, budget_digits)
+        roots = polish_roots(monic, start, budget_digits)
         if labeling == "auto":
             label = label_roots(group, roots, invariants)
             sigma, labeled = label.permutation, label.labeled
         else:
-            sigma = _as_labeling(labeling, degree)
+            sigma = as_labeling(labeling, degree)
             labeled = relabel(roots, sigma)
         zetas = zeta_tables(series, budget_digits)
         theta0 = build_theta0(labeled, series)
@@ -99,21 +101,22 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
         try:
             recon = reconstruct(series, int_theta, forward.resolvents, zetas,
                                 digits=budget_digits)
-        except PhaseAmbiguous as exc:
-            last_phase_error = exc
+            break
+        except PhaseAmbiguous:
+            if attempt == _PHASE_RETRIES:
+                raise
             budget_digits *= 2
             notes.append(f"branch selection ambiguous; digits doubled to "
                          f"{budget_digits}")
-            continue
-        evaluations = tuple(evaluate(e, budget_digits) for e in recon.root_exprs)
-        deviations = tuple(verify(recon.root_exprs, labeled, budget_digits)) \
-            if run_verification else None
-        return SolveReport(
-            polynomial=polynomial, reduction=reduction, series=series,
-            plan=plan, digits=budget_digits, roots=labeled, labeling=sigma,
-            theta=int_theta, root_exprs=recon.root_exprs,
-            theta0_exprs=recon.theta0_exprs, evaluations=evaluations,
-            verification=deviations, multiplications=counter.count,
-            budget=counter.budget, branch_log=recon.branch_log,
-            zero_notes=recon.zero_notes, notes=tuple(notes))
-    raise last_phase_error
+    evaluations = tuple(evaluate(e, budget_digits, recon.values)
+                        for e in recon.root_exprs)
+    deviations = tuple(verify(recon.root_exprs, labeled, budget_digits,
+                              recon.values)) if run_verification else None
+    return SolveReport(
+        polynomial=polynomial, reduction=reduction, series=series,
+        plan=plan, digits=budget_digits, roots=labeled, labeling=sigma,
+        theta=int_theta, root_exprs=recon.root_exprs,
+        theta0_exprs=recon.theta0_exprs, evaluations=evaluations,
+        verification=deviations, multiplications=counter.count,
+        budget=counter.budget, branch_log=recon.branch_log,
+        zero_notes=recon.zero_notes, notes=tuple(notes))

@@ -14,7 +14,6 @@ from mpmath import mp, mpf
 
 __all__ = [
     "ArbitraryComplex",
-    "RootOfUnityValue",
     "make_complex",
     "root_of_unity",
     "principal_root",
@@ -77,16 +76,9 @@ class ArbitraryComplex:
             im = self.re * other.im + self.im * other.re
             return ArbitraryComplex(re, im, d)
 
-    def scaled_by_int(self, k: int) -> "ArbitraryComplex":
-        with mp.workdps(self.digits):
-            return ArbitraryComplex(self.re * k, self.im * k, self.digits)
-
     def divided_by_int(self, k: int) -> "ArbitraryComplex":
         with mp.workdps(self.digits):
             return ArbitraryComplex(self.re / k, self.im / k, self.digits)
-
-    def conjugate(self) -> "ArbitraryComplex":
-        return ArbitraryComplex(self.re, -self.im, self.digits)
 
     def power_int(self, e: int) -> "ArbitraryComplex":
         """e-th power (e >= 0) by repeated multiplication."""
@@ -119,15 +111,6 @@ class ArbitraryComplex:
         return f"{self.re_string()} {sign} {mpmath.nstr(abs(self.im), self.digits)}i"
 
 
-@dataclass(frozen=True)
-class RootOfUnityValue:
-    """Numeric value of zeta_p^k for prime p, with its digit budget."""
-
-    order: int
-    power: int
-    value: ArbitraryComplex
-
-
 def make_complex(re: str, im: str, digits: int) -> ArbitraryComplex:
     """Build a value from signed decimal strings at the given digit budget."""
     if digits < 1:
@@ -139,22 +122,18 @@ def make_complex(re: str, im: str, digits: int) -> ArbitraryComplex:
         raise ValueError(f"malformed decimal string: {exc}") from None
 
 
-def root_of_unity(p: int, k: int, digits: int) -> RootOfUnityValue:
+def root_of_unity(p: int, k: int, digits: int) -> ArbitraryComplex:
     """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the requested precision."""
     if not is_prime(p):
         raise ValueError(f"order {p} is not prime")
     if not 0 <= k < p:
         raise ValueError(f"power {k} not in [0, {p})")
-    if k == 0:
-        return RootOfUnityValue(p, 0, ArbitraryComplex.from_int(1, digits))
-    if p == 2:
-        return RootOfUnityValue(2, 1, ArbitraryComplex.from_int(-1, digits))
     with mp.workdps(digits + _GUARD):
         t = mpf(2 * k) / p
         re = mpmath.cospi(t)
         im = mpmath.sinpi(t)
     with mp.workdps(digits):
-        return RootOfUnityValue(p, k, ArbitraryComplex(+re, +im, digits))
+        return ArbitraryComplex(+re, +im, digits)
 
 
 def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:

@@ -28,7 +28,8 @@ __all__ = [
     "IntegerLiteral", "RationalScale", "RootOfUnitySymbol", "Sum", "Product",
     "Root", "RadicalExpr", "BranchChoice", "ZeroRadicandNote",
     "ReconstructionResult", "SolveReport",
-    "reconstruct", "evaluate", "emit", "parse_expr_json", "verify",
+    "ValueCache", "reconstruct", "evaluate", "emit", "json_ast",
+    "parse_expr_json", "verify",
 ]
 
 
@@ -167,36 +168,63 @@ def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
     return RationalScale(denominator, child)
 
 
-def evaluate(expr: RadicalExpr, digits: int, _cache=None) -> ArbitraryComplex:
-    """Deterministic bottom-up numeric evaluation at the given digit budget."""
-    if _cache is None:
-        _cache = {}
-    # cache entries hold the node itself so its id cannot be recycled
-    key = id(expr)
-    hit = _cache.get(key)
+class ValueCache:
+    """Values of expression nodes at one digit budget, each computed once.
+
+    Entries are keyed by node identity and keep their node so that its id
+    cannot be reused.  Roots of unity come from the zeta tables when given;
+    all branches of a radicand share its principal root.
+    """
+
+    def __init__(self, digits: int, zetas=None):
+        self.digits = digits
+        self.zetas = zetas or {}
+        self.nodes: dict = {}       # id(node) -> (node, value)
+        self.roots: dict = {}       # (id(radicand), p) -> (radicand, root)
+
+    def unity(self, p: int, k: int) -> ArbitraryComplex:
+        table = self.zetas.get(p)
+        return table[k] if table else root_of_unity(p, k, self.digits)
+
+    def principal(self, radicand: RadicalExpr, p: int) -> ArbitraryComplex:
+        """The principal p-th root of the radicand's value."""
+        key = (id(radicand), p)
+        if key not in self.roots:
+            value = evaluate(radicand, self.digits, self)
+            self.roots[key] = (radicand, principal_root(value, p))
+        return self.roots[key][1]
+
+
+def evaluate(expr: RadicalExpr, digits: int,
+             cache: ValueCache | None = None) -> ArbitraryComplex:
+    """Deterministic bottom-up numeric evaluation at the given digit budget;
+    ``cache``, a ValueCache at that budget, shares values across calls."""
+    if cache is None:
+        cache = ValueCache(digits)
+    hit = cache.nodes.get(id(expr))
     if hit is not None:
         return hit[1]
     if isinstance(expr, IntegerLiteral):
         val = ArbitraryComplex.from_int(expr.value, digits)
     elif isinstance(expr, RationalScale):
-        val = evaluate(expr.child, digits, _cache).divided_by_int(expr.denominator)
+        val = evaluate(expr.child, digits, cache).divided_by_int(expr.denominator)
     elif isinstance(expr, RootOfUnitySymbol):
-        val = root_of_unity(expr.order, expr.power, digits).value
+        val = cache.unity(expr.order, expr.power)
     elif isinstance(expr, Sum):
         val = ArbitraryComplex.zero(digits)
         for t in expr.terms:
-            val = val + evaluate(t, digits, _cache)
+            val = val + evaluate(t, digits, cache)
     elif isinstance(expr, Product):
         val = ArbitraryComplex.from_int(1, digits)
         for f in expr.factors:
-            val = val * evaluate(f, digits, _cache)
+            val = val * evaluate(f, digits, cache)
     elif isinstance(expr, Root):
-        val = principal_root(evaluate(expr.radicand, digits, _cache), expr.degree)
+        val = cache.principal(expr.radicand, expr.degree)
         if expr.branch:
-            val = val * root_of_unity(expr.degree, expr.branch, digits).value
+            val = val * cache.unity(expr.degree, expr.branch)
     else:
         raise TypeError(f"not a radical expression node: {expr!r}")
-    _cache[key] = (expr, val)
+    cache.nodes[id(expr)] = (expr, val)
     return val
 
 
@@ -227,11 +255,11 @@ class ReconstructionResult:
     theta0_exprs: tuple[RadicalExpr, ...]     # full position tensor
     branch_log: tuple[BranchChoice, ...]
     zero_notes: tuple[ZeroRadicandNote, ...]
-    digits: int
+    values: ValueCache                        # every value computed on the way
 
 
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
-                stored_L, zetas, *, digits: int | None = None,
+                stored_L, zetas, *, digits: int,
                 delta=None) -> ReconstructionResult:
     """Work the tensor transforms backward, picking root branches numerically.
 
@@ -242,11 +270,9 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     branch within delta and every other branch beyond 2*delta, else
     PhaseAmbiguous.  Radicands indistinguishable from zero are collapsed to 0.
     """
-    if digits is None:
-        digits = stored_L[0].digits if stored_L else 32
     if delta is None:
         delta = mpf(10) ** (-mpf(digits) / 4)
-    cache: dict = {}
+    values = ValueCache(digits, zetas)
     radices = int_theta.radices
     exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
     branch_log: list[BranchChoice] = []
@@ -260,7 +286,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
             line_exprs = [exact[i] for i in line]
             line_scale = mpf(0)
             for expr in line_exprs:
-                line_scale += evaluate(expr, digits, cache).magnitude()
+                line_scale += evaluate(expr, digits, values).magnitude()
             # radicand values below the evaluation noise floor are zero; the
             # p-th root inflates noise to noise^(1/p), so test at that scale
             noise = line_scale * mpf(10) ** (4 - digits)
@@ -269,8 +295,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
             for k in range(p):
                 e_k = make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
                                for j in range(p))
-                z = evaluate(e_k, digits, cache)
-                w = principal_root(z, p)
+                w = values.principal(e_k, p)
                 target = stored.data[line[k]]
                 z_vanishes = w.magnitude() <= w_floor
                 target_vanishes = target.magnitude() < delta
@@ -284,9 +309,9 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                         f"index {line[k]}: radicand magnitude "
                         f"{mpmath.nstr(w.magnitude(), 4)} vs stored "
                         f"{mpmath.nstr(target.magnitude(), 4)}")
-                distances = sorted(
-                    ((w * zetas[p][s].value).distance(target), s)
-                    for s in range(p))
+                branches = [w * zetas[p][s] for s in range(p)]
+                distances = sorted((b.distance(target), s)
+                                   for s, b in enumerate(branches))
                 best_d, best_s = distances[0]
                 second_d = distances[1][0] if p > 1 else mpf("inf")
                 if best_d >= delta or second_d <= 2 * delta:
@@ -298,7 +323,9 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                         f"{mpmath.nstr(delta, 4)}")
                 branch_log.append(BranchChoice(level, line[k], p, best_s,
                                                best_d, second_d, delta))
-                l_exact.append(make_root(p, e_k, best_s))
+                root = make_root(p, e_k, best_s)
+                values.nodes[id(root)] = (root, branches[best_s])
+                l_exact.append(root)
             for j in range(p):
                 combo = make_sum(make_product([_zeta(p, -j * k), l_exact[k]])
                                  for k in range(p))
@@ -315,10 +342,17 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         raise ValueError(f"no tensor position maps to roots {missing}")
     return ReconstructionResult(
         tuple(by_root[r] for r in range(1, n + 1)),
-        tuple(exact), tuple(branch_log), tuple(zero_notes), digits)
+        tuple(exact), tuple(branch_log), tuple(zero_notes), values)
 
 
 # --- rendering -------------------------------------------------------------
+
+def _join_terms(parts: list[str]) -> str:
+    """Rendered summands joined with explicit signs: ``a + b - c``."""
+    signed = [f"- {s[1:]}" if s.startswith("-") else f"+ {s}"
+              for s in parts[1:]]
+    return " ".join([parts[0], *signed])
+
 
 def _text(expr: RadicalExpr) -> str:
     if isinstance(expr, IntegerLiteral):
@@ -328,16 +362,7 @@ def _text(expr: RadicalExpr) -> str:
     if isinstance(expr, RootOfUnitySymbol):
         return f"zeta_{expr.order}^{expr.power}"
     if isinstance(expr, Sum):
-        parts = []
-        for i, t in enumerate(expr.terms):
-            s = _text(t)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(f"- {s[1:]}")
-            else:
-                parts.append(f"+ {s}")
-        return " ".join(parts)
+        return _join_terms([_text(t) for t in expr.terms])
     if isinstance(expr, Product):
         parts = []
         for f in expr.factors:
@@ -359,16 +384,7 @@ def _latex(expr: RadicalExpr) -> str:
     if isinstance(expr, RootOfUnitySymbol):
         return rf"\zeta_{{{expr.order}}}^{{{expr.power}}}"
     if isinstance(expr, Sum):
-        parts = []
-        for i, t in enumerate(expr.terms):
-            s = _latex(t)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(f"- {s[1:]}")
-            else:
-                parts.append(f"+ {s}")
-        return " ".join(parts)
+        return _join_terms([_latex(t) for t in expr.terms])
     if isinstance(expr, Product):
         parts = []
         for f in expr.factors:
@@ -389,23 +405,24 @@ def _latex(expr: RadicalExpr) -> str:
     raise TypeError(f"not a radical expression node: {expr!r}")
 
 
-def _json_obj(expr: RadicalExpr):
+def json_ast(expr: RadicalExpr):
+    """The JSON AST of an expression as plain dicts and lists."""
     if isinstance(expr, IntegerLiteral):
         return {"int": str(expr.value)}
     if isinstance(expr, RationalScale):
         child_terms = expr.child.terms if isinstance(expr.child, Sum) \
             else (expr.child,)
         return {"scale": f"1/{expr.denominator}",
-                "sum": [_json_obj(t) for t in child_terms]}
+                "sum": [json_ast(t) for t in child_terms]}
     if isinstance(expr, RootOfUnitySymbol):
         return {"zeta": {"p": expr.order, "k": expr.power}}
     if isinstance(expr, Sum):
-        return {"sum": [_json_obj(t) for t in expr.terms]}
+        return {"sum": [json_ast(t) for t in expr.terms]}
     if isinstance(expr, Product):
-        return {"product": [_json_obj(f) for f in expr.factors]}
+        return {"product": [json_ast(f) for f in expr.factors]}
     if isinstance(expr, Root):
         return {"root": {"p": expr.degree, "branch": expr.branch,
-                         "radicand": _json_obj(expr.radicand)}}
+                         "radicand": json_ast(expr.radicand)}}
     raise TypeError(f"not a radical expression node: {expr!r}")
 
 
@@ -416,7 +433,7 @@ def emit(expr: RadicalExpr, format: str = "text") -> str:
     if format == "latex":
         return _latex(expr)
     if format == "json":
-        return json.dumps(_json_obj(expr), separators=(",", ":"))
+        return json.dumps(json_ast(expr), separators=(",", ":"))
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -427,9 +444,7 @@ def _from_json_obj(obj) -> RadicalExpr:
         num, _, den = obj["scale"].partition("/")
         if num != "1":
             raise ValueError(f"scale must be 1/p, got {obj['scale']!r}")
-        terms = [_from_json_obj(t) for t in obj["sum"]]
-        child = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-        return RationalScale(int(den), child)
+        return RationalScale(int(den), _from_json_obj({"sum": obj["sum"]}))
     if "int" in obj:
         return IntegerLiteral(int(obj["int"]))
     if "sum" in obj:
@@ -449,8 +464,10 @@ def parse_expr_json(text: str) -> RadicalExpr:
     return _from_json_obj(json.loads(text))
 
 
-def verify(exprs, roots: RootSet, digits: int):
-    """Re-evaluate each expression and compare to its claimed root.
+def verify(exprs, roots: RootSet, digits: int,
+           cache: ValueCache | None = None):
+    """Compare each expression's value, from ``cache`` when given, to its
+    claimed root.
 
     Returns the per-root deviations; raises VerificationFailed when any
     deviation reaches 10^(-digits/2).
@@ -458,9 +475,8 @@ def verify(exprs, roots: RootSet, digits: int):
     if len(exprs) != roots.n:
         raise ValueError("one expression per root is required")
     threshold = mpf(10) ** (-mpf(digits) / 2)
-    deviations = []
-    for expr, root in zip(exprs, roots.roots):
-        deviations.append(evaluate(expr, digits).distance(root))
+    deviations = [evaluate(expr, digits, cache).distance(root)
+                  for expr, root in zip(exprs, roots.roots)]
     worst = max(deviations) if deviations else mpf(0)
     if worst >= threshold:
         raise VerificationFailed(

@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from .errors import PrecisionInfeasible, ResidualTooLarge
 from .groups import CompositionSeries, Permutation
-from .precision import ArbitraryComplex, RootOfUnityValue, nearest_integer
+from .precision import ArbitraryComplex, nearest_integer, root_of_unity
 from .rootfinder import RootSet
 
 __all__ = [
@@ -86,9 +86,6 @@ class ResolventTensor:
     def axis_lines(self, axis: int):
         """Yield the flat index lists of all lines along the given axis."""
         return axis_lines(self.radices, axis)
-
-    def value_strings(self) -> list[tuple[str, str]]:
-        return [(v.re_string(), v.im_string()) for v in self.data]
 
 
 @dataclass(frozen=True)
@@ -209,11 +206,8 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
 
 def zeta_tables(series: CompositionSeries, digits: int):
     """All powers of each primitive p-th root of unity used by the series."""
-    from .precision import root_of_unity
-    tables: dict[int, list[RootOfUnityValue]] = {}
-    for p in set(series.primes):
-        tables[p] = [root_of_unity(p, k, digits) for k in range(p)]
-    return tables
+    return {p: [root_of_unity(p, k, digits) for k in range(p)]
+            for p in set(series.primes)}
 
 
 def forward_level(theta_prev: ResolventTensor, level: int, zetas,
@@ -245,7 +239,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
         for k in range(p):
             acc = None
             for j in range(p):
-                term = table[(a * j * k) % p].value * entries[j]
+                term = table[(a * j * k) % p] * entries[j]
                 acc = term if acc is None else acc + term
             counter.add(p)
             ldata[line[k]] = acc
@@ -257,7 +251,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
         for j in range(p):
             acc = None
             for k in range(p):
-                term = table[(-k * j) % p].value * powered[k]
+                term = table[(-k * j) % p] * powered[k]
                 acc = term if acc is None else acc + term
             counter.add(p)
             tdata[line[j]] = acc.divided_by_int(p)

@@ -1,8 +1,8 @@
 """Simultaneous root finding for monic integer polynomials.
 
-Strategy: Aberth-Ehrlich iteration at ~32 digits from deterministic initial
-guesses, then per-root Newton polish on a precision-doubling ladder up to the
-requested budget.  The whole procedure is a pure function of (poly, digits).
+Strategy: one Aberth-Ehrlich run at ~32 digits from deterministic initial
+guesses, then per-root Newton polish of a copy on a precision-doubling ladder
+up to each requested budget.  Both steps are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .errors import NonConvergence
 from .polynomial import IntPolynomial
 from .precision import ArbitraryComplex
 
-__all__ = ["RootSet", "find_roots", "root_magnitude_bound", "relabel"]
+__all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
+           "root_magnitude_bound", "relabel"]
 
 _BASE_DPS = 32
 _MAX_ABERTH_ITERS = 400
@@ -43,17 +44,19 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth_stage(p: IntPolynomial, dps: int):
-    """Simultaneous iteration for all roots at moderate precision."""
+def aberth_stage(p: IntPolynomial) -> tuple:
+    """Simultaneous iteration for all roots of monic ``p`` at ~32 digits."""
+    if not p.is_monic():
+        raise ValueError("root finding expects a monic polynomial")
     n = p.degree
     deriv = p.derivative_coeffs()
-    with mp.workdps(dps):
+    with mp.workdps(_BASE_DPS):
         radius = mpf(1) + max(abs(c) for c in p.coeffs[:-1])
         # deterministic index-dependent perturbation breaks symmetry traps
         z = [radius * mpmath.exp(1j * (2 * mpmath.pi * (k + mpf(1) / 4) / n
                                        + mpf(k) / 1000))
              for k in range(n)]
-        tol = mpf(10) ** (-(dps - 6))
+        tol = mpf(10) ** (-(_BASE_DPS - 6))
         for _ in range(_MAX_ABERTH_ITERS):
             max_step = mpf(0)
             for i in range(n):
@@ -69,13 +72,13 @@ def _aberth_stage(p: IntPolynomial, dps: int):
                     if j != i:
                         diff = z[i] - z[j]
                         if diff == 0:
-                            diff = radius * mpf(10) ** (-dps)
+                            diff = radius * mpf(10) ** (-_BASE_DPS)
                         s += 1 / diff
                 corr = w / (1 - w * s)
                 z[i] = z[i] - corr
                 max_step = max(max_step, abs(corr))
             if max_step < tol:
-                return z
+                return tuple(z)
     raise NonConvergence(
         "simultaneous iteration did not converge",
         residuals=[abs(_horner(p.coeffs, zi)) for zi in z])
@@ -97,14 +100,13 @@ def _newton_polish(p: IntPolynomial, roots, target_dps: int):
     return roots
 
 
-def find_roots(p: IntPolynomial, digits: int) -> RootSet:
-    """All n roots of a monic square-free polynomial at the given budget.
+def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
+    """All n roots of a monic square-free polynomial at the given budget,
+    polished from ``start = aberth_stage(p)``.
 
     Residual contract: every |f(x~)| < 10^(2-digits) * max(1, |x~|)^n.
     Output order is canonical: ascending argument in (-pi, pi], then modulus.
     """
-    if not p.is_monic():
-        raise ValueError("find_roots expects a monic polynomial")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     n = p.degree
@@ -112,8 +114,7 @@ def find_roots(p: IntPolynomial, digits: int) -> RootSet:
         root = ArbitraryComplex.from_int(-p.coeffs[0], digits)
         return RootSet((root,), digits, (mpf(0),))
 
-    raw = _aberth_stage(p, _BASE_DPS)
-    raw = _newton_polish(p, raw, digits + 8)
+    raw = _newton_polish(p, list(start), digits + 8)
 
     with mp.workdps(digits + 10):
         bound_pow = max(mpf(1), max(abs(z) for z in raw)) ** n
@@ -157,6 +158,11 @@ def find_roots(p: IntPolynomial, digits: int) -> RootSet:
         with mp.workdps(digits + 10):
             residuals_out.append(abs(_horner(p.coeffs, mp.mpc(z.re, z.im))))
     return RootSet(tuple(roots), digits, tuple(residuals_out))
+
+
+def find_roots(p: IntPolynomial, digits: int) -> RootSet:
+    """``polish_roots`` of a fresh ``aberth_stage`` run."""
+    return polish_roots(p, aberth_stage(p), digits)
 
 
 def root_magnitude_bound(rs: RootSet) -> float:

@@ -113,7 +113,7 @@ def test_criterion_6_property_suite():
                 for j in range(p):
                     acc = ArbitraryComplex.zero(digits)
                     for k in range(p):
-                        acc = acc + zetas[p][(-j * k) % p].value * L.data[line[k]]
+                        acc = acc + zetas[p][(-j * k) % p] * L.data[line[k]]
                     assert acc.divided_by_int(p).distance(prev.data[line[j]]) < tol
         # (d) branch-separation soundness on every accepted root node
         for choice in recon.branch_log:

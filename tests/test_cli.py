@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,27 @@ def test_solve_deterministic_output(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = [
+    ("d5_verify_stats.txt", ["--poly", "x^5+20x+32",
+                             "--generators", "(1,2,3,4,5);(1,4)(2,3)",
+                             "--verify", "--stats"]),
+    ("x3m2.json", ["--poly", "x^3-2", "--generators", "(1,2,3);(1,2)",
+                   "--format", "json", "--verify"]),
+    ("x3m2.tex", ["--poly", "x^3-2", "--generators", "(1,2,3);(1,2)",
+                  "--format", "latex"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_solve_output_matches_golden_bytes(capsys, name, argv):
+    # the files pin the default output byte for byte; regenerate them only
+    # for a change to the output that is meant
+    code, out, err = run(capsys, ["solve", *argv])
+    assert code == 0
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 def test_solve_json_schema(capsys):

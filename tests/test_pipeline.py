@@ -1,0 +1,78 @@
+"""Work done once per solve: one Aberth run, one evaluation of the DAG."""
+
+import pytest
+from mpmath import mpf
+
+from radicalroots import PhaseAmbiguous, pipeline, radical, solve
+from radicalroots.cli import main
+from tests.conftest import QUINTIC_GENERATORS, QUINTIC_TEXT
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _reconstruct_failing(monkeypatch, times):
+    """Make the pipeline's reconstruct raise PhaseAmbiguous ``times`` times."""
+    original = pipeline.reconstruct
+    digits_seen = []
+
+    def flaky(*args, **kwargs):
+        digits_seen.append(kwargs["digits"])
+        if len(digits_seen) <= times:
+            raise PhaseAmbiguous("forced for the test")
+        return original(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "reconstruct", flaky)
+    return digits_seen
+
+
+def test_phase_retry_doubles_budget_and_runs_aberth_once(monkeypatch):
+    aberth = _count_calls(monkeypatch, pipeline, "aberth_stage")
+    digits_seen = _reconstruct_failing(monkeypatch, times=1)
+    report = solve("x^3-2", "(1,2,3);(1,2)")
+    assert len(aberth) == 1
+    assert digits_seen == [report.plan.digits, 2 * report.plan.digits]
+    assert report.digits == 2 * report.plan.digits
+    assert report.roots.digits == report.digits
+    assert f"branch selection ambiguous; digits doubled to {report.digits}" \
+        in report.notes
+    assert max(report.verification) < mpf(10) ** (-mpf(report.digits) / 2)
+
+
+def test_phase_retries_exhausted_propagate(monkeypatch):
+    aberth = _count_calls(monkeypatch, pipeline, "aberth_stage")
+    digits_seen = _reconstruct_failing(monkeypatch, times=10)
+    with pytest.raises(PhaseAmbiguous):
+        solve("x^3-2", "(1,2,3);(1,2)")
+    assert len(aberth) == 1
+    assert len(digits_seen) == 4
+
+
+def test_phase_retries_exhausted_exit_code(monkeypatch, capsys):
+    _reconstruct_failing(monkeypatch, times=10)
+    code = main(["solve", "--poly", "x^3-2", "--generators", "(1,2,3);(1,2)"])
+    assert code == 5
+    assert "PhaseAmbiguous" in capsys.readouterr().err
+
+
+def test_roots_of_unity_come_from_the_zeta_tables(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("root_of_unity called outside zeta_tables")
+    monkeypatch.setattr(radical, "root_of_unity", forbidden)
+    report = solve(QUINTIC_TEXT, QUINTIC_GENERATORS)
+    assert report.verification is not None
+
+
+def test_principal_roots_taken_once_per_radicand(monkeypatch):
+    # reconstruct takes one principal root per radicand; the report's
+    # evaluations and verification take none
+    calls = _count_calls(monkeypatch, radical, "principal_root")
+    report = solve("x^4+x+1", "(1,2,3,4);(1,2)")
+    assert 0 < len(calls) <= len(report.branch_log) + len(report.zero_notes)

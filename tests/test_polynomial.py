@@ -68,7 +68,7 @@ def test_monic_roots_correspondence():
         z_str = mpmath.nstr(mpmath.sqrt(mpf(1) / 2), 25)
     z = make_complex(z_str, "0", 25)
     assert eval_poly(p, z).magnitude() < mpf(10) ** -22
-    scaled = z.scaled_by_int(red.scale)
+    scaled = z * make_complex(str(red.scale), "0", 25)
     tau = mpf(10) ** -22
     assert eval_poly(red.monic, scaled).magnitude() < tau * red.scale ** p.degree
 

@@ -44,20 +44,20 @@ def test_min_digits_rule():
 
 def test_root_of_unity_examples():
     m1 = root_of_unity(2, 1, 14)
-    assert m1.value.re == -1 and m1.value.im == 0
+    assert m1.re == -1 and m1.im == 0
 
     z51 = root_of_unity(5, 1, 14)
-    assert z51.value.re_string() == "0.30901699437495"
-    assert z51.value.im_string() == "0.95105651629515"
+    assert z51.re_string() == "0.30901699437495"
+    assert z51.im_string() == "0.95105651629515"
 
     z32 = root_of_unity(3, 2, 14)
-    assert z32.value.re_string() == "-0.5"
-    assert z32.value.im_string() == "-0.86602540378444"
+    assert z32.re_string() == "-0.5"
+    assert z32.im_string() == "-0.86602540378444"
 
 
 def test_root_of_unity_power_zero_exact():
     z = root_of_unity(7, 0, 30)
-    assert z.value.re == 1 and z.value.im == 0
+    assert z.re == 1 and z.im == 0
 
 
 def test_root_of_unity_requires_prime():
@@ -71,7 +71,7 @@ def test_root_of_unity_requires_prime():
 def test_root_of_unity_pth_power_is_one(p):
     digits = 20
     for k in range(p):
-        z = root_of_unity(p, k, digits).value
+        z = root_of_unity(p, k, digits)
         w = z.power_int(p)
         one = ArbitraryComplex.from_int(1, digits)
         assert w.distance(one) < mpf(10) ** (2 - digits)
@@ -82,7 +82,7 @@ def test_root_of_unity_conjugate_pairs(p):
     digits = 18
     one = ArbitraryComplex.from_int(1, digits)
     for k in range(1, p):
-        prod = root_of_unity(p, k, digits).value * root_of_unity(p, p - k, digits).value
+        prod = root_of_unity(p, k, digits) * root_of_unity(p, p - k, digits)
         assert prod.distance(one) < mpf(10) ** (2 - digits)
 
 

@@ -15,8 +15,9 @@ from mpmath import mp, mpf
 from radicalroots import (Permutation, closure, composition_series, evaluate,
                           find_roots, label_roots, parse_cycles,
                           parse_polynomial, plan_precision, reconstruct,
-                          root_magnitude_bound, verify)
+                          root_magnitude_bound, solve, verify)
 from radicalroots.precision import ArbitraryComplex
+from radicalroots.radical import ValueCache
 from radicalroots.resolvent import (MultiplicationCounter, build_theta0,
                                     cyclic_shift, forward_level, forward_pass,
                                     multiplication_budget, round_theta_m,
@@ -108,7 +109,7 @@ def test_fourier_inversion_every_level(bundle):
             for j in range(p):
                 acc = ArbitraryComplex.zero(digits)
                 for k in range(p):
-                    acc = acc + table[(-j * k) % p].value * L.data[line[k]]
+                    acc = acc + table[(-j * k) % p] * L.data[line[k]]
                 acc = acc.divided_by_int(p)
                 assert acc.distance(prev.data[line[j]]) < tol
 
@@ -164,7 +165,7 @@ def _root_nodes(expr, seen):
 def test_root_nodes_power_back_to_radicand(bundle):
     # every accepted p-th root re-powers onto its own radicand
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
-    cache, seen = {}, {}
+    cache, seen = ValueCache(digits), {}
     for expr in recon.root_exprs:
         for node in _root_nodes(expr, seen):
             val = evaluate(node, digits, cache)
@@ -185,7 +186,7 @@ def test_branch_separation_soundness(bundle):
 def test_round_trip_theta0_positions(bundle):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     tol = mpf(10) ** (-mpf(digits) / 2)
-    cache = {}
+    cache = ValueCache(digits)
     for expr, fwd_value in zip(recon.theta0_exprs, theta0.data):
         assert evaluate(expr, digits, cache).distance(fwd_value) < tol
 
@@ -194,6 +195,23 @@ def test_expressions_verify_against_roots(bundle):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     deviations = verify(recon.root_exprs, labeled, digits)
     assert max(deviations) < mpf(10) ** (-mpf(digits) / 2)
+
+
+@pytest.mark.parametrize("instance", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_solve_values_equal_a_fresh_evaluation(instance):
+    # the values the backward pass leaves behind are exactly what a separate
+    # evaluation of each expression gives, and verification compares those
+    name, poly_text, gens_text, labeling = instance
+    if labeling != "auto":
+        _, q, g, n = labeling
+        roots = find_roots(parse_polynomial(poly_text), 30)
+        labeling = _period_label_order(roots, q, g, n)
+    report = solve(poly_text, gens_text, labeling=labeling)
+    for expr, value, deviation, root in zip(
+            report.root_exprs, report.evaluations, report.verification,
+            report.roots.roots):
+        assert value == evaluate(expr, report.digits)
+        assert deviation == value.distance(root)
 
 
 @pytest.mark.parametrize("poly_text,gens_text,level", [

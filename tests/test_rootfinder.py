@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 
 from radicalroots import NonConvergence, find_roots, make_complex, parse_polynomial, root_magnitude_bound
 from radicalroots import rootfinder
+from radicalroots.rootfinder import aberth_stage, polish_roots
 from tests.conftest import QUINTIC_ROOT_STRINGS
 
 
@@ -74,6 +75,12 @@ def test_determinism(quintic):
     a = find_roots(quintic, 17)
     b = find_roots(quintic, 17)
     assert all(x.re == y.re and x.im == y.im for x, y in zip(a.roots, b.roots))
+
+
+def test_one_aberth_run_polishes_to_every_budget(quintic):
+    start = aberth_stage(quintic)
+    for digits in (14, 40):
+        assert polish_roots(quintic, start, digits) == find_roots(quintic, digits)
 
 
 def test_requires_monic():
