@@ -67,10 +67,6 @@ def _labeling_argument(args, root_order):
     return "auto"
 
 
-def _root_line(index: int, value) -> str:
-    return f"  x_{index} = {value}"
-
-
 def _print_solve_text(report, args, out):
     w = out.write
     w(f"polynomial: {render_polynomial(report.polynomial)}\n")
@@ -86,7 +82,7 @@ def _print_solve_text(report, args, out):
       "(label j takes listed root sigma(j))\n")
     w("labeled roots:\n")
     for i, z in enumerate(report.roots.roots, start=1):
-        w(_root_line(i, z) + "\n")
+        w(f"  x_{i} = {z.to_string(report.digits)}\n")
     radices = "x".join(map(str, report.theta.radices)) or "scalar"
     w(f"integer tensor ({radices}): {', '.join(map(str, report.theta.values))}\n")
     w(f"max rounding residual: {mpmath.nstr(report.max_rounding_residual, 4)}\n")
@@ -94,7 +90,7 @@ def _print_solve_text(report, args, out):
     w("roots as radicals:\n")
     for i, expr in enumerate(report.root_exprs, start=1):
         w(f"  x_{i} = {emit(expr, fmt)}\n")
-        w(f"      = {report.evaluations[i - 1]}\n")
+        w(f"      = {report.evaluations[i - 1].to_string(report.digits)}\n")
     if report.verification is not None:
         w(f"verification: max deviation "
           f"{mpmath.nstr(max(report.verification), 4)}\n")
@@ -106,6 +102,7 @@ def _print_solve_text(report, args, out):
 
 
 def _solve_json_payload(report, args):
+    digits = report.digits
     payload = {
         "polynomial": {
             "coeffs": [str(c) for c in report.polynomial.coeffs],
@@ -125,7 +122,7 @@ def _solve_json_payload(report, args):
             "x0_bound": report.plan.x0_bound,
         },
         "labeling": list(report.labeling.images),
-        "roots": [{"re": z.re_string(), "im": z.im_string()}
+        "roots": [{"re": z.re_string(digits), "im": z.im_string(digits)}
                   for z in report.roots.roots],
         "theta": {
             "radices": list(report.theta.radices),
@@ -137,8 +134,8 @@ def _solve_json_payload(report, args):
                 "root": i,
                 "ast": json_ast(expr),
                 "text": emit(expr, "text"),
-                "value": {"re": report.evaluations[i - 1].re_string(),
-                          "im": report.evaluations[i - 1].im_string()},
+                "value": {"re": report.evaluations[i - 1].re_string(digits),
+                          "im": report.evaluations[i - 1].im_string(digits)},
             }
             for i, expr in enumerate(report.root_exprs, start=1)
         ],
@@ -183,7 +180,7 @@ def _cmd_roots(args, out) -> int:
         for note in report.notes:
             out.write(f"warning: {note}\n")
     for i, z in enumerate(rs.roots, start=1):
-        out.write(_root_line(i, z) + "\n")
+        out.write(f"  x_{i} = {z.to_string(rs.digits)}\n")
     out.write(f"max residual |f(x)|: {mpmath.nstr(max(rs.residuals), 4)}\n")
     return 0
 
@@ -295,10 +292,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Reject numeric flags outside their documented ranges."""
+    if getattr(args, "digits", None) is not None and args.digits < 1:
+        raise InputSyntaxError(f"--digits must be at least 1, got {args.digits}")
+    if getattr(args, "margin", 0) < 0:
+        raise InputSyntaxError(f"--margin must be at least 0, got {args.margin}")
+    if not getattr(args, "tolerance", 1) > 0:
+        raise InputSyntaxError(f"--tolerance must be positive, got {args.tolerance}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args, sys.stdout)
     except SolverError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import LabelingAmbiguous, LabelingFailed, ResidualTooLarge
 from .groups import (PermutationGroup, Permutation, coset_representatives,
@@ -33,8 +33,7 @@ _DEFAULT_MONOMIALS = ((1, 2), (1, 1, 2), (2, 1))
 
 
 def _monomial_value(exponents, roots) -> ArbitraryComplex:
-    digits = roots[0].digits
-    acc = ArbitraryComplex.from_int(1, digits)
+    acc = ArbitraryComplex.from_int(1)
     for j, k in enumerate(exponents):
         if k:
             acc = acc * roots[j].power_int(k)
@@ -42,23 +41,21 @@ def _monomial_value(exponents, roots) -> ArbitraryComplex:
 
 
 def _orbit_value(orbit, roots) -> ArbitraryComplex:
-    digits = roots[0].digits
-    acc = ArbitraryComplex.zero(digits)
+    acc = ArbitraryComplex.zero()
     for vec in orbit:
         acc = acc + _monomial_value(vec, roots)
     return acc
 
 
-def invariant_value(G: PermutationGroup, orbit, roots,
+def invariant_value(G: PermutationGroup, orbit, roots: RootSet,
                     tolerance: float = 0.25) -> tuple[int, mpf]:
     """Evaluate an orbit-sum invariant on labeled roots and round it.
 
-    ``roots`` is a RootSet (labeled order) or a sequence of values.  Raises
-    ResidualTooLarge when the value is not close to an integer (labeling
-    inconsistent with the group, or precision too short).
+    Raises ResidualTooLarge when the value is not close to an integer
+    (labeling inconsistent with the group, or precision too short).
     """
-    values = roots.roots if isinstance(roots, RootSet) else tuple(roots)
-    n, residual = nearest_integer(_orbit_value(orbit, values))
+    with mp.workdps(roots.digits):
+        n, residual = nearest_integer(_orbit_value(orbit, roots.roots))
     if residual >= tolerance:
         raise ResidualTooLarge(
             f"orbit sum is {mpmath.nstr(residual, 4)} away from an integer "
@@ -91,38 +88,38 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
     """
     n = G.degree
     values = roots.roots
-    digits = roots.digits
     reps = coset_representatives(n, G, cap=degree_cap)
-    coeffs = [ArbitraryComplex.from_int(1, digits)]
-    for rep in reps:
-        moved = tuple(values[rep(j) - 1] for j in range(1, n + 1))
-        v = _orbit_value(orbit, moved)
-        nxt = [ArbitraryComplex.zero(digits) for _ in range(len(coeffs) + 1)]
+    with mp.workdps(roots.digits):
+        coeffs = [ArbitraryComplex.from_int(1)]
+        for rep in reps:
+            moved = tuple(values[rep(j) - 1] for j in range(1, n + 1))
+            v = _orbit_value(orbit, moved)
+            nxt = [ArbitraryComplex.zero() for _ in range(len(coeffs) + 1)]
+            for i, c in enumerate(coeffs):
+                nxt[i + 1] = nxt[i + 1] + c
+                nxt[i] = nxt[i] - v * c
+            coeffs = nxt
+        ints, residuals = [], []
         for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - v * c
-        coeffs = nxt
-    ints, residuals = [], []
-    for i, c in enumerate(coeffs):
-        k, res = nearest_integer(c)
-        if res >= tolerance:
+            k, res = nearest_integer(c)
+            if res >= tolerance:
+                raise ResidualTooLarge(
+                    f"certificate coefficient {i} is {mpmath.nstr(res, 4)} away "
+                    f"from an integer (tolerance {tolerance})",
+                    position=i, residual=res)
+            ints.append(k)
+            residuals.append(res)
+        theta_val = _orbit_value(orbit, values)
+        acc = ArbitraryComplex.zero()
+        for c in reversed(ints):
+            acc = acc * theta_val + ArbitraryComplex.from_int(c)
+        membership = acc.magnitude()
+        cap = tolerance * (1 + theta_val.magnitude()) ** len(reps)
+        if membership >= cap:
             raise ResidualTooLarge(
-                f"certificate coefficient {i} is {mpmath.nstr(res, 4)} away "
-                f"from an integer (tolerance {tolerance})",
-                position=i, residual=res)
-        ints.append(k)
-        residuals.append(res)
-    theta_val = _orbit_value(orbit, values)
-    acc = ArbitraryComplex.zero(digits)
-    for c in reversed(ints):
-        acc = acc * theta_val + ArbitraryComplex.from_int(c, digits)
-    membership = acc.magnitude()
-    cap = tolerance * (1 + theta_val.magnitude()) ** len(reps)
-    if membership >= cap:
-        raise ResidualTooLarge(
-            "labeled invariant is not a root of its own certificate "
-            f"polynomial (|F(theta)| = {mpmath.nstr(membership, 4)})",
-            residual=membership)
+                "labeled invariant is not a root of its own certificate "
+                f"polynomial (|F(theta)| = {mpmath.nstr(membership, 4)})",
+                residual=membership)
     return CertificateResult(tuple(ints), tuple(residuals), theta_val, membership)
 
 
@@ -176,16 +173,12 @@ def label_roots(G: PermutationGroup, roots: RootSet, invariants=None,
         invariants = default_labeling_invariants(G)
     reps = coset_representatives(n, G, cap=degree_cap)
     passing = []
-    for rep in reps:
-        moved = tuple(roots.roots[rep(j) - 1] for j in range(1, n + 1))
-        ok = True
-        for orbit in invariants:
-            _, residual = nearest_integer(_orbit_value(orbit, moved))
-            if residual >= tolerance:
-                ok = False
-                break
-        if ok:
-            passing.append(rep)
+    with mp.workdps(roots.digits):
+        for rep in reps:
+            moved = tuple(roots.roots[rep(j) - 1] for j in range(1, n + 1))
+            if all(nearest_integer(_orbit_value(orbit, moved))[1] < tolerance
+                   for orbit in invariants):
+                passing.append(rep)
     if not passing:
         raise LabelingFailed(
             "no coset representative makes the test invariants integral; "

@@ -64,7 +64,8 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
 
     The digit budget comes from the precision plan unless overridden; on
     PhaseAmbiguous the budget is doubled, up to 3 times.  One Aberth run is
-    polished to the plan's 32 digits and to every budget tried.
+    polished to the plan's 32 digits and to every budget tried, and the
+    roots are labeled once, at the first budget.
     """
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
@@ -85,14 +86,12 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
         notes.append(f"solved the monic reduction ({reduction.note}); "
                      f"divide the roots by {reduction.scale}")
 
+    sigma = None if labeling == "auto" else as_labeling(labeling, degree)
     for attempt in range(_PHASE_RETRIES + 1):
         roots = polish_roots(monic, start, budget_digits)
-        if labeling == "auto":
-            label = label_roots(group, roots, invariants)
-            sigma, labeled = label.permutation, label.labeled
-        else:
-            sigma = as_labeling(labeling, degree)
-            labeled = relabel(roots, sigma)
+        if sigma is None:
+            sigma = label_roots(group, roots, invariants).permutation
+        labeled = relabel(roots, sigma)
         zetas = zeta_tables(series, budget_digits)
         theta0 = build_theta0(labeled, series)
         counter = MultiplicationCounter(budget=multiplication_budget(series))

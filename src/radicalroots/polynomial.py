@@ -146,12 +146,12 @@ def to_monic(p: IntPolynomial) -> MonicReduction:
 
 
 def eval_poly(p: IntPolynomial, z: ArbitraryComplex) -> ArbitraryComplex:
-    """Horner evaluation at z's digit budget."""
-    acc = ArbitraryComplex.from_int(p.leading, z.digits)
+    """Horner evaluation at the current mpmath precision."""
+    acc = ArbitraryComplex.from_int(p.leading)
     for k in range(p.degree - 1, -1, -1):
         acc = acc * z
         if p.coeffs[k]:
-            acc = acc + ArbitraryComplex.from_int(p.coeffs[k], z.digits)
+            acc = acc + ArbitraryComplex.from_int(p.coeffs[k])
     return acc
 
 

@@ -1,8 +1,8 @@
-"""Arbitrary-precision complex arithmetic with explicit decimal digit budgets.
-
-Every value knows the decimal working precision it was computed at; arithmetic
-between two values is carried out (and correctly rounded) at the smaller of the
-two budgets.  mpmath supplies the underlying real arithmetic.
+"""Complex values as (re, im) pairs of mpmath reals, with no precision of
+their own: arithmetic rounds at the current ``mp.dps``, which each public
+pipeline stage sets once from the digit budget of its data.  The multi-step
+kernels (magnitude, distance, nearest_integer, principal_root) work with
+guard digits on top of it.
 """
 
 from __future__ import annotations
@@ -38,77 +38,68 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ArbitraryComplex:
-    """A complex number carried at an explicit decimal digit budget."""
+    """A complex number; its arithmetic rounds at the current mpmath precision."""
 
     re: mpf
     im: mpf
-    digits: int
 
     @classmethod
-    def from_int(cls, value: int, digits: int) -> "ArbitraryComplex":
-        with mp.workdps(digits):
-            return cls(+mpf(value), mpf(0), digits)
+    def from_int(cls, value: int) -> "ArbitraryComplex":
+        return cls(+mpf(value), mpf(0))
 
     @classmethod
-    def zero(cls, digits: int) -> "ArbitraryComplex":
-        return cls(mpf(0), mpf(0), digits)
+    def zero(cls) -> "ArbitraryComplex":
+        return cls(mpf(0), mpf(0))
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
     def __add__(self, other: "ArbitraryComplex") -> "ArbitraryComplex":
-        d = min(self.digits, other.digits)
-        with mp.workdps(d):
-            return ArbitraryComplex(self.re + other.re, self.im + other.im, d)
+        return ArbitraryComplex(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "ArbitraryComplex") -> "ArbitraryComplex":
-        d = min(self.digits, other.digits)
-        with mp.workdps(d):
-            return ArbitraryComplex(self.re - other.re, self.im - other.im, d)
+        return ArbitraryComplex(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "ArbitraryComplex":
-        return ArbitraryComplex(-self.re, -self.im, self.digits)
+        return ArbitraryComplex(-self.re, -self.im)
 
     def __mul__(self, other: "ArbitraryComplex") -> "ArbitraryComplex":
-        d = min(self.digits, other.digits)
-        with mp.workdps(d):
-            re = self.re * other.re - self.im * other.im
-            im = self.re * other.im + self.im * other.re
-            return ArbitraryComplex(re, im, d)
+        re = self.re * other.re - self.im * other.im
+        im = self.re * other.im + self.im * other.re
+        return ArbitraryComplex(re, im)
 
     def divided_by_int(self, k: int) -> "ArbitraryComplex":
-        with mp.workdps(self.digits):
-            return ArbitraryComplex(self.re / k, self.im / k, self.digits)
+        return ArbitraryComplex(self.re / k, self.im / k)
 
     def power_int(self, e: int) -> "ArbitraryComplex":
         """e-th power (e >= 0) by repeated multiplication."""
         if e < 0:
             raise ValueError("negative exponent")
-        acc = ArbitraryComplex.from_int(1, self.digits)
+        acc = ArbitraryComplex.from_int(1)
         for _ in range(e):
             acc = acc * self
         return acc
 
     def magnitude(self) -> mpf:
-        with mp.workdps(self.digits + _GUARD):
+        with mp.workdps(mp.dps + _GUARD):
             return mpmath.hypot(self.re, self.im)
 
     def distance(self, other: "ArbitraryComplex") -> mpf:
-        d = min(self.digits, other.digits)
-        with mp.workdps(d + _GUARD):
+        with mp.workdps(mp.dps + _GUARD):
             return mpmath.hypot(self.re - other.re, self.im - other.im)
 
-    def re_string(self) -> str:
-        return mpmath.nstr(self.re, self.digits)
+    def re_string(self, digits: int) -> str:
+        return mpmath.nstr(self.re, digits)
 
-    def im_string(self) -> str:
-        return mpmath.nstr(self.im, self.digits)
+    def im_string(self, digits: int) -> str:
+        return mpmath.nstr(self.im, digits)
 
-    def __str__(self) -> str:
+    def to_string(self, digits: int) -> str:
+        """``re + im i`` with each part to the given significant digits."""
         if self.im == 0:
-            return self.re_string()
+            return self.re_string(digits)
         sign = "-" if self.im < 0 else "+"
-        return f"{self.re_string()} {sign} {mpmath.nstr(abs(self.im), self.digits)}i"
+        return f"{self.re_string(digits)} {sign} {mpmath.nstr(abs(self.im), digits)}i"
 
 
 def make_complex(re: str, im: str, digits: int) -> ArbitraryComplex:
@@ -117,7 +108,7 @@ def make_complex(re: str, im: str, digits: int) -> ArbitraryComplex:
         raise ValueError("digits must be >= 1")
     try:
         with mp.workdps(digits):
-            return ArbitraryComplex(mpf(re), mpf(im), digits)
+            return ArbitraryComplex(mpf(re), mpf(im))
     except ValueError as exc:
         raise ValueError(f"malformed decimal string: {exc}") from None
 
@@ -133,7 +124,7 @@ def root_of_unity(p: int, k: int, digits: int) -> ArbitraryComplex:
         re = mpmath.cospi(t)
         im = mpmath.sinpi(t)
     with mp.workdps(digits):
-        return ArbitraryComplex(+re, +im, digits)
+        return ArbitraryComplex(+re, +im)
 
 
 def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:
@@ -146,8 +137,8 @@ def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:
     if p < 1:
         raise ValueError("root degree must be >= 1")
     if z.is_zero():
-        return ArbitraryComplex.zero(z.digits)
-    digits = z.digits
+        return ArbitraryComplex.zero()
+    digits = mp.dps
     with mp.workdps(digits + _GUARD):
         re, im = z.re, z.im
         mag = mpmath.hypot(re, im)
@@ -162,13 +153,12 @@ def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:
             w_re = mpf(0)
         if w_im != 0 and abs(w_im) <= floor:
             w_im = mpf(0)
-    with mp.workdps(digits):
-        return ArbitraryComplex(+w_re, +w_im, digits)
+    return ArbitraryComplex(+w_re, +w_im)
 
 
 def nearest_integer(z: ArbitraryComplex) -> tuple[int, mpf]:
     """Nearest integer to re(z) and the residual max(|re - n|, |im|)."""
-    with mp.workdps(z.digits + _GUARD):
+    with mp.workdps(mp.dps + _GUARD):
         n = int(mpmath.nint(z.re))
         residual = max(abs(z.re - n), abs(z.im))
     return n, residual

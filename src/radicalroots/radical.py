@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
@@ -190,7 +190,7 @@ class ValueCache:
         """The principal p-th root of the radicand's value."""
         key = (id(radicand), p)
         if key not in self.roots:
-            value = evaluate(radicand, self.digits, self)
+            value = _evaluate(radicand, self)
             self.roots[key] = (radicand, principal_root(value, p))
         return self.roots[key][1]
 
@@ -199,25 +199,28 @@ def evaluate(expr: RadicalExpr, digits: int,
              cache: ValueCache | None = None) -> ArbitraryComplex:
     """Deterministic bottom-up numeric evaluation at the given digit budget;
     ``cache``, a ValueCache at that budget, shares values across calls."""
-    if cache is None:
-        cache = ValueCache(digits)
+    with mp.workdps(digits):
+        return _evaluate(expr, cache or ValueCache(digits))
+
+
+def _evaluate(expr: RadicalExpr, cache: ValueCache) -> ArbitraryComplex:
     hit = cache.nodes.get(id(expr))
     if hit is not None:
         return hit[1]
     if isinstance(expr, IntegerLiteral):
-        val = ArbitraryComplex.from_int(expr.value, digits)
+        val = ArbitraryComplex.from_int(expr.value)
     elif isinstance(expr, RationalScale):
-        val = evaluate(expr.child, digits, cache).divided_by_int(expr.denominator)
+        val = _evaluate(expr.child, cache).divided_by_int(expr.denominator)
     elif isinstance(expr, RootOfUnitySymbol):
         val = cache.unity(expr.order, expr.power)
     elif isinstance(expr, Sum):
-        val = ArbitraryComplex.zero(digits)
+        val = ArbitraryComplex.zero()
         for t in expr.terms:
-            val = val + evaluate(t, digits, cache)
+            val = val + _evaluate(t, cache)
     elif isinstance(expr, Product):
-        val = ArbitraryComplex.from_int(1, digits)
+        val = ArbitraryComplex.from_int(1)
         for f in expr.factors:
-            val = val * evaluate(f, digits, cache)
+            val = val * _evaluate(f, cache)
     elif isinstance(expr, Root):
         val = cache.principal(expr.radicand, expr.degree)
         if expr.branch:
@@ -270,67 +273,68 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     branch within delta and every other branch beyond 2*delta, else
     PhaseAmbiguous.  Radicands indistinguishable from zero are collapsed to 0.
     """
-    if delta is None:
-        delta = mpf(10) ** (-mpf(digits) / 4)
-    values = ValueCache(digits, zetas)
-    radices = int_theta.radices
-    exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
-    branch_log: list[BranchChoice] = []
-    zero_notes: list[ZeroRadicandNote] = []
+    with mp.workdps(digits):
+        if delta is None:
+            delta = mpf(10) ** (-mpf(digits) / 4)
+        values = ValueCache(digits, zetas)
+        radices = int_theta.radices
+        exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
+        branch_log: list[BranchChoice] = []
+        zero_notes: list[ZeroRadicandNote] = []
 
-    for level in range(series.length, 0, -1):
-        p = radices[level - 1]
-        stored = stored_L[level - 1]
-        new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
-        for line in axis_lines(radices, level - 1):
-            line_exprs = [exact[i] for i in line]
-            line_scale = mpf(0)
-            for expr in line_exprs:
-                line_scale += evaluate(expr, digits, values).magnitude()
-            # radicand values below the evaluation noise floor are zero; the
-            # p-th root inflates noise to noise^(1/p), so test at that scale
-            noise = line_scale * mpf(10) ** (4 - digits)
-            w_floor = max(noise ** (mpf(1) / p), mpf(10) ** (-digits))
-            l_exact: list[RadicalExpr] = []
-            for k in range(p):
-                e_k = make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
-                               for j in range(p))
-                w = values.principal(e_k, p)
-                target = stored.data[line[k]]
-                z_vanishes = w.magnitude() <= w_floor
-                target_vanishes = target.magnitude() < delta
-                if z_vanishes and target_vanishes:
-                    l_exact.append(_ZERO)
-                    zero_notes.append(ZeroRadicandNote(level, line[k]))
-                    continue
-                if z_vanishes != target_vanishes:
-                    raise PhaseAmbiguous(
-                        f"resolvent magnitude inconsistent at level {level}, "
-                        f"index {line[k]}: radicand magnitude "
-                        f"{mpmath.nstr(w.magnitude(), 4)} vs stored "
-                        f"{mpmath.nstr(target.magnitude(), 4)}")
-                branches = [w * zetas[p][s] for s in range(p)]
-                distances = sorted((b.distance(target), s)
-                                   for s, b in enumerate(branches))
-                best_d, best_s = distances[0]
-                second_d = distances[1][0] if p > 1 else mpf("inf")
-                if best_d >= delta or second_d <= 2 * delta:
-                    raise PhaseAmbiguous(
-                        f"cannot fix the branch of a {p}-th root at level "
-                        f"{level}, index {line[k]}: nearest branch at distance "
-                        f"{mpmath.nstr(best_d, 4)}, next at "
-                        f"{mpmath.nstr(second_d, 4)}, delta "
-                        f"{mpmath.nstr(delta, 4)}")
-                branch_log.append(BranchChoice(level, line[k], p, best_s,
-                                               best_d, second_d, delta))
-                root = make_root(p, e_k, best_s)
-                values.nodes[id(root)] = (root, branches[best_s])
-                l_exact.append(root)
-            for j in range(p):
-                combo = make_sum(make_product([_zeta(p, -j * k), l_exact[k]])
-                                 for k in range(p))
-                new_exact[line[j]] = make_scale(p, combo)
-        exact = new_exact
+        for level in range(series.length, 0, -1):
+            p = radices[level - 1]
+            stored = stored_L[level - 1]
+            new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
+            for line in axis_lines(radices, level - 1):
+                line_exprs = [exact[i] for i in line]
+                line_scale = mpf(0)
+                for expr in line_exprs:
+                    line_scale += _evaluate(expr, values).magnitude()
+                # radicand values below the evaluation noise floor are zero; the
+                # p-th root inflates noise to noise^(1/p), so test at that scale
+                noise = line_scale * mpf(10) ** (4 - digits)
+                w_floor = max(noise ** (mpf(1) / p), mpf(10) ** (-digits))
+                l_exact: list[RadicalExpr] = []
+                for k in range(p):
+                    e_k = make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
+                                   for j in range(p))
+                    w = values.principal(e_k, p)
+                    target = stored.data[line[k]]
+                    z_vanishes = w.magnitude() <= w_floor
+                    target_vanishes = target.magnitude() < delta
+                    if z_vanishes and target_vanishes:
+                        l_exact.append(_ZERO)
+                        zero_notes.append(ZeroRadicandNote(level, line[k]))
+                        continue
+                    if z_vanishes != target_vanishes:
+                        raise PhaseAmbiguous(
+                            f"resolvent magnitude inconsistent at level {level}, "
+                            f"index {line[k]}: radicand magnitude "
+                            f"{mpmath.nstr(w.magnitude(), 4)} vs stored "
+                            f"{mpmath.nstr(target.magnitude(), 4)}")
+                    branches = [w * zetas[p][s] for s in range(p)]
+                    distances = sorted((b.distance(target), s)
+                                       for s, b in enumerate(branches))
+                    best_d, best_s = distances[0]
+                    second_d = distances[1][0] if p > 1 else mpf("inf")
+                    if best_d >= delta or second_d <= 2 * delta:
+                        raise PhaseAmbiguous(
+                            f"cannot fix the branch of a {p}-th root at level "
+                            f"{level}, index {line[k]}: nearest branch at distance "
+                            f"{mpmath.nstr(best_d, 4)}, next at "
+                            f"{mpmath.nstr(second_d, 4)}, delta "
+                            f"{mpmath.nstr(delta, 4)}")
+                    branch_log.append(BranchChoice(level, line[k], p, best_s,
+                                                   best_d, second_d, delta))
+                    root = make_root(p, e_k, best_s)
+                    values.nodes[id(root)] = (root, branches[best_s])
+                    l_exact.append(root)
+                for j in range(p):
+                    combo = make_sum(make_product([_zeta(p, -j * k), l_exact[k]])
+                                     for k in range(p))
+                    new_exact[line[j]] = make_scale(p, combo)
+            exact = new_exact
 
     indices = position_root_indices(series)
     by_root: dict[int, RadicalExpr] = {}
@@ -474,9 +478,11 @@ def verify(exprs, roots: RootSet, digits: int,
     """
     if len(exprs) != roots.n:
         raise ValueError("one expression per root is required")
-    threshold = mpf(10) ** (-mpf(digits) / 2)
-    deviations = [evaluate(expr, digits, cache).distance(root)
-                  for expr, root in zip(exprs, roots.roots)]
+    cache = cache or ValueCache(digits)
+    with mp.workdps(digits):
+        threshold = mpf(10) ** (-mpf(digits) / 2)
+        deviations = [_evaluate(expr, cache).distance(root)
+                      for expr, root in zip(exprs, roots.roots)]
     worst = max(deviations) if deviations else mpf(0)
     if worst >= threshold:
         raise VerificationFailed(

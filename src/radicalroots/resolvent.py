@@ -9,7 +9,7 @@ Theta_i.  After level m every entry is (numerically) a rational integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 from mpmath import mp, mpf
@@ -61,27 +61,21 @@ def axis_lines(radices: tuple[int, ...], axis: int):
 
 @dataclass(frozen=True)
 class ResolventTensor:
-    """Mixed-radix array of complex values with a shared digit budget."""
+    """Mixed-radix array of complex values computed at one digit budget."""
 
     radices: tuple[int, ...]
     data: tuple[ArbitraryComplex, ...]
     level: int
     kind: str  # "theta" or "L"
+    digits: int
 
     def __post_init__(self):
         if len(self.data) != _prod(self.radices):
             raise ValueError("tensor data length does not match radices")
-        budgets = {v.digits for v in self.data}
-        if len(budgets) > 1:
-            raise ValueError("tensor entries have mixed digit budgets")
 
     @property
     def size(self) -> int:
         return len(self.data)
-
-    @property
-    def digits(self) -> int:
-        return self.data[0].digits
 
     def axis_lines(self, axis: int):
         """Yield the flat index lists of all lines along the given axis."""
@@ -201,7 +195,7 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
             "tensor positions do not cover all roots; the group is not "
             "transitive on the labels (wrong group or labeling?)")
     data = tuple(roots.roots[i - 1] for i in indices)
-    return ResolventTensor(series.primes, data, 0, "theta")
+    return ResolventTensor(series.primes, data, 0, "theta", roots.digits)
 
 
 def zeta_tables(series: CompositionSeries, digits: int):
@@ -233,30 +227,32 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     table = zetas[p]
     ldata: list = [None] * theta_prev.size
     tdata: list = [None] * theta_prev.size
-    for line in theta_prev.axis_lines(axis):
-        entries = [theta_prev.data[i] for i in line]
-        powered = []
-        for k in range(p):
-            acc = None
-            for j in range(p):
-                term = table[(a * j * k) % p] * entries[j]
-                acc = term if acc is None else acc + term
-            counter.add(p)
-            ldata[line[k]] = acc
-            w = acc
-            for _ in range(p - 1):
-                w = w * acc
-            counter.add(p - 1)
-            powered.append(w)
-        for j in range(p):
-            acc = None
+    with mp.workdps(theta_prev.digits):
+        for line in theta_prev.axis_lines(axis):
+            entries = [theta_prev.data[i] for i in line]
+            powered = []
             for k in range(p):
-                term = table[(-k * j) % p] * powered[k]
-                acc = term if acc is None else acc + term
-            counter.add(p)
-            tdata[line[j]] = acc.divided_by_int(p)
-    L = ResolventTensor(theta_prev.radices, tuple(ldata), level - 1, "L")
-    theta_next = ResolventTensor(theta_prev.radices, tuple(tdata), level, "theta")
+                acc = None
+                for j in range(p):
+                    term = table[(a * j * k) % p] * entries[j]
+                    acc = term if acc is None else acc + term
+                counter.add(p)
+                ldata[line[k]] = acc
+                w = acc
+                for _ in range(p - 1):
+                    w = w * acc
+                counter.add(p - 1)
+                powered.append(w)
+            for j in range(p):
+                acc = None
+                for k in range(p):
+                    term = table[(-k * j) % p] * powered[k]
+                    acc = term if acc is None else acc + term
+                counter.add(p)
+                tdata[line[j]] = acc.divided_by_int(p)
+    L = replace(theta_prev, data=tuple(ldata), level=level - 1, kind="L")
+    theta_next = replace(theta_prev, data=tuple(tdata), level=level,
+                         kind="theta")
     return L, theta_next
 
 
@@ -283,9 +279,10 @@ def round_theta_m(theta_m: ResolventTensor,
     an integer: insufficient precision, a wrong group, a wrong labeling, or a
     non-irreducible input polynomial.
     """
+    with mp.workdps(theta_m.digits):
+        rounded = [nearest_integer(entry) for entry in theta_m.data]
     values, residuals = [], []
-    for flat, entry in enumerate(theta_m.data):
-        n, res = nearest_integer(entry)
+    for flat, (n, res) in enumerate(rounded):
         if res >= tolerance:
             raise ResidualTooLarge(
                 f"entry {flat} of the final tensor is {mpmath.nstr(res, 4)} away "
@@ -305,4 +302,4 @@ def cyclic_shift(tensor: ResolventTensor, level: int, offset: int = 1) -> Resolv
     for line in tensor.axis_lines(axis):
         for j, flat in enumerate(line):
             data[flat] = tensor.data[line[(j + offset) % p]]
-    return ResolventTensor(tensor.radices, tuple(data), tensor.level, tensor.kind)
+    return replace(tensor, data=tuple(data))

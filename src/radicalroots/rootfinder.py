@@ -111,7 +111,8 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
         raise ValueError("digits must be >= 1")
     n = p.degree
     if n == 1:
-        root = ArbitraryComplex.from_int(-p.coeffs[0], digits)
+        with mp.workdps(digits):
+            root = ArbitraryComplex.from_int(-p.coeffs[0])
         return RootSet((root,), digits, (mpf(0),))
 
     raw = _newton_polish(p, list(start), digits + 8)
@@ -150,14 +151,13 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
                        key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),
                                       abs(raw[i])))
 
-    roots, residuals_out = [], []
-    for i in order:
-        with mp.workdps(digits):
-            z = ArbitraryComplex(+raw[i].real, +raw[i].imag, digits)
-        roots.append(z)
-        with mp.workdps(digits + 10):
-            residuals_out.append(abs(_horner(p.coeffs, mp.mpc(z.re, z.im))))
-    return RootSet(tuple(roots), digits, tuple(residuals_out))
+    with mp.workdps(digits):
+        roots = tuple(ArbitraryComplex(+raw[i].real, +raw[i].imag)
+                      for i in order)
+    with mp.workdps(digits + 10):
+        residuals_out = tuple(abs(_horner(p.coeffs, mp.mpc(z.re, z.im)))
+                              for z in roots)
+    return RootSet(roots, digits, residuals_out)
 
 
 def find_roots(p: IntPolynomial, digits: int) -> RootSet:
@@ -167,7 +167,8 @@ def find_roots(p: IntPolynomial, digits: int) -> RootSet:
 
 def root_magnitude_bound(rs: RootSet) -> float:
     """max over roots of max(1, |x~|), rounded up to 2 significant figures."""
-    top = max(float(z.magnitude()) for z in rs.roots)
+    with mp.workdps(rs.digits):
+        top = max(float(z.magnitude()) for z in rs.roots)
     b = max(1.0, top)
     if b == 1.0:
         return 1.0

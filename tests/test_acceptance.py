@@ -109,12 +109,14 @@ def test_criterion_6_property_suite():
             prev, L = fwd.thetas[level - 1], fwd.resolvents[level - 1]
             scale = max(mpf(1), max(e.magnitude() for e in prev.data))
             tol = mpf(10) ** (3 - digits) * scale
-            for line in prev.axis_lines(level - 1):
-                for j in range(p):
-                    acc = ArbitraryComplex.zero(digits)
-                    for k in range(p):
-                        acc = acc + zetas[p][(-j * k) % p] * L.data[line[k]]
-                    assert acc.divided_by_int(p).distance(prev.data[line[j]]) < tol
+            with mp.workdps(digits):
+                for line in prev.axis_lines(level - 1):
+                    for j in range(p):
+                        acc = ArbitraryComplex.zero()
+                        for k in range(p):
+                            acc = acc + zetas[p][(-j * k) % p] * L.data[line[k]]
+                        assert acc.divided_by_int(p).distance(
+                            prev.data[line[j]]) < tol
         # (d) branch-separation soundness on every accepted root node
         for choice in recon.branch_log:
             assert choice.best_distance < choice.delta

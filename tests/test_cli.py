@@ -180,6 +180,23 @@ def test_check_command(capsys):
     assert "1600000000" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--poly", "x^2-2", "--digits", "0"],
+    ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
+    ["check", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
+    ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--margin", "-1"],
+    ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--tolerance", "0"],
+    ["check", "--poly", "x^2-2", "--generators", "(1,2)",
+     "--tolerance", "nan"],
+], ids=["roots-digits", "solve-digits", "check-digits", "margin", "tolerance",
+        "tolerance-nan"])
+def test_numeric_flags_out_of_range_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "InputSyntaxError" in err and argv[-2] in err
+
+
 def test_missing_generators(capsys):
     code, out, err = run(capsys, ["solve", "--poly", "x^2-2"])
     assert code == 2

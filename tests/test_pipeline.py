@@ -1,7 +1,8 @@
-"""Work done once per solve: one Aberth run, one evaluation of the DAG."""
+"""Work done once per solve: one Aberth run, one labeling, one evaluation
+of the DAG, each at a budget the solve sets itself."""
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from radicalroots import PhaseAmbiguous, pipeline, radical, solve
 from radicalroots.cli import main
@@ -35,9 +36,11 @@ def _reconstruct_failing(monkeypatch, times):
 
 def test_phase_retry_doubles_budget_and_runs_aberth_once(monkeypatch):
     aberth = _count_calls(monkeypatch, pipeline, "aberth_stage")
+    labelings = _count_calls(monkeypatch, pipeline, "label_roots")
     digits_seen = _reconstruct_failing(monkeypatch, times=1)
     report = solve("x^3-2", "(1,2,3);(1,2)")
     assert len(aberth) == 1
+    assert len(labelings) == 1
     assert digits_seen == [report.plan.digits, 2 * report.plan.digits]
     assert report.digits == 2 * report.plan.digits
     assert report.roots.digits == report.digits
@@ -76,3 +79,19 @@ def test_principal_roots_taken_once_per_radicand(monkeypatch):
     calls = _count_calls(monkeypatch, radical, "principal_root")
     report = solve("x^4+x+1", "(1,2,3,4);(1,2)")
     assert 0 < len(calls) <= len(report.branch_log) + len(report.zero_notes)
+
+
+@pytest.mark.parametrize("poly,generators", [
+    (QUINTIC_TEXT, QUINTIC_GENERATORS), ("x^3-2", "(1,2,3);(1,2)")])
+def test_results_do_not_depend_on_the_ambient_precision(poly, generators):
+    # every stage sets its own budget, whatever precision the caller runs at
+    reports = []
+    for ambient in (5, 300):
+        with mp.workdps(ambient):
+            reports.append(solve(poly, generators))
+            assert mp.dps == ambient
+    low, high = reports
+    assert low.theta.values == high.theta.values
+    assert low.root_exprs == high.root_exprs
+    assert low.evaluations == high.evaluations
+    assert low.verification == high.verification

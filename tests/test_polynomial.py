@@ -67,15 +67,18 @@ def test_monic_roots_correspondence():
     with mp.workdps(30):
         z_str = mpmath.nstr(mpmath.sqrt(mpf(1) / 2), 25)
     z = make_complex(z_str, "0", 25)
-    assert eval_poly(p, z).magnitude() < mpf(10) ** -22
-    scaled = z * make_complex(str(red.scale), "0", 25)
-    tau = mpf(10) ** -22
-    assert eval_poly(red.monic, scaled).magnitude() < tau * red.scale ** p.degree
+    with mp.workdps(25):
+        assert eval_poly(p, z).magnitude() < mpf(10) ** -22
+        scaled = z * make_complex(str(red.scale), "0", 25)
+        tau = mpf(10) ** -22
+        assert eval_poly(red.monic, scaled).magnitude() < \
+            tau * red.scale ** p.degree
 
 
 def test_eval_poly_trivial():
     p = parse_polynomial("x^2-2")
-    v = eval_poly(p, make_complex("0", "0", 12))
+    with mp.workdps(12):
+        v = eval_poly(p, make_complex("0", "0", 12))
     assert v.re == -2 and v.im == 0
 
 
@@ -83,7 +86,8 @@ def test_eval_poly_paper_root_residual():
     # the 13-decimal approximation satisfies the quintic to ~1.5e-12
     p = parse_polynomial("x^5+20x+32")
     z = make_complex("-1.3639621650899", "0", 30)
-    mag = eval_poly(p, z).magnitude()
+    with mp.workdps(30):
+        mag = eval_poly(p, z).magnitude()
     assert mag < mpf("2e-12")
 
 
@@ -93,7 +97,8 @@ def test_eval_poly_cube_root():
         c = mpmath.nstr(mpmath.cbrt(2), digits + 2)
     z = make_complex(c, "0", digits)
     p = parse_polynomial("x^3-2")
-    assert eval_poly(p, z).magnitude() < mpf(10) ** (3 - digits)
+    with mp.workdps(digits):
+        assert eval_poly(p, z).magnitude() < mpf(10) ** (3 - digits)
 
 
 def test_sanity_check_clean():

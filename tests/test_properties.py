@@ -105,13 +105,14 @@ def test_fourier_inversion_every_level(bundle):
         table = zetas[p]
         scale = max(mpf(1), max(e.magnitude() for e in prev.data))
         tol = mpf(10) ** (3 - digits) * scale
-        for line in prev.axis_lines(level - 1):
-            for j in range(p):
-                acc = ArbitraryComplex.zero(digits)
-                for k in range(p):
-                    acc = acc + table[(-j * k) % p] * L.data[line[k]]
-                acc = acc.divided_by_int(p)
-                assert acc.distance(prev.data[line[j]]) < tol
+        with mp.workdps(digits):
+            for line in prev.axis_lines(level - 1):
+                for j in range(p):
+                    acc = ArbitraryComplex.zero()
+                    for k in range(p):
+                        acc = acc + table[(-j * k) % p] * L.data[line[k]]
+                    acc = acc.divided_by_int(p)
+                    assert acc.distance(prev.data[line[j]]) < tol
 
 
 def test_cyclic_shift_leaves_theta_invariant(bundle):
@@ -125,11 +126,12 @@ def test_cyclic_shift_leaves_theta_invariant(bundle):
         power_scale = max(mpf(1),
                           max(e.magnitude() for e in ref_theta.data)) * p
         tol = mpf(10) ** (3 - digits) * power_scale
-        for line in prev.axis_lines(level - 1):
-            for k in range(p):
-                a = shifted_L.data[line[k]].power_int(p)
-                b = ref_L.data[line[k]].power_int(p)
-                assert a.distance(b) < tol
+        with mp.workdps(digits):
+            for line in prev.axis_lines(level - 1):
+                for k in range(p):
+                    a = shifted_L.data[line[k]].power_int(p)
+                    b = ref_L.data[line[k]].power_int(p)
+                    assert a.distance(b) < tol
         theta_scale = max(mpf(1), max(e.magnitude() for e in ref_theta.data))
         tol = mpf(10) ** (3 - digits) * theta_scale
         for a, b in zip(shifted_theta.data, ref_theta.data):
@@ -170,8 +172,10 @@ def test_root_nodes_power_back_to_radicand(bundle):
         for node in _root_nodes(expr, seen):
             val = evaluate(node, digits, cache)
             radicand = evaluate(node.radicand, digits, cache)
-            tol = mpf(10) ** (3 - digits) * max(mpf(1), radicand.magnitude())
-            assert val.power_int(node.degree).distance(radicand) < tol
+            with mp.workdps(digits):
+                tol = mpf(10) ** (3 - digits) * max(mpf(1),
+                                                    radicand.magnitude())
+                assert val.power_int(node.degree).distance(radicand) < tol
 
 
 def test_branch_separation_soundness(bundle):
@@ -211,7 +215,8 @@ def test_solve_values_equal_a_fresh_evaluation(instance):
             report.root_exprs, report.evaluations, report.verification,
             report.roots.roots):
         assert value == evaluate(expr, report.digits)
-        assert deviation == value.distance(root)
+        with mp.workdps(report.digits):
+            assert deviation == value.distance(root)
 
 
 @pytest.mark.parametrize("poly_text,gens_text,level", [

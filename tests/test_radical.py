@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from radicalroots import (PhaseAmbiguous, VerificationFailed, closure,
                           composition_series, emit, evaluate, find_roots,
@@ -45,7 +45,7 @@ def test_sqrt2_reconstruction():
     assert positive == RationalScale(2, Root(2, IntegerLiteral(8), 0))
     assert emit(positive) == "(1/2)*(root(2,0; 8))"
     val = evaluate(positive, 14)
-    assert val.re_string() == "1.4142135623731"
+    assert val.re_string(14) == "1.4142135623731"
     assert recon.zero_notes  # the vanished resolvent is recorded
 
 
@@ -76,22 +76,23 @@ def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
     # rotate the stored level-2 resolvents so no branch matches
     from radicalroots.resolvent import ResolventTensor
     bad_value = make_complex("1", "1", digits)
-    corrupted = ResolventTensor(
-        fwd.resolvents[1].radices,
-        tuple(v * bad_value for v in fwd.resolvents[1].data),
-        fwd.resolvents[1].level, "L")
+    with mp.workdps(digits):
+        corrupted = ResolventTensor(
+            fwd.resolvents[1].radices,
+            tuple(v * bad_value for v in fwd.resolvents[1].data),
+            fwd.resolvents[1].level, "L", digits)
     with pytest.raises(PhaseAmbiguous):
         reconstruct(series, ints, (fwd.resolvents[0], corrupted), zetas,
                     digits=digits)
 
 
 def test_evaluate_examples():
-    assert evaluate(Root(2, IntegerLiteral(8), 0), 14).re_string() == \
+    assert evaluate(Root(2, IntegerLiteral(8), 0), 14).re_string(14) == \
         "2.8284271247462"
     one = evaluate(RootOfUnitySymbol(5, 0), 12)
     assert one.re == 1 and one.im == 0
     half_sum = RationalScale(2, Root(2, IntegerLiteral(8), 0))
-    assert evaluate(half_sum, 14).re_string() == "1.4142135623731"
+    assert evaluate(half_sum, 14).re_string(14) == "1.4142135623731"
 
 
 def test_evaluate_deterministic():

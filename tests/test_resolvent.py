@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from radicalroots import (PrecisionInfeasible, ResidualTooLarge, closure,
                           composition_series, find_roots, label_roots,
@@ -115,10 +115,11 @@ def test_forward_constant_axis_kills_nonzero_modes():
     digits = 16
     zetas = zeta_tables(series, digits)
     val = make_complex("1.25", "0.5", digits)
-    tensor = ResolventTensor((2,), (val, val), 0, "theta")
+    tensor = ResolventTensor((2,), (val, val), 0, "theta", digits)
     L, _ = forward_level(tensor, 1, zetas)
-    assert L.data[0].distance(val + val) < mpf(10) ** (3 - digits)
-    assert L.data[1].magnitude() < mpf(10) ** (3 - digits)
+    with mp.workdps(digits):
+        assert L.data[0].distance(val + val) < mpf(10) ** (3 - digits)
+        assert L.data[1].magnitude() < mpf(10) ** (3 - digits)
 
 
 def test_quintic_theta2_values(reference_label_order):
@@ -142,7 +143,7 @@ def test_multiplication_counter_budget_exact(reference_label_order):
 
 def test_round_theta_m_rejects_offset():
     bad = ResolventTensor((2,), (make_complex("0.4", "0", 12),
-                                 make_complex("1", "0", 12)), 1, "theta")
+                                 make_complex("1", "0", 12)), 1, "theta", 12)
     with pytest.raises(ResidualTooLarge):
         round_theta_m(bad, tolerance=0.25)
 
@@ -157,13 +158,14 @@ def test_fourier_inversion_identity(reference_label_order):
         table = zetas[p]
         scale = max(e.magnitude() for e in prev.data)
         tol = mpf(10) ** (3 - digits) * max(mpf(1), scale)
-        for line in prev.axis_lines(level - 1):
-            for j in range(p):
-                acc = ArbitraryComplex.zero(digits)
-                for k in range(p):
-                    acc = acc + table[(-j * k) % p] * L.data[line[k]]
-                acc = acc.divided_by_int(p)
-                assert acc.distance(prev.data[line[j]]) < tol
+        with mp.workdps(digits):
+            for line in prev.axis_lines(level - 1):
+                for j in range(p):
+                    acc = ArbitraryComplex.zero()
+                    for k in range(p):
+                        acc = acc + table[(-j * k) % p] * L.data[line[k]]
+                    acc = acc.divided_by_int(p)
+                    assert acc.distance(prev.data[line[j]]) < tol
 
 
 def test_cyclic_shift_invariance(reference_label_order):

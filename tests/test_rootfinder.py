@@ -20,7 +20,7 @@ def test_quintic_matches_13_decimals(quintic, quintic_roots_14):
 
 def test_sqrt2_roots():
     rs = find_roots(parse_polynomial("x^2-2"), 14)
-    values = sorted(str(z.re_string()) for z in rs.roots)
+    values = sorted(z.re_string(rs.digits) for z in rs.roots)
     assert values == ["-1.4142135623731", "1.4142135623731"]
 
 
@@ -60,15 +60,16 @@ def test_symmetric_function_consistency(quintic):
     n = quintic.degree
     total = rs.roots[0]
     prod = rs.roots[0]
-    for z in rs.roots[1:]:
-        total = total + z
-        prod = prod * z
-    bound = max(mpf(1), max(z.magnitude() for z in rs.roots))
-    tol = mpf(10) ** (3 - digits) * n * bound ** n
-    # sum = -a_{n-1}, product = (-1)^n * a_0
-    assert total.distance(make_complex("0", "0", digits)) < tol
-    expected = (-1) ** n * quintic.coeffs[0]
-    assert prod.distance(make_complex(str(expected), "0", digits)) < tol
+    with mp.workdps(digits):
+        for z in rs.roots[1:]:
+            total = total + z
+            prod = prod * z
+        bound = max(mpf(1), max(z.magnitude() for z in rs.roots))
+        tol = mpf(10) ** (3 - digits) * n * bound ** n
+        # sum = -a_{n-1}, product = (-1)^n * a_0
+        assert total.distance(make_complex("0", "0", digits)) < tol
+        expected = (-1) ** n * quintic.coeffs[0]
+        assert prod.distance(make_complex(str(expected), "0", digits)) < tol
 
 
 def test_determinism(quintic):
