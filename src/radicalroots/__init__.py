@@ -21,8 +21,8 @@ from .pipeline import solve
 from .polynomial import (IntPolynomial, MonicReduction, eval_poly,
                          parse_polynomial, render_polynomial, sanity_check,
                          to_monic)
-from .precision import (ArbitraryComplex, make_complex, nearest_integer,
-                        principal_root, root_of_unity)
+from .precision import (format_complex, nearest_integer, principal_root,
+                        root_of_unity)
 from .radical import (RadicalExpr, SolveReport, emit, evaluate,
                       parse_expr_json, reconstruct, verify)
 from .resolvent import (IntegerThetaTensor, MultiplicationCounter,
@@ -39,8 +39,7 @@ __all__ = [
     "IntPolynomial", "MonicReduction", "parse_polynomial", "render_polynomial",
     "to_monic", "eval_poly", "sanity_check",
     # precision
-    "ArbitraryComplex", "make_complex", "root_of_unity",
-    "principal_root", "nearest_integer",
+    "root_of_unity", "principal_root", "nearest_integer", "format_complex",
     # groups
     "Permutation", "PermutationGroup", "CompositionSeries", "parse_cycles",
     "closure", "composition_series", "coset_representatives",

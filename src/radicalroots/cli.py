@@ -21,6 +21,7 @@ from .oracle import (coset_product_certificate, default_labeling_invariants,
                      invariant_value, label_roots)
 from .pipeline import as_labeling, as_polynomial, solve
 from .polynomial import render_polynomial, sanity_check, to_monic
+from .precision import format_complex
 from .radical import emit, json_ast
 from .rootfinder import find_roots, relabel
 
@@ -82,15 +83,16 @@ def _print_solve_text(report, args, out):
       "(label j takes listed root sigma(j))\n")
     w("labeled roots:\n")
     for i, z in enumerate(report.roots.roots, start=1):
-        w(f"  x_{i} = {z.to_string(report.digits)}\n")
+        w(f"  x_{i} = {format_complex(z, report.digits)}\n")
     radices = "x".join(map(str, report.theta.radices)) or "scalar"
     w(f"integer tensor ({radices}): {', '.join(map(str, report.theta.values))}\n")
     w(f"max rounding residual: {mpmath.nstr(report.max_rounding_residual, 4)}\n")
     fmt = "latex" if args.format == "latex" else "text"
     w("roots as radicals:\n")
     for i, expr in enumerate(report.root_exprs, start=1):
+        value = report.evaluations[i - 1]
         w(f"  x_{i} = {emit(expr, fmt)}\n")
-        w(f"      = {report.evaluations[i - 1].to_string(report.digits)}\n")
+        w(f"      = {format_complex(value, report.digits)}\n")
     if report.verification is not None:
         w(f"verification: max deviation "
           f"{mpmath.nstr(max(report.verification), 4)}\n")
@@ -99,6 +101,10 @@ def _print_solve_text(report, args, out):
           f"budget {report.budget}\n")
     for note in report.notes:
         w(f"note: {note}\n")
+
+
+def _json_complex(z, digits):
+    return {"re": mpmath.nstr(z.real, digits), "im": mpmath.nstr(z.imag, digits)}
 
 
 def _solve_json_payload(report, args):
@@ -122,8 +128,7 @@ def _solve_json_payload(report, args):
             "x0_bound": report.plan.x0_bound,
         },
         "labeling": list(report.labeling.images),
-        "roots": [{"re": z.re_string(digits), "im": z.im_string(digits)}
-                  for z in report.roots.roots],
+        "roots": [_json_complex(z, digits) for z in report.roots.roots],
         "theta": {
             "radices": list(report.theta.radices),
             "values": [str(v) for v in report.theta.values],
@@ -134,8 +139,7 @@ def _solve_json_payload(report, args):
                 "root": i,
                 "ast": json_ast(expr),
                 "text": emit(expr, "text"),
-                "value": {"re": report.evaluations[i - 1].re_string(digits),
-                          "im": report.evaluations[i - 1].im_string(digits)},
+                "value": _json_complex(report.evaluations[i - 1], digits),
             }
             for i, expr in enumerate(report.root_exprs, start=1)
         ],
@@ -180,7 +184,7 @@ def _cmd_roots(args, out) -> int:
         for note in report.notes:
             out.write(f"warning: {note}\n")
     for i, z in enumerate(rs.roots, start=1):
-        out.write(f"  x_{i} = {z.to_string(rs.digits)}\n")
+        out.write(f"  x_{i} = {format_complex(z, rs.digits)}\n")
     out.write(f"max residual |f(x)|: {mpmath.nstr(max(rs.residuals), 4)}\n")
     return 0
 

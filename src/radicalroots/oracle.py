@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import LabelingAmbiguous, LabelingFailed, ResidualTooLarge
 from .groups import (PermutationGroup, Permutation, coset_representatives,
                      normalizer_in_symmetric, orbit_sum_invariant)
-from .precision import ArbitraryComplex, nearest_integer
+from .polynomial import eval_poly
+from .precision import nearest_integer
 from .rootfinder import RootSet, relabel
 
 __all__ = [
@@ -32,16 +33,16 @@ DEFAULT_LABELING_TOLERANCE = 1e-6
 _DEFAULT_MONOMIALS = ((1, 2), (1, 1, 2), (2, 1))
 
 
-def _monomial_value(exponents, roots) -> ArbitraryComplex:
-    acc = ArbitraryComplex.from_int(1)
+def _monomial_value(exponents, roots) -> mpc:
+    acc = mpc(1)
     for j, k in enumerate(exponents):
         if k:
-            acc = acc * roots[j].power_int(k)
+            acc = acc * roots[j] ** k
     return acc
 
 
-def _orbit_value(orbit, roots) -> ArbitraryComplex:
-    acc = ArbitraryComplex.zero()
+def _orbit_value(orbit, roots) -> mpc:
+    acc = mpc(0)
     for vec in orbit:
         acc = acc + _monomial_value(vec, roots)
     return acc
@@ -70,7 +71,7 @@ class CertificateResult:
 
     coefficients: tuple[int, ...]          # ascending, monic
     residuals: tuple[mpf, ...]
-    theta_value: ArbitraryComplex
+    theta_value: mpc
     membership_residual: mpf
 
     @property
@@ -90,11 +91,11 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
     values = roots.roots
     reps = coset_representatives(n, G, cap=degree_cap)
     with mp.workdps(roots.digits):
-        coeffs = [ArbitraryComplex.from_int(1)]
+        coeffs = [mpc(1)]
         for rep in reps:
             moved = tuple(values[rep(j) - 1] for j in range(1, n + 1))
             v = _orbit_value(orbit, moved)
-            nxt = [ArbitraryComplex.zero() for _ in range(len(coeffs) + 1)]
+            nxt = [mpc(0)] * (len(coeffs) + 1)
             for i, c in enumerate(coeffs):
                 nxt[i + 1] = nxt[i + 1] + c
                 nxt[i] = nxt[i] - v * c
@@ -110,11 +111,8 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
             ints.append(k)
             residuals.append(res)
         theta_val = _orbit_value(orbit, values)
-        acc = ArbitraryComplex.zero()
-        for c in reversed(ints):
-            acc = acc * theta_val + ArbitraryComplex.from_int(c)
-        membership = acc.magnitude()
-        cap = tolerance * (1 + theta_val.magnitude()) ** len(reps)
+        membership = abs(eval_poly(ints, theta_val))
+        cap = tolerance * (1 + abs(theta_val)) ** len(reps)
         if membership >= cap:
             raise ResidualTooLarge(
                 "labeled invariant is not a root of its own certificate "

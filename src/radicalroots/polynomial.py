@@ -8,7 +8,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import InputSyntaxError
-from .precision import ArbitraryComplex
 
 __all__ = [
     "IntPolynomial",
@@ -47,12 +46,6 @@ class IntPolynomial:
 
     def derivative_coeffs(self) -> tuple[int, ...]:
         return tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __str__(self) -> str:
         return render_polynomial(self)
@@ -145,13 +138,12 @@ def to_monic(p: IntPolynomial) -> MonicReduction:
     return MonicReduction(IntPolynomial(coeffs), a_n, f"y = {a_n}*x")
 
 
-def eval_poly(p: IntPolynomial, z: ArbitraryComplex) -> ArbitraryComplex:
-    """Horner evaluation at the current mpmath precision."""
-    acc = ArbitraryComplex.from_int(p.leading)
-    for k in range(p.degree - 1, -1, -1):
-        acc = acc * z
-        if p.coeffs[k]:
-            acc = acc + ArbitraryComplex.from_int(p.coeffs[k])
+def eval_poly(coeffs, z):
+    """Horner evaluation of ascending integer ``coeffs`` at ``z``: exact for
+    an integer ``z``, at the current mpmath precision for an mpmath one."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * z + c
     return acc
 
 
@@ -224,7 +216,7 @@ def sanity_check(p: IntPolynomial) -> SanityReport:
             notes.append("constant term too large; divisor search truncated")
         for d in divisors:
             for cand in (d, -d):
-                if p.eval_int(cand) == 0:
+                if eval_poly(p.coeffs, cand) == 0:
                     roots.append(cand)
     if not square_free:
         notes.append("gcd(f, f') is nonconstant: repeated roots")

@@ -1,27 +1,25 @@
-"""Complex values as (re, im) pairs of mpmath reals, with no precision of
-their own: arithmetic rounds at the current ``mp.dps``, which each public
-pipeline stage sets once from the digit budget of its data.  The multi-step
-kernels (magnitude, distance, nearest_integer, principal_root) work with
-guard digits on top of it.
+"""Kernels on complex values, which are mpmath ``mpc`` numbers.
+
+Values carry no precision of their own: their arithmetic rounds at the
+current ``mp.dps``, which each public pipeline stage sets once from the digit
+budget of its data.  The multi-step kernels here (root_of_unity,
+principal_root, nearest_integer) work with guard digits on top of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 __all__ = [
-    "ArbitraryComplex",
-    "make_complex",
     "root_of_unity",
     "principal_root",
     "nearest_integer",
+    "format_complex",
     "is_prime",
 ]
 
-# extra digits used inside multi-step kernels (magnitude, arg, powers)
+# extra digits used inside multi-step kernels (arg, roots, rounding)
 _GUARD = 8
 
 
@@ -36,84 +34,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ArbitraryComplex:
-    """A complex number; its arithmetic rounds at the current mpmath precision."""
-
-    re: mpf
-    im: mpf
-
-    @classmethod
-    def from_int(cls, value: int) -> "ArbitraryComplex":
-        return cls(+mpf(value), mpf(0))
-
-    @classmethod
-    def zero(cls) -> "ArbitraryComplex":
-        return cls(mpf(0), mpf(0))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __add__(self, other: "ArbitraryComplex") -> "ArbitraryComplex":
-        return ArbitraryComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ArbitraryComplex") -> "ArbitraryComplex":
-        return ArbitraryComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ArbitraryComplex":
-        return ArbitraryComplex(-self.re, -self.im)
-
-    def __mul__(self, other: "ArbitraryComplex") -> "ArbitraryComplex":
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return ArbitraryComplex(re, im)
-
-    def divided_by_int(self, k: int) -> "ArbitraryComplex":
-        return ArbitraryComplex(self.re / k, self.im / k)
-
-    def power_int(self, e: int) -> "ArbitraryComplex":
-        """e-th power (e >= 0) by repeated multiplication."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        acc = ArbitraryComplex.from_int(1)
-        for _ in range(e):
-            acc = acc * self
-        return acc
-
-    def magnitude(self) -> mpf:
-        with mp.workdps(mp.dps + _GUARD):
-            return mpmath.hypot(self.re, self.im)
-
-    def distance(self, other: "ArbitraryComplex") -> mpf:
-        with mp.workdps(mp.dps + _GUARD):
-            return mpmath.hypot(self.re - other.re, self.im - other.im)
-
-    def re_string(self, digits: int) -> str:
-        return mpmath.nstr(self.re, digits)
-
-    def im_string(self, digits: int) -> str:
-        return mpmath.nstr(self.im, digits)
-
-    def to_string(self, digits: int) -> str:
-        """``re + im i`` with each part to the given significant digits."""
-        if self.im == 0:
-            return self.re_string(digits)
-        sign = "-" if self.im < 0 else "+"
-        return f"{self.re_string(digits)} {sign} {mpmath.nstr(abs(self.im), digits)}i"
-
-
-def make_complex(re: str, im: str, digits: int) -> ArbitraryComplex:
-    """Build a value from signed decimal strings at the given digit budget."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    try:
-        with mp.workdps(digits):
-            return ArbitraryComplex(mpf(re), mpf(im))
-    except ValueError as exc:
-        raise ValueError(f"malformed decimal string: {exc}") from None
-
-
-def root_of_unity(p: int, k: int, digits: int) -> ArbitraryComplex:
+def root_of_unity(p: int, k: int, digits: int) -> mpc:
     """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the requested precision."""
     if not is_prime(p):
         raise ValueError(f"order {p} is not prime")
@@ -124,10 +45,10 @@ def root_of_unity(p: int, k: int, digits: int) -> ArbitraryComplex:
         re = mpmath.cospi(t)
         im = mpmath.sinpi(t)
     with mp.workdps(digits):
-        return ArbitraryComplex(+re, +im)
+        return mpc(re, im)
 
 
-def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:
+def principal_root(z: mpc, p: int) -> mpc:
     """The p-th root w of z with arg(w) in (-pi/p, pi/p]; zero maps to zero.
 
     Imaginary parts below the rounding floor are snapped to zero first so that
@@ -136,11 +57,11 @@ def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:
     """
     if p < 1:
         raise ValueError("root degree must be >= 1")
-    if z.is_zero():
-        return ArbitraryComplex.zero()
+    if z == 0:
+        return mpc(0)
     digits = mp.dps
     with mp.workdps(digits + _GUARD):
-        re, im = z.re, z.im
+        re, im = z.real, z.imag
         mag = mpmath.hypot(re, im)
         if im != 0 and abs(im) <= mag * mpf(10) ** (2 - digits):
             im = mpf(0)
@@ -153,12 +74,21 @@ def principal_root(z: ArbitraryComplex, p: int) -> ArbitraryComplex:
             w_re = mpf(0)
         if w_im != 0 and abs(w_im) <= floor:
             w_im = mpf(0)
-    return ArbitraryComplex(+w_re, +w_im)
+    return mpc(w_re, w_im)
 
 
-def nearest_integer(z: ArbitraryComplex) -> tuple[int, mpf]:
+def nearest_integer(z: mpc) -> tuple[int, mpf]:
     """Nearest integer to re(z) and the residual max(|re - n|, |im|)."""
     with mp.workdps(mp.dps + _GUARD):
-        n = int(mpmath.nint(z.re))
-        residual = max(abs(z.re - n), abs(z.im))
+        n = int(mpmath.nint(z.real))
+        residual = max(abs(z.real - n), abs(z.imag))
     return n, residual
+
+
+def format_complex(z: mpc, digits: int) -> str:
+    """``re + im i`` with each part to the given significant digits."""
+    re = mpmath.nstr(z.real, digits)
+    if z.imag == 0:
+        return re
+    sign = "-" if z.imag < 0 else "+"
+    return f"{re} {sign} {mpmath.nstr(z.imag, digits).lstrip('-')}i"

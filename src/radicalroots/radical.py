@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Union
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
-from .precision import ArbitraryComplex, principal_root, root_of_unity
+from .precision import principal_root, root_of_unity
 from .resolvent import (IntegerThetaTensor, PrecisionPlan, axis_lines,
                         position_root_indices)
 from .rootfinder import RootSet
@@ -182,11 +182,11 @@ class ValueCache:
         self.nodes: dict = {}       # id(node) -> (node, value)
         self.roots: dict = {}       # (id(radicand), p) -> (radicand, root)
 
-    def unity(self, p: int, k: int) -> ArbitraryComplex:
+    def unity(self, p: int, k: int) -> mpc:
         table = self.zetas.get(p)
         return table[k] if table else root_of_unity(p, k, self.digits)
 
-    def principal(self, radicand: RadicalExpr, p: int) -> ArbitraryComplex:
+    def principal(self, radicand: RadicalExpr, p: int) -> mpc:
         """The principal p-th root of the radicand's value."""
         key = (id(radicand), p)
         if key not in self.roots:
@@ -196,29 +196,29 @@ class ValueCache:
 
 
 def evaluate(expr: RadicalExpr, digits: int,
-             cache: ValueCache | None = None) -> ArbitraryComplex:
+             cache: ValueCache | None = None) -> mpc:
     """Deterministic bottom-up numeric evaluation at the given digit budget;
     ``cache``, a ValueCache at that budget, shares values across calls."""
     with mp.workdps(digits):
         return _evaluate(expr, cache or ValueCache(digits))
 
 
-def _evaluate(expr: RadicalExpr, cache: ValueCache) -> ArbitraryComplex:
+def _evaluate(expr: RadicalExpr, cache: ValueCache) -> mpc:
     hit = cache.nodes.get(id(expr))
     if hit is not None:
         return hit[1]
     if isinstance(expr, IntegerLiteral):
-        val = ArbitraryComplex.from_int(expr.value)
+        val = mpc(expr.value)
     elif isinstance(expr, RationalScale):
-        val = _evaluate(expr.child, cache).divided_by_int(expr.denominator)
+        val = _evaluate(expr.child, cache) / expr.denominator
     elif isinstance(expr, RootOfUnitySymbol):
         val = cache.unity(expr.order, expr.power)
     elif isinstance(expr, Sum):
-        val = ArbitraryComplex.zero()
+        val = mpc(0)
         for t in expr.terms:
             val = val + _evaluate(t, cache)
     elif isinstance(expr, Product):
-        val = ArbitraryComplex.from_int(1)
+        val = mpc(1)
         for f in expr.factors:
             val = val * _evaluate(f, cache)
     elif isinstance(expr, Root):
@@ -290,7 +290,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 line_exprs = [exact[i] for i in line]
                 line_scale = mpf(0)
                 for expr in line_exprs:
-                    line_scale += _evaluate(expr, values).magnitude()
+                    line_scale += abs(_evaluate(expr, values))
                 # radicand values below the evaluation noise floor are zero; the
                 # p-th root inflates noise to noise^(1/p), so test at that scale
                 noise = line_scale * mpf(10) ** (4 - digits)
@@ -301,8 +301,8 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                                    for j in range(p))
                     w = values.principal(e_k, p)
                     target = stored.data[line[k]]
-                    z_vanishes = w.magnitude() <= w_floor
-                    target_vanishes = target.magnitude() < delta
+                    z_vanishes = abs(w) <= w_floor
+                    target_vanishes = abs(target) < delta
                     if z_vanishes and target_vanishes:
                         l_exact.append(_ZERO)
                         zero_notes.append(ZeroRadicandNote(level, line[k]))
@@ -311,10 +311,10 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                         raise PhaseAmbiguous(
                             f"resolvent magnitude inconsistent at level {level}, "
                             f"index {line[k]}: radicand magnitude "
-                            f"{mpmath.nstr(w.magnitude(), 4)} vs stored "
-                            f"{mpmath.nstr(target.magnitude(), 4)}")
+                            f"{mpmath.nstr(abs(w), 4)} vs stored "
+                            f"{mpmath.nstr(abs(target), 4)}")
                     branches = [w * zetas[p][s] for s in range(p)]
-                    distances = sorted((b.distance(target), s)
+                    distances = sorted((abs(b - target), s)
                                        for s, b in enumerate(branches))
                     best_d, best_s = distances[0]
                     second_d = distances[1][0] if p > 1 else mpf("inf")
@@ -481,7 +481,7 @@ def verify(exprs, roots: RootSet, digits: int,
     cache = cache or ValueCache(digits)
     with mp.workdps(digits):
         threshold = mpf(10) ** (-mpf(digits) / 2)
-        deviations = [_evaluate(expr, cache).distance(root)
+        deviations = [abs(_evaluate(expr, cache) - root)
                       for expr, root in zip(exprs, roots.roots)]
     worst = max(deviations) if deviations else mpf(0)
     if worst >= threshold:
@@ -505,7 +505,7 @@ class SolveReport:
     theta: IntegerThetaTensor
     root_exprs: tuple[RadicalExpr, ...]
     theta0_exprs: tuple[RadicalExpr, ...]
-    evaluations: tuple[ArbitraryComplex, ...]
+    evaluations: tuple[mpc, ...]
     verification: tuple[mpf, ...] | None
     multiplications: int
     budget: int

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import PrecisionInfeasible, ResidualTooLarge
 from .groups import CompositionSeries, Permutation
-from .precision import ArbitraryComplex, nearest_integer, root_of_unity
+from .precision import nearest_integer, root_of_unity
 from .rootfinder import RootSet
 
 __all__ = [
@@ -64,7 +64,7 @@ class ResolventTensor:
     """Mixed-radix array of complex values computed at one digit budget."""
 
     radices: tuple[int, ...]
-    data: tuple[ArbitraryComplex, ...]
+    data: tuple[mpc, ...]
     level: int
     kind: str  # "theta" or "L"
     digits: int
@@ -72,14 +72,6 @@ class ResolventTensor:
     def __post_init__(self):
         if len(self.data) != _prod(self.radices):
             raise ValueError("tensor data length does not match radices")
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
-    def axis_lines(self, axis: int):
-        """Yield the flat index lists of all lines along the given axis."""
-        return axis_lines(self.radices, axis)
 
 
 @dataclass(frozen=True)
@@ -104,10 +96,6 @@ class MultiplicationCounter:
     def add(self, n: int) -> None:
         self.count += n
 
-    @property
-    def within_budget(self) -> bool:
-        return self.count <= self.budget
-
 
 @dataclass(frozen=True)
 class IntegerThetaTensor:
@@ -116,10 +104,6 @@ class IntegerThetaTensor:
     radices: tuple[int, ...]
     values: tuple[int, ...]
     residuals: tuple[mpf, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -225,10 +209,10 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     if counter is None:
         counter = MultiplicationCounter(budget=0)
     table = zetas[p]
-    ldata: list = [None] * theta_prev.size
-    tdata: list = [None] * theta_prev.size
+    ldata: list = [None] * len(theta_prev.data)
+    tdata: list = [None] * len(theta_prev.data)
     with mp.workdps(theta_prev.digits):
-        for line in theta_prev.axis_lines(axis):
+        for line in axis_lines(theta_prev.radices, axis):
             entries = [theta_prev.data[i] for i in line]
             powered = []
             for k in range(p):
@@ -249,7 +233,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                     term = table[(-k * j) % p] * powered[k]
                     acc = term if acc is None else acc + term
                 counter.add(p)
-                tdata[line[j]] = acc.divided_by_int(p)
+                tdata[line[j]] = acc / p
     L = replace(theta_prev, data=tuple(ldata), level=level - 1, kind="L")
     theta_next = replace(theta_prev, data=tuple(tdata), level=level,
                          kind="theta")
@@ -299,7 +283,7 @@ def cyclic_shift(tensor: ResolventTensor, level: int, offset: int = 1) -> Resolv
     axis = level - 1
     p = tensor.radices[axis]
     data = list(tensor.data)
-    for line in tensor.axis_lines(axis):
+    for line in axis_lines(tensor.radices, axis):
         for j, flat in enumerate(line):
             data[flat] = tensor.data[line[(j + offset) % p]]
     return replace(tensor, data=tuple(data))

@@ -11,11 +11,10 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import NonConvergence
-from .polynomial import IntPolynomial
-from .precision import ArbitraryComplex
+from .polynomial import IntPolynomial, eval_poly
 
 __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
            "root_magnitude_bound", "relabel"]
@@ -28,20 +27,13 @@ _MAX_ABERTH_ITERS = 400
 class RootSet:
     """All n roots at a shared digit budget, with per-root |f(x~)| residuals."""
 
-    roots: tuple[ArbitraryComplex, ...]
+    roots: tuple[mpc, ...]
     digits: int
     residuals: tuple[mpf, ...]
 
     @property
     def n(self) -> int:
         return len(self.roots)
-
-
-def _horner(coeffs, z):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def aberth_stage(p: IntPolynomial) -> tuple:
@@ -60,14 +52,14 @@ def aberth_stage(p: IntPolynomial) -> tuple:
         for _ in range(_MAX_ABERTH_ITERS):
             max_step = mpf(0)
             for i in range(n):
-                pv = _horner(p.coeffs, z[i])
-                dv = _horner(deriv, z[i])
+                pv = eval_poly(p.coeffs, z[i])
+                dv = eval_poly(deriv, z[i])
                 if dv == 0:
                     z[i] = z[i] + (mpf(1) + 1j) * radius / 1000
                     max_step = radius
                     continue
                 w = pv / dv
-                s = mp.mpc(0)
+                s = mpc(0)
                 for j in range(n):
                     if j != i:
                         diff = z[i] - z[j]
@@ -81,7 +73,7 @@ def aberth_stage(p: IntPolynomial) -> tuple:
                 return tuple(z)
     raise NonConvergence(
         "simultaneous iteration did not converge",
-        residuals=[abs(_horner(p.coeffs, zi)) for zi in z])
+        residuals=[abs(eval_poly(p.coeffs, zi)) for zi in z])
 
 
 def _newton_polish(p: IntPolynomial, roots, target_dps: int):
@@ -92,10 +84,10 @@ def _newton_polish(p: IntPolynomial, roots, target_dps: int):
         with mp.workdps(dps + 10):
             for i, z in enumerate(roots):
                 for _ in range(3):
-                    dv = _horner(deriv, z)
+                    dv = eval_poly(deriv, z)
                     if dv == 0:
                         break
-                    z = z - _horner(p.coeffs, z) / dv
+                    z = z - eval_poly(p.coeffs, z) / dv
                 roots[i] = z
     return roots
 
@@ -112,7 +104,7 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
     n = p.degree
     if n == 1:
         with mp.workdps(digits):
-            root = ArbitraryComplex.from_int(-p.coeffs[0])
+            root = mpc(-p.coeffs[0])
         return RootSet((root,), digits, (mpf(0),))
 
     raw = _newton_polish(p, list(start), digits + 8)
@@ -121,7 +113,7 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
         bound_pow = max(mpf(1), max(abs(z) for z in raw)) ** n
         residual_cap = mpf(10) ** (2 - digits) * bound_pow
         for attempt in range(3):
-            residuals = [abs(_horner(p.coeffs, z)) for z in raw]
+            residuals = [abs(eval_poly(p.coeffs, z)) for z in raw]
             if max(residuals) < residual_cap:
                 break
             raw = _newton_polish(p, raw, digits + 10 * (attempt + 2))
@@ -145,18 +137,16 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
             mag = abs(z)
             re = mpf(0) if z.real != 0 and abs(z.real) <= mag * floor else z.real
             im = mpf(0) if z.imag != 0 and abs(z.imag) <= mag * floor else z.imag
-            raw[i] = mp.mpc(re, im)
+            raw[i] = mpc(re, im)
 
         order = sorted(range(n),
                        key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),
                                       abs(raw[i])))
 
     with mp.workdps(digits):
-        roots = tuple(ArbitraryComplex(+raw[i].real, +raw[i].imag)
-                      for i in order)
+        roots = tuple(+raw[i] for i in order)
     with mp.workdps(digits + 10):
-        residuals_out = tuple(abs(_horner(p.coeffs, mp.mpc(z.re, z.im)))
-                              for z in roots)
+        residuals_out = tuple(abs(eval_poly(p.coeffs, z)) for z in roots)
     return RootSet(roots, digits, residuals_out)
 
 
@@ -168,7 +158,7 @@ def find_roots(p: IntPolynomial, digits: int) -> RootSet:
 def root_magnitude_bound(rs: RootSet) -> float:
     """max over roots of max(1, |x~|), rounded up to 2 significant figures."""
     with mp.workdps(rs.digits):
-        top = max(float(z.magnitude()) for z in rs.roots)
+        top = max(float(abs(z)) for z in rs.roots)
     b = max(1.0, top)
     if b == 1.0:
         return 1.0

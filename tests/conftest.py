@@ -1,6 +1,7 @@
 import pytest
+from mpmath import mp
 
-from radicalroots import closure, find_roots, make_complex, parse_cycles, parse_polynomial
+from radicalroots import closure, find_roots, parse_cycles, parse_polynomial
 
 # x^5 + 20x + 32: the dihedral quintic used as the main regression, with its
 # 13-decimal root approximations (labels match the group's permutation action)
@@ -37,9 +38,10 @@ def match_root_order(root_set, targets, digits=14):
     """1-based indices of the root closest to each (re, im) string pair."""
     order = []
     for re_s, im_s in targets:
-        t = make_complex(re_s, im_s, digits)
+        with mp.workdps(digits):
+            t = mp.mpc(re_s, im_s)
         order.append(min(range(root_set.n),
-                         key=lambda i: float(root_set.roots[i].distance(t))) + 1)
+                         key=lambda i: float(abs(root_set.roots[i] - t))) + 1)
     return order
 
 

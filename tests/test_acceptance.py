@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 from radicalroots import (NotSolvable, Permutation, closure,
                           composition_series, coset_product_certificate,
-                          evaluate, find_roots, make_complex,
+                          evaluate, find_roots,
                           orbit_sum_invariant, parse_cycles, parse_expr_json,
                           parse_polynomial, plan_precision, solve, to_monic,
                           emit)
@@ -60,8 +60,9 @@ def test_criterion_2_roots_regression(quintic):
 
     expected = sorted(QUINTIC_ROOT_STRINGS, key=lambda t: angle_key(*t))
     for z, (re_s, im_s) in zip(rs.roots, expected):
-        target = make_complex(re_s, im_s, 20)
-        assert z.distance(target) < mpf("1e-13")
+        with mp.workdps(20):
+            target = mp.mpc(re_s, im_s)
+        assert abs(z - target) < mpf("1e-13")
 
 
 @criterion(3, "precision plan requires 13 digits plus the margin")
@@ -79,7 +80,7 @@ def test_criterion_4_end_to_end_small():
         threshold = mpf(10) ** (-mpf(report.digits) / 2)
         for expr, root in zip(report.root_exprs, report.roots.roots):
             emitted = parse_expr_json(emit(expr, "json"))
-            assert evaluate(emitted, report.digits).distance(root) < threshold
+            assert abs(evaluate(emitted, report.digits) - root) < threshold
         if poly_text == "x^3-2":
             assert report.theta.radices == (3, 2)
             assert report.theta.values == (648, 648, -324, 648, -324, 648)
@@ -99,7 +100,7 @@ def test_criterion_5_multiplication_budget():
 @criterion(6, "property suite: transforms, branches, series invariants")
 def test_criterion_6_property_suite():
     # (a) Fourier inversion at every level, 25 instances
-    from radicalroots.precision import ArbitraryComplex
+    from radicalroots.resolvent import axis_lines
     assert len(INSTANCES) == 25
     for name, poly_text, gens_text, labeling in INSTANCES:
         series, zetas, theta0, fwd, ints, recon, labeled, digits = \
@@ -107,16 +108,15 @@ def test_criterion_6_property_suite():
         for level in range(1, series.length + 1):
             p = series.primes[level - 1]
             prev, L = fwd.thetas[level - 1], fwd.resolvents[level - 1]
-            scale = max(mpf(1), max(e.magnitude() for e in prev.data))
+            scale = max(mpf(1), max(abs(e) for e in prev.data))
             tol = mpf(10) ** (3 - digits) * scale
             with mp.workdps(digits):
-                for line in prev.axis_lines(level - 1):
+                for line in axis_lines(prev.radices, level - 1):
                     for j in range(p):
-                        acc = ArbitraryComplex.zero()
+                        acc = mp.mpc(0)
                         for k in range(p):
                             acc = acc + zetas[p][(-j * k) % p] * L.data[line[k]]
-                        assert acc.divided_by_int(p).distance(
-                            prev.data[line[j]]) < tol
+                        assert abs(acc / p - prev.data[line[j]]) < tol
         # (d) branch-separation soundness on every accepted root node
         for choice in recon.branch_log:
             assert choice.best_distance < choice.delta
@@ -132,20 +132,20 @@ def test_criterion_6_property_suite():
         for level in range(1, series.length + 1):
             p = series.primes[level - 1]
             prev, ref = fwd.thetas[level - 1], fwd.thetas[level]
-            scale = max(mpf(1), max(e.magnitude() for e in ref.data))
+            scale = max(mpf(1), max(abs(e) for e in ref.data))
             tol = mpf(10) ** (3 - digits) * scale
             for k in range(2, p):
                 t = pow(k, -1, p)
                 _, exchanged = forward_level(prev, level, zetas,
                                              analysis_root_power=k)
-                for line in prev.axis_lines(level - 1):
+                for line in axis_lines(prev.radices, level - 1):
                     for j in range(p):
-                        assert exchanged.data[line[j]].distance(
-                            ref.data[line[(t * j) % p]]) < tol
+                        assert abs(exchanged.data[line[j]]
+                                   - ref.data[line[(t * j) % p]]) < tol
             _, shifted_theta = forward_level(cyclic_shift(prev, level),
                                              level, zetas)
             for a, b in zip(shifted_theta.data, ref.data):
-                assert a.distance(b) < tol
+                assert abs(a - b) < tol
 
     # (e) composition-series invariants; NotSolvable exactly where expected
     for G in [dihedral(k) for k in (3, 4, 5, 6)] + \
@@ -184,7 +184,7 @@ def test_criterion_8_scaling_spot_check():
     reduced_roots = find_roots(reduction.monic, digits)
     with mp.workdps(digits + 10):
         expected = sorted([mpmath.sqrt(mpf(1) / 2), -mpmath.sqrt(mpf(1) / 2)])
-        recovered = sorted(mpf(z.re) / reduction.scale
+        recovered = sorted(mpf(z.real) / reduction.scale
                            for z in reduced_roots.roots)
         for got, want in zip(recovered, expected):
             assert abs(got - want) < mpf(10) ** (2 - digits)

@@ -58,6 +58,24 @@ def test_solve_output_matches_golden_bytes(capsys, name, argv):
     assert out.encode() == (DATA / name).read_bytes()
 
 
+def test_text_roots_carry_the_json_digits(capsys):
+    # each text root line prints the same digits as the JSON roots, the
+    # imaginary part included (it is not re-rounded before printing)
+    argv = ["solve", "--poly", "x^5+20x+32",
+            "--generators", "(1,2,3,4,5);(1,4)(2,3)"]
+    _, text, _ = run(capsys, argv)
+    _, out, _ = run(capsys, argv + ["--format", "json"])
+    lines = text.split("labeled roots:\n")[1].splitlines()
+    roots = json.loads(out)["roots"]
+    assert sum(root["im"] != "0.0" for root in roots) == 4
+    for i, (line, root) in enumerate(zip(lines, roots), start=1):
+        assert line.startswith(f"  x_{i} = {root['re']}")
+        if root["im"] == "0.0":
+            assert line == f"  x_{i} = {root['re']}"
+        else:
+            assert line.endswith(f" {root['im'].lstrip('-')}i")
+
+
 def test_solve_json_schema(capsys):
     code, out, err = run(capsys, ["solve", "--poly", "x^2-2",
                                   "--generators", "(1,2)",

@@ -1,11 +1,13 @@
 """Work done once per solve: one Aberth run, one labeling, one evaluation
 of the DAG, each at a budget the solve sets itself."""
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from radicalroots import PhaseAmbiguous, pipeline, radical, solve
 from radicalroots.cli import main
+from radicalroots.resolvent import zeta_tables
 from tests.conftest import QUINTIC_GENERATORS, QUINTIC_TEXT
 
 
@@ -95,3 +97,12 @@ def test_results_do_not_depend_on_the_ambient_precision(poly, generators):
     assert low.root_exprs == high.root_exprs
     assert low.evaluations == high.evaluations
     assert low.verification == high.verification
+
+
+def test_values_are_mpmath_mpc():
+    # one complex type from root finding to verification
+    report = solve("x^3-2", "(1,2,3);(1,2)")
+    zetas = zeta_tables(report.series, report.digits)
+    values = [*report.roots.roots, *report.evaluations,
+              *(z for table in zetas.values() for z in table)]
+    assert all(type(v) is mpmath.mpc for v in values)

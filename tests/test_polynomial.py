@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from radicalroots import (InputSyntaxError, IntPolynomial, eval_poly,
-                          make_complex, parse_polynomial, render_polynomial,
-                          sanity_check, to_monic)
+                          parse_polynomial, render_polynomial, sanity_check,
+                          to_monic)
 
 
 def test_parse_quintic():
@@ -66,28 +66,28 @@ def test_monic_roots_correspondence():
     red = to_monic(p)
     with mp.workdps(30):
         z_str = mpmath.nstr(mpmath.sqrt(mpf(1) / 2), 25)
-    z = make_complex(z_str, "0", 25)
     with mp.workdps(25):
-        assert eval_poly(p, z).magnitude() < mpf(10) ** -22
-        scaled = z * make_complex(str(red.scale), "0", 25)
+        z = mp.mpc(z_str)
+        assert abs(eval_poly(p.coeffs, z)) < mpf(10) ** -22
+        scaled = z * red.scale
         tau = mpf(10) ** -22
-        assert eval_poly(red.monic, scaled).magnitude() < \
+        assert abs(eval_poly(red.monic.coeffs, scaled)) < \
             tau * red.scale ** p.degree
 
 
 def test_eval_poly_trivial():
     p = parse_polynomial("x^2-2")
     with mp.workdps(12):
-        v = eval_poly(p, make_complex("0", "0", 12))
-    assert v.re == -2 and v.im == 0
+        v = eval_poly(p.coeffs, mp.mpc(0))
+    assert v.real == -2 and v.imag == 0
 
 
 def test_eval_poly_paper_root_residual():
     # the 13-decimal approximation satisfies the quintic to ~1.5e-12
     p = parse_polynomial("x^5+20x+32")
-    z = make_complex("-1.3639621650899", "0", 30)
     with mp.workdps(30):
-        mag = eval_poly(p, z).magnitude()
+        z = mp.mpc("-1.3639621650899")
+        mag = abs(eval_poly(p.coeffs, z))
     assert mag < mpf("2e-12")
 
 
@@ -95,10 +95,10 @@ def test_eval_poly_cube_root():
     digits = 24
     with mp.workdps(digits + 10):
         c = mpmath.nstr(mpmath.cbrt(2), digits + 2)
-    z = make_complex(c, "0", digits)
     p = parse_polynomial("x^3-2")
     with mp.workdps(digits):
-        assert eval_poly(p, z).magnitude() < mpf(10) ** (3 - digits)
+        z = mp.mpc(c)
+        assert abs(eval_poly(p.coeffs, z)) < mpf(10) ** (3 - digits)
 
 
 def test_sanity_check_clean():

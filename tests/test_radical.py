@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -5,7 +6,6 @@ from radicalroots import (PhaseAmbiguous, VerificationFailed, closure,
                           composition_series, emit, evaluate, find_roots,
                           label_roots, parse_cycles, parse_expr_json,
                           parse_polynomial, reconstruct, solve, verify)
-from radicalroots.precision import make_complex
 from radicalroots.radical import (IntegerLiteral, Product, RationalScale, Root,
                                   RootOfUnitySymbol, Sum, make_product,
                                   make_root, make_scale, make_sum)
@@ -45,7 +45,7 @@ def test_sqrt2_reconstruction():
     assert positive == RationalScale(2, Root(2, IntegerLiteral(8), 0))
     assert emit(positive) == "(1/2)*(root(2,0; 8))"
     val = evaluate(positive, 14)
-    assert val.re_string(14) == "1.4142135623731"
+    assert mpmath.nstr(val.real, 14) == "1.4142135623731"
     assert recon.zero_notes  # the vanished resolvent is recorded
 
 
@@ -59,15 +59,16 @@ def test_x3_minus_2_reconstruction():
     assert choices[(2, 2)].degree == 2 and choices[(2, 2)].branch == 1
     # every root re-evaluates onto its numeric value
     for expr, root in zip(recon.root_exprs, labeled.roots):
-        assert evaluate(expr, digits).distance(root) < mpf(10) ** (-digits // 2)
+        assert abs(evaluate(expr, digits) - root) < mpf(10) ** (-digits // 2)
 
 
 def test_quintic_reconstruction_matches_13_decimals(reference_label_order):
     report = solve("x^5+20x+32", "(1,2,3,4,5);(1,4)(2,3)",
                    labeling=reference_label_order)
     for (re_s, im_s), expr in zip(QUINTIC_ROOT_STRINGS, report.root_exprs):
-        target = make_complex(re_s, im_s, 20)
-        assert evaluate(expr, report.digits).distance(target) < mpf("1e-13")
+        with mp.workdps(20):
+            target = mp.mpc(re_s, im_s)
+        assert abs(evaluate(expr, report.digits) - target) < mpf("1e-13")
 
 
 def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
@@ -75,8 +76,8 @@ def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
         run_backward("x^3-2", "(1,2,3);(1,2)")
     # rotate the stored level-2 resolvents so no branch matches
     from radicalroots.resolvent import ResolventTensor
-    bad_value = make_complex("1", "1", digits)
     with mp.workdps(digits):
+        bad_value = mp.mpc(1, 1)
         corrupted = ResolventTensor(
             fwd.resolvents[1].radices,
             tuple(v * bad_value for v in fwd.resolvents[1].data),
@@ -87,12 +88,12 @@ def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
 
 
 def test_evaluate_examples():
-    assert evaluate(Root(2, IntegerLiteral(8), 0), 14).re_string(14) == \
-        "2.8284271247462"
+    assert mpmath.nstr(evaluate(Root(2, IntegerLiteral(8), 0), 14).real, 14) \
+        == "2.8284271247462"
     one = evaluate(RootOfUnitySymbol(5, 0), 12)
-    assert one.re == 1 and one.im == 0
+    assert one.real == 1 and one.imag == 0
     half_sum = RationalScale(2, Root(2, IntegerLiteral(8), 0))
-    assert evaluate(half_sum, 14).re_string(14) == "1.4142135623731"
+    assert mpmath.nstr(evaluate(half_sum, 14).real, 14) == "1.4142135623731"
 
 
 def test_evaluate_deterministic():
@@ -101,7 +102,7 @@ def test_evaluate_deterministic():
                                  Root(2, IntegerLiteral(-45000000), 1))))), 3)
     a = evaluate(expr, 25)
     b = evaluate(expr, 25)
-    assert a.re == b.re and a.im == b.im
+    assert a.real == b.real and a.imag == b.imag
 
 
 def test_simplification_rules():
@@ -179,4 +180,4 @@ def test_round_trip_theta0_every_position(reference_label_order):
         run_backward("x^3-2", "(1,2,3);(1,2)")
     tol = mpf(10) ** (-mpf(digits) / 2)
     for expr, fwd_value in zip(recon.theta0_exprs, theta0.data):
-        assert evaluate(expr, digits).distance(fwd_value) < tol
+        assert abs(evaluate(expr, digits) - fwd_value) < tol

@@ -6,9 +6,9 @@ from radicalroots import (PrecisionInfeasible, ResidualTooLarge, closure,
                           parse_cycles, parse_polynomial, plan_precision,
                           build_theta0, forward_pass, forward_level,
                           round_theta_m)
-from radicalroots.precision import ArbitraryComplex, make_complex
 from radicalroots.resolvent import (MultiplicationCounter, ResolventTensor,
-                                    cyclic_shift, multiplication_budget,
+                                    axis_lines, cyclic_shift,
+                                    multiplication_budget,
                                     position_root_indices, zeta_tables)
 from tests.conftest import QUINTIC_THETA
 
@@ -76,8 +76,8 @@ def test_build_theta0_quintic_position_map(d5):
 def test_build_theta0_sqrt2():
     _, _, theta0, _ = sqrt2_forward()
     a, b = theta0.data
-    assert a.distance(make_complex("1.4142135623731", "0", 14)) < mpf("1e-12")
-    assert b.distance(make_complex("-1.4142135623731", "0", 14)) < mpf("1e-12")
+    assert abs(a - mpf("1.4142135623731")) < mpf("1e-12")
+    assert abs(b - mpf("-1.4142135623731")) < mpf("1e-12")
 
 
 def test_build_theta0_trivial_group():
@@ -86,8 +86,8 @@ def test_build_theta0_trivial_group():
     series = composition_series(G)
     roots = find_roots(parse_polynomial("x+3"), 12)
     theta0 = build_theta0(roots, series)
-    assert theta0.size == 1
-    assert theta0.data[0].re == -3
+    assert len(theta0.data) == 1
+    assert theta0.data[0].real == -3
 
 
 def test_build_theta0_rejects_intransitive():
@@ -103,8 +103,8 @@ def test_forward_level_sqrt2():
     series, zetas, theta0, fwd = sqrt2_forward()
     L0, theta1 = fwd.resolvents[0], fwd.thetas[1]
     # L0 = [x1 + x2, x1 - x2] = [0, 2*sqrt(2)]
-    assert L0.data[0].magnitude() < mpf("1e-12")
-    assert L0.data[1].distance(make_complex("2.8284271247462", "0", 14)) < mpf("1e-11")
+    assert abs(L0.data[0]) < mpf("1e-12")
+    assert abs(L0.data[1] - mpf("2.8284271247462")) < mpf("1e-11")
     ints = round_theta_m(theta1)
     assert ints.values == (4, -4)
 
@@ -114,12 +114,13 @@ def test_forward_constant_axis_kills_nonzero_modes():
     series = c2_series()
     digits = 16
     zetas = zeta_tables(series, digits)
-    val = make_complex("1.25", "0.5", digits)
+    with mp.workdps(digits):
+        val = mp.mpc("1.25", "0.5")
     tensor = ResolventTensor((2,), (val, val), 0, "theta", digits)
     L, _ = forward_level(tensor, 1, zetas)
     with mp.workdps(digits):
-        assert L.data[0].distance(val + val) < mpf(10) ** (3 - digits)
-        assert L.data[1].magnitude() < mpf(10) ** (3 - digits)
+        assert abs(L.data[0] - (val + val)) < mpf(10) ** (3 - digits)
+        assert abs(L.data[1]) < mpf(10) ** (3 - digits)
 
 
 def test_quintic_theta2_values(reference_label_order):
@@ -127,8 +128,8 @@ def test_quintic_theta2_values(reference_label_order):
     theta2 = fwd.thetas[2]
     # displayed value: Theta_2[1,1] = 34999999.999995  (14 significant digits)
     entry = theta2.data[1 * 2 + 1]
-    assert abs(entry.re - 35000000) < mpf("1e-4")
-    assert abs(entry.im) < mpf("1e-4")
+    assert abs(entry.real - 35000000) < mpf("1e-4")
+    assert abs(entry.imag) < mpf("1e-4")
     ints = round_theta_m(theta2)
     assert ints.values == QUINTIC_THETA
     assert max(ints.residuals) < mpf("1e-4")
@@ -138,12 +139,13 @@ def test_multiplication_counter_budget_exact(reference_label_order):
     series, _, _, fwd = quintic_forward(reference_label_order)
     assert fwd.counter.budget == 190  # 10 * (14 + 5)
     assert fwd.counter.count == 190
-    assert fwd.counter.within_budget
+    assert fwd.counter.count <= fwd.counter.budget
 
 
 def test_round_theta_m_rejects_offset():
-    bad = ResolventTensor((2,), (make_complex("0.4", "0", 12),
-                                 make_complex("1", "0", 12)), 1, "theta", 12)
+    with mp.workdps(12):
+        data = (mp.mpc("0.4"), mp.mpc(1))
+    bad = ResolventTensor((2,), data, 1, "theta", 12)
     with pytest.raises(ResidualTooLarge):
         round_theta_m(bad, tolerance=0.25)
 
@@ -156,16 +158,16 @@ def test_fourier_inversion_identity(reference_label_order):
         prev = fwd.thetas[level - 1]
         L = fwd.resolvents[level - 1]
         table = zetas[p]
-        scale = max(e.magnitude() for e in prev.data)
+        scale = max(abs(e) for e in prev.data)
         tol = mpf(10) ** (3 - digits) * max(mpf(1), scale)
         with mp.workdps(digits):
-            for line in prev.axis_lines(level - 1):
+            for line in axis_lines(prev.radices, level - 1):
                 for j in range(p):
-                    acc = ArbitraryComplex.zero()
+                    acc = mp.mpc(0)
                     for k in range(p):
                         acc = acc + table[(-j * k) % p] * L.data[line[k]]
-                    acc = acc.divided_by_int(p)
-                    assert acc.distance(prev.data[line[j]]) < tol
+                    acc = acc / p
+                    assert abs(acc - prev.data[line[j]]) < tol
 
 
 def test_cyclic_shift_invariance(reference_label_order):
@@ -178,10 +180,10 @@ def test_cyclic_shift_invariance(reference_label_order):
         shifted = cyclic_shift(prev, level)
         _, theta_shifted = forward_level(shifted, level, zetas)
         ref = fwd.thetas[level]
-        scale = max(mpf(1), max(e.magnitude() for e in ref.data))
+        scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
         for a, b in zip(theta_shifted.data, ref.data):
-            assert a.distance(b) < tol
+            assert abs(a - b) < tol
 
 
 def test_primitive_root_exchange_law(reference_label_order):
@@ -194,10 +196,10 @@ def test_primitive_root_exchange_law(reference_label_order):
     for k in range(2, p):
         t = pow(k, -1, p)
         _, exchanged = forward_level(prev, level, zetas, analysis_root_power=k)
-        scale = max(mpf(1), max(e.magnitude() for e in ref.data))
+        scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
-        for line in prev.axis_lines(level - 1):
+        for line in axis_lines(prev.radices, level - 1):
             for j in range(p):
                 got = exchanged.data[line[j]]
                 expected = ref.data[line[(t * j) % p]]
-                assert got.distance(expected) < tol
+                assert abs(got - expected) < tol
