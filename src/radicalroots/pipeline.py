@@ -16,7 +16,6 @@ from .rootfinder import (aberth_stage, polish_roots, relabel,
 
 __all__ = ["solve", "as_polynomial", "as_labeling"]
 
-_COARSE_DIGITS = 32
 _PHASE_RETRIES = 3
 
 
@@ -63,9 +62,9 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     (label j takes the j-th listed position of the canonically ordered roots).
 
     The digit budget comes from the precision plan unless overridden; on
-    PhaseAmbiguous the budget is doubled, up to 3 times.  One Aberth run is
-    polished to the plan's 32 digits and to every budget tried, and the
-    roots are labeled once, at the first budget.
+    PhaseAmbiguous the budget is doubled, up to 3 times.  One Aberth run
+    bounds the roots for the plan and is polished once to every budget
+    tried, and the roots are labeled once, at the first budget.
     """
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
@@ -76,9 +75,7 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     series = composition_series(group)
 
     start = aberth_stage(monic)
-    coarse = polish_roots(monic, start, _COARSE_DIGITS)
-    x0_bound = root_magnitude_bound(coarse)
-    plan = plan_precision(series, x0_bound, margin)
+    plan = plan_precision(series, root_magnitude_bound(start), margin)
     budget_digits = digits if digits is not None else plan.digits
 
     notes: list[str] = []

@@ -1,13 +1,16 @@
 """Simultaneous root finding for monic integer polynomials.
 
-Strategy: one Aberth-Ehrlich run at ~32 digits from deterministic initial
-guesses, then per-root Newton polish of a copy on a precision-doubling ladder
-up to each requested budget.  Both steps are pure functions of their inputs.
+Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
+hardware ``complex`` and finished in ``mpc`` at ~32 digits (``mpc`` alone if
+the hardware sweeps fail), then per-root Newton polish on a precision-doubling
+ladder up to each requested budget.  Both steps are pure functions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import mpmath
@@ -20,6 +23,7 @@ __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
            "root_magnitude_bound", "relabel"]
 
 _BASE_DPS = 32
+_HARDWARE_DIGITS = 16  # Python float: 53-bit mantissa
 _MAX_ABERTH_ITERS = 400
 
 
@@ -36,6 +40,38 @@ class RootSet:
         return len(self.roots)
 
 
+def _sweeps(coeffs, deriv, z, radius, digits: int) -> bool:
+    """Aberth sweeps on ``z`` in place, in the number type of ``z`` and
+    ``radius`` (``digits`` significant digits): True once every step is below
+    10^(6-digits) * max(1, |z_i|), False at the iteration cap."""
+    ten = type(radius)(10)
+    tol = ten ** (6 - digits)
+    for _ in range(_MAX_ABERTH_ITERS):
+        converged = True
+        for i in range(len(z)):
+            pv = eval_poly(coeffs, z[i])
+            dv = eval_poly(deriv, z[i])
+            if dv == 0:
+                z[i] = z[i] + (1 + 1j) * radius / 1000
+                converged = False
+                continue
+            w = pv / dv
+            s = 0
+            for j in range(len(z)):
+                if j != i:
+                    diff = z[i] - z[j]
+                    if diff == 0:
+                        diff = radius * ten ** (-digits)
+                    s += 1 / diff
+            corr = w / (1 - w * s)
+            z[i] = z[i] - corr
+            if abs(corr) >= tol * max(1, abs(z[i])):
+                converged = False
+        if converged:
+            return True
+    return False
+
+
 def aberth_stage(p: IntPolynomial) -> tuple:
     """Simultaneous iteration for all roots of monic ``p`` at ~32 digits."""
     if not p.is_monic():
@@ -48,29 +84,13 @@ def aberth_stage(p: IntPolynomial) -> tuple:
         z = [radius * mpmath.exp(1j * (2 * mpmath.pi * (k + mpf(1) / 4) / n
                                        + mpf(k) / 1000))
              for k in range(n)]
-        tol = mpf(10) ** (-(_BASE_DPS - 6))
-        for _ in range(_MAX_ABERTH_ITERS):
-            max_step = mpf(0)
-            for i in range(n):
-                pv = eval_poly(p.coeffs, z[i])
-                dv = eval_poly(deriv, z[i])
-                if dv == 0:
-                    z[i] = z[i] + (mpf(1) + 1j) * radius / 1000
-                    max_step = radius
-                    continue
-                w = pv / dv
-                s = mpc(0)
-                for j in range(n):
-                    if j != i:
-                        diff = z[i] - z[j]
-                        if diff == 0:
-                            diff = radius * mpf(10) ** (-_BASE_DPS)
-                        s += 1 / diff
-                corr = w / (1 - w * s)
-                z[i] = z[i] - corr
-                max_step = max(max_step, abs(corr))
-            if max_step < tol:
-                return tuple(z)
+        with suppress(OverflowError, ZeroDivisionError):
+            fast = [complex(zk) for zk in z]
+            if (_sweeps(p.coeffs, deriv, fast, float(radius), _HARDWARE_DIGITS)
+                    and all(cmath.isfinite(zk) for zk in fast)):
+                z = [mpc(zk) for zk in fast]
+        if _sweeps(p.coeffs, deriv, z, radius, _BASE_DPS):
+            return tuple(z)
     raise NonConvergence(
         "simultaneous iteration did not converge",
         residuals=[abs(eval_poly(p.coeffs, zi)) for zi in z])
@@ -155,11 +175,9 @@ def find_roots(p: IntPolynomial, digits: int) -> RootSet:
     return polish_roots(p, aberth_stage(p), digits)
 
 
-def root_magnitude_bound(rs: RootSet) -> float:
+def root_magnitude_bound(roots) -> float:
     """max over roots of max(1, |x~|), rounded up to 2 significant figures."""
-    with mp.workdps(rs.digits):
-        top = max(float(abs(z)) for z in rs.roots)
-    b = max(1.0, top)
+    b = max(1.0, max(float(abs(z)) for z in roots))
     if b == 1.0:
         return 1.0
     exponent = math.floor(math.log10(b))

@@ -36,12 +36,22 @@ def _reconstruct_failing(monkeypatch, times):
     return digits_seen
 
 
+def test_plain_solve_runs_aberth_once_and_polishes_once(monkeypatch):
+    aberth = _count_calls(monkeypatch, pipeline, "aberth_stage")
+    polish = _count_calls(monkeypatch, pipeline, "polish_roots")
+    report = solve(QUINTIC_TEXT, QUINTIC_GENERATORS)
+    assert len(aberth) == 1
+    assert [args[2] for args in polish] == [report.digits]
+
+
 def test_phase_retry_doubles_budget_and_runs_aberth_once(monkeypatch):
     aberth = _count_calls(monkeypatch, pipeline, "aberth_stage")
+    polish = _count_calls(monkeypatch, pipeline, "polish_roots")
     labelings = _count_calls(monkeypatch, pipeline, "label_roots")
     digits_seen = _reconstruct_failing(monkeypatch, times=1)
     report = solve("x^3-2", "(1,2,3);(1,2)")
     assert len(aberth) == 1
+    assert [args[2] for args in polish] == digits_seen
     assert len(labelings) == 1
     assert digits_seen == [report.plan.digits, 2 * report.plan.digits]
     assert report.digits == 2 * report.plan.digits
@@ -53,11 +63,13 @@ def test_phase_retry_doubles_budget_and_runs_aberth_once(monkeypatch):
 
 def test_phase_retries_exhausted_propagate(monkeypatch):
     aberth = _count_calls(monkeypatch, pipeline, "aberth_stage")
+    polish = _count_calls(monkeypatch, pipeline, "polish_roots")
     digits_seen = _reconstruct_failing(monkeypatch, times=10)
     with pytest.raises(PhaseAmbiguous):
         solve("x^3-2", "(1,2,3);(1,2)")
     assert len(aberth) == 1
     assert len(digits_seen) == 4
+    assert [args[2] for args in polish] == digits_seen
 
 
 def test_phase_retries_exhausted_exit_code(monkeypatch, capsys):
@@ -106,3 +118,15 @@ def test_values_are_mpmath_mpc():
     values = [*report.roots.roots, *report.evaluations,
               *(z for table in zetas.values() for z in table)]
     assert all(type(v) is mpmath.mpc for v in values)
+
+
+@pytest.mark.parametrize("poly,generators,digits,planned", [
+    ("x^3-2000000000000000000000000", "(1,2,3);(1,2)", None, 52),
+    ("x^2-1000000000000001", "(1,2)", 30, 15)])
+def test_roots_far_from_the_unit_circle_solve(poly, generators, digits,
+                                               planned):
+    # roots near 10^8 cannot take Aberth steps below 10^-26 at 32 digits;
+    # the stop test is relative to the root's modulus
+    report = solve(poly, generators, digits=digits)
+    assert report.plan.digits == planned
+    assert max(report.verification) < mpf(10) ** (-mpf(report.digits) / 2)

@@ -67,7 +67,7 @@ def run_instance(poly_text, gens_text, labeling):
     group = closure(gens, poly.degree)
     series = composition_series(group)
     coarse = find_roots(poly, 32)
-    digits = plan_precision(series, root_magnitude_bound(coarse), 6).digits
+    digits = plan_precision(series, root_magnitude_bound(coarse.roots), 6).digits
     roots = find_roots(poly, digits)
     if labeling == "auto":
         labeled = label_roots(group, roots).labeled

@@ -2,10 +2,13 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import NonConvergence, find_roots, parse_polynomial, root_magnitude_bound
+from radicalroots import (NonConvergence, closure, composition_series,
+                          find_roots, parse_cycles, parse_polynomial,
+                          plan_precision, root_magnitude_bound)
 from radicalroots import rootfinder
 from radicalroots.rootfinder import aberth_stage, polish_roots
 from tests.conftest import QUINTIC_ROOT_STRINGS
+from tests.test_properties import INSTANCES
 
 
 def test_quintic_matches_13_decimals(quintic, quintic_roots_14):
@@ -98,14 +101,90 @@ def test_non_convergence_on_double_root(monkeypatch):
 
 
 def test_root_magnitude_bound_quintic(quintic_roots_14):
-    assert root_magnitude_bound(quintic_roots_14) == 2.4
+    assert root_magnitude_bound(quintic_roots_14.roots) == 2.4
 
 
 def test_root_magnitude_bound_sqrt2():
     rs = find_roots(parse_polynomial("x^2-2"), 14)
-    assert root_magnitude_bound(rs) == 1.5
+    assert root_magnitude_bound(rs.roots) == 1.5
 
 
 def test_root_magnitude_bound_floor_at_one():
     rs = find_roots(parse_polynomial("x"), 10)
-    assert root_magnitude_bound(rs) == 1.0
+    assert root_magnitude_bound(rs.roots) == 1.0
+
+
+def test_large_roots_converge():
+    # a root near 1.26e8 cannot take an Aberth step below 10^-26 at 32
+    # digits; the stop test is relative to max(1, |z|)
+    rs = find_roots(parse_polynomial("x^3-2000000000000000000000000"), 20)
+    with mp.workdps(30):
+        real_root = mpmath.cbrt(2 * mpf(10) ** 24)
+    assert min(abs(z - real_root) for z in rs.roots) < real_root * mpf(10) ** -18
+
+
+def _mpmath_only(monkeypatch):
+    """Make the hardware sweeps raise OverflowError, so that aberth_stage
+    runs its mpc sweeps from the original guesses."""
+    sweeps = rootfinder._sweeps
+    refused = []
+
+    def no_hardware(coeffs, deriv, z, radius, digits):
+        if isinstance(radius, float):
+            refused.append(digits)
+            raise OverflowError("hardware sweeps refused")
+        return sweeps(coeffs, deriv, z, radius, digits)
+    monkeypatch.setattr(rootfinder, "_sweeps", no_hardware)
+    return refused
+
+
+def _cycle(labels):
+    return "(" + ",".join(map(str, labels)) + ")"
+
+
+HARDWARE_CASES = [(name, poly, gens) for name, poly, gens, _ in INSTANCES] + [
+    ("C16 Phi17", "+".join(f"x^{k}" for k in range(16, 0, -1)) + "+1",
+     _cycle(range(1, 17))),
+    ("F156 x^13-2", "x^13-2", _cycle(range(1, 14)) + ";"
+     + _cycle(pow(2, j, 13) + 1 for j in range(12))),
+]
+
+
+@pytest.mark.parametrize("poly_text,gens_text",
+                         [c[1:] for c in HARDWARE_CASES],
+                         ids=[c[0] for c in HARDWARE_CASES])
+def test_hardware_sweeps_change_no_root(monkeypatch, poly_text, gens_text):
+    p = parse_polynomial(poly_text)
+    gens = [parse_cycles(t, p.degree) for t in gens_text.split(";")]
+    series = composition_series(closure(gens, p.degree))
+    start = aberth_stage(p)
+    budget = plan_precision(series, root_magnitude_bound(start), 6).digits
+    both = [polish_roots(p, start, d) for d in (budget, 32)]
+    refused = _mpmath_only(monkeypatch)
+    start = aberth_stage(p)
+    assert refused
+    assert [polish_roots(p, start, d) for d in (budget, 32)] == both
+
+
+def _outcome(p, digits):
+    try:
+        return find_roots(p, digits)
+    except NonConvergence as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("poly_text,max_iters,converges", [
+    ("x^5+20x+32", 3, False),
+    ("x^2+2x+1", 60, False),
+    (f"x^3-{2 * 10 ** 308}", None, False),
+    (f"x^2+{10 ** 309}x+1", None, True),
+], ids=["stall", "double-root", "beyond-float-cubic", "beyond-float-quadratic"])
+def test_hardware_sweeps_change_no_outcome(monkeypatch, poly_text, max_iters,
+                                           converges):
+    if max_iters is not None:
+        monkeypatch.setattr(rootfinder, "_MAX_ABERTH_ITERS", max_iters)
+    p = parse_polynomial(poly_text)
+    outcome = _outcome(p, 20)
+    assert isinstance(outcome, rootfinder.RootSet) == converges
+    _mpmath_only(monkeypatch)
+    assert _outcome(p, 20) == outcome
