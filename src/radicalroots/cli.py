@@ -17,8 +17,8 @@ import mpmath
 from . import __version__
 from .errors import InputSyntaxError, SolverError
 from .groups import closure, composition_series, orbit_sum_invariant, parse_cycles
-from .oracle import (coset_product_certificate, default_labeling_invariants,
-                     invariant_value, label_roots)
+from .oracle import (CERTIFICATE_DEGREE_CAP, coset_product_certificate,
+                     default_labeling_invariants, invariant_value, label_roots)
 from .pipeline import as_labeling, as_polynomial, solve
 from .polynomial import render_polynomial, sanity_check, to_monic
 from .precision import format_complex
@@ -223,7 +223,7 @@ def _cmd_check(args, out) -> int:
                                           tolerance=args.tolerance)
         out.write(f"orbit sum of {monomial}: {value} "
                   f"(residual {mpmath.nstr(residual, 4)})\n")
-    if degree <= 6:
+    if degree <= CERTIFICATE_DEGREE_CAP:
         edge = (1, 1) + (0,) * (degree - 2)
         cert = coset_product_certificate(
             group, orbit_sum_invariant(group, edge), labeled,
@@ -234,7 +234,8 @@ def _cmd_check(args, out) -> int:
         out.write(f"max coefficient residual: "
                   f"{mpmath.nstr(max(cert.residuals), 4)}\n")
     else:
-        out.write("certificate skipped: degree above cap 6\n")
+        out.write(f"certificate skipped: degree above cap "
+                  f"{CERTIFICATE_DEGREE_CAP}\n")
     return 0
 
 

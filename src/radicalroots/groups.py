@@ -7,6 +7,7 @@ permutation acts on root labels by ``sigma . x_j = x_{sigma(j)}``.
 from __future__ import annotations
 
 import itertools
+import math
 import re as _re
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ __all__ = [
     "composition_series",
     "coset_representatives",
     "orbit_sum_invariant",
-    "normalizer_in_symmetric",
 ]
 
 DEFAULT_ORDER_CAP = 10**6
@@ -74,13 +74,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(img == j for j, img in enumerate(self.images, start=1))
-
-    def order(self) -> int:
-        k, cur = 1, self
-        while not cur.is_identity():
-            cur = cur * self
-            k += 1
-        return k
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen, out = set(), []
@@ -147,8 +140,10 @@ class PermutationGroup:
     def __contains__(self, perm: Permutation) -> bool:
         return perm.images in self._element_set
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+    def is_normalized_by(self, s: Permutation) -> bool:
+        """True when s G s^-1 = G, checked on the generators."""
+        s_inv = s.inverse()
+        return all((s * g * s_inv) in self for g in self.generators)
 
 
 def _close_elements(generators: list[Permutation], degree: int,
@@ -215,23 +210,10 @@ class CompositionSeries:
 
     @property
     def order(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
-
-    def subgroup_chain(self) -> list[frozenset[tuple[int, ...]]]:
-        """Element sets of G_0 .. G_m (recomputed from the step generators)."""
-        chain = [frozenset({Permutation.identity(self.degree).images})]
-        gens: list[Permutation] = []
-        for sigma, _ in self.steps:
-            gens.append(sigma)
-            els = _close_elements(gens, self.degree, DEFAULT_ORDER_CAP)
-            chain.append(frozenset(e.images for e in els))
-        return chain
+        return math.prod(self.primes)
 
 
-def _derived_subgroup(elements: list[Permutation], gens: list[Permutation],
+def _derived_subgroup(gens: list[Permutation],
                       degree: int) -> tuple[list[Permutation], list[Permutation]]:
     """Derived subgroup as the normal closure of generator commutators."""
     comm_gens: list[Permutation] = []
@@ -247,22 +229,15 @@ def _derived_subgroup(elements: list[Permutation], gens: list[Permutation],
         return [ident], [ident]
     sub = _close_elements(comm_gens, degree, DEFAULT_ORDER_CAP)
     sub_set = {e.images for e in sub}
-    # close under conjugation by the parent's generators
-    changed = True
-    while changed:
-        changed = False
+    # normal closure: conjugate each subgroup generator (new ones included)
+    # by the parent's generators, re-closing when a conjugate falls outside
+    for h in comm_gens:
         for g in gens:
-            g_inv = g.inverse()
-            for h in list(sub):
-                c = g * h * g_inv
-                if c.images not in sub_set:
-                    comm_gens.append(c)
-                    sub = _close_elements(comm_gens, degree, DEFAULT_ORDER_CAP)
-                    sub_set = {e.images for e in sub}
-                    changed = True
-                    break
-            if changed:
-                break
+            c = g * h * g.inverse()
+            if c.images not in sub_set:
+                comm_gens.append(c)
+                sub = _close_elements(comm_gens, degree, DEFAULT_ORDER_CAP)
+                sub_set = {e.images for e in sub}
     return sub, comm_gens
 
 
@@ -293,7 +268,7 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
         (list(G.elements), list(G.generators))]
     while len(chain[-1][0]) > 1:
         els, gens = chain[-1]
-        sub, sub_gens = _derived_subgroup(els, gens, G.degree)
+        sub, sub_gens = _derived_subgroup(gens, G.degree)
         if len(sub) == len(els):
             raise NotSolvable(
                 f"derived series stalls at a perfect subgroup of order {len(sub)}")
@@ -365,17 +340,3 @@ def orbit_sum_invariant(G: PermutationGroup,
             moved[g(j) - 1] = vec[j - 1]
         orbit.add(tuple(moved))
     return sorted(orbit)
-
-
-def normalizer_in_symmetric(G: PermutationGroup,
-                            cap: int = DEFAULT_DEGREE_CAP) -> frozenset[tuple[int, ...]]:
-    """Element set of the normalizer of G inside the full symmetric group."""
-    if G.degree > cap:
-        raise UnsupportedInput(f"degree {G.degree} exceeds cap {cap}")
-    out = set()
-    for images in itertools.permutations(range(1, G.degree + 1)):
-        s = Permutation(images)
-        s_inv = s.inverse()
-        if all((s * g * s_inv) in G for g in G.generators):
-            out.add(images)
-    return frozenset(out)

@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import LabelingAmbiguous, LabelingFailed, ResidualTooLarge
 from .groups import (PermutationGroup, Permutation, coset_representatives,
-                     normalizer_in_symmetric, orbit_sum_invariant)
+                     orbit_sum_invariant)
 from .polynomial import eval_poly
 from .precision import nearest_integer
 from .rootfinder import RootSet, relabel
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_LABELING_TOLERANCE = 1e-6
+# the certificate walks S_n and has degree n!/|G|; `check` skips larger n
+CERTIFICATE_DEGREE_CAP = 6
 # low-degree monomials keep the invariant's coefficient sum small
 _DEFAULT_MONOMIALS = ((1, 2), (1, 1, 2), (2, 1))
 
@@ -80,8 +82,7 @@ class CertificateResult:
 
 
 def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
-                              tolerance: float = 0.25,
-                              degree_cap: int = 6) -> CertificateResult:
+                              tolerance: float = 0.25) -> CertificateResult:
     """Expand F(x) = prod over coset representatives of (x - sigma.theta).
 
     F is invariant under the full symmetric group, so its coefficients round
@@ -89,7 +90,7 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
     """
     n = G.degree
     values = roots.roots
-    reps = coset_representatives(n, G, cap=degree_cap)
+    reps = coset_representatives(n, G, cap=CERTIFICATE_DEGREE_CAP)
     with mp.workdps(roots.digits):
         coeffs = [mpc(1)]
         for rep in reps:
@@ -150,17 +151,16 @@ class LabelingResult:
     candidates_passed: int
 
 
-def label_roots(G: PermutationGroup, roots: RootSet, invariants=None,
-                tolerance: float = DEFAULT_LABELING_TOLERANCE,
-                degree_cap: int = 8) -> LabelingResult:
+def label_roots(G: PermutationGroup, roots: RootSet,
+                invariants=None) -> LabelingResult:
     """Find a labeling of the roots consistent with the group action.
 
     Starting from the input order as a provisional labeling, each coset
     representative of the symmetric group modulo G is tested: a valid
-    relabeling makes every invariant in the test set integral.  Labelings that
-    differ by an element of the normalizer of G are equivalent (they induce
-    the same permutation action), so multiple passes within one normalizer
-    coset are fine; passes across different normalizer cosets raise
+    relabeling makes every invariant in the test set integral.  Two passing
+    labelings sigma, tau are equivalent (they induce the same permutation
+    action) when sigma^-1 tau normalizes G, which is checked by conjugating
+    G's generators; passes that are not all equivalent to the first raise
     LabelingAmbiguous, and no pass at all raises LabelingFailed.  Best-effort:
     ambiguity means the caller must supply the labeling.
     """
@@ -169,25 +169,22 @@ def label_roots(G: PermutationGroup, roots: RootSet, invariants=None,
         raise ValueError("root count does not match the group degree")
     if invariants is None:
         invariants = default_labeling_invariants(G)
-    reps = coset_representatives(n, G, cap=degree_cap)
+    reps = coset_representatives(n, G)
     passing = []
     with mp.workdps(roots.digits):
         for rep in reps:
             moved = tuple(roots.roots[rep(j) - 1] for j in range(1, n + 1))
-            if all(nearest_integer(_orbit_value(orbit, moved))[1] < tolerance
-                   for orbit in invariants):
+            if all(nearest_integer(_orbit_value(orbit, moved))[1]
+                   < DEFAULT_LABELING_TOLERANCE for orbit in invariants):
                 passing.append(rep)
     if not passing:
         raise LabelingFailed(
             "no coset representative makes the test invariants integral; "
             "check the group, or supply --root-order explicitly")
-    if len(passing) > 1:
-        normalizer = normalizer_in_symmetric(G, cap=degree_cap)
-        first_inv = passing[0].inverse()
-        for other in passing[1:]:
-            if (first_inv * other).images not in normalizer:
-                raise LabelingAmbiguous(
-                    f"{len(passing)} inequivalent labelings pass the "
-                    "integrality tests; supply --root-order explicitly")
+    first_inv = passing[0].inverse()
+    if not all(G.is_normalized_by(first_inv * other) for other in passing[1:]):
+        raise LabelingAmbiguous(
+            f"{len(passing)} inequivalent labelings pass the "
+            "integrality tests; supply --root-order explicitly")
     sigma = passing[0]
     return LabelingResult(sigma, relabel(roots, sigma), len(passing))

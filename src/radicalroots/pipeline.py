@@ -8,9 +8,8 @@ from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
 from .radical import SolveReport, evaluate, reconstruct, verify
-from .resolvent import (MultiplicationCounter, build_theta0, forward_pass,
-                        multiplication_budget, plan_precision, round_theta_m,
-                        zeta_tables)
+from .resolvent import (build_theta0, forward_pass, plan_precision,
+                        round_theta_m, zeta_tables)
 from .rootfinder import (aberth_stage, polish_roots, relabel,
                          root_magnitude_bound)
 
@@ -52,7 +51,7 @@ def as_labeling(labeling, degree: int) -> Permutation:
 
 
 def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
-          tolerance: float = 0.25, labeling="auto", invariants=None,
+          tolerance: float = 0.25, labeling="auto",
           run_verification: bool = True) -> SolveReport:
     """Solve a monic-reducible integer polynomial by radicals.
 
@@ -87,12 +86,11 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     for attempt in range(_PHASE_RETRIES + 1):
         roots = polish_roots(monic, start, budget_digits)
         if sigma is None:
-            sigma = label_roots(group, roots, invariants).permutation
+            sigma = label_roots(group, roots).permutation
         labeled = relabel(roots, sigma)
         zetas = zeta_tables(series, budget_digits)
         theta0 = build_theta0(labeled, series)
-        counter = MultiplicationCounter(budget=multiplication_budget(series))
-        forward = forward_pass(theta0, series, zetas, counter)
+        forward = forward_pass(theta0, series, zetas)
         int_theta = round_theta_m(forward.thetas[-1], tolerance)
         try:
             recon = reconstruct(series, int_theta, forward.resolvents, zetas,
@@ -111,8 +109,7 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     return SolveReport(
         polynomial=polynomial, reduction=reduction, series=series,
         plan=plan, digits=budget_digits, roots=labeled, labeling=sigma,
-        theta=int_theta, root_exprs=recon.root_exprs,
-        theta0_exprs=recon.theta0_exprs, evaluations=evaluations,
-        verification=deviations, multiplications=counter.count,
-        budget=counter.budget, branch_log=recon.branch_log,
+        theta=int_theta, root_exprs=recon.root_exprs, evaluations=evaluations,
+        verification=deviations, multiplications=forward.counter.count,
+        budget=forward.counter.budget, branch_log=recon.branch_log,
         zero_notes=recon.zero_notes, notes=tuple(notes))

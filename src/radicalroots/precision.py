@@ -16,7 +16,6 @@ __all__ = [
     "principal_root",
     "nearest_integer",
     "format_complex",
-    "is_prime",
 ]
 
 # extra digits used inside multi-step kernels (arg, roots, rounding)

@@ -262,20 +262,19 @@ class ReconstructionResult:
 
 
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
-                stored_L, zetas, *, digits: int,
-                delta=None) -> ReconstructionResult:
+                stored_L, zetas, *, digits: int) -> ReconstructionResult:
     """Work the tensor transforms backward, picking root branches numerically.
 
     For each level i = m..1 and resolvent index k, the exact combination
     E_k = sum_j Theta_i[...,j,...] * zeta_i^{jk} equals the p_i-th power of the
     stored resolvent entry; the branch s of its p_i-th root is the one whose
     numeric value lands on the stored entry.  Acceptance requires the best
-    branch within delta and every other branch beyond 2*delta, else
-    PhaseAmbiguous.  Radicands indistinguishable from zero are collapsed to 0.
+    branch within delta = 10^(-digits/4) and every other branch beyond
+    2*delta, else PhaseAmbiguous.  Radicands indistinguishable from zero are
+    collapsed to 0.
     """
     with mp.workdps(digits):
-        if delta is None:
-            delta = mpf(10) ** (-mpf(digits) / 4)
+        delta = mpf(10) ** (-mpf(digits) / 4)
         values = ValueCache(digits, zetas)
         radices = int_theta.radices
         exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
@@ -504,7 +503,6 @@ class SolveReport:
     labeling: Permutation
     theta: IntegerThetaTensor
     root_exprs: tuple[RadicalExpr, ...]
-    theta0_exprs: tuple[RadicalExpr, ...]
     evaluations: tuple[mpc, ...]
     verification: tuple[mpf, ...] | None
     multiplications: int

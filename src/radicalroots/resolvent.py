@@ -9,6 +9,7 @@ Theta_i.  After level m every entry is (numerically) a rational integer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -31,29 +32,20 @@ __all__ = [
     "forward_level",
     "forward_pass",
     "round_theta_m",
-    "cyclic_shift",
     "position_root_indices",
     "zeta_tables",
-    "multiplication_budget",
 ]
 
 DEFAULT_ROUNDING_TOLERANCE = 0.25
 DIGITS_HARD_CAP = 10**5
 
 
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
 def axis_lines(radices: tuple[int, ...], axis: int):
     """Flat index lists of all lines along one axis of a row-major tensor."""
-    stride = _prod(radices[axis + 1:])
+    stride = math.prod(radices[axis + 1:])
     p = radices[axis]
     block = stride * p
-    for start in range(0, _prod(radices), block):
+    for start in range(0, math.prod(radices), block):
         for off in range(stride):
             base = start + off
             yield [base + j * stride for j in range(p)]
@@ -65,12 +57,10 @@ class ResolventTensor:
 
     radices: tuple[int, ...]
     data: tuple[mpc, ...]
-    level: int
-    kind: str  # "theta" or "L"
     digits: int
 
     def __post_init__(self):
-        if len(self.data) != _prod(self.radices):
+        if len(self.data) != math.prod(self.radices):
             raise ValueError("tensor data length does not match radices")
 
 
@@ -79,7 +69,6 @@ class PrecisionPlan:
     """Digit budget derived from the coefficient-sum bound of the final level."""
 
     n_bound: int
-    group_order: int
     x0_bound: float
     required_digits: int
     margin: int
@@ -119,7 +108,7 @@ def multiplication_budget(series: CompositionSeries) -> int:
 
 
 def plan_precision(series: CompositionSeries, x0_bound,
-                   margin: int, digits_cap: int = DIGITS_HARD_CAP) -> PrecisionPlan:
+                   margin: int) -> PrecisionPlan:
     """Digit budget: ceil(log10(2 * N * |G| * x0^(|G|-1))) + margin.
 
     N bounds the coefficient sum of any final-level invariant:
@@ -130,7 +119,7 @@ def plan_precision(series: CompositionSeries, x0_bound,
     primes = series.primes
     n_bound = 1
     for i, p in enumerate(primes):
-        n_bound *= p ** _prod(primes[i:])
+        n_bound *= p ** math.prod(primes[i:])
     order = series.order
     with mp.workdps(50):
         v = mpmath.log10(mpf(2) * n_bound * order)
@@ -138,10 +127,10 @@ def plan_precision(series: CompositionSeries, x0_bound,
         required = int(mpmath.ceil(v - mpf(10) ** (-30)))
     required = max(required, 1)
     digits = required + margin
-    if digits > digits_cap:
+    if digits > DIGITS_HARD_CAP:
         raise PrecisionInfeasible(
-            f"required digit budget {digits} exceeds cap {digits_cap}")
-    return PrecisionPlan(n_bound, order, float(x0_bound), required, margin, digits)
+            f"required digit budget {digits} exceeds cap {DIGITS_HARD_CAP}")
+    return PrecisionPlan(n_bound, float(x0_bound), required, margin, digits)
 
 
 def position_root_indices(series: CompositionSeries) -> list[int]:
@@ -151,7 +140,7 @@ def position_root_indices(series: CompositionSeries) -> list[int]:
     sigma_powers = [[sigma.power(j) for j in range(p)]
                     for sigma, p in series.steps]
     out = []
-    size = _prod(radices)
+    size = math.prod(radices)
     for flat in range(size):
         rem, multi = flat, []
         for p in reversed(radices):
@@ -179,7 +168,7 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
             "tensor positions do not cover all roots; the group is not "
             "transitive on the labels (wrong group or labeling?)")
     data = tuple(roots.roots[i - 1] for i in indices)
-    return ResolventTensor(series.primes, data, 0, "theta", roots.digits)
+    return ResolventTensor(series.primes, data, roots.digits)
 
 
 def zeta_tables(series: CompositionSeries, digits: int):
@@ -189,23 +178,15 @@ def zeta_tables(series: CompositionSeries, digits: int):
 
 
 def forward_level(theta_prev: ResolventTensor, level: int, zetas,
-                  counter: MultiplicationCounter | None = None, *,
-                  analysis_root_power: int = 1):
+                  counter: MultiplicationCounter | None = None):
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
     Returns (L_{level-1}, Theta_level).  The counter is incremented by exactly
     the complex multiplications performed: p per L entry, p-1 per power,
     p per Theta entry.
-
-    ``analysis_root_power`` forms the resolvent sums with zeta^k instead of
-    zeta while extraction keeps the reference root; the output is then the
-    standard tensor with axis ``level`` reindexed by the modular inverse of k.
     """
     p = theta_prev.radices[level - 1]
     axis = level - 1
-    a = analysis_root_power % p
-    if a == 0:
-        raise ValueError("analysis root power must be nonzero mod p")
     if counter is None:
         counter = MultiplicationCounter(budget=0)
     table = zetas[p]
@@ -218,7 +199,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
             for k in range(p):
                 acc = None
                 for j in range(p):
-                    term = table[(a * j * k) % p] * entries[j]
+                    term = table[(j * k) % p] * entries[j]
                     acc = term if acc is None else acc + term
                 counter.add(p)
                 ldata[line[k]] = acc
@@ -234,10 +215,8 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                     acc = term if acc is None else acc + term
                 counter.add(p)
                 tdata[line[j]] = acc / p
-    L = replace(theta_prev, data=tuple(ldata), level=level - 1, kind="L")
-    theta_next = replace(theta_prev, data=tuple(tdata), level=level,
-                         kind="theta")
-    return L, theta_next
+    return (replace(theta_prev, data=tuple(ldata)),
+            replace(theta_prev, data=tuple(tdata)))
 
 
 def forward_pass(theta0: ResolventTensor, series: CompositionSeries, zetas,
@@ -276,14 +255,3 @@ def round_theta_m(theta_m: ResolventTensor,
         values.append(n)
         residuals.append(res)
     return IntegerThetaTensor(theta_m.radices, tuple(values), tuple(residuals))
-
-
-def cyclic_shift(tensor: ResolventTensor, level: int, offset: int = 1) -> ResolventTensor:
-    """Shift entries cyclically along the given 1-based level axis."""
-    axis = level - 1
-    p = tensor.radices[axis]
-    data = list(tensor.data)
-    for line in axis_lines(tensor.radices, axis):
-        for j, flat in enumerate(line):
-            data[flat] = tensor.data[line[(j + offset) % p]]
-    return replace(tensor, data=tuple(data))

@@ -79,7 +79,9 @@ def aberth_stage(p: IntPolynomial) -> tuple:
     n = p.degree
     deriv = p.derivative_coeffs()
     with mp.workdps(_BASE_DPS):
-        radius = mpf(1) + max(abs(c) for c in p.coeffs[:-1])
+        # Fujiwara's bound on the root moduli, so the start lies near them
+        radius = max(mpf(1), 2 * max(mpf(abs(c)) ** (mpf(1) / (n - k))
+                                     for k, c in enumerate(p.coeffs[:-1])))
         # deterministic index-dependent perturbation breaks symmetry traps
         z = [radius * mpmath.exp(1j * (2 * mpmath.pi * (k + mpf(1) / 4) / n
                                        + mpf(k) / 1000))

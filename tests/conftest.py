@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from mpmath import mp
 
 from radicalroots import closure, find_roots, parse_cycles, parse_polynomial
+from radicalroots.resolvent import axis_lines
 
 # x^5 + 20x + 32: the dihedral quintic used as the main regression, with its
 # 13-decimal root approximations (labels match the group's permutation action)
@@ -43,6 +46,17 @@ def match_root_order(root_set, targets, digits=14):
         order.append(min(range(root_set.n),
                          key=lambda i: float(abs(root_set.roots[i] - t))) + 1)
     return order
+
+
+def reindex_axis(tensor, level, t, c):
+    """The tensor with entry j of each line along axis ``level`` replaced by
+    entry t*j + c (mod p) of that line."""
+    p = tensor.radices[level - 1]
+    data = list(tensor.data)
+    for line in axis_lines(tensor.radices, level - 1):
+        for j, flat in enumerate(line):
+            data[flat] = tensor.data[line[(t * j + c) % p]]
+    return replace(tensor, data=tuple(data))
 
 
 @pytest.fixture(scope="session")

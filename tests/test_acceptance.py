@@ -15,7 +15,8 @@ from radicalroots import (NotSolvable, Permutation, closure,
                           emit)
 from radicalroots.rootfinder import relabel
 from tests.conftest import (QUINTIC_GENERATORS, QUINTIC_ROOT_STRINGS,
-                            QUINTIC_TEXT, QUINTIC_THETA, match_root_order)
+                            QUINTIC_TEXT, QUINTIC_THETA, match_root_order,
+                            reindex_axis)
 from tests.test_groups import dihedral, symmetric, validate_series
 from tests.test_oracle import QUINTIC_EDGE_CERTIFICATE
 from tests.test_properties import INSTANCES, run_instance
@@ -124,7 +125,7 @@ def test_criterion_6_property_suite():
 
     # (b) modular-inverse reindexing under primitive-root exchange
     # (c) cyclic-shift invariance of the powered resolvents
-    from radicalroots.resolvent import cyclic_shift, forward_level
+    from radicalroots.resolvent import forward_level
     for poly_text, gens_text in (("x^5+20x+32", QUINTIC_GENERATORS),
                                  ("x^3-2", "(1,2,3);(1,2)")):
         series, zetas, theta0, fwd, ints, recon, labeled, digits = \
@@ -136,13 +137,14 @@ def test_criterion_6_property_suite():
             tol = mpf(10) ** (3 - digits) * scale
             for k in range(2, p):
                 t = pow(k, -1, p)
-                _, exchanged = forward_level(prev, level, zetas,
-                                             analysis_root_power=k)
+                # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i)
+                _, exchanged = forward_level(reindex_axis(prev, level, t, 0),
+                                             level, zetas)
                 for line in axis_lines(prev.radices, level - 1):
                     for j in range(p):
                         assert abs(exchanged.data[line[j]]
                                    - ref.data[line[(t * j) % p]]) < tol
-            _, shifted_theta = forward_level(cyclic_shift(prev, level),
+            _, shifted_theta = forward_level(reindex_axis(prev, level, 1, 1),
                                              level, zetas)
             for a, b in zip(shifted_theta.data, ref.data):
                 assert abs(a - b) < tol

@@ -37,3 +37,49 @@ def test_private_import_is_detected(tmp_path):
     assert private_imports(source) == [
         "module.py: from .radical import _text",
         "module.py: from radicalroots.pipeline import _as_generators"]
+
+
+def _all_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def unused_exports(package: Path) -> list[str]:
+    """Functions in a module's ``__all__`` that no other module of the
+    package imports and that the package's ``__all__`` does not re-export."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    reexported = set(_all_names(trees.pop("__init__")))
+    imported = {(stem, node.module, alias.name)
+                for stem, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    found = []
+    for stem, tree in trees.items():
+        functions = {node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)}
+        found += [f"{stem}.py: {name}" for name in _all_names(tree)
+                  if name in functions and name not in reexported
+                  and not any(module == stem and alias == name and by != stem
+                              for by, module, alias in imported)]
+    return found
+
+
+def test_every_exported_function_has_a_caller_in_the_package():
+    # cli.main is called by the console script that pyproject.toml declares
+    assert unused_exports(SRC) == ["cli.py: main"]
+
+
+def test_unused_export_is_detected(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .a import shown\n__all__ = ["shown"]\n')
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["shown", "used", "unused", "Thing"]\n'
+        "def shown(): pass\ndef used(): pass\ndef unused(): pass\n"
+        "class Thing: pass\n")
+    (tmp_path / "b.py").write_text("from .a import used\n")
+    assert unused_exports(tmp_path) == ["a.py: unused"]

@@ -18,10 +18,11 @@ from radicalroots import (Permutation, closure, composition_series, evaluate,
                           root_magnitude_bound, solve, verify)
 from radicalroots.radical import ValueCache
 from radicalroots.resolvent import (MultiplicationCounter, axis_lines,
-                                    build_theta0, cyclic_shift, forward_level,
+                                    build_theta0, forward_level,
                                     forward_pass, multiplication_budget,
                                     round_theta_m, zeta_tables)
 from radicalroots.rootfinder import relabel
+from tests.conftest import reindex_axis
 
 
 def _period_label_order(roots, q, g, n):
@@ -120,8 +121,8 @@ def test_cyclic_shift_leaves_theta_invariant(bundle):
         p = series.primes[level - 1]
         prev = fwd.thetas[level - 1]
         ref_L, ref_theta = fwd.resolvents[level - 1], fwd.thetas[level]
-        shifted_L, shifted_theta = forward_level(cyclic_shift(prev, level),
-                                                 level, zetas)
+        shifted_L, shifted_theta = forward_level(
+            reindex_axis(prev, level, 1, 1), level, zetas)
         power_scale = max(mpf(1),
                           max(abs(e) for e in ref_theta.data)) * p
         tol = mpf(10) ** (3 - digits) * power_scale
@@ -230,7 +231,9 @@ def test_primitive_root_exchange_modular_inverse(poly_text, gens_text, level):
     tol = mpf(10) ** (3 - digits) * scale
     for k in range(2, p):
         t = pow(k, -1, p)
-        _, exchanged = forward_level(prev, level, zetas, analysis_root_power=k)
+        # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
+        _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
+                                     zetas)
         for line in axis_lines(prev.radices, level - 1):
             for j in range(p):
                 assert abs(exchanged.data[line[j]]

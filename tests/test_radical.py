@@ -80,8 +80,7 @@ def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
         bad_value = mp.mpc(1, 1)
         corrupted = ResolventTensor(
             fwd.resolvents[1].radices,
-            tuple(v * bad_value for v in fwd.resolvents[1].data),
-            fwd.resolvents[1].level, "L", digits)
+            tuple(v * bad_value for v in fwd.resolvents[1].data), digits)
     with pytest.raises(PhaseAmbiguous):
         reconstruct(series, ints, (fwd.resolvents[0], corrupted), zetas,
                     digits=digits)

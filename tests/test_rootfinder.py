@@ -123,6 +123,15 @@ def test_large_roots_converge():
     assert min(abs(z - real_root) for z in rs.roots) < real_root * mpf(10) ** -18
 
 
+def test_large_constant_term_converges():
+    # Aberth starts on Fujiwara's bound 2*10^80, next to the roots; a start
+    # radius of 1 + max|c_k| = 10^240 ran out of sweeps
+    rs = find_roots(parse_polynomial(f"x^3-{10 ** 240}"), 20)
+    with mp.workdps(30):
+        real_root = mpf(10) ** 80
+    assert min(abs(z - real_root) for z in rs.roots) < real_root * mpf(10) ** -18
+
+
 def _mpmath_only(monkeypatch):
     """Make the hardware sweeps raise OverflowError, so that aberth_stage
     runs its mpc sweeps from the original guesses."""
@@ -176,7 +185,7 @@ def _outcome(p, digits):
 @pytest.mark.parametrize("poly_text,max_iters,converges", [
     ("x^5+20x+32", 3, False),
     ("x^2+2x+1", 60, False),
-    (f"x^3-{2 * 10 ** 308}", None, False),
+    (f"x^3-{2 * 10 ** 308}", None, True),
     (f"x^2+{10 ** 309}x+1", None, True),
 ], ids=["stall", "double-root", "beyond-float-cubic", "beyond-float-quadratic"])
 def test_hardware_sweeps_change_no_outcome(monkeypatch, poly_text, max_iters,
