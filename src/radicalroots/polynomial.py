@@ -182,9 +182,12 @@ def _rational_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
     return len(a) - 1
 
 
-def _divisors(n: int, cap: int = 10**12) -> tuple[list[int], bool]:
+_DIVISOR_SEARCH_CAP = 10**12
+
+
+def _divisors(n: int) -> tuple[list[int], bool]:
     n = abs(n)
-    if n > cap:
+    if n > _DIVISOR_SEARCH_CAP:
         # too big to factor cheaply; test small divisors only
         ds = [d for d in range(1, 10**4 + 1) if n % d == 0]
         return ds, False

@@ -178,7 +178,7 @@ def zeta_tables(series: CompositionSeries, digits: int):
 
 
 def forward_level(theta_prev: ResolventTensor, level: int, zetas,
-                  counter: MultiplicationCounter | None = None):
+                  counter: MultiplicationCounter):
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
     Returns (L_{level-1}, Theta_level).  The counter is incremented by exactly
@@ -187,8 +187,6 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     """
     p = theta_prev.radices[level - 1]
     axis = level - 1
-    if counter is None:
-        counter = MultiplicationCounter(budget=0)
     table = zetas[p]
     ldata: list = [None] * len(theta_prev.data)
     tdata: list = [None] * len(theta_prev.data)
@@ -219,11 +217,10 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
             replace(theta_prev, data=tuple(tdata)))
 
 
-def forward_pass(theta0: ResolventTensor, series: CompositionSeries, zetas,
-                 counter: MultiplicationCounter | None = None) -> ForwardResult:
+def forward_pass(theta0: ResolventTensor, series: CompositionSeries,
+                 zetas) -> ForwardResult:
     """Run all m levels, retaining every Theta and L tensor."""
-    if counter is None:
-        counter = MultiplicationCounter(budget=multiplication_budget(series))
+    counter = MultiplicationCounter(budget=multiplication_budget(series))
     thetas = [theta0]
     resolvents = []
     current = theta0

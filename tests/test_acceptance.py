@@ -125,7 +125,7 @@ def test_criterion_6_property_suite():
 
     # (b) modular-inverse reindexing under primitive-root exchange
     # (c) cyclic-shift invariance of the powered resolvents
-    from radicalroots.resolvent import forward_level
+    from radicalroots.resolvent import MultiplicationCounter, forward_level
     for poly_text, gens_text in (("x^5+20x+32", QUINTIC_GENERATORS),
                                  ("x^3-2", "(1,2,3);(1,2)")):
         series, zetas, theta0, fwd, ints, recon, labeled, digits = \
@@ -139,13 +139,15 @@ def test_criterion_6_property_suite():
                 t = pow(k, -1, p)
                 # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i)
                 _, exchanged = forward_level(reindex_axis(prev, level, t, 0),
-                                             level, zetas)
+                                             level, zetas,
+                                             MultiplicationCounter(budget=0))
                 for line in axis_lines(prev.radices, level - 1):
                     for j in range(p):
                         assert abs(exchanged.data[line[j]]
                                    - ref.data[line[(t * j) % p]]) < tol
             _, shifted_theta = forward_level(reindex_axis(prev, level, 1, 1),
-                                             level, zetas)
+                                             level, zetas,
+                                             MultiplicationCounter(budget=0))
             for a, b in zip(shifted_theta.data, ref.data):
                 assert abs(a - b) < tol
 

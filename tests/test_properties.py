@@ -19,8 +19,7 @@ from radicalroots import (Permutation, closure, composition_series, evaluate,
 from radicalroots.radical import ValueCache
 from radicalroots.resolvent import (MultiplicationCounter, axis_lines,
                                     build_theta0, forward_level,
-                                    forward_pass, multiplication_budget,
-                                    round_theta_m, zeta_tables)
+                                    forward_pass, round_theta_m, zeta_tables)
 from radicalroots.rootfinder import relabel
 from tests.conftest import reindex_axis
 
@@ -78,8 +77,7 @@ def run_instance(poly_text, gens_text, labeling):
         labeled = relabel(roots, Permutation(tuple(order)))
     zetas = zeta_tables(series, digits)
     theta0 = build_theta0(labeled, series)
-    counter = MultiplicationCounter(budget=multiplication_budget(series))
-    fwd = forward_pass(theta0, series, zetas, counter)
+    fwd = forward_pass(theta0, series, zetas)
     ints = round_theta_m(fwd.thetas[-1])
     recon = reconstruct(series, ints, fwd.resolvents, zetas, digits=digits)
     return series, zetas, theta0, fwd, ints, recon, labeled, digits
@@ -122,7 +120,8 @@ def test_cyclic_shift_leaves_theta_invariant(bundle):
         prev = fwd.thetas[level - 1]
         ref_L, ref_theta = fwd.resolvents[level - 1], fwd.thetas[level]
         shifted_L, shifted_theta = forward_level(
-            reindex_axis(prev, level, 1, 1), level, zetas)
+            reindex_axis(prev, level, 1, 1), level, zetas,
+            MultiplicationCounter(budget=0))
         power_scale = max(mpf(1),
                           max(abs(e) for e in ref_theta.data)) * p
         tol = mpf(10) ** (3 - digits) * power_scale
@@ -233,7 +232,7 @@ def test_primitive_root_exchange_modular_inverse(poly_text, gens_text, level):
         t = pow(k, -1, p)
         # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
         _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
-                                     zetas)
+                                     zetas, MultiplicationCounter(budget=0))
         for line in axis_lines(prev.radices, level - 1):
             for j in range(p):
                 assert abs(exchanged.data[line[j]]

@@ -9,8 +9,7 @@ from radicalroots import (PhaseAmbiguous, VerificationFailed, closure,
 from radicalroots.radical import (IntegerLiteral, Product, RationalScale, Root,
                                   RootOfUnitySymbol, Sum, make_product,
                                   make_root, make_scale, make_sum)
-from radicalroots.resolvent import (MultiplicationCounter, build_theta0,
-                                    forward_pass, multiplication_budget,
+from radicalroots.resolvent import (build_theta0, forward_pass,
                                     round_theta_m, zeta_tables)
 from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_ROOT_STRINGS
@@ -29,8 +28,7 @@ def run_backward(poly_text, gens_text, digits=None):
     labeled = label_roots(G, roots).labeled
     zetas = zeta_tables(series, digits)
     theta0 = build_theta0(labeled, series)
-    fwd = forward_pass(theta0, series, zetas,
-                       MultiplicationCounter(budget=multiplication_budget(series)))
+    fwd = forward_pass(theta0, series, zetas)
     ints = round_theta_m(fwd.thetas[-1])
     recon = reconstruct(series, ints, fwd.resolvents, zetas, digits=digits)
     return series, zetas, theta0, fwd, ints, recon, labeled, digits

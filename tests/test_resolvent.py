@@ -7,8 +7,8 @@ from radicalroots import (PrecisionInfeasible, ResidualTooLarge, closure,
                           build_theta0, forward_pass, forward_level,
                           round_theta_m)
 from radicalroots.resolvent import (MultiplicationCounter, ResolventTensor,
-                                    axis_lines, multiplication_budget,
-                                    position_root_indices, zeta_tables)
+                                    axis_lines, position_root_indices,
+                                    zeta_tables)
 from tests.conftest import QUINTIC_THETA, reindex_axis
 
 
@@ -27,8 +27,7 @@ def quintic_forward(reference_label_order, digits=19):
     labeled = relabel(roots, Permutation(tuple(reference_label_order)))
     zetas = zeta_tables(series, digits)
     theta0 = build_theta0(labeled, series)
-    counter = MultiplicationCounter(budget=multiplication_budget(series))
-    fwd = forward_pass(theta0, series, zetas, counter)
+    fwd = forward_pass(theta0, series, zetas)
     return series, zetas, theta0, fwd
 
 
@@ -116,7 +115,7 @@ def test_forward_constant_axis_kills_nonzero_modes():
     with mp.workdps(digits):
         val = mp.mpc("1.25", "0.5")
     tensor = ResolventTensor((2,), (val, val), digits)
-    L, _ = forward_level(tensor, 1, zetas)
+    L, _ = forward_level(tensor, 1, zetas, MultiplicationCounter(budget=0))
     with mp.workdps(digits):
         assert abs(L.data[0] - (val + val)) < mpf(10) ** (3 - digits)
         assert abs(L.data[1]) < mpf(10) ** (3 - digits)
@@ -177,7 +176,8 @@ def test_cyclic_shift_invariance(reference_label_order):
         p = series.primes[level - 1]
         prev = fwd.thetas[level - 1]
         shifted = reindex_axis(prev, level, 1, 1)
-        _, theta_shifted = forward_level(shifted, level, zetas)
+        _, theta_shifted = forward_level(shifted, level, zetas,
+                                         MultiplicationCounter(budget=0))
         ref = fwd.thetas[level]
         scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
@@ -196,7 +196,7 @@ def test_primitive_root_exchange_law(reference_label_order):
         t = pow(k, -1, p)
         # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
         _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
-                                     zetas)
+                                     zetas, MultiplicationCounter(budget=0))
         scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
         for line in axis_lines(prev.radices, level - 1):
