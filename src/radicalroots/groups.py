@@ -311,15 +311,15 @@ def coset_representatives(degree: int, G: PermutationGroup,
         raise UnsupportedInput(f"degree {degree} exceeds cap {cap}")
     if G.degree != degree:
         raise InputSyntaxError("group degree does not match requested degree")
+    # the images of rep * g, composed on tuples: (rep * g)(j) = rep(g(j))
+    positions = [tuple(k - 1 for k in g.images) for g in G.elements]
     reps: list[Permutation] = []
     covered: set[tuple[int, ...]] = set()
     for images in itertools.permutations(range(1, degree + 1)):
         if images in covered:
             continue
-        rep = Permutation(images)
-        reps.append(rep)
-        for g in G.elements:
-            covered.add((rep * g).images)
+        reps.append(Permutation(images))
+        covered.update(tuple(images[k] for k in g) for g in positions)
     return reps
 
 

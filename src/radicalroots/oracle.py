@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 DEFAULT_LABELING_TOLERANCE = 1e-6
+# the labeling screen's safety factor on its rounding bound, and the bound
+# above which it keeps a candidate undecided: see _screen
+_SCREEN_ERROR_FACTOR = 8
+_SCREEN_BOUND_CAP = 0.25
 # the certificate walks S_n and has degree n!/|G|; `check` skips larger n
 CERTIFICATE_DEGREE_CAP = 6
 # low-degree monomials keep the invariant's coefficient sum small
@@ -144,6 +148,50 @@ def default_labeling_invariants(G: PermutationGroup, with_names: bool = False):
     return named if with_names else orbits
 
 
+def _screen(reps, invariants, roots: RootSet) -> list[Permutation]:
+    """The representatives, in order, that a hardware ``complex`` evaluation
+    of the invariants cannot reject.
+
+    Orbit sums are computed from a table of root powers built once.  The
+    float sum and the ``mpc`` sum at ``roots.digits`` each round at most
+    (orbit length + monomial degree) times per term, so they differ by at
+    most bound = factor * (length + degree) * (2^-52 + 10^(1-digits)) *
+    sum |term|.  A representative is dropped only when its float residual
+    exceeds the tolerance by more than the bound, so every one the exact test
+    passes is kept; so is every one whose bound is not small or not finite.
+    """
+    exponents = {k for orbit in invariants for vec in orbit for k in vec if k}
+    try:
+        powers = {k: [complex(z) ** k for z in roots.roots] for k in exponents}
+    except OverflowError:
+        return list(reps)
+    unit = 2.0 ** -52 + 10.0 ** (1 - roots.digits)
+    orbits = [([[(j, k) for j, k in enumerate(vec) if k] for vec in orbit],
+               _SCREEN_ERROR_FACTOR * unit
+               * (len(orbit) + max(sum(vec) for vec in orbit)))
+              for orbit in invariants]
+    survivors = []
+    for rep in reps:
+        # label j takes input root rep(j)
+        moved = {k: [row[i - 1] for i in rep.images] for k, row in powers.items()}
+        for monomials, scale in orbits:
+            total, size = 0j, 0.0
+            for monomial in monomials:
+                term = 1
+                for j, k in monomial:
+                    term *= moved[k][j]
+                total += term
+                size += abs(term)
+            bound = scale * size
+            if (bound < _SCREEN_BOUND_CAP
+                    and max(abs(total.real - round(total.real)), abs(total.imag))
+                    > DEFAULT_LABELING_TOLERANCE + bound):
+                break
+        else:
+            survivors.append(rep)
+    return survivors
+
+
 @dataclass(frozen=True)
 class LabelingResult:
     permutation: Permutation          # label j takes input root permutation(j)
@@ -157,19 +205,22 @@ def label_roots(G: PermutationGroup, roots: RootSet,
 
     Starting from the input order as a provisional labeling, each coset
     representative of the symmetric group modulo G is tested: a valid
-    relabeling makes every invariant in the test set integral.  Two passing
-    labelings sigma, tau are equivalent (they induce the same permutation
-    action) when sigma^-1 tau normalizes G, which is checked by conjugating
-    G's generators; passes that are not all equivalent to the first raise
-    LabelingAmbiguous, and no pass at all raises LabelingFailed.  Best-effort:
-    ambiguity means the caller must supply the labeling.
+    relabeling makes every invariant in the test set integral.  The test
+    screens every representative in hardware ``complex`` first, and keeps
+    each one the screen cannot reject (including those whose values
+    overflow); only those are confirmed in ``mpc`` at the roots' digit
+    budget.  Two passing labelings sigma, tau are equivalent (they induce the
+    same permutation action) when sigma^-1 tau normalizes G, which is checked
+    by conjugating G's generators; passes that are not all equivalent to the
+    first raise LabelingAmbiguous, and no pass at all raises LabelingFailed.
+    Best-effort: ambiguity means the caller must supply the labeling.
     """
     n = G.degree
     if roots.n != n:
         raise ValueError("root count does not match the group degree")
     if invariants is None:
         invariants = default_labeling_invariants(G)
-    reps = coset_representatives(n, G)
+    reps = _screen(coset_representatives(n, G), invariants, roots)
     passing = []
     with mp.workdps(roots.digits):
         for rep in reps:

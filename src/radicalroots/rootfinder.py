@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import NonConvergence
+from .errors import NonConvergence, UnsupportedInput
 from .polynomial import IntPolynomial, eval_poly
 
 __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
@@ -178,14 +179,23 @@ def find_roots(p: IntPolynomial, digits: int) -> RootSet:
 
 
 def root_magnitude_bound(roots) -> float:
-    """max over roots of max(1, |x~|), rounded up to 2 significant figures."""
+    """max over roots of max(1, |x~|), rounded up to 2 significant figures.
+
+    Raises UnsupportedInput when the bound is beyond the float range.
+    """
     b = max(1.0, max(float(abs(z)) for z in roots))
     if b == 1.0:
         return 1.0
-    exponent = math.floor(math.log10(b))
-    mantissa = math.ceil(b / 10.0 ** (exponent - 1) - 1e-12)
-    if exponent >= 1:
-        return float(mantissa * 10 ** (exponent - 1))
+    try:
+        exponent = math.floor(math.log10(b))
+        mantissa = math.ceil(b / 10.0 ** (exponent - 1) - 1e-12)
+        if exponent >= 1:
+            return float(mantissa * 10 ** (exponent - 1))
+    except OverflowError:
+        raise UnsupportedInput(
+            "a root modulus reaches the end of the float range (about "
+            f"{sys.float_info.max:.1e}), so the precision plan cannot bound "
+            "it") from None
     return mantissa / 10 ** (1 - exponent)
 
 

@@ -169,6 +169,17 @@ def test_exit_code_nonconvergence(capsys):
     assert "NonConvergence" in err
 
 
+@pytest.mark.parametrize("poly", ["x^2-1" + "0" * 700, "x^2-3" + "0" * 616])
+def test_exit_code_root_beyond_float_range(capsys, poly):
+    # roots near 1e350, or near 1.73e308, whose two-figure bound 1.8e308 is
+    # beyond the float range the precision plan holds
+    code, out, err = run(capsys, ["solve", "--poly", poly,
+                                  "--generators", "(1,2)"])
+    assert code == 2
+    assert out == ""
+    assert "UnsupportedInput" in err and "float range" in err
+
+
 def test_series_command(capsys):
     code, out, err = run(capsys, ["series", "--degree", "5",
                                   "--generators", "(1,2,3,4,5);(1,4)(2,3)"])

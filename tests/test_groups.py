@@ -182,6 +182,21 @@ def test_coset_representatives_trivial_group():
     assert len(reps) == 6
 
 
+@pytest.mark.parametrize("degree,generators", [
+    (5, "(1,2,3,4,5);(1,4)(2,3)"), (4, "(1,2,3,4);(2,4)"),
+    (6, "(1,2,3,4,5,6);(2,6)(3,5)"), (7, "(1,2,3,4,5,6,7);(2,4,3,7,5,6)"),
+    (4, "(1,2)(3,4)")])
+def test_coset_representatives_match_permutation_products(degree, generators):
+    G = closure([parse_cycles(t, degree) for t in generators.split(";")],
+                degree)
+    reps, covered = [], set()
+    for images in itertools.permutations(range(1, degree + 1)):
+        if images not in covered:
+            reps.append(Permutation(images))
+            covered.update((reps[-1] * g).images for g in G.elements)
+    assert coset_representatives(degree, G) == reps
+
+
 def test_coset_representatives_degree_cap():
     G = closure([Permutation.identity(9)])
     with pytest.raises(UnsupportedInput):

@@ -1,13 +1,20 @@
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from radicalroots import (LabelingAmbiguous, Permutation, closure,
-                          coset_product_certificate, find_roots,
-                          invariant_value, label_roots, orbit_sum_invariant,
-                          parse_cycles, parse_polynomial, solve)
-from radicalroots.oracle import default_labeling_invariants
-from radicalroots.rootfinder import relabel
+from radicalroots import (LabelingAmbiguous, LabelingFailed, Permutation,
+                          closure, composition_series,
+                          coset_product_certificate, coset_representatives,
+                          find_roots, invariant_value, label_roots,
+                          orbit_sum_invariant, oracle, parse_cycles,
+                          parse_polynomial, plan_precision,
+                          root_magnitude_bound, solve)
+from radicalroots.oracle import (DEFAULT_LABELING_TOLERANCE,
+                                 default_labeling_invariants)
+from radicalroots.polynomial import to_monic
+from radicalroots.precision import nearest_integer
+from radicalroots.rootfinder import aberth_stage, polish_roots, relabel
 from tests.conftest import QUINTIC_ROOT_STRINGS, QUINTIC_THETA, match_root_order
+from tests.test_properties import INSTANCES
 
 # frozen from an independent 30-digit run (mpmath.polyroots + direct orbit
 # sums over the 12 coset representatives)
@@ -97,3 +104,134 @@ def test_label_roots_ambiguous_with_symmetric_invariants(d5):
     symmetric_orbit = orbit_sum_invariant(d5, (1, 0, 0, 0, 0))
     with pytest.raises(LabelingAmbiguous):
         label_roots(d5, rs, invariants=[symmetric_orbit])
+
+
+F42 = "(1,2,3,4,5,6,7);(2,4,3,7,5,6)"
+D6 = "(1,2,3,4,5,6);(2,6)(3,5)"
+D4 = "(1,2,3,4);(2,4)"
+AUTO_LABELED = [(text, gens) for _, text, gens, labeling in INSTANCES
+                if labeling == "auto"] + [
+    ("x^4+x+1", "(1,2,3,4);(1,2)"),
+    ("x^5-2", "(1,2,3,4,5);(2,3,5,4)"),
+    ("2x^3-3", "(1,2,3);(1,2)"),
+    ("x^4-2", D4),
+    ("x^6-2", D6),
+    ("x^7-2", F42),
+]
+WRONG_GROUP = [("x^5+20x+32", "(1,2,3,4,5)"), ("x^4+x+1", "(1,2,3,4);(1,3)")]
+
+
+def budget_roots(text, generators):
+    """The group and the monic reduction's roots at the budget solve plans."""
+    monic = to_monic(parse_polynomial(text)).monic
+    n = monic.degree
+    group = closure([parse_cycles(t, n) for t in generators.split(";")], n)
+    start = aberth_stage(monic)
+    plan = plan_precision(composition_series(group),
+                          root_magnitude_bound(start), 6)
+    return group, polish_roots(monic, start, plan.digits)
+
+
+def reference_passing(G, roots):
+    """Every coset representative tested in mpc, with no screen."""
+    invariants = default_labeling_invariants(G)
+    passing = []
+    with mp.workdps(roots.digits):
+        for rep in coset_representatives(G.degree, G):
+            moved = tuple(roots.roots[rep(j) - 1]
+                          for j in range(1, G.degree + 1))
+            if all(nearest_integer(oracle._orbit_value(orbit, moved))[1]
+                   < DEFAULT_LABELING_TOLERANCE for orbit in invariants):
+                passing.append(rep)
+    return passing
+
+
+def assert_labels_like_reference(G, roots):
+    passing = reference_passing(G, roots)
+    kept = oracle._screen(coset_representatives(G.degree, G),
+                          default_labeling_invariants(G), roots)
+    assert set(passing) <= set(kept)
+    if not passing:
+        with pytest.raises(LabelingFailed):
+            label_roots(G, roots)
+        return passing
+    first_inv = passing[0].inverse()
+    if not all(G.is_normalized_by(first_inv * other) for other in passing[1:]):
+        with pytest.raises(LabelingAmbiguous,
+                           match=f"^{len(passing)} inequivalent"):
+            label_roots(G, roots)
+        return passing
+    result = label_roots(G, roots)
+    assert result.permutation == passing[0]
+    assert result.candidates_passed == len(passing)
+    return passing
+
+
+@pytest.mark.parametrize("text,generators", AUTO_LABELED + WRONG_GROUP)
+def test_label_roots_matches_unscreened_reference(text, generators):
+    assert_labels_like_reference(*budget_roots(text, generators))
+
+
+@pytest.mark.parametrize("text,generators", WRONG_GROUP)
+def test_wrong_group_passes_no_candidate(text, generators):
+    assert reference_passing(*budget_roots(text, generators)) == []
+
+
+@pytest.mark.parametrize("digits", [3, 4, 6])
+@pytest.mark.parametrize("text,generators", [
+    ("x^2-3x-7", "(1,2)"), ("x^3-3x-1", "(1,2,3);(1,2)"), ("x^4+1", D4),
+    ("x^4-2", D4), ("x^4-10x^2+1", "(1,2)(3,4);(1,3)(2,4)"),
+    ("x^5+x^4-4x^3-3x^2+3x+1", "(1,2,3,4,5)"), ("x^6+3", D6)])
+def test_label_roots_matches_reference_at_low_budgets(text, generators,
+                                                      digits):
+    # at a few digits the roots' own error decides which candidates the
+    # screen may reject
+    p = parse_polynomial(text)
+    G = closure([parse_cycles(t, p.degree) for t in generators.split(";")],
+                p.degree)
+    assert_labels_like_reference(G, find_roots(p, digits))
+
+
+@pytest.mark.parametrize("text,generators,count",
+                         [("x^4-2", D4, 3), ("x^6-2", D6, 4)])
+def test_dihedral_pure_powers_pass_pinned_candidate_counts(text, generators,
+                                                           count):
+    passing = assert_labels_like_reference(*budget_roots(text, generators))
+    assert len(passing) == count
+
+
+@pytest.mark.parametrize("text,generators", [
+    ("x^2-1" + "0" * 240, "(1,2)"),
+    ("x^2-1" + "0" * 400, "(1,2)"),
+    ("x^3-3" + "0" * 400 + "x-1" + "0" * 600, "(1,2,3)"),
+])
+def test_candidates_whose_powers_overflow_are_kept(text, generators):
+    # roots near 1e120 or 1e200: their products or squares overflow a float,
+    # so the hardware screen cannot decide and the mpc test labels them
+    passing = assert_labels_like_reference(*budget_roots(text, generators))
+    assert passing[0].is_identity()
+    report = solve(text, generators)
+    assert report.labeling.is_identity()
+    assert report.verification is not None
+
+
+def test_label_roots_confirms_only_screen_survivors(monkeypatch):
+    G, roots = budget_roots("x^7-2", F42)
+    survivors, calls = [], []
+    screen, orbit_value = oracle._screen, oracle._orbit_value
+
+    def counted_screen(*args):
+        kept = screen(*args)
+        survivors.extend(kept)
+        return kept
+
+    def counted_orbit_value(orbit, values):
+        calls.append(orbit)
+        return orbit_value(orbit, values)
+
+    monkeypatch.setattr(oracle, "_screen", counted_screen)
+    monkeypatch.setattr(oracle, "_orbit_value", counted_orbit_value)
+    assert label_roots(G, roots).candidates_passed == 1
+    # 120 cosets x 2 orbits were evaluated in mpc before the screen
+    assert len(coset_representatives(7, G)) == 120
+    assert 1 <= len(survivors) and len(calls) <= 2 * len(survivors)
