@@ -16,13 +16,14 @@ import mpmath
 
 from . import __version__
 from .errors import InputSyntaxError, SolverError
-from .groups import closure, composition_series, orbit_sum_invariant, parse_cycles
+from .groups import closure, composition_series, orbit_sum_invariant
 from .oracle import (CERTIFICATE_DEGREE_CAP, coset_product_certificate,
                      default_labeling_invariants, invariant_value, label_roots)
-from .pipeline import as_labeling, as_polynomial, solve
+from .pipeline import as_generators, as_labeling, as_polynomial, solve
 from .polynomial import render_polynomial, sanity_check, to_monic
 from .precision import format_complex
 from .radical import emit, json_ast
+from .resolvent import DEFAULT_MARGIN, DEFAULT_ROUNDING_TOLERANCE
 from .rootfinder import find_roots, relabel
 
 __all__ = ["main"]
@@ -107,7 +108,7 @@ def _json_complex(z, digits):
     return {"re": mpmath.nstr(z.real, digits), "im": mpmath.nstr(z.imag, digits)}
 
 
-def _solve_json_payload(report, args):
+def _solve_json_payload(report):
     digits = report.digits
     payload = {
         "polynomial": {
@@ -164,7 +165,7 @@ def _cmd_solve(args, out) -> int:
                    tolerance=args.tolerance, labeling=labeling,
                    run_verification=args.verify)
     if args.format == "json":
-        out.write(json.dumps(_solve_json_payload(report, args), indent=2))
+        out.write(json.dumps(_solve_json_payload(report), indent=2))
         out.write("\n")
     else:
         _print_solve_text(report, args, out)
@@ -190,8 +191,7 @@ def _cmd_roots(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
-    gens = [parse_cycles(t, args.degree) for t in args.generators.split(";")]
-    group = closure(gens, args.degree)
+    group = closure(as_generators(args.generators, args.degree), args.degree)
     series = composition_series(group)
     out.write(f"group order: {group.order}\n")
     for i, (sigma, p) in enumerate(series.steps, start=1):
@@ -207,8 +207,7 @@ def _cmd_check(args, out) -> int:
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     degree = reduction.monic.degree
-    gens = [parse_cycles(t, degree) for t in generators.split(";")]
-    group = closure(gens, degree)
+    group = closure(as_generators(generators, degree), degree)
     rs = find_roots(reduction.monic, args.digits)
     labeling = _labeling_argument(args, root_order)
     if labeling == "auto":
@@ -219,7 +218,7 @@ def _cmd_check(args, out) -> int:
         labeled = relabel(rs, sigma)
     out.write(f"labeling: {','.join(map(str, sigma.images))}\n")
     for monomial, orbit in default_labeling_invariants(group, with_names=True):
-        value, residual = invariant_value(group, orbit, labeled,
+        value, residual = invariant_value(orbit, labeled,
                                           tolerance=args.tolerance)
         out.write(f"orbit sum of {monomial}: {value} "
                   f"(residual {mpmath.nstr(residual, 4)})\n")
@@ -261,16 +260,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--root-order", dest="root_order",
                            help="with --labeling given: \"i1,i2,...\" so that "
                                 "label k takes the i_k-th listed root")
-            p.add_argument("--tolerance", type=float, default=0.25,
-                           help="integer rounding tolerance (default 0.25)")
+            p.add_argument("--tolerance", type=float,
+                           default=DEFAULT_ROUNDING_TOLERANCE,
+                           help="integer rounding tolerance "
+                                f"(default {DEFAULT_ROUNDING_TOLERANCE})")
 
     p_solve = sub.add_parser("solve", help="full radical solution")
     add_common(p_solve)
     p_solve.add_argument("--digits", type=int, default=None,
                          help="override the planned digit budget")
-    p_solve.add_argument("--margin", type=int, default=6,
+    p_solve.add_argument("--margin", type=int, default=DEFAULT_MARGIN,
                          help="extra digits over the planned requirement "
-                              "(default 6)")
+                              f"(default {DEFAULT_MARGIN})")
     p_solve.add_argument("--format", choices=("text", "latex", "json"),
                          default="text")
     p_solve.add_argument("--verify", action="store_true",

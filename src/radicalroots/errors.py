@@ -6,7 +6,6 @@ front end maps failures to stable process statuses.
 
 from __future__ import annotations
 
-EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_SOLVABLE = 3
 EXIT_RESIDUAL = 4

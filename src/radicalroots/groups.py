@@ -91,14 +91,11 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_string(self) -> str:
+    def __str__(self) -> str:
         cycs = self.cycles()
         if not cycs:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
-
-    def __str__(self) -> str:
-        return self.cycle_string()
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -146,8 +143,8 @@ class PermutationGroup:
         return all((s * g * s_inv) in self for g in self.generators)
 
 
-def _close_elements(generators: list[Permutation], degree: int,
-                    cap: int) -> list[Permutation]:
+def _close_elements(generators: list[Permutation],
+                    degree: int) -> list[Permutation]:
     """Breadth-first closure; returns elements in discovery order."""
     identity = Permutation.identity(degree)
     elements = [identity]
@@ -162,15 +159,14 @@ def _close_elements(generators: list[Permutation], degree: int,
                     seen.add(v.images)
                     elements.append(v)
                     nxt.append(v)
-                    if len(elements) > cap:
+                    if len(elements) > DEFAULT_ORDER_CAP:
                         raise UnsupportedInput(
-                            f"group order exceeds cap {cap}")
+                            f"group order exceeds cap {DEFAULT_ORDER_CAP}")
         frontier = nxt
     return elements
 
 
-def closure(generators, degree: int | None = None,
-            cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
+def closure(generators, degree: int | None = None) -> PermutationGroup:
     """Enumerate the group generated by the given permutations."""
     gens = list(generators)
     if not gens:
@@ -180,7 +176,7 @@ def closure(generators, degree: int | None = None,
     for g in gens:
         if g.degree != degree:
             raise InputSyntaxError("generators have mismatched degrees")
-    elements = _close_elements(gens, degree, cap)
+    elements = _close_elements(gens, degree)
     return PermutationGroup(degree, tuple(gens), tuple(elements),
                             frozenset(e.images for e in elements))
 
@@ -227,7 +223,7 @@ def _derived_subgroup(gens: list[Permutation],
     if not comm_gens:
         ident = Permutation.identity(degree)
         return [ident], [ident]
-    sub = _close_elements(comm_gens, degree, DEFAULT_ORDER_CAP)
+    sub = _close_elements(comm_gens, degree)
     sub_set = {e.images for e in sub}
     # normal closure: conjugate each subgroup generator (new ones included)
     # by the parent's generators, re-closing when a conjugate falls outside
@@ -236,7 +232,7 @@ def _derived_subgroup(gens: list[Permutation],
             c = g * h * g.inverse()
             if c.images not in sub_set:
                 comm_gens.append(c)
-                sub = _close_elements(comm_gens, degree, DEFAULT_ORDER_CAP)
+                sub = _close_elements(comm_gens, degree)
                 sub_set = {e.images for e in sub}
     return sub, comm_gens
 
@@ -292,7 +288,7 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
             p = _smallest_prime_factor(d)
             sigma = x.power(d // p)
             h_gens.append(sigma)
-            h_elements = _close_elements(h_gens, G.degree, DEFAULT_ORDER_CAP)
+            h_elements = _close_elements(h_gens, G.degree)
             if len(h_elements) != p * len(h_set):
                 raise AssertionError("composition refinement index mismatch")
             h_set = {e.images for e in h_elements}
@@ -300,17 +296,17 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
     return CompositionSeries(tuple(steps), G)
 
 
-def coset_representatives(degree: int, G: PermutationGroup,
+def coset_representatives(G: PermutationGroup,
                           cap: int = DEFAULT_DEGREE_CAP) -> list[Permutation]:
-    """One representative per coset sigma*G of the symmetric group, lex order.
+    """One representative per coset sigma*G of the symmetric group on
+    G's degree, lex order.
 
     The representative of each coset is its lexicographically least member;
     the identity comes first.
     """
+    degree = G.degree
     if degree > cap:
         raise UnsupportedInput(f"degree {degree} exceeds cap {cap}")
-    if G.degree != degree:
-        raise InputSyntaxError("group degree does not match requested degree")
     # the images of rep * g, composed on tuples: (rep * g)(j) = rep(g(j))
     positions = [tuple(k - 1 for k in g.images) for g in G.elements]
     reps: list[Permutation] = []

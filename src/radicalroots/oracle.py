@@ -17,6 +17,7 @@ from .groups import (PermutationGroup, Permutation, coset_representatives,
                      orbit_sum_invariant)
 from .polynomial import eval_poly
 from .precision import nearest_integer
+from .resolvent import DEFAULT_ROUNDING_TOLERANCE
 from .rootfinder import RootSet, relabel
 
 __all__ = [
@@ -54,8 +55,9 @@ def _orbit_value(orbit, roots) -> mpc:
     return acc
 
 
-def invariant_value(G: PermutationGroup, orbit, roots: RootSet,
-                    tolerance: float = 0.25) -> tuple[int, mpf]:
+def invariant_value(orbit, roots: RootSet,
+                    tolerance: float = DEFAULT_ROUNDING_TOLERANCE
+                    ) -> tuple[int, mpf]:
     """Evaluate an orbit-sum invariant on labeled roots and round it.
 
     Raises ResidualTooLarge when the value is not close to an integer
@@ -77,8 +79,6 @@ class CertificateResult:
 
     coefficients: tuple[int, ...]          # ascending, monic
     residuals: tuple[mpf, ...]
-    theta_value: mpc
-    membership_residual: mpf
 
     @property
     def degree(self) -> int:
@@ -86,7 +86,8 @@ class CertificateResult:
 
 
 def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
-                              tolerance: float = 0.25) -> CertificateResult:
+                              tolerance: float = DEFAULT_ROUNDING_TOLERANCE
+                              ) -> CertificateResult:
     """Expand F(x) = prod over coset representatives of (x - sigma.theta).
 
     F is invariant under the full symmetric group, so its coefficients round
@@ -94,7 +95,7 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
     """
     n = G.degree
     values = roots.roots
-    reps = coset_representatives(n, G, cap=CERTIFICATE_DEGREE_CAP)
+    reps = coset_representatives(G, cap=CERTIFICATE_DEGREE_CAP)
     with mp.workdps(roots.digits):
         coeffs = [mpc(1)]
         for rep in reps:
@@ -123,7 +124,7 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
                 "labeled invariant is not a root of its own certificate "
                 f"polynomial (|F(theta)| = {mpmath.nstr(membership, 4)})",
                 residual=membership)
-    return CertificateResult(tuple(ints), tuple(residuals), theta_val, membership)
+    return CertificateResult(tuple(ints), tuple(residuals))
 
 
 def default_labeling_invariants(G: PermutationGroup, with_names: bool = False):
@@ -199,8 +200,7 @@ class LabelingResult:
     candidates_passed: int
 
 
-def label_roots(G: PermutationGroup, roots: RootSet,
-                invariants=None) -> LabelingResult:
+def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
     """Find a labeling of the roots consistent with the group action.
 
     Starting from the input order as a provisional labeling, each coset
@@ -218,9 +218,8 @@ def label_roots(G: PermutationGroup, roots: RootSet,
     n = G.degree
     if roots.n != n:
         raise ValueError("root count does not match the group degree")
-    if invariants is None:
-        invariants = default_labeling_invariants(G)
-    reps = _screen(coset_representatives(n, G), invariants, roots)
+    invariants = default_labeling_invariants(G)
+    reps = _screen(coset_representatives(G), invariants, roots)
     passing = []
     with mp.workdps(roots.digits):
         for rep in reps:

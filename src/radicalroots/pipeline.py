@@ -8,12 +8,13 @@ from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
 from .radical import SolveReport, evaluate, reconstruct, verify
-from .resolvent import (build_theta0, forward_pass, plan_precision,
+from .resolvent import (DEFAULT_MARGIN, DEFAULT_ROUNDING_TOLERANCE,
+                        build_theta0, forward_pass, plan_precision,
                         round_theta_m, zeta_tables)
 from .rootfinder import (aberth_stage, polish_roots, relabel,
                          root_magnitude_bound)
 
-__all__ = ["solve", "as_polynomial", "as_labeling"]
+__all__ = ["solve", "as_polynomial", "as_generators", "as_labeling"]
 
 _PHASE_RETRIES = 3
 
@@ -26,7 +27,7 @@ def as_polynomial(poly) -> IntPolynomial:
     return IntPolynomial(tuple(int(c) for c in poly))
 
 
-def _as_generators(generators, degree: int):
+def as_generators(generators, degree: int) -> list[Permutation]:
     gens = []
     items = generators.split(";") if isinstance(generators, str) else generators
     for item in items:
@@ -50,8 +51,9 @@ def as_labeling(labeling, degree: int) -> Permutation:
     return sigma
 
 
-def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
-          tolerance: float = 0.25, labeling="auto",
+def solve(poly, generators, *, digits: int | None = None,
+          margin: int = DEFAULT_MARGIN,
+          tolerance: float = DEFAULT_ROUNDING_TOLERANCE, labeling="auto",
           run_verification: bool = True) -> SolveReport:
     """Solve a monic-reducible integer polynomial by radicals.
 
@@ -69,8 +71,7 @@ def solve(poly, generators, *, digits: int | None = None, margin: int = 6,
     reduction = to_monic(polynomial)
     monic = reduction.monic
     degree = monic.degree
-    gens = _as_generators(generators, degree)
-    group = closure(gens, degree)
+    group = closure(as_generators(generators, degree), degree)
     series = composition_series(group)
 
     start = aberth_stage(monic)

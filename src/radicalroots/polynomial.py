@@ -153,7 +153,6 @@ class SanityReport:
 
     square_free: bool
     integer_roots: tuple[int, ...]
-    divisor_search_complete: bool
     notes: tuple[str, ...]
 
     @property
@@ -209,7 +208,6 @@ def sanity_check(p: IntPolynomial) -> SanityReport:
     square_free = _rational_gcd_degree(fa, fb) == 0
     notes = []
     roots = []
-    complete = True
     if p.coeffs[0] == 0:
         roots.append(0)
         notes.append("x = 0 is a root (constant term vanishes)")
@@ -225,4 +223,4 @@ def sanity_check(p: IntPolynomial) -> SanityReport:
         notes.append("gcd(f, f') is nonconstant: repeated roots")
     if roots:
         notes.append("integer roots found: polynomial is reducible")
-    return SanityReport(square_free, tuple(sorted(roots)), complete, tuple(notes))
+    return SanityReport(square_free, tuple(sorted(roots)), tuple(notes))

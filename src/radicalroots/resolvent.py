@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from .errors import PrecisionInfeasible, ResidualTooLarge
-from .groups import CompositionSeries, Permutation
+from .groups import CompositionSeries
 from .precision import nearest_integer, root_of_unity
 from .rootfinder import RootSet
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_ROUNDING_TOLERANCE = 0.25
+# digits a solve adds to plan_precision's requirement unless given a margin
+DEFAULT_MARGIN = 6
 DIGITS_HARD_CAP = 10**5
 
 
@@ -134,24 +136,16 @@ def plan_precision(series: CompositionSeries, x0_bound,
 
 
 def position_root_indices(series: CompositionSeries) -> list[int]:
-    """Root label at each flat tensor position: (sigma_m^{j_m}...sigma_1^{j_1})(1)."""
-    degree = series.degree
-    radices = series.primes
-    sigma_powers = [[sigma.power(j) for j in range(p)]
-                    for sigma, p in series.steps]
-    out = []
-    size = math.prod(radices)
-    for flat in range(size):
-        rem, multi = flat, []
-        for p in reversed(radices):
-            multi.append(rem % p)
-            rem //= p
-        multi.reverse()
-        perm = Permutation.identity(degree)
-        for level, j in enumerate(multi):
-            perm = sigma_powers[level][j] * perm
-        out.append(perm(1))
-    return out
+    """Root label at each flat tensor position: (sigma_m^{j_m}...sigma_1^{j_1})(1).
+
+    Label 1 is followed through the powers of sigma_1, then of sigma_2, and
+    so on; each step appends the new (fastest) axis.
+    """
+    points = [1]
+    for sigma, p in series.steps:
+        powers = [sigma.power(j) for j in range(p)]
+        points = [s(x) for x in points for s in powers]
+    return points
 
 
 def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:

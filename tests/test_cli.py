@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from radicalroots import VerificationFailed, pipeline
 from radicalroots.cli import main
 
 
@@ -161,6 +162,27 @@ def test_exit_code_labeling_failed_at_low_digits(capsys):
                                   "--generators", "(1,2,3,4,5);(1,4)(2,3)",
                                   "--digits", "6"])
     assert code == 6
+
+
+def test_exit_code_precision_infeasible(capsys):
+    code, out, err = run(capsys, ["solve", "--poly", "x^2-2",
+                                  "--generators", "(1,2)", "--margin", "100000"])
+    assert code == 7
+    assert out == ""
+    assert "error[PrecisionInfeasible]" in err
+
+
+def test_exit_code_verification_failed(capsys, monkeypatch):
+    # VerificationFailed has no exit code of its own: a SolverError exits 1
+    def failing_verify(*args):
+        raise VerificationFailed("root 1 deviates")
+
+    monkeypatch.setattr(pipeline, "verify", failing_verify)
+    code, out, err = run(capsys, ["solve", "--poly", "x^2-2",
+                                  "--generators", "(1,2)", "--verify"])
+    assert code == 1
+    assert out == ""
+    assert err == "error[VerificationFailed]: root 1 deviates\n"
 
 
 def test_exit_code_nonconvergence(capsys):

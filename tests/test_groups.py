@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from radicalroots import (InputSyntaxError, NotSolvable, Permutation,
                           UnsupportedInput, closure, composition_series,
-                          coset_representatives, orbit_sum_invariant,
+                          coset_representatives, groups, orbit_sum_invariant,
                           parse_cycles)
 
 
@@ -68,10 +68,10 @@ def test_closure_s3():
     assert G.order == 6
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 50)
     with pytest.raises(UnsupportedInput):
-        closure([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)],
-                cap=50)
+        closure([parse_cycles("(1,2)", 5), parse_cycles("(1,2,3,4,5)", 5)])
 
 
 def test_composition_series_d5(d5):
@@ -160,7 +160,7 @@ def test_trivial_group_series():
 
 
 def test_coset_representatives_d5(d5):
-    reps = coset_representatives(5, d5)
+    reps = coset_representatives(d5)
     assert len(reps) == 12
     assert reps[0].is_identity()
     # pairwise distinct cosets: r1^-1 * r2 never lands in G
@@ -172,13 +172,13 @@ def test_coset_representatives_d5(d5):
 def test_coset_representatives_full_group():
     for n in (2, 3, 4):
         G = symmetric(n)
-        reps = coset_representatives(n, G)
+        reps = coset_representatives(G)
         assert len(reps) == 1 and reps[0].is_identity()
 
 
 def test_coset_representatives_trivial_group():
     G = closure([Permutation.identity(3)])
-    reps = coset_representatives(3, G)
+    reps = coset_representatives(G)
     assert len(reps) == 6
 
 
@@ -194,13 +194,13 @@ def test_coset_representatives_match_permutation_products(degree, generators):
         if images not in covered:
             reps.append(Permutation(images))
             covered.update((reps[-1] * g).images for g in G.elements)
-    assert coset_representatives(degree, G) == reps
+    assert coset_representatives(G) == reps
 
 
 def test_coset_representatives_degree_cap():
     G = closure([Permutation.identity(9)])
     with pytest.raises(UnsupportedInput):
-        coset_representatives(9, G)
+        coset_representatives(G)
 
 
 def test_orbit_sum_examples(d5):

@@ -83,3 +83,98 @@ def test_unused_export_is_detected(tmp_path):
         "class Thing: pass\n")
     (tmp_path / "b.py").write_text("from .a import used\n")
     assert unused_exports(tmp_path) == ["a.py: unused"]
+
+
+def unread_parameters(package: Path) -> list[str]:
+    """Parameters, apart from ``self`` and ``cls``, that their function's
+    body never reads."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (args.posonlyargs + args.args
+                                      + args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a]
+            read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)
+                    and isinstance(name.ctx, ast.Load)}
+            found += [f"{path.name}: {node.name}({param})" for param in params
+                      if param not in ("self", "cls") and param not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(SRC) == []
+
+
+def test_unread_parameter_is_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, unused, *, key=None, **rest):\n"
+        "    def inner(y):\n"
+        "        return x + y + key\n"
+        "    unused = 1\n"
+        "    return inner(rest)\n"
+        "class Thing:\n"
+        "    def method(self, other):\n"
+        "        return self\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return cls(n)\n")
+    assert unread_parameters(tmp_path) == ["a.py: f(unused)",
+                                           "a.py: method(other)"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def write_only_fields(package: Path, readers: list[Path]) -> list[str]:
+    """Fields of the package's dataclasses that no file under ``readers``
+    reads as an attribute."""
+    read = {node.attr for root in readers for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [f"{path.name}: {node.name}.{stmt.target.id}"
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and stmt.target.id not in read]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    root = SRC.parent.parent
+    assert write_only_fields(SRC, [SRC, root / "tests", root / "perfbench"]) == []
+
+
+def test_write_only_field_is_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    shown: int\n"
+        "    stored: int\n"
+        "@dataclass\n"
+        "class Counter:\n"
+        "    count: int = 0\n"
+        "    def add(self):\n"
+        "        self.count += 1\n"
+        "class Plain:\n"
+        "    ignored: int\n")
+    (tmp_path / "b.py").write_text(
+        "def show(report, other):\n"
+        "    other.stored = 1\n"
+        "    return report.shown\n")
+    assert write_only_fields(tmp_path, [tmp_path]) == [
+        "a.py: Report.stored", "a.py: Counter.count"]

@@ -32,7 +32,7 @@ def reference_labeled_roots(digits=20):
 def test_invariant_value_sum_of_roots(d5):
     labeled = reference_labeled_roots()
     orbit = orbit_sum_invariant(d5, (1, 0, 0, 0, 0))
-    value, residual = invariant_value(d5, orbit, labeled)
+    value, residual = invariant_value(orbit, labeled)
     assert value == 0  # coefficient of x^4 vanishes
     assert residual < mpf("1e-10")
 
@@ -41,14 +41,14 @@ def test_invariant_value_power_sum_s2():
     G = closure([parse_cycles("(1,2)", 2)])
     rs = find_roots(parse_polynomial("x^2-2"), 16)
     orbit = orbit_sum_invariant(G, (2, 0))
-    value, residual = invariant_value(G, orbit, rs)
+    value, residual = invariant_value(orbit, rs)
     assert value == 4 and residual < mpf("1e-12")
 
 
 def test_invariant_value_pentagon_edges(d5):
     labeled = reference_labeled_roots()
     orbit = orbit_sum_invariant(d5, (1, 1, 0, 0, 0))
-    value, residual = invariant_value(d5, orbit, labeled)
+    value, residual = invariant_value(orbit, labeled)
     assert value == 10 and residual < mpf("1e-6")
 
 
@@ -56,7 +56,7 @@ def test_default_invariants_reference_values(d5):
     labeled = reference_labeled_roots()
     values = {}
     for name, orbit in default_labeling_invariants(d5, with_names=True):
-        values[name], _ = invariant_value(d5, orbit, labeled)
+        values[name], _ = invariant_value(orbit, labeled)
     # x1*x2^2 and x1^2*x2 share one orbit under D5
     assert values == {"x_1*x_2^2": 20, "x_1*x_2*x_3^2": -80}
 
@@ -98,12 +98,14 @@ def test_label_roots_quintic_recovers_valid_labeling(d5):
     assert report.verification is not None
 
 
-def test_label_roots_ambiguous_with_symmetric_invariants(d5):
+def test_label_roots_ambiguous_with_symmetric_invariants(d5, monkeypatch):
     # fully symmetric test invariants cannot separate any cosets
     rs = find_roots(parse_polynomial("x^5+20x+32"), 19)
     symmetric_orbit = orbit_sum_invariant(d5, (1, 0, 0, 0, 0))
+    monkeypatch.setattr(oracle, "default_labeling_invariants",
+                        lambda G: [symmetric_orbit])
     with pytest.raises(LabelingAmbiguous):
-        label_roots(d5, rs, invariants=[symmetric_orbit])
+        label_roots(d5, rs)
 
 
 F42 = "(1,2,3,4,5,6,7);(2,4,3,7,5,6)"
@@ -137,7 +139,7 @@ def reference_passing(G, roots):
     invariants = default_labeling_invariants(G)
     passing = []
     with mp.workdps(roots.digits):
-        for rep in coset_representatives(G.degree, G):
+        for rep in coset_representatives(G):
             moved = tuple(roots.roots[rep(j) - 1]
                           for j in range(1, G.degree + 1))
             if all(nearest_integer(oracle._orbit_value(orbit, moved))[1]
@@ -148,7 +150,7 @@ def reference_passing(G, roots):
 
 def assert_labels_like_reference(G, roots):
     passing = reference_passing(G, roots)
-    kept = oracle._screen(coset_representatives(G.degree, G),
+    kept = oracle._screen(coset_representatives(G),
                           default_labeling_invariants(G), roots)
     assert set(passing) <= set(kept)
     if not passing:
@@ -233,5 +235,5 @@ def test_label_roots_confirms_only_screen_survivors(monkeypatch):
     monkeypatch.setattr(oracle, "_orbit_value", counted_orbit_value)
     assert label_roots(G, roots).candidates_passed == 1
     # 120 cosets x 2 orbits were evaluated in mpc before the screen
-    assert len(coset_representatives(7, G)) == 120
+    assert len(coset_representatives(G)) == 120
     assert 1 <= len(survivors) and len(calls) <= 2 * len(survivors)

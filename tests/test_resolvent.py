@@ -1,8 +1,10 @@
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import (PrecisionInfeasible, ResidualTooLarge, closure,
-                          composition_series, find_roots, label_roots,
+import math
+
+from radicalroots import (Permutation, PrecisionInfeasible, ResidualTooLarge,
+                          closure, composition_series, find_roots, label_roots,
                           parse_cycles, parse_polynomial, plan_precision,
                           build_theta0, forward_pass, forward_level,
                           round_theta_m)
@@ -10,6 +12,7 @@ from radicalroots.resolvent import (MultiplicationCounter, ResolventTensor,
                                     axis_lines, position_root_indices,
                                     zeta_tables)
 from tests.conftest import QUINTIC_THETA, reindex_axis
+from tests.test_properties import INSTANCES
 
 
 def c2_series():
@@ -69,6 +72,47 @@ def test_build_theta0_quintic_position_map(d5):
     series = composition_series(d5)
     indices = position_root_indices(series)
     assert indices == [1, 4, 2, 3, 3, 2, 4, 1, 5, 5]
+
+
+def product_position_indices(series):
+    """(sigma_m^{j_m}...sigma_1^{j_1})(1) at each flat position, built as a
+    product of permutations."""
+    radices = series.primes
+    out = []
+    for flat in range(math.prod(radices)):
+        rem, multi = flat, []
+        for p in reversed(radices):
+            multi.append(rem % p)
+            rem //= p
+        perm = Permutation.identity(series.degree)
+        for (sigma, _), j in zip(series.steps, reversed(multi)):
+            perm = sigma.power(j) * perm
+        out.append(perm(1))
+    return out
+
+
+def affine_group(n, unit):
+    """k -> k+1 and k -> unit*k (mod n) on labels k+1."""
+    shift = Permutation(tuple((k + 1) % n + 1 for k in range(n)))
+    scale = Permutation(tuple((unit * k) % n + 1 for k in range(n)))
+    return closure([shift, scale], n)
+
+
+POSITION_GROUPS = [
+    *((name, closure([parse_cycles(t, parse_polynomial(text).degree)
+                      for t in gens.split(";")]))
+      for name, text, gens, _ in INSTANCES),
+    ("F42", affine_group(7, 3)),
+    ("F110", affine_group(11, 2)),
+    ("F156", affine_group(13, 2)),
+]
+
+
+@pytest.mark.parametrize("group", [g for _, g in POSITION_GROUPS],
+                         ids=[name for name, _ in POSITION_GROUPS])
+def test_position_root_indices_match_permutation_products(group):
+    series = composition_series(group)
+    assert position_root_indices(series) == product_position_indices(series)
 
 
 def test_build_theta0_sqrt2():
