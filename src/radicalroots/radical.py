@@ -5,13 +5,20 @@ sums, products, 1/p scalings, and branch-tagged p-th roots.  A node
 ``Root(p, radicand, s)`` denotes zeta_p^s times the principal p-th root of the
 radicand.  Branches are selected against the resolvent arrays stored during
 the forward pass.
+
+Nodes are hash-consed: every node the module builds comes from one table
+keyed by (class, scalar fields, child ids), so two such nodes are the same
+object exactly when they are structurally equal, and id-keyed caches work
+once per distinct node.  Nodes built directly by their class are not in the
+table; they evaluate and render the same, only without the sharing.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -73,9 +80,28 @@ class Root:
 
 RadicalExpr = Union[IntegerLiteral, RationalScale, RootOfUnitySymbol,
                     Sum, Product, Root]
+_NODE_TYPES = get_args(RadicalExpr)
 
-_ZERO = IntegerLiteral(0)
-_ONE = IntegerLiteral(1)
+# (class, fields with each child replaced by its id) -> node.  A live node
+# holds its children, so no id in a live entry's key can be reused; an entry
+# goes when its node does.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _node(cls, *fields) -> RadicalExpr:
+    """The one node of class ``cls`` with these fields, built on first use."""
+    key = (cls, *[tuple(map(id, f)) if isinstance(f, tuple)
+                  else id(f) if isinstance(f, _NODE_TYPES) else f
+                  for f in fields])
+    node = _interned.get(key)
+    if node is None:
+        node = cls(*fields)
+        _interned[key] = node
+    return node
+
+
+_ZERO = _node(IntegerLiteral, 0)
+_ONE = _node(IntegerLiteral, 1)
 
 
 def _zeta(p: int, k: int) -> RadicalExpr:
@@ -83,8 +109,8 @@ def _zeta(p: int, k: int) -> RadicalExpr:
     if k == 0:
         return _ONE
     if p == 2:
-        return IntegerLiteral(-1)
-    return RootOfUnitySymbol(p, k)
+        return _node(IntegerLiteral, -1)
+    return _node(RootOfUnitySymbol, p, k)
 
 
 def make_product(factors) -> RadicalExpr:
@@ -104,24 +130,25 @@ def make_product(factors) -> RadicalExpr:
     if int_part == -1:
         for i, f in enumerate(rest):
             if isinstance(f, Root) and f.degree == 2:
-                rest[i] = Root(2, f.radicand, (f.branch + 1) % 2)
+                rest[i] = _node(Root, 2, f.radicand, (f.branch + 1) % 2)
                 int_part = 1
                 break
     out: list[RadicalExpr] = []
     if int_part != 1:
-        out.append(IntegerLiteral(int_part))
+        out.append(_node(IntegerLiteral, int_part))
     for p in sorted(zetas):
         z = _zeta(p, zetas[p])
         if isinstance(z, IntegerLiteral):
             if z.value == -1 and out and isinstance(out[0], IntegerLiteral):
-                out[0] = IntegerLiteral(-out[0].value)
+                out[0] = _node(IntegerLiteral, -out[0].value)
             elif z.value != 1:
                 out.insert(0, z)
             continue
         # a zeta weight merges into the branch tag of a matching root
         for i, f in enumerate(rest):
             if isinstance(f, Root) and f.degree == p:
-                rest[i] = Root(p, f.radicand, (f.branch + zetas[p]) % p)
+                rest[i] = _node(Root, p, f.radicand,
+                                (f.branch + zetas[p]) % p)
                 break
         else:
             out.append(z)
@@ -130,7 +157,7 @@ def make_product(factors) -> RadicalExpr:
         return _ONE
     if len(out) == 1:
         return out[0]
-    return Product(tuple(out))
+    return _node(Product, tuple(out))
 
 
 def make_sum(terms) -> RadicalExpr:
@@ -144,19 +171,20 @@ def make_sum(terms) -> RadicalExpr:
             rest.append(t)
     out: list[RadicalExpr] = []
     if int_part != 0:
-        out.append(IntegerLiteral(int_part))
+        out.append(_node(IntegerLiteral, int_part))
     out.extend(rest)
     if not out:
         return _ZERO
     if len(out) == 1:
         return out[0]
-    return Sum(tuple(out))
+    return _node(Sum, tuple(out))
 
 
 def make_root(degree: int, radicand: RadicalExpr, branch: int) -> RadicalExpr:
+    # by value, not identity: a zero literal built by its class folds too
     if radicand == _ZERO:
         return _ZERO
-    return Root(degree, radicand, branch % degree)
+    return _node(Root, degree, radicand, branch % degree)
 
 
 def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
@@ -164,16 +192,18 @@ def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
         if child.value == 0:
             return _ZERO
         if child.value % denominator == 0:
-            return IntegerLiteral(child.value // denominator)
-    return RationalScale(denominator, child)
+            return _node(IntegerLiteral, child.value // denominator)
+    return _node(RationalScale, denominator, child)
 
 
 class ValueCache:
     """Values of expression nodes at one digit budget, each computed once.
 
     Entries are keyed by node identity and keep their node so that its id
-    cannot be reused.  Roots of unity come from the zeta tables when given;
-    all branches of a radicand share its principal root.
+    cannot be reused.  For interned nodes identity is structure, so each
+    structurally distinct node is computed once.  Roots of unity come from the
+    zeta tables when given; all branches of a radicand share its principal
+    root.
     """
 
     def __init__(self, digits: int, zetas=None):
@@ -277,7 +307,8 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         delta = mpf(10) ** (-mpf(digits) / 4)
         values = ValueCache(digits, zetas)
         radices = int_theta.radices
-        exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
+        exact: list[RadicalExpr] = [_node(IntegerLiteral, v)
+                                    for v in int_theta.values]
         branch_log: list[BranchChoice] = []
         zero_notes: list[ZeroRadicandNote] = []
 
@@ -357,47 +388,58 @@ def _join_terms(parts: list[str]) -> str:
     return " ".join([parts[0], *signed])
 
 
-def _text(expr: RadicalExpr) -> str:
+def _memo(render, expr: RadicalExpr, memo: dict):
+    """``render(expr, memo)``, computed once per node object within one
+    rendering, so a shared subtree is rendered once."""
+    out = memo.get(id(expr))
+    if out is None:
+        out = memo[id(expr)] = render(expr, memo)
+    return out
+
+
+def _text(expr: RadicalExpr, memo: dict) -> str:
     if isinstance(expr, IntegerLiteral):
         return str(expr.value)
     if isinstance(expr, RationalScale):
-        return f"(1/{expr.denominator})*({_text(expr.child)})"
+        return f"(1/{expr.denominator})*({_memo(_text, expr.child, memo)})"
     if isinstance(expr, RootOfUnitySymbol):
         return f"zeta_{expr.order}^{expr.power}"
     if isinstance(expr, Sum):
-        return _join_terms([_text(t) for t in expr.terms])
+        return _join_terms([_memo(_text, t, memo) for t in expr.terms])
     if isinstance(expr, Product):
         parts = []
         for f in expr.factors:
-            s = _text(f)
+            s = _memo(_text, f, memo)
             if isinstance(f, (Sum, RationalScale)) or s.startswith("-"):
                 s = f"({s})"
             parts.append(s)
         return "*".join(parts)
     if isinstance(expr, Root):
-        return f"root({expr.degree},{expr.branch}; {_text(expr.radicand)})"
+        return (f"root({expr.degree},{expr.branch}; "
+                f"{_memo(_text, expr.radicand, memo)})")
     raise TypeError(f"not a radical expression node: {expr!r}")
 
 
-def _latex(expr: RadicalExpr) -> str:
+def _latex(expr: RadicalExpr, memo: dict) -> str:
     if isinstance(expr, IntegerLiteral):
         return str(expr.value)
     if isinstance(expr, RationalScale):
-        return rf"\frac{{1}}{{{expr.denominator}}}\left({_latex(expr.child)}\right)"
+        child = _memo(_latex, expr.child, memo)
+        return rf"\frac{{1}}{{{expr.denominator}}}\left({child}\right)"
     if isinstance(expr, RootOfUnitySymbol):
         return rf"\zeta_{{{expr.order}}}^{{{expr.power}}}"
     if isinstance(expr, Sum):
-        return _join_terms([_latex(t) for t in expr.terms])
+        return _join_terms([_memo(_latex, t, memo) for t in expr.terms])
     if isinstance(expr, Product):
         parts = []
         for f in expr.factors:
-            s = _latex(f)
+            s = _memo(_latex, f, memo)
             if isinstance(f, (Sum, RationalScale)) or s.startswith("-"):
                 s = rf"\left({s}\right)"
             parts.append(s)
         return r" \cdot ".join(parts)
     if isinstance(expr, Root):
-        body = _latex(expr.radicand)
+        body = _memo(_latex, expr.radicand, memo)
         radical = rf"\sqrt{{{body}}}" if expr.degree == 2 \
             else rf"\sqrt[{expr.degree}]{{{body}}}"
         if expr.degree == 2 and expr.branch == 1:
@@ -408,33 +450,39 @@ def _latex(expr: RadicalExpr) -> str:
     raise TypeError(f"not a radical expression node: {expr!r}")
 
 
-def json_ast(expr: RadicalExpr):
-    """The JSON AST of an expression as plain dicts and lists."""
+def _json(expr: RadicalExpr, memo: dict):
     if isinstance(expr, IntegerLiteral):
         return {"int": str(expr.value)}
     if isinstance(expr, RationalScale):
         child_terms = expr.child.terms if isinstance(expr.child, Sum) \
             else (expr.child,)
         return {"scale": f"1/{expr.denominator}",
-                "sum": [json_ast(t) for t in child_terms]}
+                "sum": [_memo(_json, t, memo) for t in child_terms]}
     if isinstance(expr, RootOfUnitySymbol):
         return {"zeta": {"p": expr.order, "k": expr.power}}
     if isinstance(expr, Sum):
-        return {"sum": [json_ast(t) for t in expr.terms]}
+        return {"sum": [_memo(_json, t, memo) for t in expr.terms]}
     if isinstance(expr, Product):
-        return {"product": [json_ast(f) for f in expr.factors]}
+        return {"product": [_memo(_json, f, memo) for f in expr.factors]}
     if isinstance(expr, Root):
         return {"root": {"p": expr.degree, "branch": expr.branch,
-                         "radicand": json_ast(expr.radicand)}}
+                         "radicand": _memo(_json, expr.radicand, memo)}}
     raise TypeError(f"not a radical expression node: {expr!r}")
+
+
+def json_ast(expr: RadicalExpr):
+    """The JSON AST of an expression as plain dicts and lists; a subtree that
+    occurs more than once is one shared dict, so treat the result as
+    read-only."""
+    return _memo(_json, expr, {})
 
 
 def emit(expr: RadicalExpr, format: str = "text") -> str:
     """Render an expression as text, LaTeX, or the JSON AST."""
     if format == "text":
-        return _text(expr)
+        return _memo(_text, expr, {})
     if format == "latex":
-        return _latex(expr)
+        return _memo(_latex, expr, {})
     if format == "json":
         return json.dumps(json_ast(expr), separators=(",", ":"))
     raise ValueError(f"unknown format {format!r}")
@@ -447,19 +495,21 @@ def _from_json_obj(obj) -> RadicalExpr:
         num, _, den = obj["scale"].partition("/")
         if num != "1":
             raise ValueError(f"scale must be 1/p, got {obj['scale']!r}")
-        return RationalScale(int(den), _from_json_obj({"sum": obj["sum"]}))
+        return _node(RationalScale, int(den),
+                     _from_json_obj({"sum": obj["sum"]}))
     if "int" in obj:
-        return IntegerLiteral(int(obj["int"]))
+        return _node(IntegerLiteral, int(obj["int"]))
     if "sum" in obj:
         terms = [_from_json_obj(t) for t in obj["sum"]]
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+        return terms[0] if len(terms) == 1 else _node(Sum, tuple(terms))
     if "product" in obj:
-        return Product(tuple(_from_json_obj(f) for f in obj["product"]))
+        return _node(Product,
+                     tuple(_from_json_obj(f) for f in obj["product"]))
     if "zeta" in obj:
-        return RootOfUnitySymbol(obj["zeta"]["p"], obj["zeta"]["k"])
+        return _node(RootOfUnitySymbol, obj["zeta"]["p"], obj["zeta"]["k"])
     if "root" in obj:
         r = obj["root"]
-        return Root(r["p"], _from_json_obj(r["radicand"]), r["branch"])
+        return _node(Root, r["p"], _from_json_obj(r["radicand"]), r["branch"])
     raise ValueError(f"unknown expression node keys: {sorted(obj)}")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import PrecisionInfeasible, ResidualTooLarge
+from .errors import LabelingFailed, PrecisionInfeasible, ResidualTooLarge
 from .groups import CompositionSeries
 from .precision import nearest_integer, root_of_unity
 from .rootfinder import RootSet
@@ -158,7 +158,7 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
         raise ValueError("root count does not match the group degree")
     indices = position_root_indices(series)
     if set(indices) != set(range(1, roots.n + 1)):
-        raise ValueError(
+        raise LabelingFailed(
             "tensor positions do not cover all roots; the group is not "
             "transitive on the labels (wrong group or labeling?)")
     data = tuple(roots.roots[i - 1] for i in indices)

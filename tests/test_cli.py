@@ -164,6 +164,17 @@ def test_exit_code_labeling_failed_at_low_digits(capsys):
     assert code == 6
 
 
+def test_exit_code_labeling_failed_for_an_intransitive_group(capsys):
+    # (1,2) never moves label 3, so no tensor position holds root 3; the
+    # given labeling fails with the same exit code as the automatic one
+    argv = ["solve", "--poly", "x^3-2", "--generators", "(1,2)"]
+    for labeling in (["--labeling", "given", "--root-order", "1,2,3"], []):
+        code, out, err = run(capsys, argv + labeling)
+        assert code == 6
+        assert out == ""
+        assert err.startswith("error[LabelingFailed]: ")
+
+
 def test_exit_code_precision_infeasible(capsys):
     code, out, err = run(capsys, ["solve", "--poly", "x^2-2",
                                   "--generators", "(1,2)", "--margin", "100000"])

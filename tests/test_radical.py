@@ -1,7 +1,12 @@
+import dataclasses
+import gc
+import weakref
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from radicalroots import radical
 from radicalroots import (PhaseAmbiguous, VerificationFailed, closure,
                           composition_series, emit, evaluate, find_roots,
                           label_roots, parse_cycles, parse_expr_json,
@@ -178,3 +183,134 @@ def test_round_trip_theta0_every_position(reference_label_order):
     tol = mpf(10) ** (-mpf(digits) / 2)
     for expr, fwd_value in zip(recon.theta0_exprs, theta0.data):
         assert abs(evaluate(expr, digits) - fwd_value) < tol
+
+
+# --- hash-consing -----------------------------------------------------------
+
+def node_objects(exprs):
+    """The distinct node objects reachable from the expressions."""
+    seen, stack = {}, list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, "terms", ()))
+            stack.extend(getattr(node, "factors", ()))
+            stack.extend(getattr(node, a) for a in ("child", "radicand")
+                         if hasattr(node, a))
+    return list(seen.values())
+
+
+def raw_twin(expr):
+    """The same tree built by the node classes themselves: no interning, and
+    one new object for every occurrence of a subtree."""
+    fields = []
+    for f in dataclasses.fields(expr):
+        value = getattr(expr, f.name)
+        if isinstance(value, tuple):
+            value = tuple(raw_twin(v) for v in value)
+        elif not isinstance(value, int):
+            value = raw_twin(value)
+        fields.append(value)
+    return type(expr)(*fields)
+
+
+def pure_power_labels(n, a):
+    """Canonical root positions of x^n-a (a > 0) with label k+1 on
+    a^(1/n)*zeta_n^k."""
+    roots = find_roots(parse_polynomial(f"x^{n}-{a}"), 30)
+    with mp.workdps(30):
+        targets = [mpmath.root(a, n) * mpmath.expjpi(mpf(2 * k) / n)
+                   for k in range(n)]
+        return tuple(min(range(n), key=lambda i: abs(roots.roots[i] - t)) + 1
+                     for t in targets)
+
+
+def affine_generators(n, unit):
+    """k -> k+1 and k -> unit*k (mod n) on labels k+1, in cycle notation."""
+    cycles, seen = [], {0}
+    for k in range(1, n):
+        cycle = []
+        while k not in seen:
+            seen.add(k)
+            cycle.append(str(k + 1))
+            k = unit * k % n
+        if len(cycle) > 1:
+            cycles.append("(" + ",".join(cycle) + ")")
+    return "(" + ",".join(map(str, range(1, n + 1))) + ");" + "".join(cycles)
+
+
+@pytest.fixture(scope="module")
+def deep_solves():
+    """x^13-2 (F156) and x^11-2 (F110) with explicit labels, each with the
+    number of principal roots its solve computed."""
+    calls = [0]
+    counted = radical.principal_root
+
+    def counting(*args):
+        calls[0] += 1
+        return counted(*args)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(radical, "principal_root", counting)
+        for n in (13, 11):
+            calls[0] = 0
+            report = solve(f"x^{n}-2", affine_generators(n, 2),
+                           labeling=pure_power_labels(n, 2))
+            out[n] = report, calls[0]
+    return out
+
+
+@pytest.mark.parametrize("n,distinct,roots", [(13, 205, 187), (11, 166, 132)])
+def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct, roots):
+    report, principal_roots = deep_solves[n]
+    nodes = node_objects(report.root_exprs)
+    assert len(nodes) == distinct
+    assert len(set(nodes)) == distinct     # structural hash and equality
+    # one principal root per distinct (radicand, p) pair
+    assert principal_roots == roots
+
+
+def test_equal_nodes_are_one_object():
+    a = make_root(2, make_sum([IntegerLiteral(5), IntegerLiteral(3)]), 1)
+    b = make_product([RootOfUnitySymbol(3, 1),
+                      make_scale(3, make_sum([IntegerLiteral(1), a]))])
+    assert make_sum([a, b]) is make_sum([a, b])
+    assert make_root(2, make_sum([IntegerLiteral(8)]), 3) is a
+    assert make_product([IntegerLiteral(-1), make_root(2, a.radicand, 0)]) is a
+    # parsing interns without folding
+    assert parse_expr_json(emit(b, "json")) is b
+    assert parse_expr_json('{"sum":[{"int":"1"},{"int":"2"}]}') is \
+        parse_expr_json('{"sum":[{"int":"1"},{"int":"2"}]}')
+
+
+def test_intern_table_drops_the_nodes_of_a_dropped_solve():
+    gc.collect()
+    before = list(radical._interned.values())     # kept alive on purpose
+    kept = {id(node) for node in before}
+    # an input no other test solves, so that its nodes are new
+    report = solve("x^3-53", "(1,2,3);(1,2)")
+    built = [weakref.ref(node) for node in radical._interned.values()
+             if id(node) not in kept]
+    assert built
+    del report
+    gc.collect()
+    assert [ref() for ref in built if ref() is not None] == []
+    assert {id(node) for node in radical._interned.values()} <= kept
+
+
+def test_raw_trees_evaluate_verify_and_emit_as_their_interned_twins(
+        reference_label_order):
+    report = solve("x^5+20x+32", "(1,2,3,4,5);(1,4)(2,3)",
+                   labeling=reference_label_order)
+    twins = tuple(raw_twin(expr) for expr in report.root_exprs)
+    assert twins == report.root_exprs
+    assert len(node_objects(twins)) > len(node_objects(report.root_exprs))
+    for expr, twin in zip(report.root_exprs, twins):
+        assert twin is not expr
+        for fmt in ("text", "latex", "json"):
+            assert emit(twin, fmt) == emit(expr, fmt)
+        assert evaluate(twin, report.digits) == evaluate(expr, report.digits)
+    assert verify(twins, report.roots, report.digits) == \
+        verify(report.root_exprs, report.roots, report.digits)

@@ -3,8 +3,8 @@ from mpmath import mp, mpf
 
 import math
 
-from radicalroots import (Permutation, PrecisionInfeasible, ResidualTooLarge,
-                          closure, composition_series, find_roots, label_roots,
+from radicalroots import (LabelingFailed, Permutation, PrecisionInfeasible,
+                          ResidualTooLarge, closure, composition_series, find_roots, label_roots,
                           parse_cycles, parse_polynomial, plan_precision,
                           build_theta0, forward_pass, forward_level,
                           round_theta_m)
@@ -137,7 +137,7 @@ def test_build_theta0_rejects_intransitive():
     G = closure([parse_cycles("(1,2)", 3)])
     series = composition_series(G)
     roots = find_roots(parse_polynomial("x^3-2"), 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(LabelingFailed, match="not transitive"):
         build_theta0(roots, series)
 
 
