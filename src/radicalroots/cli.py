@@ -191,7 +191,7 @@ def _cmd_roots(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
-    group = closure(as_generators(args.generators, args.degree), args.degree)
+    group = closure(as_generators(args.generators, args.degree))
     series = composition_series(group)
     out.write(f"group order: {group.order}\n")
     for i, (sigma, p) in enumerate(series.steps, start=1):
@@ -207,17 +207,16 @@ def _cmd_check(args, out) -> int:
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     degree = reduction.monic.degree
-    group = closure(as_generators(generators, degree), degree)
+    group = closure(as_generators(generators, degree))
     rs = find_roots(reduction.monic, args.digits)
     labeling = _labeling_argument(args, root_order)
     if labeling == "auto":
-        result = label_roots(group, rs)
-        sigma, labeled = result.permutation, result.labeled
+        sigma = label_roots(group, rs).permutation
     else:
         sigma = as_labeling(labeling, degree)
-        labeled = relabel(rs, sigma)
+    labeled = relabel(rs, sigma)
     out.write(f"labeling: {','.join(map(str, sigma.images))}\n")
-    for monomial, orbit in default_labeling_invariants(group, with_names=True):
+    for monomial, orbit in default_labeling_invariants(group):
         value, residual = invariant_value(orbit, labeled,
                                           tolerance=args.tolerance)
         out.write(f"orbit sum of {monomial}: {value} "

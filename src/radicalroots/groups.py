@@ -7,7 +7,6 @@ permutation acts on root labels by ``sigma . x_j = x_{sigma(j)}``.
 from __future__ import annotations
 
 import itertools
-import math
 import re as _re
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ __all__ = [
     "parse_cycles",
     "closure",
     "composition_series",
+    "smallest_prime_factor",
     "coset_representatives",
     "orbit_sum_invariant",
 ]
@@ -166,13 +166,12 @@ def _close_elements(generators: list[Permutation],
     return elements
 
 
-def closure(generators, degree: int | None = None) -> PermutationGroup:
+def closure(generators) -> PermutationGroup:
     """Enumerate the group generated by the given permutations."""
     gens = list(generators)
     if not gens:
         raise InputSyntaxError("at least one generator is required")
-    if degree is None:
-        degree = gens[0].degree
+    degree = gens[0].degree
     for g in gens:
         if g.degree != degree:
             raise InputSyntaxError("generators have mismatched degrees")
@@ -206,7 +205,7 @@ class CompositionSeries:
 
     @property
     def order(self) -> int:
-        return math.prod(self.primes)
+        return self.group.order
 
 
 def _derived_subgroup(gens: list[Permutation],
@@ -237,7 +236,8 @@ def _derived_subgroup(gens: list[Permutation],
     return sub, comm_gens
 
 
-def _smallest_prime_factor(n: int) -> int:
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2, by trial division; n when prime."""
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -285,7 +285,7 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
             while cur.images not in h_set:
                 cur = cur * x
                 d += 1
-            p = _smallest_prime_factor(d)
+            p = smallest_prime_factor(d)
             sigma = x.power(d // p)
             h_gens.append(sigma)
             h_elements = _close_elements(h_gens, G.degree)

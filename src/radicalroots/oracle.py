@@ -18,7 +18,7 @@ from .groups import (PermutationGroup, Permutation, coset_representatives,
 from .polynomial import eval_poly
 from .precision import nearest_integer
 from .resolvent import DEFAULT_ROUNDING_TOLERANCE
-from .rootfinder import RootSet, relabel
+from .rootfinder import RootSet
 
 __all__ = [
     "invariant_value",
@@ -127,12 +127,13 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
     return CertificateResult(tuple(ints), tuple(residuals))
 
 
-def default_labeling_invariants(G: PermutationGroup, with_names: bool = False):
-    """Orbit sums of a few low-degree monomials, sized to the group degree.
+def default_labeling_invariants(G: PermutationGroup):
+    """Orbit sums of a few low-degree monomials, sized to the group degree,
+    as (monomial name, orbit) pairs.
 
     Monomials whose orbits coincide (one may be another's image) are deduped.
     """
-    orbits, named, seen = [], [], set()
+    named, seen = [], set()
     for template in _DEFAULT_MONOMIALS:
         if len(template) > G.degree:
             continue
@@ -142,11 +143,10 @@ def default_labeling_invariants(G: PermutationGroup, with_names: bool = False):
         if key in seen:
             continue
         seen.add(key)
-        orbits.append(orbit)
         name = "*".join(f"x_{j + 1}^{k}" if k > 1 else f"x_{j + 1}"
                         for j, k in enumerate(vec) if k)
         named.append((name, orbit))
-    return named if with_names else orbits
+    return named
 
 
 def _screen(reps, invariants, roots: RootSet) -> list[Permutation]:
@@ -196,7 +196,6 @@ def _screen(reps, invariants, roots: RootSet) -> list[Permutation]:
 @dataclass(frozen=True)
 class LabelingResult:
     permutation: Permutation          # label j takes input root permutation(j)
-    labeled: RootSet
     candidates_passed: int
 
 
@@ -218,7 +217,7 @@ def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
     n = G.degree
     if roots.n != n:
         raise ValueError("root count does not match the group degree")
-    invariants = default_labeling_invariants(G)
+    invariants = [orbit for _, orbit in default_labeling_invariants(G)]
     reps = _screen(coset_representatives(G), invariants, roots)
     passing = []
     with mp.workdps(roots.digits):
@@ -236,5 +235,4 @@ def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
         raise LabelingAmbiguous(
             f"{len(passing)} inequivalent labelings pass the "
             "integrality tests; supply --root-order explicitly")
-    sigma = passing[0]
-    return LabelingResult(sigma, relabel(roots, sigma), len(passing))
+    return LabelingResult(passing[0], len(passing))

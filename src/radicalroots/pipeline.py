@@ -9,8 +9,8 @@ from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
 from .radical import SolveReport, evaluate, reconstruct, verify
 from .resolvent import (DEFAULT_MARGIN, DEFAULT_ROUNDING_TOLERANCE,
-                        build_theta0, forward_pass, plan_precision,
-                        round_theta_m, zeta_tables)
+                        build_theta0, forward_pass, multiplication_budget,
+                        plan_precision, round_theta_m, zeta_tables)
 from .rootfinder import (aberth_stage, polish_roots, relabel,
                          root_magnitude_bound)
 
@@ -71,7 +71,7 @@ def solve(poly, generators, *, digits: int | None = None,
     reduction = to_monic(polynomial)
     monic = reduction.monic
     degree = monic.degree
-    group = closure(as_generators(generators, degree), degree)
+    group = closure(as_generators(generators, degree))
     series = composition_series(group)
 
     start = aberth_stage(monic)
@@ -105,12 +105,12 @@ def solve(poly, generators, *, digits: int | None = None,
                          f"{budget_digits}")
     evaluations = tuple(evaluate(e, budget_digits, recon.values)
                         for e in recon.root_exprs)
-    deviations = tuple(verify(recon.root_exprs, labeled, budget_digits,
-                              recon.values)) if run_verification else None
+    deviations = tuple(verify(recon.root_exprs, labeled, recon.values)) \
+        if run_verification else None
     return SolveReport(
         polynomial=polynomial, reduction=reduction, series=series,
         plan=plan, digits=budget_digits, roots=labeled, labeling=sigma,
         theta=int_theta, root_exprs=recon.root_exprs, evaluations=evaluations,
         verification=deviations, multiplications=forward.counter.count,
-        budget=forward.counter.budget, branch_log=recon.branch_log,
+        budget=multiplication_budget(series), branch_log=recon.branch_log,
         zero_notes=recon.zero_notes, notes=tuple(notes))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp, mpc, mpf
 
+from .groups import smallest_prime_factor
+
 __all__ = [
     "root_of_unity",
     "principal_root",
@@ -22,20 +24,9 @@ __all__ = [
 _GUARD = 8
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def root_of_unity(p: int, k: int, digits: int) -> mpc:
     """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the requested precision."""
-    if not is_prime(p):
+    if not (p >= 2 and smallest_prime_factor(p) == p):
         raise ValueError(f"order {p} is not prime")
     if not 0 <= k < p:
         raise ValueError(f"power {k} not in [0, {p})")

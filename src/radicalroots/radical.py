@@ -137,12 +137,7 @@ def make_product(factors) -> RadicalExpr:
     if int_part != 1:
         out.append(_node(IntegerLiteral, int_part))
     for p in sorted(zetas):
-        z = _zeta(p, zetas[p])
-        if isinstance(z, IntegerLiteral):
-            if z.value == -1 and out and isinstance(out[0], IntegerLiteral):
-                out[0] = _node(IntegerLiteral, -out[0].value)
-            elif z.value != 1:
-                out.insert(0, z)
+        if not zetas[p]:
             continue
         # a zeta weight merges into the branch tag of a matching root
         for i, f in enumerate(rest):
@@ -151,7 +146,7 @@ def make_product(factors) -> RadicalExpr:
                                 (f.branch + zetas[p]) % p)
                 break
         else:
-            out.append(z)
+            out.append(_zeta(p, zetas[p]))
     out.extend(rest)
     if not out:
         return _ONE
@@ -202,27 +197,18 @@ class ValueCache:
     Entries are keyed by node identity and keep their node so that its id
     cannot be reused.  For interned nodes identity is structure, so each
     structurally distinct node is computed once.  Roots of unity come from the
-    zeta tables when given; all branches of a radicand share its principal
-    root.
+    zeta tables when given; all branches of a radicand share the value of its
+    branch-0 root.
     """
 
     def __init__(self, digits: int, zetas=None):
         self.digits = digits
         self.zetas = zetas or {}
         self.nodes: dict = {}       # id(node) -> (node, value)
-        self.roots: dict = {}       # (id(radicand), p) -> (radicand, root)
 
     def unity(self, p: int, k: int) -> mpc:
         table = self.zetas.get(p)
         return table[k] if table else root_of_unity(p, k, self.digits)
-
-    def principal(self, radicand: RadicalExpr, p: int) -> mpc:
-        """The principal p-th root of the radicand's value."""
-        key = (id(radicand), p)
-        if key not in self.roots:
-            value = _evaluate(radicand, self)
-            self.roots[key] = (radicand, principal_root(value, p))
-        return self.roots[key][1]
 
 
 def evaluate(expr: RadicalExpr, digits: int,
@@ -251,10 +237,11 @@ def _evaluate(expr: RadicalExpr, cache: ValueCache) -> mpc:
         val = mpc(1)
         for f in expr.factors:
             val = val * _evaluate(f, cache)
+    elif isinstance(expr, Root) and expr.branch:
+        val = (_evaluate(make_root(expr.degree, expr.radicand, 0), cache)
+               * cache.unity(expr.degree, expr.branch))
     elif isinstance(expr, Root):
-        val = cache.principal(expr.radicand, expr.degree)
-        if expr.branch:
-            val = val * cache.unity(expr.degree, expr.branch)
+        val = principal_root(_evaluate(expr.radicand, cache), expr.degree)
     else:
         raise TypeError(f"not a radical expression node: {expr!r}")
     cache.nodes[id(expr)] = (expr, val)
@@ -329,7 +316,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 for k in range(p):
                     e_k = make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
                                    for j in range(p))
-                    w = values.principal(e_k, p)
+                    w = _evaluate(make_root(p, e_k, 0), values)
                     target = stored.data[line[k]]
                     z_vanishes = abs(w) <= w_floor
                     target_vanishes = abs(target) < delta
@@ -366,16 +353,11 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                     new_exact[line[j]] = make_scale(p, combo)
             exact = new_exact
 
-    indices = position_root_indices(series)
     by_root: dict[int, RadicalExpr] = {}
-    for flat, label in enumerate(indices):
+    for flat, label in enumerate(position_root_indices(series)):
         by_root.setdefault(label, exact[flat])
-    n = series.degree
-    missing = [r for r in range(1, n + 1) if r not in by_root]
-    if missing:
-        raise ValueError(f"no tensor position maps to roots {missing}")
     return ReconstructionResult(
-        tuple(by_root[r] for r in range(1, n + 1)),
+        tuple(by_root[r] for r in range(1, series.degree + 1)),
         tuple(exact), tuple(branch_log), tuple(zero_notes), values)
 
 
@@ -517,16 +499,16 @@ def parse_expr_json(text: str) -> RadicalExpr:
     return _from_json_obj(json.loads(text))
 
 
-def verify(exprs, roots: RootSet, digits: int,
-           cache: ValueCache | None = None):
+def verify(exprs, roots: RootSet, cache: ValueCache | None = None):
     """Compare each expression's value, from ``cache`` when given, to its
-    claimed root.
+    claimed root, at the roots' digit budget.
 
     Returns the per-root deviations; raises VerificationFailed when any
     deviation reaches 10^(-digits/2).
     """
     if len(exprs) != roots.n:
         raise ValueError("one expression per root is required")
+    digits = roots.digits
     cache = cache or ValueCache(digits)
     with mp.workdps(digits):
         threshold = mpf(10) ** (-mpf(digits) / 2)

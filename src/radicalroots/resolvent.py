@@ -31,6 +31,7 @@ __all__ = [
     "build_theta0",
     "forward_level",
     "forward_pass",
+    "multiplication_budget",
     "round_theta_m",
     "position_root_indices",
     "zeta_tables",
@@ -81,7 +82,6 @@ class PrecisionPlan:
 class MultiplicationCounter:
     """Tally of complex multiplications in the forward pass."""
 
-    budget: int
     count: int = 0
 
     def add(self, n: int) -> None:
@@ -139,12 +139,17 @@ def position_root_indices(series: CompositionSeries) -> list[int]:
     """Root label at each flat tensor position: (sigma_m^{j_m}...sigma_1^{j_1})(1).
 
     Label 1 is followed through the powers of sigma_1, then of sigma_2, and
-    so on; each step appends the new (fastest) axis.
+    so on; each step appends the new (fastest) axis.  Raises LabelingFailed
+    when the positions miss a label: the group is then not transitive.
     """
     points = [1]
     for sigma, p in series.steps:
         powers = [sigma.power(j) for j in range(p)]
         points = [s(x) for x in points for s in powers]
+    if set(points) != set(range(1, series.degree + 1)):
+        raise LabelingFailed(
+            "tensor positions do not cover all roots; the group is not "
+            "transitive on the labels (wrong group or labeling?)")
     return points
 
 
@@ -156,12 +161,7 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
     """
     if roots.n != series.degree:
         raise ValueError("root count does not match the group degree")
-    indices = position_root_indices(series)
-    if set(indices) != set(range(1, roots.n + 1)):
-        raise LabelingFailed(
-            "tensor positions do not cover all roots; the group is not "
-            "transitive on the labels (wrong group or labeling?)")
-    data = tuple(roots.roots[i - 1] for i in indices)
+    data = tuple(roots.roots[i - 1] for i in position_root_indices(series))
     return ResolventTensor(series.primes, data, roots.digits)
 
 
@@ -214,7 +214,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
 def forward_pass(theta0: ResolventTensor, series: CompositionSeries,
                  zetas) -> ForwardResult:
     """Run all m levels, retaining every Theta and L tensor."""
-    counter = MultiplicationCounter(budget=multiplication_budget(series))
+    counter = MultiplicationCounter()
     thetas = [theta0]
     resolvents = []
     current = theta0

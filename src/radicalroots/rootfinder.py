@@ -154,13 +154,15 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
                         residuals=residuals)
 
         # components below the budget's own noise floor are exactly zero
-        # (real/imaginary structure then survives re-rendering)
+        # (real/imaginary structure then survives re-rendering); at 1 or 2
+        # digits the floor reaches |z| and would zero every root
         floor = mpf(10) ** (2 - digits)
-        for i, z in enumerate(raw):
-            mag = abs(z)
-            re = mpf(0) if z.real != 0 and abs(z.real) <= mag * floor else z.real
-            im = mpf(0) if z.imag != 0 and abs(z.imag) <= mag * floor else z.imag
-            raw[i] = mpc(re, im)
+        if floor < 1:
+            for i, z in enumerate(raw):
+                mag = abs(z)
+                re = mpf(0) if z.real != 0 and abs(z.real) <= mag * floor else z.real
+                im = mpf(0) if z.imag != 0 and abs(z.imag) <= mag * floor else z.imag
+                raw[i] = mpc(re, im)
 
         order = sorted(range(n),
                        key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),

@@ -29,7 +29,7 @@ def quintic():
 @pytest.fixture(scope="session")
 def d5(quintic):
     gens = [parse_cycles(t, 5) for t in QUINTIC_GENERATORS.split(";")]
-    return closure(gens, 5)
+    return closure(gens)
 
 
 @pytest.fixture(scope="session")

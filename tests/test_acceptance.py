@@ -140,14 +140,14 @@ def test_criterion_6_property_suite():
                 # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i)
                 _, exchanged = forward_level(reindex_axis(prev, level, t, 0),
                                              level, zetas,
-                                             MultiplicationCounter(budget=0))
+                                             MultiplicationCounter())
                 for line in axis_lines(prev.radices, level - 1):
                     for j in range(p):
                         assert abs(exchanged.data[line[j]]
                                    - ref.data[line[(t * j) % p]]) < tol
             _, shifted_theta = forward_level(reindex_axis(prev, level, 1, 1),
                                              level, zetas,
-                                             MultiplicationCounter(budget=0))
+                                             MultiplicationCounter())
             for a, b in zip(shifted_theta.data, ref.data):
                 assert abs(a - b) < tol
 

@@ -262,3 +262,92 @@ def test_numeric_flags_out_of_range_exit_2(capsys, argv):
 def test_missing_generators(capsys):
     code, out, err = run(capsys, ["solve", "--poly", "x^2-2"])
     assert code == 2
+
+
+def test_check_with_given_root_order(capsys):
+    code, out, err = run(capsys, ["check", "--poly", "x^5+20x+32",
+                                  "--generators", "(1,2,3,4,5);(1,4)(2,3)",
+                                  "--root-order", "5,1,3,2,4"])
+    assert code == 0
+    assert out.startswith("labeling: 5,1,3,2,4\n"
+                          "orbit sum of x_1*x_2^2: 20 (residual ")
+    assert "orbit sum of x_1*x_2*x_3^2: -80 (residual " in out
+    assert "certificate degree: 12" in out
+
+
+def test_check_skips_the_certificate_above_its_degree_cap(capsys):
+    code, out, err = run(capsys, ["check", "--poly", "x^7-2", "--generators",
+                                  "(1,2,3,4,5,6,7);(2,4,3,7,5,6)"])
+    assert code == 0
+    assert out.endswith("certificate skipped: degree above cap 6\n")
+    assert "certificate degree" not in out
+
+
+def test_roots_warns_on_a_reducible_polynomial(capsys):
+    code, out, err = run(capsys, ["roots", "--poly", "x^2-1"])
+    assert code == 0
+    assert out.startswith("warning: integer roots found: polynomial is "
+                          "reducible\n")
+
+
+@pytest.mark.parametrize("case", ["unreadable", "no-poly", "no-input"])
+def test_missing_polynomial_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "input.json"
+    if case == "no-poly":
+        path.write_text(json.dumps({"generators": ["(1,2)"]}))
+    argv = ["solve", "--generators", "(1,2)"]
+    if case != "no-input":
+        argv += ["--input", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    message = {"unreadable": "cannot read input file",
+               "no-poly": 'input file must contain a "poly" entry',
+               "no-input": "a polynomial is required (--poly or --input)"}
+    assert err.startswith("error[InputSyntaxError]: " + message[case])
+
+
+# at 1 or 2 digits the noise floor of polish_roots reaches |z|; the roots must
+# not all snap to 0 and then pass as verified
+
+def test_two_digit_plan_does_not_zero_the_roots(capsys):
+    code, out, err = run(capsys, ["solve", "--poly", "x^2-2", "--generators",
+                                  "(1,2)", "--margin", "0", "--verify"])
+    assert code == 0
+    assert "digits: 8 (required 2, margin 0)" in out
+    assert "  x_1 = (1/2)*(root(2,0; 8))\n" in out
+    assert "  x_2 = (1/2)*(root(2,1; 8))\n" in out
+
+
+def test_two_digit_budget_fails_loudly_on_the_quintic(capsys):
+    argv = ["solve", "--poly", "x^5+20x+32",
+            "--generators", "(1,2,3,4,5);(1,4)(2,3)", "--digits", "2"]
+    code, out, err = run(capsys, argv + ["--labeling", "given",
+                                         "--root-order", "5,1,3,2,4"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error[ResidualTooLarge]: ")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (6, "")
+    assert err.startswith("error[LabelingFailed]: ")
+
+
+def test_roots_at_two_digits_are_not_zero(capsys):
+    code, out, err = run(capsys, ["roots", "--poly", "x^5+20x+32",
+                                  "--digits", "2"])
+    assert code == 0
+    assert out == ("  x_1 = -1.1 - 1.7i\n"
+                   "  x_2 = 1.8 - 1.6i\n"
+                   "  x_3 = 1.8 + 1.6i\n"
+                   "  x_4 = -1.1 + 1.7i\n"
+                   "  x_5 = -1.4\n"
+                   "max residual |f(x)|: 0.1415\n")
+
+
+def test_check_at_two_digits_fails_loudly(capsys):
+    code, out, err = run(capsys, ["check", "--poly", "x^5+20x+32",
+                                  "--generators", "(1,2,3,4,5);(1,4)(2,3)",
+                                  "--digits", "2", "--root-order", "5,1,3,2,4"])
+    assert code == 4
+    assert "certificate" not in out
+    assert "orbit sum of x_1*x_2^2: 0 " not in out
+    assert err.startswith("error[ResidualTooLarge]: ")

@@ -13,16 +13,16 @@ from radicalroots import (InputSyntaxError, NotSolvable, Permutation,
 def dihedral(k):
     rot = parse_cycles("(" + ",".join(map(str, range(1, k + 1))) + ")", k)
     refl = Permutation(tuple(k + 1 - j for j in range(1, k + 1)))
-    return closure([rot, refl], k)
+    return closure([rot, refl])
 
 
 def symmetric(n):
     if n == 1:
-        return closure([Permutation.identity(1)], 1)
+        return closure([Permutation.identity(1)])
     gens = [parse_cycles("(1,2)", n)]
     if n > 2:
         gens.append(parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n))
-    return closure(gens, n)
+    return closure(gens)
 
 
 def test_parse_cycles_examples():
@@ -103,7 +103,7 @@ def validate_series(G, series):
     assert series.order == G.order
     gens = [sigma for sigma, _ in series.steps]
     chain = [frozenset({Permutation.identity(G.degree).images})]
-    chain += [frozenset(e.images for e in closure(gens[:i], G.degree).elements)
+    chain += [frozenset(e.images for e in closure(gens[:i]).elements)
               for i in range(1, series.length + 1)]
     assert chain[-1] == frozenset(e.images for e in G.elements)
     for i, (sigma, p) in enumerate(series.steps):
@@ -187,8 +187,7 @@ def test_coset_representatives_trivial_group():
     (6, "(1,2,3,4,5,6);(2,6)(3,5)"), (7, "(1,2,3,4,5,6,7);(2,4,3,7,5,6)"),
     (4, "(1,2)(3,4)")])
 def test_coset_representatives_match_permutation_products(degree, generators):
-    G = closure([parse_cycles(t, degree) for t in generators.split(";")],
-                degree)
+    G = closure([parse_cycles(t, degree) for t in generators.split(";")])
     reps, covered = [], set()
     for images in itertools.permutations(range(1, degree + 1)):
         if images not in covered:

@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 from radicalroots import (LabelingAmbiguous, LabelingFailed, Permutation,
+                          ResidualTooLarge,
                           closure, composition_series,
                           coset_product_certificate, coset_representatives,
                           find_roots, invariant_value, label_roots,
@@ -52,10 +53,19 @@ def test_invariant_value_pentagon_edges(d5):
     assert value == 10 and residual < mpf("1e-6")
 
 
+def test_invariant_value_rejects_an_inconsistent_labeling(d5, quintic):
+    # the input order is not a D5 labeling: the edge orbit sum is 0.334 from
+    # an integer
+    orbit = orbit_sum_invariant(d5, (1, 1, 0, 0, 0))
+    with pytest.raises(ResidualTooLarge, match="orbit sum is 0.33") as exc:
+        invariant_value(orbit, find_roots(quintic, 19))
+    assert 0.33 < exc.value.residual < 0.34
+
+
 def test_default_invariants_reference_values(d5):
     labeled = reference_labeled_roots()
     values = {}
-    for name, orbit in default_labeling_invariants(d5, with_names=True):
+    for name, orbit in default_labeling_invariants(d5):
         values[name], _ = invariant_value(orbit, labeled)
     # x1*x2^2 and x1^2*x2 share one orbit under D5
     assert values == {"x_1*x_2^2": 20, "x_1*x_2*x_3^2": -80}
@@ -76,6 +86,16 @@ def test_certificate_quintic_degree_12(d5):
     assert cert.degree == 12
     assert cert.coefficients == QUINTIC_EDGE_CERTIFICATE
     assert max(cert.residuals) < mpf("1e-4")
+
+
+def test_certificate_rejects_coefficients_far_from_integers(d5):
+    # 4 digits cannot hold coefficients of ten digits
+    orbit = orbit_sum_invariant(d5, (1, 1, 0, 0, 0))
+    with pytest.raises(ResidualTooLarge,
+                       match="^certificate coefficient 0 is ") as exc:
+        coset_product_certificate(d5, orbit, reference_labeled_roots(4))
+    assert exc.value.position == 0
+    assert exc.value.residual > 0.25
 
 
 def test_label_roots_identity_for_full_group():
@@ -103,7 +123,7 @@ def test_label_roots_ambiguous_with_symmetric_invariants(d5, monkeypatch):
     rs = find_roots(parse_polynomial("x^5+20x+32"), 19)
     symmetric_orbit = orbit_sum_invariant(d5, (1, 0, 0, 0, 0))
     monkeypatch.setattr(oracle, "default_labeling_invariants",
-                        lambda G: [symmetric_orbit])
+                        lambda G: [("x_1", symmetric_orbit)])
     with pytest.raises(LabelingAmbiguous):
         label_roots(d5, rs)
 
@@ -127,7 +147,7 @@ def budget_roots(text, generators):
     """The group and the monic reduction's roots at the budget solve plans."""
     monic = to_monic(parse_polynomial(text)).monic
     n = monic.degree
-    group = closure([parse_cycles(t, n) for t in generators.split(";")], n)
+    group = closure([parse_cycles(t, n) for t in generators.split(";")])
     start = aberth_stage(monic)
     plan = plan_precision(composition_series(group),
                           root_magnitude_bound(start), 6)
@@ -136,7 +156,7 @@ def budget_roots(text, generators):
 
 def reference_passing(G, roots):
     """Every coset representative tested in mpc, with no screen."""
-    invariants = default_labeling_invariants(G)
+    invariants = [orbit for _, orbit in default_labeling_invariants(G)]
     passing = []
     with mp.workdps(roots.digits):
         for rep in coset_representatives(G):
@@ -151,7 +171,8 @@ def reference_passing(G, roots):
 def assert_labels_like_reference(G, roots):
     passing = reference_passing(G, roots)
     kept = oracle._screen(coset_representatives(G),
-                          default_labeling_invariants(G), roots)
+                          [orbit for _, orbit in default_labeling_invariants(G)],
+                          roots)
     assert set(passing) <= set(kept)
     if not passing:
         with pytest.raises(LabelingFailed):
@@ -189,8 +210,7 @@ def test_label_roots_matches_reference_at_low_budgets(text, generators,
     # at a few digits the roots' own error decides which candidates the
     # screen may reject
     p = parse_polynomial(text)
-    G = closure([parse_cycles(t, p.degree) for t in generators.split(";")],
-                p.degree)
+    G = closure([parse_cycles(t, p.degree) for t in generators.split(";")])
     assert_labels_like_reference(G, find_roots(p, digits))
 
 

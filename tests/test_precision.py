@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 
 from radicalroots import (format_complex, nearest_integer, principal_root,
                           root_of_unity)
-from radicalroots.precision import is_prime
+from radicalroots.groups import smallest_prime_factor
 
 
 def test_format_complex_round_trip_quintic_root():
@@ -160,4 +160,5 @@ def test_nearest_integer_recovers_offset(n, eps_num):
 
 
 def test_is_prime_small():
-    assert [k for k in range(2, 20) if is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert [k for k in range(2, 20) if smallest_prime_factor(k) == k] == \
+        [2, 3, 5, 7, 11, 13, 17, 19]

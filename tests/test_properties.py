@@ -19,7 +19,8 @@ from radicalroots import (Permutation, closure, composition_series, evaluate,
 from radicalroots.radical import ValueCache
 from radicalroots.resolvent import (MultiplicationCounter, axis_lines,
                                     build_theta0, forward_level,
-                                    forward_pass, round_theta_m, zeta_tables)
+                                    forward_pass, multiplication_budget,
+                                    round_theta_m, zeta_tables)
 from radicalroots.rootfinder import relabel
 from tests.conftest import reindex_axis
 
@@ -64,13 +65,13 @@ INSTANCES = _instances()
 def run_instance(poly_text, gens_text, labeling):
     poly = parse_polynomial(poly_text)
     gens = [parse_cycles(t, poly.degree) for t in gens_text.split(";")]
-    group = closure(gens, poly.degree)
+    group = closure(gens)
     series = composition_series(group)
     coarse = find_roots(poly, 32)
     digits = plan_precision(series, root_magnitude_bound(coarse.roots), 6).digits
     roots = find_roots(poly, digits)
     if labeling == "auto":
-        labeled = label_roots(group, roots).labeled
+        labeled = relabel(roots, label_roots(group, roots).permutation)
     else:
         _, q, g, n = labeling
         order = _period_label_order(roots, q, g, n)
@@ -121,7 +122,7 @@ def test_cyclic_shift_leaves_theta_invariant(bundle):
         ref_L, ref_theta = fwd.resolvents[level - 1], fwd.thetas[level]
         shifted_L, shifted_theta = forward_level(
             reindex_axis(prev, level, 1, 1), level, zetas,
-            MultiplicationCounter(budget=0))
+            MultiplicationCounter())
         power_scale = max(mpf(1),
                           max(abs(e) for e in ref_theta.data)) * p
         tol = mpf(10) ** (3 - digits) * power_scale
@@ -139,10 +140,25 @@ def test_cyclic_shift_leaves_theta_invariant(bundle):
 
 def test_multiplication_count_within_budget(bundle):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
-    assert fwd.counter.count <= fwd.counter.budget
-    assert fwd.counter.budget == series.order * sum(3 * p - 1
-                                                    for p in series.primes)
-    assert fwd.counter.budget < 3 * series.order ** 2
+    assert fwd.counter.count <= multiplication_budget(series)
+    assert multiplication_budget(series) == series.order * sum(
+        3 * p - 1 for p in series.primes)
+    assert multiplication_budget(series) < 3 * series.order ** 2
+
+
+def test_forward_pass_counts_its_real_multiplications(bundle, monkeypatch):
+    """The counter adds fixed amounts per entry; count the products mpc
+    actually performs instead, and hold both to the budget."""
+    series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
+    real = [0]
+    for name in ("__mul__", "__rmul__"):
+        def counting(self, other, _original=getattr(mpmath.mpc, name)):
+            real[0] += 1
+            return _original(self, other)
+        monkeypatch.setattr(mpmath.mpc, name, counting)
+    forward = forward_pass(theta0, series, zetas)
+    monkeypatch.undo()
+    assert real[0] == forward.counter.count == multiplication_budget(series)
 
 
 def _root_nodes(expr, seen):
@@ -195,7 +211,7 @@ def test_round_trip_theta0_positions(bundle):
 
 def test_expressions_verify_against_roots(bundle):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
-    deviations = verify(recon.root_exprs, labeled, digits)
+    deviations = verify(recon.root_exprs, labeled)
     assert max(deviations) < mpf(10) ** (-mpf(digits) / 2)
 
 
@@ -232,7 +248,7 @@ def test_primitive_root_exchange_modular_inverse(poly_text, gens_text, level):
         t = pow(k, -1, p)
         # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
         _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
-                                     zetas, MultiplicationCounter(budget=0))
+                                     zetas, MultiplicationCounter())
         for line in axis_lines(prev.radices, level - 1):
             for j in range(p):
                 assert abs(exchanged.data[line[j]]

@@ -23,14 +23,14 @@ from tests.conftest import QUINTIC_ROOT_STRINGS
 def run_backward(poly_text, gens_text, digits=None):
     p = parse_polynomial(poly_text)
     gens = [parse_cycles(t, p.degree) for t in gens_text.split(";")]
-    G = closure(gens, p.degree)
+    G = closure(gens)
     series = composition_series(G)
     if digits is None:
         from radicalroots import plan_precision, root_magnitude_bound
         coarse = find_roots(p, 32)
         digits = plan_precision(series, root_magnitude_bound(coarse.roots), 6).digits
     roots = find_roots(p, digits)
-    labeled = label_roots(G, roots).labeled
+    labeled = relabel(roots, label_roots(G, roots).permutation)
     zetas = zeta_tables(series, digits)
     theta0 = build_theta0(labeled, series)
     fwd = forward_pass(theta0, series, zetas)
@@ -165,15 +165,29 @@ def test_json_round_trip_pipeline(reference_label_order):
 def test_verify_accepts_and_rejects():
     series, zetas, theta0, fwd, ints, recon, labeled, digits = \
         run_backward("x^2-2", "(1,2)")
-    deviations = verify(recon.root_exprs, labeled, 14)
+    deviations = verify(recon.root_exprs, labeled)
     assert max(deviations) < mpf(10) ** -7
     with pytest.raises(VerificationFailed):
-        verify(tuple(reversed(recon.root_exprs)), labeled, 14)
+        verify(tuple(reversed(recon.root_exprs)), labeled)
+
+
+def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
+    series, zetas, theta0, fwd, ints, recon, labeled, digits = \
+        run_backward("x^3-2", "(1,2,3);(1,2)")
+    level_1 = fwd.resolvents[0]
+    assert abs(level_1.data[3]) > 1
+    data = list(level_1.data)
+    data[3] = mp.mpc(0)
+    stored = (dataclasses.replace(level_1, data=tuple(data)),
+              *fwd.resolvents[1:])
+    with pytest.raises(PhaseAmbiguous, match="^resolvent magnitude "
+                       "inconsistent at level 1, index 3: "):
+        reconstruct(series, ints, stored, zetas, digits=digits)
 
 
 def test_verify_zero_expression():
     roots = find_roots(parse_polynomial("x"), 10)
-    deviations = verify((IntegerLiteral(0),), roots, 10)
+    deviations = verify((IntegerLiteral(0),), roots)
     assert deviations[0] == 0
 
 
@@ -312,5 +326,5 @@ def test_raw_trees_evaluate_verify_and_emit_as_their_interned_twins(
         for fmt in ("text", "latex", "json"):
             assert emit(twin, fmt) == emit(expr, fmt)
         assert evaluate(twin, report.digits) == evaluate(expr, report.digits)
-    assert verify(twins, report.roots, report.digits) == \
-        verify(report.root_exprs, report.roots, report.digits)
+    assert verify(twins, report.roots) == \
+        verify(report.root_exprs, report.roots)

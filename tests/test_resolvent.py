@@ -9,8 +9,9 @@ from radicalroots import (LabelingFailed, Permutation, PrecisionInfeasible,
                           build_theta0, forward_pass, forward_level,
                           round_theta_m)
 from radicalroots.resolvent import (MultiplicationCounter, ResolventTensor,
-                                    axis_lines, position_root_indices,
-                                    zeta_tables)
+                                    axis_lines, multiplication_budget,
+                                    position_root_indices, zeta_tables)
+from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_THETA, reindex_axis
 from tests.test_properties import INSTANCES
 
@@ -37,7 +38,7 @@ def quintic_forward(reference_label_order, digits=19):
 def sqrt2_forward(digits=14):
     series = c2_series()
     roots = find_roots(parse_polynomial("x^2-2"), digits)
-    labeled = label_roots(series.group, roots).labeled
+    labeled = relabel(roots, label_roots(series.group, roots).permutation)
     zetas = zeta_tables(series, digits)
     theta0 = build_theta0(labeled, series)
     fwd = forward_pass(theta0, series, zetas)
@@ -95,7 +96,7 @@ def affine_group(n, unit):
     """k -> k+1 and k -> unit*k (mod n) on labels k+1."""
     shift = Permutation(tuple((k + 1) % n + 1 for k in range(n)))
     scale = Permutation(tuple((unit * k) % n + 1 for k in range(n)))
-    return closure([shift, scale], n)
+    return closure([shift, scale])
 
 
 POSITION_GROUPS = [
@@ -159,7 +160,7 @@ def test_forward_constant_axis_kills_nonzero_modes():
     with mp.workdps(digits):
         val = mp.mpc("1.25", "0.5")
     tensor = ResolventTensor((2,), (val, val), digits)
-    L, _ = forward_level(tensor, 1, zetas, MultiplicationCounter(budget=0))
+    L, _ = forward_level(tensor, 1, zetas, MultiplicationCounter())
     with mp.workdps(digits):
         assert abs(L.data[0] - (val + val)) < mpf(10) ** (3 - digits)
         assert abs(L.data[1]) < mpf(10) ** (3 - digits)
@@ -179,9 +180,9 @@ def test_quintic_theta2_values(reference_label_order):
 
 def test_multiplication_counter_budget_exact(reference_label_order):
     series, _, _, fwd = quintic_forward(reference_label_order)
-    assert fwd.counter.budget == 190  # 10 * (14 + 5)
+    assert multiplication_budget(series) == 190  # 10 * (14 + 5)
     assert fwd.counter.count == 190
-    assert fwd.counter.count <= fwd.counter.budget
+    assert fwd.counter.count <= multiplication_budget(series)
 
 
 def test_round_theta_m_rejects_offset():
@@ -221,7 +222,7 @@ def test_cyclic_shift_invariance(reference_label_order):
         prev = fwd.thetas[level - 1]
         shifted = reindex_axis(prev, level, 1, 1)
         _, theta_shifted = forward_level(shifted, level, zetas,
-                                         MultiplicationCounter(budget=0))
+                                         MultiplicationCounter())
         ref = fwd.thetas[level]
         scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
@@ -240,7 +241,7 @@ def test_primitive_root_exchange_law(reference_label_order):
         t = pow(k, -1, p)
         # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
         _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
-                                     zetas, MultiplicationCounter(budget=0))
+                                     zetas, MultiplicationCounter())
         scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
         for line in axis_lines(prev.radices, level - 1):

@@ -165,7 +165,7 @@ HARDWARE_CASES = [(name, poly, gens) for name, poly, gens, _ in INSTANCES] + [
 def test_hardware_sweeps_change_no_root(monkeypatch, poly_text, gens_text):
     p = parse_polynomial(poly_text)
     gens = [parse_cycles(t, p.degree) for t in gens_text.split(";")]
-    series = composition_series(closure(gens, p.degree))
+    series = composition_series(closure(gens))
     start = aberth_stage(p)
     budget = plan_precision(series, root_magnitude_bound(start), 6).digits
     both = [polish_roots(p, start, d) for d in (budget, 32)]
