@@ -1,9 +1,12 @@
 """Simultaneous root finding for monic integer polynomials.
 
 Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
-hardware ``complex`` and finished in ``mpc`` at ~32 digits (``mpc`` alone if
-the hardware sweeps fail), then per-root Newton polish on a precision-doubling
-ladder up to each requested budget.  Both steps are pure functions.
+hardware ``complex``, then one 32-digit Newton step from each hardware root
+that Smale's alpha-test certifies (Smale 1986; Blum, Cucker, Shub and Smale
+1998, ch. 8).  Only when the hardware sweeps fail or a root is not certified
+do the sweeps run in ``mpc`` to ~32 digits.  Per-root Newton polish on a
+precision-doubling ladder then reaches each requested budget.  Both steps
+are pure functions.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass
+from itertools import combinations
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -26,6 +30,8 @@ __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
 _BASE_DPS = 32
 _HARDWARE_DIGITS = 16  # Python float: 53-bit mantissa
 _MAX_ABERTH_ITERS = 400
+# below Smale's alpha_0 = (13 - 3*sqrt(17))/4 = 0.15767...
+_ALPHA_MAX = 0.157
 
 
 @dataclass(frozen=True)
@@ -73,8 +79,84 @@ def _sweeps(coeffs, deriv, z, radius, digits: int) -> bool:
     return False
 
 
+def _taylor(coeffs, z):
+    """Taylor coefficients f^(k)(z)/k!, k = 0..n, of ascending ``coeffs`` at
+    ``z`` by repeated synthetic division, in the number type of ``z``."""
+    b = list(reversed(coeffs))
+    n = len(b) - 1
+    out = []
+    for k in range(n + 1):
+        for j in range(1, n + 1 - k):
+            b[j] = b[j] + z * b[j - 1]
+        out.append(b[n - k])
+    return out
+
+
+def _alpha_data(coeffs, deriv, z: complex):
+    """(z - f(z)/f'(z) in ``mpc``, beta, gamma) at the hardware point ``z``.
+
+    f and f' are evaluated in ``mpc`` at the current precision; beta bounds
+    |f/f'| and gamma bounds max_k |f^(k)(z)/(k! f'(z))|^(1/(k-1)) from above.
+    The Taylor coefficients for gamma come from hardware floats, each widened
+    by a Horner rounding bound: the same recurrence on |a_i| and |z|, times
+    8(n+2) float epsilons.  f and f' get the same bound at ``mp.eps``.
+    """
+    n = len(coeffs) - 1
+    zm = mpc(z)
+    fv, dv = eval_poly(coeffs, zm), eval_poly(deriv, zm)
+    size = _taylor([abs(float(c)) for c in coeffs], abs(z))
+    tiny = 2 * sys.float_info.min           # absolute error of an underflow
+    f_err, d_err = (8 * (n + 2) * float(mp.eps) * s + tiny for s in size[:2])
+    d_low = float(abs(dv)) - d_err
+    if not d_low > 0:
+        return None, math.inf, math.inf
+    beta = (float(abs(fv)) + f_err) / d_low
+    slack = 8 * (n + 2) * sys.float_info.epsilon
+    taylor = _taylor([float(c) for c in coeffs], z)
+    gamma = max((((abs(t) + slack * s + tiny) / d_low) ** (1 / (k - 1))
+                 for k, (t, s) in enumerate(zip(taylor, size)) if k >= 2),
+                default=0.0)
+    up = 1 + slack
+    return zm - fv / dv, beta * up, gamma * up
+
+
+def _certified_step(coeffs, deriv, z):
+    """One 32-digit Newton step from each hardware root in ``z``, as ``mpc``,
+    or None unless every step is certified.
+
+    Certified means alpha = beta*gamma < _ALPHA_MAX, so z converges to a zero
+    within 2*beta; the bound 2*alpha(1-alpha)/psi(alpha)*beta on the
+    stepped point's error, psi = 1 - 4*alpha + 2*alpha^2, is below the mpc
+    sweeps' stop tolerance; and the discs D(z_i, 2*beta_i) are pairwise
+    disjoint, so the n zeros are distinct.
+    """
+    tol = 10.0 ** (6 - _BASE_DPS)
+    steps, discs = [], []
+    for zk in z:
+        step, beta, gamma = _alpha_data(coeffs, deriv, zk)
+        alpha = beta * gamma
+        if not alpha < _ALPHA_MAX:
+            return None
+        psi = 1 - 4 * alpha + 2 * alpha * alpha
+        if not 2 * alpha * (1 - alpha) / psi * beta < tol * max(1, abs(zk)):
+            return None
+        steps.append(step)
+        discs.append(2 * beta)
+    shrink = 1 - 4 * sys.float_info.epsilon      # rounding of |z_i - z_j|
+    if all(abs(z[i] - z[j]) * shrink > discs[i] + discs[j]
+           for i, j in combinations(range(len(z)), 2)):
+        return tuple(steps)
+    return None
+
+
 def aberth_stage(p: IntPolynomial) -> tuple:
-    """Simultaneous iteration for all roots of monic ``p`` at ~32 digits."""
+    """All roots of monic ``p`` at ~32 digits.
+
+    Aberth sweeps in hardware ``complex``, then one 32-digit Newton step from
+    each root when the alpha-test certifies all of them; otherwise the sweeps
+    continue in ``mpc`` to 32 digits, from the hardware roots when the
+    hardware sweeps converged and from the start points when they did not.
+    """
     if not p.is_monic():
         raise ValueError("root finding expects a monic polynomial")
     n = p.degree
@@ -92,11 +174,14 @@ def aberth_stage(p: IntPolynomial) -> tuple:
             if (_sweeps(p.coeffs, deriv, fast, float(radius), _HARDWARE_DIGITS)
                     and all(cmath.isfinite(zk) for zk in fast)):
                 z = [mpc(zk) for zk in fast]
+                certified = _certified_step(p.coeffs, deriv, fast)
+                if certified is not None:
+                    return certified
         if _sweeps(p.coeffs, deriv, z, radius, _BASE_DPS):
             return tuple(z)
-    raise NonConvergence(
-        "simultaneous iteration did not converge",
-        residuals=[abs(eval_poly(p.coeffs, zi)) for zi in z])
+        residuals = [abs(eval_poly(p.coeffs, zi)) for zi in z]
+    raise NonConvergence("simultaneous iteration did not converge",
+                         residuals=residuals)
 
 
 def _newton_polish(p: IntPolynomial, roots, target_dps: int):

@@ -1,10 +1,15 @@
+import math
+
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
 
-from radicalroots import (NonConvergence, closure, composition_series,
-                          find_roots, parse_cycles, parse_polynomial,
-                          plan_precision, root_magnitude_bound)
+from radicalroots import (IntPolynomial, NonConvergence, closure,
+                          composition_series, eval_poly, find_roots,
+                          parse_cycles, parse_polynomial, plan_precision,
+                          root_magnitude_bound, sanity_check)
 from radicalroots import rootfinder
 from radicalroots.rootfinder import aberth_stage, polish_roots
 from tests.conftest import QUINTIC_ROOT_STRINGS
@@ -98,6 +103,24 @@ def test_non_convergence_on_double_root(monkeypatch):
     monkeypatch.setattr(rootfinder, "_MAX_ABERTH_ITERS", 60)
     with pytest.raises(NonConvergence):
         find_roots(parse_polynomial("x^2+2x+1"), 20)
+
+
+def test_non_convergence_residuals_at_32_digits(monkeypatch):
+    # three sweeps stall at both precisions, so aberth_stage itself raises
+    monkeypatch.setattr(rootfinder, "_MAX_ABERTH_ITERS", 3)
+    sweeps = rootfinder._sweeps
+    iterates = []
+
+    def record(coeffs, deriv, z, radius, digits):
+        iterates[:] = [z]
+        return sweeps(coeffs, deriv, z, radius, digits)
+    monkeypatch.setattr(rootfinder, "_sweeps", record)
+    p = parse_polynomial("x^2+2x+1")
+    with pytest.raises(NonConvergence) as info:
+        aberth_stage(p)
+    with mp.workdps(32):
+        expected = [abs(eval_poly(p.coeffs, zi)) for zi in iterates[0]]
+    assert list(info.value.residuals) == expected
 
 
 def test_root_magnitude_bound_quintic(quintic_roots_14):
@@ -197,3 +220,107 @@ def test_hardware_sweeps_change_no_outcome(monkeypatch, poly_text, max_iters,
     assert isinstance(outcome, rootfinder.RootSet) == converges
     _mpmath_only(monkeypatch)
     assert _outcome(p, 20) == outcome
+
+
+# Mignotte-type polynomials x^n - 2(a x - 1)^2: a pair of roots near 1/a,
+# about 1.4e-9, 4.5e-17 and 4.5e-4 apart, that the alpha-test refuses
+MIGNOTTE = ["x^7-20000x^2+400x-2", "x^9-2000000x^2+4000x-2", "x^5-200x^2+40x-2"]
+
+
+def _certificates(monkeypatch):
+    """Record (hardware roots, result) of every alpha-test aberth_stage runs."""
+    certify = rootfinder._certified_step
+    calls = []
+
+    def record(coeffs, deriv, z):
+        result = certify(coeffs, deriv, z)
+        calls.append((list(z), result))
+        return result
+    monkeypatch.setattr(rootfinder, "_certified_step", record)
+    return calls
+
+
+@pytest.mark.parametrize("poly_text", MIGNOTTE)
+def test_close_roots_fall_back_to_mpc_sweeps(monkeypatch, poly_text):
+    p = parse_polynomial(poly_text)
+    calls = _certificates(monkeypatch)
+    outcomes = [_outcome(p, d) for d in (20, 30, 60)]
+    assert len(calls) == 3 and all(result is None for _, result in calls)
+    _mpmath_only(monkeypatch)
+    assert [_outcome(p, d) for d in (20, 30, 60)] == outcomes
+
+
+@pytest.mark.parametrize("poly_text", [c[1] for c in HARDWARE_CASES],
+                         ids=[c[0] for c in HARDWARE_CASES])
+def test_certified_roots_skip_mpc_sweeps(monkeypatch, poly_text):
+    sweeps = rootfinder._sweeps
+    mpc_runs = []
+
+    def count(coeffs, deriv, z, radius, digits):
+        if not isinstance(radius, float):
+            mpc_runs.append(digits)
+        return sweeps(coeffs, deriv, z, radius, digits)
+    monkeypatch.setattr(rootfinder, "_sweeps", count)
+    aberth_stage(parse_polynomial(poly_text))
+    assert mpc_runs == []
+
+
+def _gamma(coeffs, z):
+    """Smale's gamma of the polynomial at z, from the binomial form of its
+    Taylor coefficients, at the current precision."""
+    z = mpc(z)
+    taylor = [sum(math.comb(i, k) * a * z ** (i - k)
+                  for i, a in enumerate(coeffs) if i >= k)
+              for k in range(len(coeffs))]
+    return max((abs(taylor[k] / taylor[1]) ** (mpf(1) / (k - 1))
+                for k in range(2, len(taylor))), default=mpf(0))
+
+
+@pytest.mark.parametrize("poly_text", [c[1] for c in HARDWARE_CASES] + MIGNOTTE,
+                         ids=[c[0] for c in HARDWARE_CASES] + MIGNOTTE)
+def test_gamma_bound_is_an_upper_bound(monkeypatch, poly_text):
+    p = parse_polynomial(poly_text)
+    calls = _certificates(monkeypatch)
+    aberth_stage(p)
+    (hardware, _), = calls
+    for z in hardware:
+        with mp.workdps(rootfinder._BASE_DPS):
+            _, _, bound = rootfinder._alpha_data(p.coeffs,
+                                                 p.derivative_coeffs(), z)
+        with mp.workdps(64):
+            assert bound >= _gamma(p.coeffs, z)
+
+
+def _assert_near_reference(p, digits):
+    """Every root at ``digits`` lies within 10^(1-digits) * max(1, |zeta|)
+    of its own root zeta at 2*digits + 20, one root each."""
+    roots = find_roots(p, digits).roots
+    reference = find_roots(p, 2 * digits + 20).roots
+    with mp.workdps(2 * digits + 20):
+        nearest = [min(range(p.degree), key=lambda j: abs(z - reference[j]))
+                   for z in roots]
+        assert sorted(nearest) == list(range(p.degree))
+        for z, j in zip(roots, nearest):
+            zeta = reference[j]
+            assert abs(z - zeta) <= mpf(10) ** (1 - digits) * max(1, abs(zeta))
+
+
+@pytest.mark.parametrize("digits", [20, 60])
+@pytest.mark.parametrize("poly_text", MIGNOTTE)
+def test_close_roots_match_a_reference(poly_text, digits):
+    p = parse_polynomial(poly_text)
+    if (poly_text, digits) == ("x^9-2000000x^2+4000x-2", 20):
+        # its close pair, 4.5e-17 apart, is inside the 10^-10 separation floor
+        with pytest.raises(NonConvergence, match="not separated"):
+            find_roots(p, digits)
+    else:
+        _assert_near_reference(p, digits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=9),
+       st.sampled_from([10, 20, 40]))
+def test_roots_match_a_reference(low_coeffs, digits):
+    p = IntPolynomial(tuple(low_coeffs) + (1,))
+    assume(sanity_check(p).square_free)
+    _assert_near_reference(p, digits)
