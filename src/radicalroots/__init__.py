@@ -29,7 +29,8 @@ from .resolvent import (IntegerThetaTensor, MultiplicationCounter,
                         PrecisionPlan, ResolventTensor, build_theta0,
                         forward_level, forward_pass, plan_precision,
                         round_theta_m)
-from .rootfinder import RootSet, find_roots, root_magnitude_bound
+from .rootfinder import (RootSet, find_roots, root_magnitude_bound,
+                         root_residuals)
 
 __all__ = [
     "__version__",
@@ -45,7 +46,7 @@ __all__ = [
     "closure", "composition_series", "coset_representatives",
     "orbit_sum_invariant",
     # rootfinder
-    "RootSet", "find_roots", "root_magnitude_bound",
+    "RootSet", "find_roots", "root_magnitude_bound", "root_residuals",
     # resolvent
     "ResolventTensor", "PrecisionPlan", "MultiplicationCounter",
     "IntegerThetaTensor", "plan_precision", "build_theta0", "forward_level",

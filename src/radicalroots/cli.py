@@ -24,7 +24,7 @@ from .polynomial import render_polynomial, sanity_check, to_monic
 from .precision import format_complex
 from .radical import emit, json_ast
 from .resolvent import DEFAULT_MARGIN, DEFAULT_ROUNDING_TOLERANCE
-from .rootfinder import find_roots, relabel
+from .rootfinder import find_roots, relabel, root_residuals
 
 __all__ = ["main"]
 
@@ -186,7 +186,8 @@ def _cmd_roots(args, out) -> int:
             out.write(f"warning: {note}\n")
     for i, z in enumerate(rs.roots, start=1):
         out.write(f"  x_{i} = {format_complex(z, rs.digits)}\n")
-    out.write(f"max residual |f(x)|: {mpmath.nstr(max(rs.residuals), 4)}\n")
+    residual = max(root_residuals(reduction.monic, rs))
+    out.write(f"max residual |f(x)|: {mpmath.nstr(residual, 4)}\n")
     return 0
 
 

@@ -73,7 +73,7 @@ class LabelingAmbiguous(SolverError):
 
 
 class PrecisionInfeasible(SolverError):
-    """The planned digit budget exceeds the configured hard cap."""
+    """A digit budget exceeds the hard cap, DIGITS_HARD_CAP."""
 
     exit_code = EXIT_PRECISION
 

@@ -63,9 +63,11 @@ def solve(poly, generators, *, digits: int | None = None,
     (label j takes the j-th listed position of the canonically ordered roots).
 
     The digit budget comes from the precision plan unless overridden; on
-    PhaseAmbiguous the budget is doubled, up to 3 times.  One Aberth run
-    bounds the roots for the plan and is polished once to every budget
-    tried, and the roots are labeled once, at the first budget.
+    PhaseAmbiguous the budget is doubled, up to 3 times.  A budget above
+    DIGITS_HARD_CAP, whether given, planned or doubled, raises
+    PrecisionInfeasible.  One Aberth run bounds the roots for the plan and
+    is polished once to every budget tried, and the roots are labeled once,
+    at the first budget.
     """
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)

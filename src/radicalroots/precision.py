@@ -1,4 +1,5 @@
-"""Kernels on complex values, which are mpmath ``mpc`` numbers.
+"""Kernels on complex values, which are mpmath ``mpc`` numbers, and the cap
+on digit budgets.
 
 Values carry no precision of their own: their arithmetic rounds at the
 current ``mp.dps``, which each public pipeline stage sets once from the digit
@@ -11,9 +12,11 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp, mpc, mpf
 
+from .errors import PrecisionInfeasible
 from .groups import smallest_prime_factor
 
 __all__ = [
+    "check_digit_budget",
     "root_of_unity",
     "principal_root",
     "nearest_integer",
@@ -22,6 +25,16 @@ __all__ = [
 
 # extra digits used inside multi-step kernels (arg, roots, rounding)
 _GUARD = 8
+# the largest digit budget that a plan, a solve, its retries, roots or check
+# may use
+DIGITS_HARD_CAP = 10**5
+
+
+def check_digit_budget(digits: int) -> None:
+    """Raise PrecisionInfeasible when ``digits`` exceeds DIGITS_HARD_CAP."""
+    if digits > DIGITS_HARD_CAP:
+        raise PrecisionInfeasible(
+            f"digit budget {digits} exceeds cap {DIGITS_HARD_CAP}")
 
 
 def root_of_unity(p: int, k: int, digits: int) -> mpc:
@@ -57,8 +70,8 @@ def principal_root(z: mpc, p: int) -> mpc:
             im = mpf(0)
         theta = mpmath.atan2(im, re) / p
         r = mpmath.root(mag, p)
-        w_re = r * mpmath.cos(theta)
-        w_im = r * mpmath.sin(theta)
+        cos, sin = mpmath.cos_sin(theta)
+        w_re, w_im = r * cos, r * sin
         floor = r * mpf(10) ** (2 - digits)
         if w_re != 0 and abs(w_re) <= floor:
             w_re = mpf(0)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import LabelingFailed, PrecisionInfeasible, ResidualTooLarge
+from .errors import LabelingFailed, ResidualTooLarge
 from .groups import CompositionSeries
-from .precision import nearest_integer, root_of_unity
+from .precision import check_digit_budget, nearest_integer, root_of_unity
 from .rootfinder import RootSet
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 DEFAULT_ROUNDING_TOLERANCE = 0.25
 # digits a solve adds to plan_precision's requirement unless given a margin
 DEFAULT_MARGIN = 6
-DIGITS_HARD_CAP = 10**5
 
 
 def axis_lines(radices: tuple[int, ...], axis: int):
@@ -129,9 +128,7 @@ def plan_precision(series: CompositionSeries, x0_bound,
         required = int(mpmath.ceil(v - mpf(10) ** (-30)))
     required = max(required, 1)
     digits = required + margin
-    if digits > DIGITS_HARD_CAP:
-        raise PrecisionInfeasible(
-            f"required digit budget {digits} exceeds cap {DIGITS_HARD_CAP}")
+    check_digit_budget(digits)
     return PrecisionPlan(n_bound, float(x0_bound), required, margin, digits)
 
 

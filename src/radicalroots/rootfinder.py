@@ -3,10 +3,13 @@
 Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
 hardware ``complex``, then one 32-digit Newton step from each hardware root
 that Smale's alpha-test certifies (Smale 1986; Blum, Cucker, Shub and Smale
-1998, ch. 8).  Only when the hardware sweeps fail or a root is not certified
-do the sweeps run in ``mpc`` to ~32 digits.  Per-root Newton polish on a
-precision-doubling ladder then reaches each requested budget.  Both steps
-are pure functions.
+1998, ch. 8).  The test evaluates f and f' at each hardware root exactly, in
+Gaussian integers, and rounds once.  Only when the hardware sweeps fail or a
+root is not certified do the sweeps run in ``mpc`` to ~32 digits.  Per-root
+Newton polish on a precision-doubling ladder then reaches each requested
+budget, and a hardware screen leaves the ``mpc`` separation test to the
+pairs of roots it cannot decide.  Both steps are pure functions; the
+residuals |f(x~)| are computed only on request, by ``root_residuals``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from mpmath import mp, mpc, mpf
 
 from .errors import NonConvergence, UnsupportedInput
 from .polynomial import IntPolynomial, eval_poly
+from .precision import check_digit_budget
 
 __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
-           "root_magnitude_bound", "relabel"]
+           "root_residuals", "root_magnitude_bound", "relabel"]
 
 _BASE_DPS = 32
 _HARDWARE_DIGITS = 16  # Python float: 53-bit mantissa
@@ -36,11 +40,11 @@ _ALPHA_MAX = 0.157
 
 @dataclass(frozen=True)
 class RootSet:
-    """All n roots at a shared digit budget, with per-root |f(x~)| residuals."""
+    """All n roots at a shared digit budget; ``root_residuals`` gives their
+    |f(x~)|."""
 
     roots: tuple[mpc, ...]
     digits: int
-    residuals: tuple[mpf, ...]
 
     @property
     def n(self) -> int:
@@ -92,18 +96,38 @@ def _taylor(coeffs, z):
     return out
 
 
+def _exact_value(coeffs, z: complex) -> mpc:
+    """The ascending integer ``coeffs`` at the hardware point ``z``, computed
+    exactly and each part rounded once at the current precision.
+
+    z = (X + iY) / 2^s with integers X, Y and s >= 0, so Horner's rule on the
+    Gaussian integer X + iY, with a_k scaled by 2^(s(n-k)), gives
+    f(z) * 2^(sn) with no rounding.
+    """
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    s = max(xd, yd).bit_length() - 1            # xd and yd are powers of 2
+    x, y = xn * ((1 << s) // xd), yn * ((1 << s) // yd)
+    n = len(coeffs) - 1
+    re, im = coeffs[n], 0
+    for k in range(n - 1, -1, -1):
+        re, im = re * x - im * y + (coeffs[k] << (s * (n - k))), re * y + im * x
+    return mpc((re, -s * n), (im, -s * n))      # (man, exp) rounds once
+
+
 def _alpha_data(coeffs, deriv, z: complex):
     """(z - f(z)/f'(z) in ``mpc``, beta, gamma) at the hardware point ``z``.
 
-    f and f' are evaluated in ``mpc`` at the current precision; beta bounds
-    |f/f'| and gamma bounds max_k |f^(k)(z)/(k! f'(z))|^(1/(k-1)) from above.
-    The Taylor coefficients for gamma come from hardware floats, each widened
-    by a Horner rounding bound: the same recurrence on |a_i| and |z|, times
-    8(n+2) float epsilons.  f and f' get the same bound at ``mp.eps``.
+    f and f' are evaluated exactly by ``_exact_value`` and rounded once at
+    the current precision; beta bounds |f/f'| and gamma bounds
+    max_k |f^(k)(z)/(k! f'(z))|^(1/(k-1)) from above.  The Taylor
+    coefficients for gamma come from hardware floats, each widened by a
+    Horner rounding bound: the same recurrence on |a_i| and |z|, times
+    8(n+2) float epsilons.  f and f' keep the Horner bound at ``mp.eps``
+    that an ``mpc`` evaluation would need, which is now conservative.
     """
     n = len(coeffs) - 1
     zm = mpc(z)
-    fv, dv = eval_poly(coeffs, zm), eval_poly(deriv, zm)
+    fv, dv = _exact_value(coeffs, z), _exact_value(deriv, z)
     size = _taylor([abs(float(c)) for c in coeffs], abs(z))
     tiny = 2 * sys.float_info.min           # absolute error of an underflow
     f_err, d_err = (8 * (n + 2) * float(mp.eps) * s + tiny for s in size[:2])
@@ -200,20 +224,48 @@ def _newton_polish(p: IntPolynomial, roots, target_dps: int):
     return roots
 
 
+def _close_pair(raw, separation) -> bool:
+    """Whether some |raw[i] - raw[j]| <= ``separation``, computed in ``mpc``
+    at the current precision.
+
+    A hardware screen passes a pair when its float distance, less a bound on
+    the float conversion of both points and on the float and ``mpc``
+    roundings, still exceeds ``separation``.  Every other pair, non-finite
+    and underflowing floats included, gets the ``mpc`` test, so the screen
+    changes no outcome.
+    """
+    slack = 8 * (sys.float_info.epsilon + float(mp.eps))
+    tiny = 2 * sys.float_info.min           # absolute error of an underflow
+    fast = [complex(z) for z in raw]
+    size = [math.hypot(z.real, z.imag) for z in fast]   # inf, not OverflowError
+    cap = float(separation) * (1 + slack) + tiny
+    for i, j in combinations(range(len(raw)), 2):
+        d = fast[i] - fast[j]
+        low = (math.hypot(d.real, d.imag) * (1 - 2 * slack)
+               - slack * (size[i] + size[j]) - tiny)
+        if not low > cap and abs(raw[i] - raw[j]) <= separation:
+            return True
+    return False
+
+
 def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
     """All n roots of a monic square-free polynomial at the given budget,
     polished from ``start = aberth_stage(p)``.
 
-    Residual contract: every |f(x~)| < 10^(2-digits) * max(1, |x~|)^n.
+    Residual contract, checked on the polished iterates at digits + 10:
+    every |f(x~)| < 10^(2-digits) * max(1, |x~|)^n.  Roots closer than
+    10^(-digits/2) raise NonConvergence.  Budgets above DIGITS_HARD_CAP
+    raise PrecisionInfeasible.
     Output order is canonical: ascending argument in (-pi, pi], then modulus.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    check_digit_budget(digits)
     n = p.degree
     if n == 1:
         with mp.workdps(digits):
             root = mpc(-p.coeffs[0])
-        return RootSet((root,), digits, (mpf(0),))
+        return RootSet((root,), digits)
 
     raw = _newton_polish(p, list(start), digits + 8)
 
@@ -230,13 +282,10 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
                 "root residuals exceed the digit-budget contract",
                 residuals=residuals)
 
-        separation = mpf(10) ** (-mpf(digits) / 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(raw[i] - raw[j]) <= separation:
-                    raise NonConvergence(
-                        "roots are not separated; input may not be square-free",
-                        residuals=residuals)
+        if _close_pair(raw, mpf(10) ** (-mpf(digits) / 2)):
+            raise NonConvergence(
+                "roots are not separated; input may not be square-free",
+                residuals=residuals)
 
         # components below the budget's own noise floor are exactly zero
         # (real/imaginary structure then survives re-rendering); at 1 or 2
@@ -255,14 +304,18 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
 
     with mp.workdps(digits):
         roots = tuple(+raw[i] for i in order)
-    with mp.workdps(digits + 10):
-        residuals_out = tuple(abs(eval_poly(p.coeffs, z)) for z in roots)
-    return RootSet(roots, digits, residuals_out)
+    return RootSet(roots, digits)
 
 
 def find_roots(p: IntPolynomial, digits: int) -> RootSet:
     """``polish_roots`` of a fresh ``aberth_stage`` run."""
     return polish_roots(p, aberth_stage(p), digits)
+
+
+def root_residuals(p: IntPolynomial, rs: RootSet) -> tuple[mpf, ...]:
+    """|p(x~)| at each root of ``rs``, in ``mpc`` at rs.digits + 10 digits."""
+    with mp.workdps(rs.digits + 10):
+        return tuple(abs(eval_poly(p.coeffs, z)) for z in rs.roots)
 
 
 def root_magnitude_bound(roots) -> float:
@@ -289,5 +342,4 @@ def root_magnitude_bound(roots) -> float:
 def relabel(rs: RootSet, sigma) -> RootSet:
     """Reorder so label j carries the sigma(j)-th root of the input order."""
     roots = tuple(rs.roots[sigma(j) - 1] for j in range(1, rs.n + 1))
-    residuals = tuple(rs.residuals[sigma(j) - 1] for j in range(1, rs.n + 1))
-    return RootSet(roots, rs.digits, residuals)
+    return RootSet(roots, rs.digits)

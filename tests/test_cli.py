@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,21 @@ def test_exit_code_precision_infeasible(capsys):
     assert code == 7
     assert out == ""
     assert "error[PrecisionInfeasible]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--poly", "x^2-2", "--generators", "(1,2)"],
+    ["roots", "--poly", "x^2-2"],
+    ["check", "--poly", "x^2-2", "--generators", "(1,2)"],
+], ids=["solve", "roots", "check"])
+def test_explicit_digits_over_the_cap_exit_7_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--digits", "100001"])
+    assert time.perf_counter() - start < 1
+    assert code == 7
+    assert out == ""
+    assert err.startswith("error[PrecisionInfeasible]: digit budget 100001 "
+                          "exceeds cap 100000")
 
 
 def test_exit_code_verification_failed(capsys, monkeypatch):

@@ -5,7 +5,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import PhaseAmbiguous, pipeline, radical, solve
+from radicalroots import (PhaseAmbiguous, PrecisionInfeasible, pipeline,
+                          precision, radical, solve)
 from radicalroots.cli import main
 from radicalroots.resolvent import zeta_tables
 from tests.conftest import QUINTIC_GENERATORS, QUINTIC_TEXT
@@ -77,6 +78,17 @@ def test_phase_retries_exhausted_exit_code(monkeypatch, capsys):
     code = main(["solve", "--poly", "x^3-2", "--generators", "(1,2,3);(1,2)"])
     assert code == 5
     assert "PhaseAmbiguous" in capsys.readouterr().err
+
+
+def test_phase_retry_stops_at_the_digit_cap(monkeypatch):
+    planned = solve("x^3-2", "(1,2,3);(1,2)").plan.digits
+    monkeypatch.setattr(precision, "DIGITS_HARD_CAP", 2 * planned + 1)
+    polish = _count_calls(monkeypatch, pipeline, "polish_roots")
+    digits_seen = _reconstruct_failing(monkeypatch, times=10)
+    with pytest.raises(PrecisionInfeasible, match=f"{4 * planned} exceeds cap"):
+        solve("x^3-2", "(1,2,3);(1,2)")
+    assert digits_seen == [planned, 2 * planned]
+    assert [args[2] for args in polish] == [planned, 2 * planned, 4 * planned]
 
 
 def test_roots_of_unity_come_from_the_zeta_tables(monkeypatch):

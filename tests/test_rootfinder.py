@@ -1,15 +1,17 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational
 
 from radicalroots import (IntPolynomial, NonConvergence, closure,
                           composition_series, eval_poly, find_roots,
                           parse_cycles, parse_polynomial, plan_precision,
-                          root_magnitude_bound, sanity_check)
+                          root_magnitude_bound, root_residuals, sanity_check)
 from radicalroots import rootfinder
 from radicalroots.rootfinder import aberth_stage, polish_roots
 from tests.conftest import QUINTIC_ROOT_STRINGS
@@ -34,9 +36,10 @@ def test_sqrt2_roots():
 
 
 def test_degree_one():
-    rs = find_roots(parse_polynomial("x"), 10)
+    p = parse_polynomial("x")
+    rs = find_roots(p, 10)
     assert rs.n == 1 and rs.roots[0] == 0
-    assert rs.residuals[0] == 0
+    assert root_residuals(p, rs)[0] == 0
 
 
 def test_residual_contract(quintic):
@@ -44,7 +47,7 @@ def test_residual_contract(quintic):
         rs = find_roots(quintic, digits)
         bound = max(mpf(1), max(abs(z) for z in rs.roots)) ** quintic.degree
         cap = mpf(10) ** (2 - digits) * bound
-        assert max(rs.residuals) < cap
+        assert max(root_residuals(quintic, rs)) < cap
 
 
 def test_separation_invariant(quintic_roots_14):
@@ -324,3 +327,104 @@ def test_roots_match_a_reference(low_coeffs, digits):
     p = IntPolynomial(tuple(low_coeffs) + (1,))
     assume(sanity_check(p).square_free)
     _assert_near_reference(p, digits)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                   1.5, -0.1, 1e300, -1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _rounded_exact(coeffs, z):
+    """_mpf_ of each part of f(z), from Fraction arithmetic, rounded by
+    mpmath at the current precision."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(coeffs[-1]), Fraction(0)
+    for a in reversed(coeffs[:-1]):
+        re, im = re * x - im * y + a, re * y + im * x
+    return tuple(from_rational(v.numerator, v.denominator, mp.prec, "n")
+                 for v in (re, im))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 300, 10 ** 300), min_size=2, max_size=13),
+       _FLOATS, _FLOATS, st.sampled_from([15, 32, 50, 133]))
+def test_exact_value_is_correctly_rounded(coeffs, re, im, dps):
+    z = complex(re, im)
+    with mp.workdps(dps):
+        value = rootfinder._exact_value(coeffs, z)
+        assert value._mpc_ == _rounded_exact(coeffs, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=12),
+       st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                          allow_infinity=False),
+       st.sampled_from([15, 32, 50]))
+def test_exact_value_matches_mpc_points(coeffs, z, dps):
+    # a point read back from mpc is a hardware point like any other
+    with mp.workdps(dps):
+        point = complex(mpc(z) / 3)
+        assert rootfinder._exact_value(coeffs, point)._mpc_ == \
+            _rounded_exact(coeffs, point)
+
+
+def _mpc_close_pair(raw, separation):
+    return any(abs(raw[i] - raw[j]) <= separation
+               for i in range(len(raw)) for j in range(i + 1, len(raw)))
+
+
+class _CountedMpc(mpc):
+    """An mpc that counts the subtractions it takes part in."""
+    subtractions = 0
+
+    def __sub__(self, other):
+        _CountedMpc.subtractions += 1
+        return mpc.__sub__(self, other)
+
+
+@pytest.mark.parametrize("digits", [1, 10, 20, 30, 50, 700])
+@pytest.mark.parametrize("base", ["0", "1.3333333333333333333333333333333",
+                                  "-70000.5", "1e-400", "1e400", "-3e308"])
+def test_separation_screen_decides_like_mpc(digits, base):
+    with mp.workdps(digits + 10):
+        separation = mpf(10) ** (-mpf(digits) / 2)
+        a = mpc(base, base)
+        for direction in (mpc(1), mpc(0, 1), mpc(3, -4) / 5):
+            for factor in ("0.999", "0.999999999999999", "1", "1.000000000000001",
+                           "1.001", "2"):
+                raw = [a, a + direction * separation * mpf(factor),
+                       a + 10 * direction]
+                assert (rootfinder._close_pair(raw, separation)
+                        == _mpc_close_pair(raw, separation))
+
+
+def test_separation_screen_skips_mpc_for_separated_roots():
+    p = parse_polynomial("x^8-3")
+    raw = [_CountedMpc(z) for z in find_roots(p, 40).roots]
+    _CountedMpc.subtractions = 0
+    with mp.workdps(50):
+        assert not rootfinder._close_pair(raw, mpf(10) ** -20)
+    assert _CountedMpc.subtractions == 0
+
+
+def test_separation_screen_sends_beyond_float_roots_to_mpc():
+    # the float conversion gives inf (or 0.0), so every pair is tested in mpc
+    with mp.workdps(30):
+        far = [_CountedMpc("1e400"), _CountedMpc("-1e400"),
+               _CountedMpc("2e400")]
+        near = [_CountedMpc("1e-400"), _CountedMpc("3e-400")]
+        _CountedMpc.subtractions = 0
+        assert not rootfinder._close_pair(far, mpf(10) ** -10)
+        assert not rootfinder._close_pair(near, mpf(10) ** -405)
+        assert rootfinder._close_pair(near, mpf(10) ** -399)
+    assert _CountedMpc.subtractions == 3 + 1 + 1
+
+
+def test_degree_one_residual_is_that_of_the_rounded_root():
+    # 10^30 + 1 does not fit 10 digits, so the rounded root misses it
+    p = parse_polynomial("x-1000000000000000000000000000001")
+    rs = find_roots(p, 10)
+    with mp.workdps(40):
+        assert root_residuals(p, rs) == (abs(10 ** 30 + 1 - rs.roots[0]),)
+        assert root_residuals(p, rs)[0] > 0
