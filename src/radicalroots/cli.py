@@ -35,9 +35,19 @@ def _load_input_file(path: str):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputSyntaxError(f"cannot read input file {path}: {exc}") from None
-    if "poly" not in data:
+    if not isinstance(data, dict) or "poly" not in data:
         raise InputSyntaxError('input file must contain a "poly" entry')
     return data
+
+
+def _entry_list(data: dict, key: str, kind: type, kinds: str) -> list:
+    """The input file's ``data[key]``, which must be a list of ``kind``."""
+    value = data.get(key, [])
+    if not isinstance(value, list) or any(type(v) is not kind for v in value):
+        raise InputSyntaxError(
+            f'input file entry "{key}" must be a list of {kinds}, '
+            f"got {value!r}")
+    return value
 
 
 def _resolve_inputs(args):
@@ -48,10 +58,15 @@ def _resolve_inputs(args):
     if getattr(args, "input", None):
         data = _load_input_file(args.input)
         poly = data["poly"]
-        generators = generators or ";".join(data.get("generators", []))
+        generators = generators or ";".join(
+            _entry_list(data, "generators", str, "strings"))
         lab = data.get("labeling") or {}
+        if not isinstance(lab, dict):
+            raise InputSyntaxError('input file entry "labeling" must be an '
+                                   f'object, got {lab!r}')
         if root_order is None and "root_order" in lab:
-            root_order = ",".join(str(i) for i in lab["root_order"])
+            root_order = ",".join(
+                map(str, _entry_list(lab, "root_order", int, "integers")))
     if getattr(args, "poly", None):
         poly = args.poly
     if poly is None:

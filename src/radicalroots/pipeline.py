@@ -3,6 +3,8 @@ round, reconstruct, verify."""
 
 from __future__ import annotations
 
+import operator
+
 from .errors import InputSyntaxError, PhaseAmbiguous
 from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
@@ -24,7 +26,21 @@ def as_polynomial(poly) -> IntPolynomial:
         return poly
     if isinstance(poly, str):
         return parse_polynomial(poly)
-    return IntPolynomial(tuple(int(c) for c in poly))
+    if not isinstance(poly, (list, tuple)):
+        raise InputSyntaxError(f"a polynomial is text or a list of "
+                               f"coefficients, got {poly!r}")
+    return IntPolynomial(tuple(_integer(c, f"polynomial coefficient {i}")
+                               for i, c in enumerate(poly)))
+
+
+def _integer(value, what: str) -> int:
+    """``value`` if it is an integer (not a float, not text), else
+    InputSyntaxError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputSyntaxError(
+            f"{what} must be an integer, got {value!r}") from None
 
 
 def as_generators(generators, degree: int) -> list[Permutation]:
@@ -43,8 +59,13 @@ def as_labeling(labeling, degree: int) -> Permutation:
         sigma = labeling
     else:
         if isinstance(labeling, str):
-            labeling = [int(t) for t in labeling.replace(";", ",").split(",")]
-        sigma = Permutation(tuple(int(i) for i in labeling))
+            try:
+                labeling = [int(t) for t in labeling.replace(";", ",").split(",")]
+            except ValueError:
+                raise InputSyntaxError(f"root order must list integers, got "
+                                       f"{labeling!r}") from None
+        sigma = Permutation(tuple(_integer(i, "a root order entry")
+                                  for i in labeling))
     if sigma.degree != degree:
         raise InputSyntaxError(
             f"labeling must list {degree} root positions, got {sigma.degree}")

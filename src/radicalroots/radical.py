@@ -16,6 +16,7 @@ table; they evaluate and render the same, only without the sharing.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Union, get_args
@@ -191,14 +192,37 @@ def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
     return _node(RationalScale, denominator, child)
 
 
+def _walk(visit, expr: RadicalExpr, memo: dict):
+    """``visit(node, results of its children)`` at ``expr``, bottom-up, once
+    per node object: ``memo`` maps id(node) -> (node, result), the node kept
+    so that its id cannot be reused."""
+    hit = memo.get(id(expr))
+    if hit is not None:
+        return hit[1]
+    if isinstance(expr, Root):
+        kids = [_walk(visit, expr.radicand, memo)]
+    elif isinstance(expr, Sum):
+        kids = [_walk(visit, c, memo) for c in expr.terms]
+    elif isinstance(expr, Product):
+        kids = [_walk(visit, c, memo) for c in expr.factors]
+    elif isinstance(expr, RationalScale):
+        kids = [_walk(visit, expr.child, memo)]
+    elif isinstance(expr, (IntegerLiteral, RootOfUnitySymbol)):
+        kids = []
+    else:
+        raise TypeError(f"not a radical expression node: {expr!r}")
+    out = visit(expr, kids)
+    memo[id(expr)] = (expr, out)
+    return out
+
+
 class ValueCache:
     """Values of expression nodes at one digit budget, each computed once.
 
-    Entries are keyed by node identity and keep their node so that its id
-    cannot be reused.  For interned nodes identity is structure, so each
-    structurally distinct node is computed once.  Roots of unity come from the
-    zeta tables when given; all branches of a radicand share the value of its
-    branch-0 root.
+    ``nodes`` is the memo of the walk whose visit function is ``value``.
+    For interned nodes identity is structure, so each structurally distinct
+    node is computed once.  Roots of unity come from the zeta tables when
+    given; all branches of a radicand share the value of its branch-0 root.
     """
 
     def __init__(self, digits: int, zetas=None):
@@ -210,42 +234,32 @@ class ValueCache:
         table = self.zetas.get(p)
         return table[k] if table else root_of_unity(p, k, self.digits)
 
+    def value(self, node: RadicalExpr, kids: list) -> mpc:
+        """The value of ``node`` from the values of its children."""
+        if isinstance(node, Root):
+            if not node.branch:
+                return principal_root(kids[0], node.degree)
+            principal = make_root(node.degree, node.radicand, 0)
+            return (_walk(self.value, principal, self.nodes)
+                    * self.unity(node.degree, node.branch))
+        if isinstance(node, Sum):
+            return sum(kids, mpc(0))
+        if isinstance(node, Product):
+            return math.prod(kids, start=mpc(1))
+        if isinstance(node, RationalScale):
+            return kids[0] / node.denominator
+        if isinstance(node, IntegerLiteral):
+            return mpc(node.value)
+        return self.unity(node.order, node.power)
+
 
 def evaluate(expr: RadicalExpr, digits: int,
              cache: ValueCache | None = None) -> mpc:
     """Deterministic bottom-up numeric evaluation at the given digit budget;
     ``cache``, a ValueCache at that budget, shares values across calls."""
+    cache = cache or ValueCache(digits)
     with mp.workdps(digits):
-        return _evaluate(expr, cache or ValueCache(digits))
-
-
-def _evaluate(expr: RadicalExpr, cache: ValueCache) -> mpc:
-    hit = cache.nodes.get(id(expr))
-    if hit is not None:
-        return hit[1]
-    if isinstance(expr, IntegerLiteral):
-        val = mpc(expr.value)
-    elif isinstance(expr, RationalScale):
-        val = _evaluate(expr.child, cache) / expr.denominator
-    elif isinstance(expr, RootOfUnitySymbol):
-        val = cache.unity(expr.order, expr.power)
-    elif isinstance(expr, Sum):
-        val = mpc(0)
-        for t in expr.terms:
-            val = val + _evaluate(t, cache)
-    elif isinstance(expr, Product):
-        val = mpc(1)
-        for f in expr.factors:
-            val = val * _evaluate(f, cache)
-    elif isinstance(expr, Root) and expr.branch:
-        val = (_evaluate(make_root(expr.degree, expr.radicand, 0), cache)
-               * cache.unity(expr.degree, expr.branch))
-    elif isinstance(expr, Root):
-        val = principal_root(_evaluate(expr.radicand, cache), expr.degree)
-    else:
-        raise TypeError(f"not a radical expression node: {expr!r}")
-    cache.nodes[id(expr)] = (expr, val)
-    return val
+        return _walk(cache.value, expr, cache.nodes)
 
 
 @dataclass(frozen=True)
@@ -307,7 +321,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 line_exprs = [exact[i] for i in line]
                 line_scale = mpf(0)
                 for expr in line_exprs:
-                    line_scale += abs(_evaluate(expr, values))
+                    line_scale += abs(_walk(values.value, expr, values.nodes))
                 # radicand values below the evaluation noise floor are zero; the
                 # p-th root inflates noise to noise^(1/p), so test at that scale
                 noise = line_scale * mpf(10) ** (4 - digits)
@@ -316,7 +330,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 for k in range(p):
                     e_k = make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
                                    for j in range(p))
-                    w = _evaluate(make_root(p, e_k, 0), values)
+                    w = _walk(values.value, make_root(p, e_k, 0), values.nodes)
                     target = stored.data[line[k]]
                     z_vanishes = abs(w) <= w_floor
                     target_vanishes = abs(target) < delta
@@ -334,7 +348,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                     distances = sorted((abs(b - target), s)
                                        for s, b in enumerate(branches))
                     best_d, best_s = distances[0]
-                    second_d = distances[1][0] if p > 1 else mpf("inf")
+                    second_d = distances[1][0]
                     if best_d >= delta or second_d <= 2 * delta:
                         raise PhaseAmbiguous(
                             f"cannot fix the branch of a {p}-th root at level "
@@ -344,9 +358,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                             f"{mpmath.nstr(delta, 4)}")
                     branch_log.append(BranchChoice(level, line[k], p, best_s,
                                                    best_d, second_d, delta))
-                    root = make_root(p, e_k, best_s)
-                    values.nodes[id(root)] = (root, branches[best_s])
-                    l_exact.append(root)
+                    l_exact.append(make_root(p, e_k, best_s))
                 for j in range(p):
                     combo = make_sum(make_product([_zeta(p, -j * k), l_exact[k]])
                                      for k in range(p))
@@ -370,101 +382,77 @@ def _join_terms(parts: list[str]) -> str:
     return " ".join([parts[0], *signed])
 
 
-def _memo(render, expr: RadicalExpr, memo: dict):
-    """``render(expr, memo)``, computed once per node object within one
-    rendering, so a shared subtree is rendered once."""
-    out = memo.get(id(expr))
-    if out is None:
-        out = memo[id(expr)] = render(expr, memo)
-    return out
+def _join_factors(factors, parts: list[str], group: str, sep: str) -> str:
+    """Rendered factors joined by ``sep``; a sum, a scale or a negative
+    factor is put in ``group``, a format template with one ``{}``."""
+    return sep.join([group.format(s) if isinstance(f, (Sum, RationalScale))
+                     or s.startswith("-") else s
+                     for f, s in zip(factors, parts)])
 
 
-def _text(expr: RadicalExpr, memo: dict) -> str:
-    if isinstance(expr, IntegerLiteral):
-        return str(expr.value)
-    if isinstance(expr, RationalScale):
-        return f"(1/{expr.denominator})*({_memo(_text, expr.child, memo)})"
-    if isinstance(expr, RootOfUnitySymbol):
-        return f"zeta_{expr.order}^{expr.power}"
-    if isinstance(expr, Sum):
-        return _join_terms([_memo(_text, t, memo) for t in expr.terms])
-    if isinstance(expr, Product):
-        parts = []
-        for f in expr.factors:
-            s = _memo(_text, f, memo)
-            if isinstance(f, (Sum, RationalScale)) or s.startswith("-"):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
-    if isinstance(expr, Root):
-        return (f"root({expr.degree},{expr.branch}; "
-                f"{_memo(_text, expr.radicand, memo)})")
-    raise TypeError(f"not a radical expression node: {expr!r}")
+def _text(node: RadicalExpr, kids: list) -> str:
+    if isinstance(node, Root):
+        return f"root({node.degree},{node.branch}; {kids[0]})"
+    if isinstance(node, Sum):
+        return _join_terms(kids)
+    if isinstance(node, Product):
+        return _join_factors(node.factors, kids, "({})", "*")
+    if isinstance(node, RationalScale):
+        return f"(1/{node.denominator})*({kids[0]})"
+    if isinstance(node, IntegerLiteral):
+        return str(node.value)
+    return f"zeta_{node.order}^{node.power}"
 
 
-def _latex(expr: RadicalExpr, memo: dict) -> str:
-    if isinstance(expr, IntegerLiteral):
-        return str(expr.value)
-    if isinstance(expr, RationalScale):
-        child = _memo(_latex, expr.child, memo)
-        return rf"\frac{{1}}{{{expr.denominator}}}\left({child}\right)"
-    if isinstance(expr, RootOfUnitySymbol):
-        return rf"\zeta_{{{expr.order}}}^{{{expr.power}}}"
-    if isinstance(expr, Sum):
-        return _join_terms([_memo(_latex, t, memo) for t in expr.terms])
-    if isinstance(expr, Product):
-        parts = []
-        for f in expr.factors:
-            s = _memo(_latex, f, memo)
-            if isinstance(f, (Sum, RationalScale)) or s.startswith("-"):
-                s = rf"\left({s}\right)"
-            parts.append(s)
-        return r" \cdot ".join(parts)
-    if isinstance(expr, Root):
-        body = _memo(_latex, expr.radicand, memo)
-        radical = rf"\sqrt{{{body}}}" if expr.degree == 2 \
-            else rf"\sqrt[{expr.degree}]{{{body}}}"
-        if expr.degree == 2 and expr.branch == 1:
+def _latex(node: RadicalExpr, kids: list) -> str:
+    if isinstance(node, Root):
+        radical = rf"\sqrt{{{kids[0]}}}" if node.degree == 2 \
+            else rf"\sqrt[{node.degree}]{{{kids[0]}}}"
+        if node.degree == 2 and node.branch == 1:
             return f"-{radical}"
-        if expr.branch:
-            return rf"\zeta_{{{expr.degree}}}^{{{expr.branch}}}{radical}"
+        if node.branch:
+            return rf"\zeta_{{{node.degree}}}^{{{node.branch}}}{radical}"
         return radical
-    raise TypeError(f"not a radical expression node: {expr!r}")
+    if isinstance(node, Sum):
+        return _join_terms(kids)
+    if isinstance(node, Product):
+        return _join_factors(node.factors, kids, r"\left({}\right)", r" \cdot ")
+    if isinstance(node, RationalScale):
+        return rf"\frac{{1}}{{{node.denominator}}}\left({kids[0]}\right)"
+    if isinstance(node, IntegerLiteral):
+        return str(node.value)
+    return rf"\zeta_{{{node.order}}}^{{{node.power}}}"
 
 
-def _json(expr: RadicalExpr, memo: dict):
-    if isinstance(expr, IntegerLiteral):
-        return {"int": str(expr.value)}
-    if isinstance(expr, RationalScale):
-        child_terms = expr.child.terms if isinstance(expr.child, Sum) \
-            else (expr.child,)
-        return {"scale": f"1/{expr.denominator}",
-                "sum": [_memo(_json, t, memo) for t in child_terms]}
-    if isinstance(expr, RootOfUnitySymbol):
-        return {"zeta": {"p": expr.order, "k": expr.power}}
-    if isinstance(expr, Sum):
-        return {"sum": [_memo(_json, t, memo) for t in expr.terms]}
-    if isinstance(expr, Product):
-        return {"product": [_memo(_json, f, memo) for f in expr.factors]}
-    if isinstance(expr, Root):
-        return {"root": {"p": expr.degree, "branch": expr.branch,
-                         "radicand": _memo(_json, expr.radicand, memo)}}
-    raise TypeError(f"not a radical expression node: {expr!r}")
+def _json(node: RadicalExpr, kids: list):
+    if isinstance(node, Root):
+        return {"root": {"p": node.degree, "branch": node.branch,
+                         "radicand": kids[0]}}
+    if isinstance(node, Sum):
+        return {"sum": kids}
+    if isinstance(node, Product):
+        return {"product": kids}
+    if isinstance(node, RationalScale):
+        terms = kids[0]["sum"] if isinstance(node.child, Sum) else kids
+        return {"scale": f"1/{node.denominator}", "sum": terms}
+    if isinstance(node, IntegerLiteral):
+        return {"int": str(node.value)}
+    return {"zeta": {"p": node.order, "k": node.power}}
 
 
 def json_ast(expr: RadicalExpr):
     """The JSON AST of an expression as plain dicts and lists; a subtree that
     occurs more than once is one shared dict, so treat the result as
     read-only."""
-    return _memo(_json, expr, {})
+    return _walk(_json, expr, {})
 
 
 def emit(expr: RadicalExpr, format: str = "text") -> str:
     """Render an expression as text, LaTeX, or the JSON AST."""
     if format == "text":
-        return _memo(_text, expr, {})
+        return _walk(_text, expr, {})
     if format == "latex":
-        return _memo(_latex, expr, {})
+        return _walk(_latex, expr, {})
     if format == "json":
         return json.dumps(json_ast(expr), separators=(",", ":"))
     raise ValueError(f"unknown format {format!r}")
@@ -512,7 +500,7 @@ def verify(exprs, roots: RootSet, cache: ValueCache | None = None):
     cache = cache or ValueCache(digits)
     with mp.workdps(digits):
         threshold = mpf(10) ** (-mpf(digits) / 2)
-        deviations = [abs(_evaluate(expr, cache) - root)
+        deviations = [abs(_walk(cache.value, expr, cache.nodes) - root)
                       for expr, root in zip(exprs, roots.roots)]
     worst = max(deviations) if deviations else mpf(0)
     if worst >= threshold:

@@ -306,21 +306,78 @@ def test_roots_warns_on_a_reducible_polynomial(capsys):
                           "reducible\n")
 
 
-@pytest.mark.parametrize("case", ["unreadable", "no-poly", "no-input"])
+# input-file content (None: no file is written) and the error message; a
+# malformed entry must exit 2, not be truncated to an integer or end in a
+# traceback
+INPUT_FILE_ERRORS = {
+    "unreadable": (None, "cannot read input file"),
+    "no-poly": ({"generators": ["(1,2)"]},
+                'input file must contain a "poly" entry'),
+    "float-coefficient": ({"poly": [2.5, 0, 1], "generators": ["(1,2)"]},
+                          "polynomial coefficient 0 must be an integer, "
+                          "got 2.5"),
+    "number-poly": ({"poly": 5, "generators": ["(1,2)"]},
+                    "a polynomial is text or a list of coefficients, got 5"),
+    "text-coefficient": ({"poly": [1, "a", 1], "generators": ["(1,2)"]},
+                         "polynomial coefficient 1 must be an integer, "
+                         "got 'a'"),
+    "overflowing-coefficient": ('{"poly": [1, 0, 1e400], '
+                                '"generators": ["(1,2)"]}',
+                                "polynomial coefficient 2 must be an "
+                                "integer, got inf"),
+    "nested-generators": ({"poly": [-2, 0, 1], "generators": [["(1,2)"]]},
+                          'input file entry "generators" must be a list of '
+                          "strings"),
+    "text-root-order": ({"poly": [-2, 0, 1], "generators": ["(1,2)"],
+                         "labeling": {"root_order": "2,1"}},
+                        'input file entry "root_order" must be a list of '
+                        "integers"),
+    "text-labeling": ({"poly": [-2, 0, 1], "generators": ["(1,2)"],
+                       "labeling": "root_order"},
+                      'input file entry "labeling" must be an object'),
+}
+
+
+@pytest.mark.parametrize("case", [*INPUT_FILE_ERRORS, "no-input"])
 def test_missing_polynomial_exits_2(tmp_path, capsys, case):
-    path = tmp_path / "input.json"
-    if case == "no-poly":
-        path.write_text(json.dumps({"generators": ["(1,2)"]}))
-    argv = ["solve", "--generators", "(1,2)"]
-    if case != "no-input":
-        argv += ["--input", str(path)]
+    if case == "no-input":
+        argv = ["solve", "--generators", "(1,2)"]
+        message = "a polynomial is required (--poly or --input)"
+    else:
+        content, message = INPUT_FILE_ERRORS[case]
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content if isinstance(content, str)
+                            else json.dumps(content))
+        argv = ["solve", "--input", str(path)]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    message = {"unreadable": "cannot read input file",
-               "no-poly": 'input file must contain a "poly" entry',
-               "no-input": "a polynomial is required (--poly or --input)"}
-    assert err.startswith("error[InputSyntaxError]: " + message[case])
+    assert err.startswith("error[InputSyntaxError]: " + message)
+
+
+@pytest.mark.parametrize("root_order", ["a,b", ","])
+def test_root_order_that_is_not_integers_exits_2(capsys, root_order):
+    code, out, err = run(capsys, ["solve", "--poly", "x^2-2", "--generators",
+                                  "(1,2)", "--root-order", root_order])
+    assert (code, out) == (2, "")
+    assert err == ("error[InputSyntaxError]: root order must list integers, "
+                   f"got {root_order!r}\n")
+
+
+def test_given_labeling_without_a_root_order_exits_2(capsys):
+    code, out, err = run(capsys, ["solve", "--poly", "x^2-2", "--generators",
+                                  "(1,2)", "--labeling", "given"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[InputSyntaxError]: --labeling given requires "
+                          "--root-order")
+
+
+def test_check_without_generators_exits_2(capsys):
+    code, out, err = run(capsys, ["check", "--poly", "x^2-2"])
+    assert (code, out) == (2, "")
+    assert err == ("error[InputSyntaxError]: generators are required "
+                   "(--generators)\n")
 
 
 # at 1 or 2 digits the noise floor of polish_roots reaches |z|; the roots must

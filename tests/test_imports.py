@@ -216,3 +216,39 @@ def test_direct_node_call_is_detected(tmp_path):
         "def g(x):\n"
         "    return radical.Root(2, x, 0)\n")
     assert direct_node_calls(tmp_path) == ["a.py:6: Sum", "a.py:8: Root"]
+
+
+def self_naming_functions(path: Path) -> list[str]:
+    """Functions whose body names the function itself, by a call or by
+    passing it on as in ``_memo(_text, child, memo)``: each is a walker of
+    its own."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(name, ast.Name) and name.id == node.name
+                for stmt in node.body for name in ast.walk(stmt)):
+            found.append(f"{path.name}: {node.name}")
+    return found
+
+
+def test_radical_has_one_walker_of_the_expression_dag():
+    # evaluation and the renderers are visit functions of _walk; parsing the
+    # JSON AST builds nodes, so it walks the JSON, not the DAG
+    assert self_naming_functions(SRC / "radical.py") == [
+        "radical.py: _walk", "radical.py: _from_json_obj"]
+
+
+def test_second_walker_is_detected(tmp_path):
+    (tmp_path / "radical.py").write_text(
+        "def _walk(visit, expr, memo):\n"
+        "    return visit(expr, [_walk(visit, c, memo) for c in expr])\n"
+        "def _memo(render, expr, memo):\n"
+        "    return render(expr, memo)\n"
+        "def _text(expr, memo):\n"
+        "    return ''.join(_memo(_text, c, memo) for c in expr)\n"
+        "def _depth(expr):\n"
+        "    return 1 + max(map(_depth, expr), default=0)\n"
+        "def _size(expr):\n"
+        "    return _walk(lambda e, kids: 1 + sum(kids), expr, {})\n")
+    assert self_naming_functions(tmp_path / "radical.py") == [
+        "radical.py: _walk", "radical.py: _text", "radical.py: _depth"]

@@ -5,8 +5,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import (PhaseAmbiguous, PrecisionInfeasible, pipeline,
-                          precision, radical, solve)
+from radicalroots import (InputSyntaxError, PhaseAmbiguous,
+                          PrecisionInfeasible, pipeline, precision, radical,
+                          solve)
 from radicalroots.cli import main
 from radicalroots.resolvent import zeta_tables
 from tests.conftest import QUINTIC_GENERATORS, QUINTIC_TEXT
@@ -121,6 +122,13 @@ def test_results_do_not_depend_on_the_ambient_precision(poly, generators):
     assert low.root_exprs == high.root_exprs
     assert low.evaluations == high.evaluations
     assert low.verification == high.verification
+
+
+@pytest.mark.parametrize("coeffs", [[2.9, 0, 1], [-2, 0, 1.0], [-2, "0", 1]])
+def test_a_coefficient_list_of_non_integers_is_refused(coeffs):
+    # int() would truncate 2.9 to 2 and solve x^2+2
+    with pytest.raises(InputSyntaxError, match="must be an integer"):
+        solve(coeffs, "(1,2)")
 
 
 def test_values_are_mpmath_mpc():

@@ -12,8 +12,9 @@ from radicalroots import (PhaseAmbiguous, VerificationFailed, closure,
                           label_roots, parse_cycles, parse_expr_json,
                           parse_polynomial, reconstruct, solve, verify)
 from radicalroots.radical import (IntegerLiteral, Product, RationalScale, Root,
-                                  RootOfUnitySymbol, Sum, make_product,
-                                  make_root, make_scale, make_sum)
+                                  RootOfUnitySymbol, Sum, json_ast,
+                                  make_product, make_root, make_scale,
+                                  make_sum)
 from radicalroots.resolvent import (build_theta0, forward_pass,
                                     round_theta_m, zeta_tables)
 from radicalroots.rootfinder import relabel
@@ -140,6 +141,16 @@ def test_emit_zeta_and_branch():
     assert emit(expr, "text") == "zeta_5^2*root(5,4; 3)"
     assert emit(expr, "latex") == \
         r"\zeta_{5}^{2} \cdot \zeta_{5}^{4}\sqrt[5]{3}"
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda e: evaluate(e, 10), lambda e: emit(e, "text"),
+    lambda e: emit(e, "latex"), lambda e: emit(e, "json"), json_ast],
+    ids=["evaluate", "text", "latex", "json", "json_ast"])
+def test_a_non_node_raises_the_walks_type_error(consumer):
+    for bad in (3, Sum((IntegerLiteral(1), "2"))):
+        with pytest.raises(TypeError, match="not a radical expression node"):
+            consumer(bad)
 
 
 def test_json_round_trip_handmade():

@@ -294,6 +294,65 @@ def test_gamma_bound_is_an_upper_bound(monkeypatch, poly_text):
             assert bound >= _gamma(p.coeffs, z)
 
 
+def test_alpha_test_refuses_a_point_where_the_derivative_vanishes():
+    p = parse_polynomial("x^2-2")
+    with mp.workdps(rootfinder._BASE_DPS):
+        assert rootfinder._alpha_data(p.coeffs, p.derivative_coeffs(), 0j) \
+            == (None, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("points,certified", [
+    ([math.sqrt(2), -math.sqrt(2)], True),
+    ([math.sqrt(2), math.sqrt(2)], False),      # the discs overlap
+    ([0.0, math.sqrt(2)], False),               # f'(0) = 0
+], ids=["separated", "same-root-twice", "critical-point"])
+def test_certified_step_refuses_unless_every_root_is_certified(points,
+                                                               certified):
+    p = parse_polynomial("x^2-2")
+    z = [complex(x) for x in points]
+    with mp.workdps(rootfinder._BASE_DPS):
+        steps = rootfinder._certified_step(p.coeffs, p.derivative_coeffs(), z)
+        if certified:
+            assert [abs(s ** 2 - 2) < mpf(10) ** -30 for s in steps] \
+                == [True, True]
+        else:
+            assert steps is None
+
+
+def _polish_skipping(monkeypatch, skips):
+    """Make ``_newton_polish`` return its roots unchanged on its first
+    ``skips`` calls; return the list of targets it was called with."""
+    polish = rootfinder._newton_polish
+    targets = []
+
+    def skipping(p, roots, target_dps):
+        targets.append(target_dps)
+        return roots if len(targets) <= skips else polish(p, roots, target_dps)
+    monkeypatch.setattr(rootfinder, "_newton_polish", skipping)
+    return targets
+
+
+def test_residual_contract_retries_an_unpolished_run(monkeypatch):
+    p = parse_polynomial("x^3-2")
+    expected = find_roots(p, 60)
+    targets = _polish_skipping(monkeypatch, 1)
+    rs = polish_roots(p, aberth_stage(p), 60)
+    assert targets == [68, 80]
+    assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in expected.roots]
+
+
+def test_residual_contract_raises_when_retries_do_not_polish(monkeypatch):
+    p = parse_polynomial("x^3-2")
+    start = aberth_stage(p)
+    targets = _polish_skipping(monkeypatch, 4)
+    with pytest.raises(NonConvergence,
+                       match="root residuals exceed the digit-budget "
+                             "contract") as info:
+        polish_roots(p, start, 60)
+    assert targets == [68, 80, 90, 100]
+    assert len(info.value.residuals) == 3
+
+
 def _assert_near_reference(p, digits):
     """Every root at ``digits`` lies within 10^(1-digits) * max(1, |zeta|)
     of its own root zeta at 2*digits + 20, one root each."""
