@@ -140,10 +140,14 @@ def to_monic(p: IntPolynomial) -> MonicReduction:
 
 def eval_poly(coeffs, z):
     """Horner evaluation of ascending integer ``coeffs`` at ``z``: exact for
-    an integer ``z``, at the current mpmath precision for an mpmath one."""
+    an integer ``z``, at the current mpmath precision for an mpmath one.
+
+    A zero coefficient adds nothing: adding an exact 0 to a value already
+    rounded at the current precision returns it unchanged, so x^n - a costs
+    one addition, not n."""
     acc = 0
     for c in reversed(coeffs):
-        acc = acc * z + c
+        acc = acc * z + c if c else acc * z
     return acc
 
 

@@ -292,6 +292,27 @@ class ReconstructionResult:
     values: ValueCache                        # every value computed on the way
 
 
+def _line_radicands(p: int, line_exprs, values: ValueCache, noise_scale: mpf,
+                    floor: mpf):
+    """What one tensor line gives from its nodes alone: the p radicands
+    E_k = sum_j line[j] * zeta_p^{jk}, the values of their principal p-th
+    roots, and whether each of those lies below the line's noise floor.
+
+    Radicand values below the evaluation noise floor, ``noise_scale`` times
+    the line's sum of magnitudes, are zero; the p-th root inflates noise to
+    noise^(1/p), so the test is at that scale and never below ``floor``.
+    """
+    line_scale = mpf(0)
+    for expr in line_exprs:
+        line_scale += abs(_walk(values.value, expr, values.nodes))
+    w_floor = max((line_scale * noise_scale) ** (mpf(1) / p), floor)
+    radicands = [make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
+                          for j in range(p)) for k in range(p)]
+    roots = [_walk(values.value, make_root(p, e_k, 0), values.nodes)
+             for e_k in radicands]
+    return radicands, roots, [abs(w) <= w_floor for w in roots]
+
+
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 stored_L, zetas, *, digits: int) -> ReconstructionResult:
     """Work the tensor transforms backward, picking root branches numerically.
@@ -303,9 +324,17 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     branch within delta = 10^(-digits/4) and every other branch beyond
     2*delta, else PhaseAmbiguous.  Radicands indistinguishable from zero are
     collapsed to 0.
+
+    Nodes are interned, so lines of a level with the same nodes are the same
+    tuple of objects: they share the radicands, the values of their roots
+    and the noise floor, each computed once, and lines that choose the same
+    roots share the inverse combination.  Only the branch test reads each
+    line's own stored targets.
     """
     with mp.workdps(digits):
         delta = mpf(10) ** (-mpf(digits) / 4)
+        noise_scale = mpf(10) ** (4 - digits)
+        floor = mpf(10) ** (-digits)
         values = ValueCache(digits, zetas)
         radices = int_theta.radices
         exact: list[RadicalExpr] = [_node(IntegerLiteral, v)
@@ -317,34 +346,34 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
             p = radices[level - 1]
             stored = stored_L[level - 1]
             new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
+            # ids of a line's nodes -> (nodes, radicands, root values,
+            # vanishing flags); ids of the chosen roots -> (roots, inverse
+            # combinations).  The nodes are kept so that their ids cannot be
+            # reused.
+            lines: dict = {}
+            combos: dict = {}
             for line in axis_lines(radices, level - 1):
-                line_exprs = [exact[i] for i in line]
-                line_scale = mpf(0)
-                for expr in line_exprs:
-                    line_scale += abs(_walk(values.value, expr, values.nodes))
-                # radicand values below the evaluation noise floor are zero; the
-                # p-th root inflates noise to noise^(1/p), so test at that scale
-                noise = line_scale * mpf(10) ** (4 - digits)
-                w_floor = max(noise ** (mpf(1) / p), mpf(10) ** (-digits))
+                line_exprs = tuple(exact[i] for i in line)
+                key = tuple(map(id, line_exprs))
+                if key not in lines:
+                    lines[key] = (line_exprs, *_line_radicands(
+                        p, line_exprs, values, noise_scale, floor))
+                _, radicands, roots, vanishes = lines[key]
                 l_exact: list[RadicalExpr] = []
                 for k in range(p):
-                    e_k = make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
-                                   for j in range(p))
-                    w = _walk(values.value, make_root(p, e_k, 0), values.nodes)
                     target = stored.data[line[k]]
-                    z_vanishes = abs(w) <= w_floor
                     target_vanishes = abs(target) < delta
-                    if z_vanishes and target_vanishes:
+                    if vanishes[k] and target_vanishes:
                         l_exact.append(_ZERO)
                         zero_notes.append(ZeroRadicandNote(level, line[k]))
                         continue
-                    if z_vanishes != target_vanishes:
+                    if vanishes[k] != target_vanishes:
                         raise PhaseAmbiguous(
                             f"resolvent magnitude inconsistent at level {level}, "
                             f"index {line[k]}: radicand magnitude "
-                            f"{mpmath.nstr(abs(w), 4)} vs stored "
+                            f"{mpmath.nstr(abs(roots[k]), 4)} vs stored "
                             f"{mpmath.nstr(abs(target), 4)}")
-                    branches = [w * zetas[p][s] for s in range(p)]
+                    branches = [roots[k] * zetas[p][s] for s in range(p)]
                     distances = sorted((abs(b - target), s)
                                        for s, b in enumerate(branches))
                     best_d, best_s = distances[0]
@@ -358,11 +387,15 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                             f"{mpmath.nstr(delta, 4)}")
                     branch_log.append(BranchChoice(level, line[k], p, best_s,
                                                    best_d, second_d, delta))
-                    l_exact.append(make_root(p, e_k, best_s))
-                for j in range(p):
-                    combo = make_sum(make_product([_zeta(p, -j * k), l_exact[k]])
-                                     for k in range(p))
-                    new_exact[line[j]] = make_scale(p, combo)
+                    l_exact.append(make_root(p, radicands[k], best_s))
+                chosen = tuple(l_exact)
+                key = tuple(map(id, chosen))
+                if key not in combos:
+                    combos[key] = (chosen, [make_scale(p, make_sum(
+                        make_product([_zeta(p, -j * k), chosen[k]])
+                        for k in range(p))) for j in range(p)])
+                for flat, expr in zip(line, combos[key][1]):
+                    new_exact[flat] = expr
             exact = new_exact
 
     by_root: dict[int, RadicalExpr] = {}

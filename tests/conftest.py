@@ -1,4 +1,7 @@
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from mpmath import mp
@@ -62,3 +65,19 @@ def reindex_axis(tensor, level, t, c):
 @pytest.fixture(scope="session")
 def reference_label_order(quintic_roots_14):
     return match_root_order(quintic_roots_14, QUINTIC_ROOT_STRINGS)
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def load_perfbench(name: str) -> ModuleType:
+    """``perfbench/<name>.py``, executed from its source once per session;
+    nothing is written next to it.  The module is registered under a
+    private name, since dataclasses look their module up there."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        module = ModuleType(key)
+        sys.modules[key] = module
+        path = PERFBENCH / f"{name}.py"
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return sys.modules[key]

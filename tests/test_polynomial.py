@@ -101,6 +101,46 @@ def test_eval_poly_cube_root():
         assert abs(eval_poly(p.coeffs, z)) < mpf(10) ** (3 - digits)
 
 
+def _dense_horner(coeffs, z):
+    """Horner's rule with every addition, zero coefficients included."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+# sparse coefficient lists: mostly zeros, as in x^n - a
+_SPARSE = st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)),
+                   min_size=1, max_size=14)
+_PART = st.fractions(min_value=-4, max_value=4, max_denominator=10**9)
+
+
+@given(coeffs=_SPARSE, re=_PART, im=_PART,
+       dps=st.sampled_from([15, 20, 32, 60, 134, 200]))
+@settings(max_examples=200, deadline=None)
+def test_eval_poly_matches_dense_horner_at_mpc_points_bit_for_bit(
+        coeffs, re, im, dps):
+    with mp.workdps(dps):
+        z = mp.mpc(mpf(re.numerator) / re.denominator,
+                   mpf(im.numerator) / im.denominator)
+        assert eval_poly(coeffs, z)._mpc_ == _dense_horner(coeffs, z)._mpc_
+
+
+@given(coeffs=_SPARSE, z=st.integers(-50, 50))
+@settings(max_examples=200, deadline=None)
+def test_eval_poly_matches_dense_horner_exactly_at_integer_points(coeffs, z):
+    assert eval_poly(coeffs, z) == _dense_horner(coeffs, z)
+
+
+@given(coeffs=_SPARSE, re=st.floats(-4, 4), im=st.floats(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_eval_poly_matches_dense_horner_at_hardware_points(coeffs, re, im):
+    # == and not the bits: adding an integer 0 turns a -0.0 part into +0.0,
+    # so the sign of a zero part is all that may differ
+    z = complex(re, im)
+    assert eval_poly(coeffs, z) == _dense_horner(coeffs, z)
+
+
 def test_sanity_check_clean():
     rep = sanity_check(parse_polynomial("x^2-2"))
     assert rep.square_free and rep.integer_roots == () and rep.clean

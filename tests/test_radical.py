@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import mpmath
@@ -295,6 +296,25 @@ def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct, roots):
     assert len(set(nodes)) == distinct     # structural hash and equality
     # one principal root per distinct (radicand, p) pair
     assert principal_roots == roots
+
+
+@pytest.mark.parametrize("n,distinct,lines", [(13, 26, 220), (11, 18, 87)])
+def test_reconstruct_derives_each_distinct_line_once(monkeypatch, n, distinct,
+                                                    lines):
+    calls = [0]
+    counted = radical._line_radicands
+
+    def counting(*args):
+        calls[0] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(radical, "_line_radicands", counting)
+    report = solve(f"x^{n}-2", affine_generators(n, 2),
+                   labeling=pure_power_labels(n, 2))
+    radices = report.theta.radices
+    assert sum(math.prod(radices) // p for p in radices) == lines
+    # one set of radicands, root values and noise floor per distinct line
+    assert calls[0] == distinct
 
 
 def test_equal_nodes_are_one_object():
