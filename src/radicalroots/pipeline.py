@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import operator
 
+from mpmath import mp
+
 from .errors import InputSyntaxError, PhaseAmbiguous
 from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
@@ -44,13 +46,22 @@ def _integer(value, what: str) -> int:
 
 
 def as_generators(generators, degree: int) -> list[Permutation]:
+    if isinstance(generators, str):
+        generators = generators.split(";")
+    if not isinstance(generators, (list, tuple)):
+        raise InputSyntaxError(f"generators are text or a list, got "
+                               f"{generators!r}")
     gens = []
-    items = generators.split(";") if isinstance(generators, str) else generators
-    for item in items:
-        if isinstance(item, Permutation):
-            gens.append(item)
-        else:
-            gens.append(parse_cycles(item, degree))
+    for item in generators:
+        if isinstance(item, str):
+            item = parse_cycles(item, degree)
+        elif not isinstance(item, Permutation):
+            raise InputSyntaxError(f"a generator is cycle text or a "
+                                   f"Permutation, got {item!r}")
+        if item.degree != degree:
+            raise InputSyntaxError(f"generator {item} moves {item.degree} "
+                                   f"points, the polynomial has {degree} roots")
+        gens.append(item)
     return gens
 
 
@@ -64,6 +75,9 @@ def as_labeling(labeling, degree: int) -> Permutation:
             except ValueError:
                 raise InputSyntaxError(f"root order must list integers, got "
                                        f"{labeling!r}") from None
+        elif not isinstance(labeling, (list, tuple)):
+            raise InputSyntaxError(f"a labeling is \"auto\", text, a list or "
+                                   f"a Permutation, got {labeling!r}")
         sigma = Permutation(tuple(_integer(i, "a root order entry")
                                   for i in labeling))
     if sigma.degree != degree:
@@ -83,13 +97,18 @@ def solve(poly, generators, *, digits: int | None = None,
     a list of permutations; ``labeling`` is "auto" or an explicit assignment
     (label j takes the j-th listed position of the canonically ordered roots).
 
-    The digit budget comes from the precision plan unless overridden; on
-    PhaseAmbiguous the budget is doubled, up to 3 times.  A budget above
-    DIGITS_HARD_CAP, whether given, planned or doubled, raises
-    PrecisionInfeasible.  One Aberth run bounds the roots for the plan and
-    is polished once to every budget tried, and the roots are labeled once,
-    at the first budget.
+    The digit budget, an integer >= 1, comes from the precision plan (with
+    ``margin``, an integer >= 0) unless overridden; on PhaseAmbiguous the
+    budget is doubled, up to 3 times.  A budget above DIGITS_HARD_CAP,
+    whether given, planned or doubled, raises PrecisionInfeasible.  One
+    Aberth run bounds the roots for the plan and is polished once to every
+    budget tried, and the roots are labeled once, at the first budget.
+    Each attempt sets ``mp.dps`` to its budget once.
     """
+    if digits is not None and _integer(digits, "digits") < 1:
+        raise InputSyntaxError(f"digits must be at least 1, got {digits}")
+    if _integer(margin, "margin") < 0:
+        raise InputSyntaxError(f"margin must be at least 0, got {margin}")
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     monic = reduction.monic
@@ -112,22 +131,24 @@ def solve(poly, generators, *, digits: int | None = None,
         if sigma is None:
             sigma = label_roots(group, roots).permutation
         labeled = relabel(roots, sigma)
-        zetas = zeta_tables(series, budget_digits)
-        theta0 = build_theta0(labeled, series)
-        forward = forward_pass(theta0, series, zetas)
-        int_theta = round_theta_m(forward.thetas[-1], tolerance)
-        try:
-            recon = reconstruct(series, int_theta, forward.resolvents, zetas,
-                                digits=budget_digits)
-            break
-        except PhaseAmbiguous:
-            if attempt == _PHASE_RETRIES:
-                raise
-            budget_digits *= 2
-            notes.append(f"branch selection ambiguous; digits doubled to "
-                         f"{budget_digits}")
-    evaluations = tuple(evaluate(e, budget_digits, recon.values)
-                        for e in recon.root_exprs)
+        with mp.workdps(budget_digits):
+            zetas = zeta_tables(series)
+            theta0 = build_theta0(labeled, series)
+            forward = forward_pass(theta0, series, zetas)
+            int_theta = round_theta_m(forward.thetas[-1], tolerance)
+            try:
+                recon = reconstruct(series, int_theta, forward.resolvents,
+                                    zetas)
+            except PhaseAmbiguous:
+                if attempt == _PHASE_RETRIES:
+                    raise
+                budget_digits *= 2
+                notes.append(f"branch selection ambiguous; digits doubled to "
+                             f"{budget_digits}")
+                continue
+            evaluations = tuple(evaluate(e, recon.values)
+                                for e in recon.root_exprs)
+        break
     deviations = tuple(verify(recon.root_exprs, labeled, recon.values)) \
         if run_verification else None
     return SolveReport(

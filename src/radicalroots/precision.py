@@ -2,9 +2,9 @@
 on digit budgets.
 
 Values carry no precision of their own: their arithmetic rounds at the
-current ``mp.dps``, which each public pipeline stage sets once from the digit
-budget of its data.  The multi-step kernels here (root_of_unity,
-principal_root, nearest_integer) work with guard digits on top of it.
+current ``mp.dps``, which a solve sets once per attempt from its roots' digit
+budget.  The multi-step kernels here (root_of_unity, principal_root,
+nearest_integer) work with guard digits on top of it.
 """
 
 from __future__ import annotations
@@ -37,18 +37,17 @@ def check_digit_budget(digits: int) -> None:
             f"digit budget {digits} exceeds cap {DIGITS_HARD_CAP}")
 
 
-def root_of_unity(p: int, k: int, digits: int) -> mpc:
-    """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the requested precision."""
+def root_of_unity(p: int, k: int) -> mpc:
+    """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the working precision."""
     if not (p >= 2 and smallest_prime_factor(p) == p):
         raise ValueError(f"order {p} is not prime")
     if not 0 <= k < p:
         raise ValueError(f"power {k} not in [0, {p})")
-    with mp.workdps(digits + _GUARD):
+    with mp.workdps(mp.dps + _GUARD):
         t = mpf(2 * k) / p
         re = mpmath.cospi(t)
         im = mpmath.sinpi(t)
-    with mp.workdps(digits):
-        return mpc(re, im)
+    return mpc(re, im)
 
 
 def principal_root(z: mpc, p: int) -> mpc:

@@ -217,7 +217,7 @@ def _walk(visit, expr: RadicalExpr, memo: dict):
 
 
 class ValueCache:
-    """Values of expression nodes at one digit budget, each computed once.
+    """Values of expression nodes at one ``mp.dps``, each computed once.
 
     ``nodes`` is the memo of the walk whose visit function is ``value``.
     For interned nodes identity is structure, so each structurally distinct
@@ -225,14 +225,13 @@ class ValueCache:
     given; all branches of a radicand share the value of its branch-0 root.
     """
 
-    def __init__(self, digits: int, zetas=None):
-        self.digits = digits
+    def __init__(self, zetas=None):
         self.zetas = zetas or {}
         self.nodes: dict = {}       # id(node) -> (node, value)
 
     def unity(self, p: int, k: int) -> mpc:
         table = self.zetas.get(p)
-        return table[k] if table else root_of_unity(p, k, self.digits)
+        return table[k] if table else root_of_unity(p, k)
 
     def value(self, node: RadicalExpr, kids: list) -> mpc:
         """The value of ``node`` from the values of its children."""
@@ -253,13 +252,11 @@ class ValueCache:
         return self.unity(node.order, node.power)
 
 
-def evaluate(expr: RadicalExpr, digits: int,
-             cache: ValueCache | None = None) -> mpc:
-    """Deterministic bottom-up numeric evaluation at the given digit budget;
-    ``cache``, a ValueCache at that budget, shares values across calls."""
-    cache = cache or ValueCache(digits)
-    with mp.workdps(digits):
-        return _walk(cache.value, expr, cache.nodes)
+def evaluate(expr: RadicalExpr, cache: ValueCache | None = None) -> mpc:
+    """Deterministic bottom-up numeric evaluation at the working precision;
+    ``cache``, filled at the same ``mp.dps``, shares values across calls."""
+    cache = cache or ValueCache()
+    return _walk(cache.value, expr, cache.nodes)
 
 
 @dataclass(frozen=True)
@@ -314,16 +311,16 @@ def _line_radicands(p: int, line_exprs, values: ValueCache, noise_scale: mpf,
 
 
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
-                stored_L, zetas, *, digits: int) -> ReconstructionResult:
+                stored_L, zetas) -> ReconstructionResult:
     """Work the tensor transforms backward, picking root branches numerically.
 
     For each level i = m..1 and resolvent index k, the exact combination
     E_k = sum_j Theta_i[...,j,...] * zeta_i^{jk} equals the p_i-th power of the
     stored resolvent entry; the branch s of its p_i-th root is the one whose
-    numeric value lands on the stored entry.  Acceptance requires the best
-    branch within delta = 10^(-digits/4) and every other branch beyond
-    2*delta, else PhaseAmbiguous.  Radicands indistinguishable from zero are
-    collapsed to 0.
+    numeric value lands on the stored entry, at the working precision
+    digits = mp.dps.  Acceptance requires the best branch within
+    delta = 10^(-digits/4) and every other branch beyond 2*delta, else
+    PhaseAmbiguous.  Radicands indistinguishable from zero collapse to 0.
 
     Nodes are interned, so lines of a level with the same nodes are the same
     tuple of objects: they share the radicands, the values of their roots
@@ -331,72 +328,71 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     roots share the inverse combination.  Only the branch test reads each
     line's own stored targets.
     """
-    with mp.workdps(digits):
-        delta = mpf(10) ** (-mpf(digits) / 4)
-        noise_scale = mpf(10) ** (4 - digits)
-        floor = mpf(10) ** (-digits)
-        values = ValueCache(digits, zetas)
-        radices = int_theta.radices
-        exact: list[RadicalExpr] = [_node(IntegerLiteral, v)
-                                    for v in int_theta.values]
-        branch_log: list[BranchChoice] = []
-        zero_notes: list[ZeroRadicandNote] = []
+    delta = mpf(10) ** (-mpf(mp.dps) / 4)
+    noise_scale = mpf(10) ** (4 - mp.dps)
+    floor = mpf(10) ** (-mp.dps)
+    values = ValueCache(zetas)
+    radices = int_theta.radices
+    exact: list[RadicalExpr] = [_node(IntegerLiteral, v)
+                                for v in int_theta.values]
+    branch_log: list[BranchChoice] = []
+    zero_notes: list[ZeroRadicandNote] = []
 
-        for level in range(series.length, 0, -1):
-            p = radices[level - 1]
-            stored = stored_L[level - 1]
-            new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
-            # ids of a line's nodes -> (nodes, radicands, root values,
-            # vanishing flags); ids of the chosen roots -> (roots, inverse
-            # combinations).  The nodes are kept so that their ids cannot be
-            # reused.
-            lines: dict = {}
-            combos: dict = {}
-            for line in axis_lines(radices, level - 1):
-                line_exprs = tuple(exact[i] for i in line)
-                key = tuple(map(id, line_exprs))
-                if key not in lines:
-                    lines[key] = (line_exprs, *_line_radicands(
-                        p, line_exprs, values, noise_scale, floor))
-                _, radicands, roots, vanishes = lines[key]
-                l_exact: list[RadicalExpr] = []
-                for k in range(p):
-                    target = stored.data[line[k]]
-                    target_vanishes = abs(target) < delta
-                    if vanishes[k] and target_vanishes:
-                        l_exact.append(_ZERO)
-                        zero_notes.append(ZeroRadicandNote(level, line[k]))
-                        continue
-                    if vanishes[k] != target_vanishes:
-                        raise PhaseAmbiguous(
-                            f"resolvent magnitude inconsistent at level {level}, "
-                            f"index {line[k]}: radicand magnitude "
-                            f"{mpmath.nstr(abs(roots[k]), 4)} vs stored "
-                            f"{mpmath.nstr(abs(target), 4)}")
-                    branches = [roots[k] * zetas[p][s] for s in range(p)]
-                    distances = sorted((abs(b - target), s)
-                                       for s, b in enumerate(branches))
-                    best_d, best_s = distances[0]
-                    second_d = distances[1][0]
-                    if best_d >= delta or second_d <= 2 * delta:
-                        raise PhaseAmbiguous(
-                            f"cannot fix the branch of a {p}-th root at level "
-                            f"{level}, index {line[k]}: nearest branch at distance "
-                            f"{mpmath.nstr(best_d, 4)}, next at "
-                            f"{mpmath.nstr(second_d, 4)}, delta "
-                            f"{mpmath.nstr(delta, 4)}")
-                    branch_log.append(BranchChoice(level, line[k], p, best_s,
-                                                   best_d, second_d, delta))
-                    l_exact.append(make_root(p, radicands[k], best_s))
-                chosen = tuple(l_exact)
-                key = tuple(map(id, chosen))
-                if key not in combos:
-                    combos[key] = (chosen, [make_scale(p, make_sum(
-                        make_product([_zeta(p, -j * k), chosen[k]])
-                        for k in range(p))) for j in range(p)])
-                for flat, expr in zip(line, combos[key][1]):
-                    new_exact[flat] = expr
-            exact = new_exact
+    for level in range(series.length, 0, -1):
+        p = radices[level - 1]
+        stored = stored_L[level - 1]
+        new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
+        # ids of a line's nodes -> (nodes, radicands, root values,
+        # vanishing flags); ids of the chosen roots -> (roots, inverse
+        # combinations).  The nodes are kept so that their ids cannot be
+        # reused.
+        lines: dict = {}
+        combos: dict = {}
+        for line in axis_lines(radices, level - 1):
+            line_exprs = tuple(exact[i] for i in line)
+            key = tuple(map(id, line_exprs))
+            if key not in lines:
+                lines[key] = (line_exprs, *_line_radicands(
+                    p, line_exprs, values, noise_scale, floor))
+            _, radicands, roots, vanishes = lines[key]
+            l_exact: list[RadicalExpr] = []
+            for k in range(p):
+                target = stored.data[line[k]]
+                target_vanishes = abs(target) < delta
+                if vanishes[k] and target_vanishes:
+                    l_exact.append(_ZERO)
+                    zero_notes.append(ZeroRadicandNote(level, line[k]))
+                    continue
+                if vanishes[k] != target_vanishes:
+                    raise PhaseAmbiguous(
+                        f"resolvent magnitude inconsistent at level {level}, "
+                        f"index {line[k]}: radicand magnitude "
+                        f"{mpmath.nstr(abs(roots[k]), 4)} vs stored "
+                        f"{mpmath.nstr(abs(target), 4)}")
+                branches = [roots[k] * zetas[p][s] for s in range(p)]
+                distances = sorted((abs(b - target), s)
+                                   for s, b in enumerate(branches))
+                best_d, best_s = distances[0]
+                second_d = distances[1][0]
+                if best_d >= delta or second_d <= 2 * delta:
+                    raise PhaseAmbiguous(
+                        f"cannot fix the branch of a {p}-th root at level "
+                        f"{level}, index {line[k]}: nearest branch at distance "
+                        f"{mpmath.nstr(best_d, 4)}, next at "
+                        f"{mpmath.nstr(second_d, 4)}, delta "
+                        f"{mpmath.nstr(delta, 4)}")
+                branch_log.append(BranchChoice(level, line[k], p, best_s,
+                                               best_d, second_d, delta))
+                l_exact.append(make_root(p, radicands[k], best_s))
+            chosen = tuple(l_exact)
+            key = tuple(map(id, chosen))
+            if key not in combos:
+                combos[key] = (chosen, [make_scale(p, make_sum(
+                    make_product([_zeta(p, -j * k), chosen[k]])
+                    for k in range(p))) for j in range(p)])
+            for flat, expr in zip(line, combos[key][1]):
+                new_exact[flat] = expr
+        exact = new_exact
 
     by_root: dict[int, RadicalExpr] = {}
     for flat, label in enumerate(position_root_indices(series)):
@@ -530,7 +526,7 @@ def verify(exprs, roots: RootSet, cache: ValueCache | None = None):
     if len(exprs) != roots.n:
         raise ValueError("one expression per root is required")
     digits = roots.digits
-    cache = cache or ValueCache(digits)
+    cache = cache or ValueCache()
     with mp.workdps(digits):
         threshold = mpf(10) ** (-mpf(digits) / 2)
         deviations = [abs(_walk(cache.value, expr, cache.nodes) - root)

@@ -5,6 +5,7 @@ is stored flat in row-major order (j_1 slowest).  Level i transforms act along
 axis i: a weighted Fourier sum produces the resolvent array L_{i-1}, whose
 entrywise p_i-th powers are Fourier-inverted into the next invariant array
 Theta_i.  After level m every entry is (numerically) a rational integer.
+The transforms and the rounding compute at the caller's ``mp.dps``.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ def axis_lines(radices: tuple[int, ...], axis: int):
 
 @dataclass(frozen=True)
 class ResolventTensor:
-    """Mixed-radix array of complex values computed at one digit budget."""
+    """Mixed-radix array of complex values."""
 
     radices: tuple[int, ...]
     data: tuple[mpc, ...]
-    digits: int
 
     def __post_init__(self):
         if len(self.data) != math.prod(self.radices):
@@ -159,12 +159,13 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
     if roots.n != series.degree:
         raise ValueError("root count does not match the group degree")
     data = tuple(roots.roots[i - 1] for i in position_root_indices(series))
-    return ResolventTensor(series.primes, data, roots.digits)
+    return ResolventTensor(series.primes, data)
 
 
-def zeta_tables(series: CompositionSeries, digits: int):
-    """All powers of each primitive p-th root of unity used by the series."""
-    return {p: [root_of_unity(p, k, digits) for k in range(p)]
+def zeta_tables(series: CompositionSeries):
+    """All powers of each primitive p-th root of unity used by the series,
+    at ``mp.dps``."""
+    return {p: [root_of_unity(p, k) for k in range(p)]
             for p in set(series.primes)}
 
 
@@ -181,29 +182,28 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     table = zetas[p]
     ldata: list = [None] * len(theta_prev.data)
     tdata: list = [None] * len(theta_prev.data)
-    with mp.workdps(theta_prev.digits):
-        for line in axis_lines(theta_prev.radices, axis):
-            entries = [theta_prev.data[i] for i in line]
-            powered = []
-            for k in range(p):
-                acc = None
-                for j in range(p):
-                    term = table[(j * k) % p] * entries[j]
-                    acc = term if acc is None else acc + term
-                counter.add(p)
-                ldata[line[k]] = acc
-                w = acc
-                for _ in range(p - 1):
-                    w = w * acc
-                counter.add(p - 1)
-                powered.append(w)
+    for line in axis_lines(theta_prev.radices, axis):
+        entries = [theta_prev.data[i] for i in line]
+        powered = []
+        for k in range(p):
+            acc = None
             for j in range(p):
-                acc = None
-                for k in range(p):
-                    term = table[(-k * j) % p] * powered[k]
-                    acc = term if acc is None else acc + term
-                counter.add(p)
-                tdata[line[j]] = acc / p
+                term = table[(j * k) % p] * entries[j]
+                acc = term if acc is None else acc + term
+            counter.add(p)
+            ldata[line[k]] = acc
+            w = acc
+            for _ in range(p - 1):
+                w = w * acc
+            counter.add(p - 1)
+            powered.append(w)
+        for j in range(p):
+            acc = None
+            for k in range(p):
+                term = table[(-k * j) % p] * powered[k]
+                acc = term if acc is None else acc + term
+            counter.add(p)
+            tdata[line[j]] = acc / p
     return (replace(theta_prev, data=tuple(ldata)),
             replace(theta_prev, data=tuple(tdata)))
 
@@ -230,8 +230,7 @@ def round_theta_m(theta_m: ResolventTensor,
     an integer: insufficient precision, a wrong group, a wrong labeling, or a
     non-irreducible input polynomial.
     """
-    with mp.workdps(theta_m.digits):
-        rounded = [nearest_integer(entry) for entry in theta_m.data]
+    rounded = [nearest_integer(entry) for entry in theta_m.data]
     values, residuals = [], []
     for flat, (n, res) in enumerate(rounded):
         if res >= tolerance:

@@ -252,3 +252,57 @@ def test_second_walker_is_detected(tmp_path):
         "    return _walk(lambda e, kids: 1 + sum(kids), expr, {})\n")
     assert self_naming_functions(tmp_path / "radical.py") == [
         "radical.py: _walk", "radical.py: _text", "radical.py: _depth"]
+
+
+# dataclasses that hold a digit budget as a record of the solve, not as the
+# precision to compute at
+BUDGET_RECORDS = {"PrecisionPlan", "SolveReport"}
+
+
+def digit_carriers(path: Path) -> list[str]:
+    """Functions with a ``digits`` parameter, and dataclasses other than
+    BUDGET_RECORDS with a ``digits`` field.  What works from the roots'
+    values computes at the caller's ``mp.dps`` instead."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if "digits" in [a.arg for a in (args.posonlyargs + args.args
+                                            + args.kwonlyargs)]:
+                found.append(f"{path.name}: {node.name}(digits)")
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node) \
+                and node.name not in BUDGET_RECORDS:
+            found += [f"{path.name}: {node.name}.digits" for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id == "digits"]
+    return found
+
+
+def test_the_transforms_and_expressions_carry_no_digit_budget():
+    # root finding and the functions given a RootSet read a budget; the
+    # forward and backward passes compute at the solve's working precision
+    assert [line for name in ("resolvent.py", "radical.py")
+            for line in digit_carriers(SRC / name)] == []
+
+
+def test_digit_carrier_is_detected(tmp_path):
+    (tmp_path / "radical.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Tensor:\n"
+        "    data: tuple\n"
+        "    digits: int\n"
+        "@dataclass(frozen=True)\n"
+        "class SolveReport:\n"
+        "    digits: int\n"
+        "class Cache:\n"
+        "    def __init__(self, digits):\n"
+        "        self.digits = digits\n"
+        "def evaluate(expr, *, digits=None):\n"
+        "    return expr\n"
+        "def emit(expr, width):\n"
+        "    return expr.digits\n")
+    assert digit_carriers(tmp_path / "radical.py") == [
+        "radical.py: Tensor.digits", "radical.py: evaluate(digits)",
+        "radical.py: __init__(digits)"]

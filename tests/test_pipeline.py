@@ -5,9 +5,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import (InputSyntaxError, PhaseAmbiguous,
-                          PrecisionInfeasible, pipeline, precision, radical,
-                          solve)
+from radicalroots import (InputSyntaxError, Permutation, PhaseAmbiguous,
+                          PrecisionInfeasible, ResidualTooLarge, pipeline,
+                          precision, radical, solve)
 from radicalroots.cli import main
 from radicalroots.resolvent import zeta_tables
 from tests.conftest import QUINTIC_GENERATORS, QUINTIC_TEXT
@@ -25,12 +25,13 @@ def _count_calls(monkeypatch, module, name):
 
 
 def _reconstruct_failing(monkeypatch, times):
-    """Make the pipeline's reconstruct raise PhaseAmbiguous ``times`` times."""
+    """Make the pipeline's reconstruct raise PhaseAmbiguous ``times`` times;
+    the list returned records the working precision of each call."""
     original = pipeline.reconstruct
     digits_seen = []
 
     def flaky(*args, **kwargs):
-        digits_seen.append(kwargs["digits"])
+        digits_seen.append(mp.dps)
         if len(digits_seen) <= times:
             raise PhaseAmbiguous("forced for the test")
         return original(*args, **kwargs)
@@ -110,18 +111,54 @@ def test_principal_roots_taken_once_per_radicand(monkeypatch):
 
 @pytest.mark.parametrize("poly,generators", [
     (QUINTIC_TEXT, QUINTIC_GENERATORS), ("x^3-2", "(1,2,3);(1,2)")])
-def test_results_do_not_depend_on_the_ambient_precision(poly, generators):
-    # every stage sets its own budget, whatever precision the caller runs at
+def test_results_do_not_depend_on_the_ambient_precision(poly, generators,
+                                                         monkeypatch):
+    # a solve sets its own working precision, whatever precision the caller
+    # runs at, and gives the caller's back, also when an attempt raises
     reports = []
     for ambient in (5, 300):
         with mp.workdps(ambient):
             reports.append(solve(poly, generators))
+            assert mp.dps == ambient
+            with pytest.raises(ResidualTooLarge):
+                solve(poly, generators, tolerance=1e-300)
             assert mp.dps == ambient
     low, high = reports
     assert low.theta.values == high.theta.values
     assert low.root_exprs == high.root_exprs
     assert low.evaluations == high.evaluations
     assert low.verification == high.verification
+    digits_seen = _reconstruct_failing(monkeypatch, times=10)
+    for ambient in (5, 300):
+        with mp.workdps(ambient):
+            with pytest.raises(PhaseAmbiguous):
+                solve(poly, generators)
+            assert mp.dps == ambient
+    planned = low.plan.digits
+    assert digits_seen == 2 * [planned, 2 * planned, 4 * planned, 8 * planned]
+
+
+@pytest.mark.parametrize("budget,message", [
+    ({"digits": 20.5}, "digits must be an integer, got 20.5"),
+    ({"digits": 0}, "digits must be at least 1, got 0"),
+    ({"margin": 2.5}, "margin must be an integer, got 2.5"),
+    ({"margin": -1}, "margin must be at least 0, got -1")])
+def test_a_digit_budget_that_is_not_a_whole_number_is_refused(budget,
+                                                              message):
+    with pytest.raises(InputSyntaxError, match=f"^{message}$"):
+        solve("x^3-2", "(1,2,3);(1,2)", **budget)
+
+
+@pytest.mark.parametrize("generators,labeling,message", [
+    (["(1,2,3)", 5], "auto", "a generator is cycle text or a Permutation"),
+    (None, "auto", "generators are text or a list"),
+    ([Permutation((2, 1))], "auto", "generator \\(1,2\\) moves 2 points"),
+    ("(1,2,3);(1,2)", 3.5, "a labeling is"),
+], ids=["non-text-generator", "no-generators", "generator-of-wrong-degree",
+        "number-labeling"])
+def test_malformed_library_input_is_refused(generators, labeling, message):
+    with pytest.raises(InputSyntaxError, match=message):
+        solve("x^3-2", generators, labeling=labeling)
 
 
 @pytest.mark.parametrize("coeffs", [[2.9, 0, 1], [-2, 0, 1.0], [-2, "0", 1]])
@@ -134,7 +171,8 @@ def test_a_coefficient_list_of_non_integers_is_refused(coeffs):
 def test_values_are_mpmath_mpc():
     # one complex type from root finding to verification
     report = solve("x^3-2", "(1,2,3);(1,2)")
-    zetas = zeta_tables(report.series, report.digits)
+    with mp.workdps(report.digits):
+        zetas = zeta_tables(report.series)
     values = [*report.roots.roots, *report.evaluations,
               *(z for table in zetas.values() for z in table)]
     assert all(type(v) is mpmath.mpc for v in values)

@@ -42,26 +42,26 @@ def test_format_complex_sqrt2_20_digits():
 
 
 def test_root_of_unity_examples():
-    m1 = root_of_unity(2, 1, 14)
+    with mp.workdps(14):
+        m1 = root_of_unity(2, 1)
+        z51 = root_of_unity(5, 1)
+        z32 = root_of_unity(3, 2)
     assert m1.real == -1 and m1.imag == 0
-
-    z51 = root_of_unity(5, 1, 14)
     assert format_complex(z51, 14) == "0.30901699437495 + 0.95105651629515i"
-
-    z32 = root_of_unity(3, 2, 14)
     assert format_complex(z32, 14) == "-0.5 - 0.86602540378444i"
 
 
 def test_root_of_unity_power_zero_exact():
-    z = root_of_unity(7, 0, 30)
+    with mp.workdps(30):
+        z = root_of_unity(7, 0)
     assert z.real == 1 and z.imag == 0
 
 
 def test_root_of_unity_requires_prime():
     with pytest.raises(ValueError):
-        root_of_unity(6, 1, 10)
+        root_of_unity(6, 1)
     with pytest.raises(ValueError):
-        root_of_unity(5, 5, 10)
+        root_of_unity(5, 5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -69,7 +69,7 @@ def test_root_of_unity_pth_power_is_one(p):
     digits = 20
     with mp.workdps(digits):
         for k in range(p):
-            z = root_of_unity(p, k, digits)
+            z = root_of_unity(p, k)
             w = z ** p
             assert abs(w - 1) < mpf(10) ** (2 - digits)
 
@@ -79,7 +79,7 @@ def test_root_of_unity_conjugate_pairs(p):
     digits = 18
     with mp.workdps(digits):
         for k in range(1, p):
-            prod = root_of_unity(p, k, digits) * root_of_unity(p, p - k, digits)
+            prod = root_of_unity(p, k) * root_of_unity(p, p - k)
             assert abs(prod - 1) < mpf(10) ** (2 - digits)
 
 

@@ -76,11 +76,12 @@ def run_instance(poly_text, gens_text, labeling):
         _, q, g, n = labeling
         order = _period_label_order(roots, q, g, n)
         labeled = relabel(roots, Permutation(tuple(order)))
-    zetas = zeta_tables(series, digits)
-    theta0 = build_theta0(labeled, series)
-    fwd = forward_pass(theta0, series, zetas)
-    ints = round_theta_m(fwd.thetas[-1])
-    recon = reconstruct(series, ints, fwd.resolvents, zetas, digits=digits)
+    with mp.workdps(digits):
+        zetas = zeta_tables(series)
+        theta0 = build_theta0(labeled, series)
+        fwd = forward_pass(theta0, series, zetas)
+        ints = round_theta_m(fwd.thetas[-1])
+        recon = reconstruct(series, ints, fwd.resolvents, zetas)
     return series, zetas, theta0, fwd, ints, recon, labeled, digits
 
 
@@ -120,9 +121,10 @@ def test_cyclic_shift_leaves_theta_invariant(bundle):
         p = series.primes[level - 1]
         prev = fwd.thetas[level - 1]
         ref_L, ref_theta = fwd.resolvents[level - 1], fwd.thetas[level]
-        shifted_L, shifted_theta = forward_level(
-            reindex_axis(prev, level, 1, 1), level, zetas,
-            MultiplicationCounter())
+        with mp.workdps(digits):
+            shifted_L, shifted_theta = forward_level(
+                reindex_axis(prev, level, 1, 1), level, zetas,
+                MultiplicationCounter())
         power_scale = max(mpf(1),
                           max(abs(e) for e in ref_theta.data)) * p
         tol = mpf(10) ** (3 - digits) * power_scale
@@ -182,12 +184,12 @@ def _root_nodes(expr, seen):
 def test_root_nodes_power_back_to_radicand(bundle):
     # every accepted p-th root re-powers onto its own radicand
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
-    cache, seen = ValueCache(digits), {}
+    cache, seen = ValueCache(), {}
     for expr in recon.root_exprs:
         for node in _root_nodes(expr, seen):
-            val = evaluate(node, digits, cache)
-            radicand = evaluate(node.radicand, digits, cache)
             with mp.workdps(digits):
+                val = evaluate(node, cache)
+                radicand = evaluate(node.radicand, cache)
                 tol = mpf(10) ** (3 - digits) * max(mpf(1), abs(radicand))
                 assert abs(val ** node.degree - radicand) < tol
 
@@ -204,9 +206,11 @@ def test_branch_separation_soundness(bundle):
 def test_round_trip_theta0_positions(bundle):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     tol = mpf(10) ** (-mpf(digits) / 2)
-    cache = ValueCache(digits)
-    for expr, fwd_value in zip(recon.theta0_exprs, theta0.data):
-        assert abs(evaluate(expr, digits, cache) - fwd_value) < tol
+    cache = ValueCache()
+    with mp.workdps(digits):
+        values = [evaluate(expr, cache) for expr in recon.theta0_exprs]
+    for value, fwd_value in zip(values, theta0.data):
+        assert abs(value - fwd_value) < tol
 
 
 def test_expressions_verify_against_roots(bundle):
@@ -228,8 +232,8 @@ def test_solve_values_equal_a_fresh_evaluation(instance):
     for expr, value, deviation, root in zip(
             report.root_exprs, report.evaluations, report.verification,
             report.roots.roots):
-        assert value == evaluate(expr, report.digits)
         with mp.workdps(report.digits):
+            assert value == evaluate(expr)
             assert deviation == abs(value - root)
 
 
@@ -247,8 +251,9 @@ def test_primitive_root_exchange_modular_inverse(poly_text, gens_text, level):
     for k in range(2, p):
         t = pow(k, -1, p)
         # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
-        _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
-                                     zetas, MultiplicationCounter())
+        with mp.workdps(digits):
+            _, exchanged = forward_level(reindex_axis(prev, level, t, 0),
+                                         level, zetas, MultiplicationCounter())
         for line in axis_lines(prev.radices, level - 1):
             for j in range(p):
                 assert abs(exchanged.data[line[j]]

@@ -33,11 +33,12 @@ def run_backward(poly_text, gens_text, digits=None):
         digits = plan_precision(series, root_magnitude_bound(coarse.roots), 6).digits
     roots = find_roots(p, digits)
     labeled = relabel(roots, label_roots(G, roots).permutation)
-    zetas = zeta_tables(series, digits)
-    theta0 = build_theta0(labeled, series)
-    fwd = forward_pass(theta0, series, zetas)
-    ints = round_theta_m(fwd.thetas[-1])
-    recon = reconstruct(series, ints, fwd.resolvents, zetas, digits=digits)
+    with mp.workdps(digits):
+        zetas = zeta_tables(series)
+        theta0 = build_theta0(labeled, series)
+        fwd = forward_pass(theta0, series, zetas)
+        ints = round_theta_m(fwd.thetas[-1])
+        recon = reconstruct(series, ints, fwd.resolvents, zetas)
     return series, zetas, theta0, fwd, ints, recon, labeled, digits
 
 
@@ -49,7 +50,8 @@ def test_sqrt2_reconstruction():
     positive = recon.root_exprs[0]
     assert positive == RationalScale(2, Root(2, IntegerLiteral(8), 0))
     assert emit(positive) == "(1/2)*(root(2,0; 8))"
-    val = evaluate(positive, 14)
+    with mp.workdps(14):
+        val = evaluate(positive)
     assert mpmath.nstr(val.real, 14) == "1.4142135623731"
     assert recon.zero_notes  # the vanished resolvent is recorded
 
@@ -63,8 +65,10 @@ def test_x3_minus_2_reconstruction():
     choices = {(b.level, b.flat_index): b for b in recon.branch_log}
     assert choices[(2, 2)].degree == 2 and choices[(2, 2)].branch == 1
     # every root re-evaluates onto its numeric value
-    for expr, root in zip(recon.root_exprs, labeled.roots):
-        assert abs(evaluate(expr, digits) - root) < mpf(10) ** (-digits // 2)
+    with mp.workdps(digits):
+        values = [evaluate(expr) for expr in recon.root_exprs]
+    for value, root in zip(values, labeled.roots):
+        assert abs(value - root) < mpf(10) ** (-digits // 2)
 
 
 def test_quintic_reconstruction_matches_13_decimals(reference_label_order):
@@ -73,7 +77,9 @@ def test_quintic_reconstruction_matches_13_decimals(reference_label_order):
     for (re_s, im_s), expr in zip(QUINTIC_ROOT_STRINGS, report.root_exprs):
         with mp.workdps(20):
             target = mp.mpc(re_s, im_s)
-        assert abs(evaluate(expr, report.digits) - target) < mpf("1e-13")
+        with mp.workdps(report.digits):
+            value = evaluate(expr)
+        assert abs(value - target) < mpf("1e-13")
 
 
 def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
@@ -85,27 +91,29 @@ def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
         bad_value = mp.mpc(1, 1)
         corrupted = ResolventTensor(
             fwd.resolvents[1].radices,
-            tuple(v * bad_value for v in fwd.resolvents[1].data), digits)
-    with pytest.raises(PhaseAmbiguous):
-        reconstruct(series, ints, (fwd.resolvents[0], corrupted), zetas,
-                    digits=digits)
+            tuple(v * bad_value for v in fwd.resolvents[1].data))
+        with pytest.raises(PhaseAmbiguous):
+            reconstruct(series, ints, (fwd.resolvents[0], corrupted), zetas)
 
 
 def test_evaluate_examples():
-    assert mpmath.nstr(evaluate(Root(2, IntegerLiteral(8), 0), 14).real, 14) \
-        == "2.8284271247462"
-    one = evaluate(RootOfUnitySymbol(5, 0), 12)
+    with mp.workdps(14):
+        root8 = evaluate(Root(2, IntegerLiteral(8), 0))
+        half_sum = evaluate(RationalScale(2, Root(2, IntegerLiteral(8), 0)))
+    assert mpmath.nstr(root8.real, 14) == "2.8284271247462"
+    assert mpmath.nstr(half_sum.real, 14) == "1.4142135623731"
+    with mp.workdps(12):
+        one = evaluate(RootOfUnitySymbol(5, 0))
     assert one.real == 1 and one.imag == 0
-    half_sum = RationalScale(2, Root(2, IntegerLiteral(8), 0))
-    assert mpmath.nstr(evaluate(half_sum, 14).real, 14) == "1.4142135623731"
 
 
 def test_evaluate_deterministic():
     expr = Root(5, Sum((IntegerLiteral(7),
                         Product((RootOfUnitySymbol(5, 2),
                                  Root(2, IntegerLiteral(-45000000), 1))))), 3)
-    a = evaluate(expr, 25)
-    b = evaluate(expr, 25)
+    with mp.workdps(25):
+        a = evaluate(expr)
+        b = evaluate(expr)
     assert a.real == b.real and a.imag == b.imag
 
 
@@ -145,7 +153,7 @@ def test_emit_zeta_and_branch():
 
 
 @pytest.mark.parametrize("consumer", [
-    lambda e: evaluate(e, 10), lambda e: emit(e, "text"),
+    evaluate, lambda e: emit(e, "text"),
     lambda e: emit(e, "latex"), lambda e: emit(e, "json"), json_ast],
     ids=["evaluate", "text", "latex", "json", "json_ast"])
 def test_a_non_node_raises_the_walks_type_error(consumer):
@@ -192,9 +200,10 @@ def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
     data[3] = mp.mpc(0)
     stored = (dataclasses.replace(level_1, data=tuple(data)),
               *fwd.resolvents[1:])
-    with pytest.raises(PhaseAmbiguous, match="^resolvent magnitude "
-                       "inconsistent at level 1, index 3: "):
-        reconstruct(series, ints, stored, zetas, digits=digits)
+    with mp.workdps(digits), pytest.raises(
+            PhaseAmbiguous, match="^resolvent magnitude inconsistent at "
+            "level 1, index 3: "):
+        reconstruct(series, ints, stored, zetas)
 
 
 def test_verify_zero_expression():
@@ -207,8 +216,10 @@ def test_round_trip_theta0_every_position(reference_label_order):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = \
         run_backward("x^3-2", "(1,2,3);(1,2)")
     tol = mpf(10) ** (-mpf(digits) / 2)
-    for expr, fwd_value in zip(recon.theta0_exprs, theta0.data):
-        assert abs(evaluate(expr, digits) - fwd_value) < tol
+    with mp.workdps(digits):
+        values = [evaluate(expr) for expr in recon.theta0_exprs]
+    for value, fwd_value in zip(values, theta0.data):
+        assert abs(value - fwd_value) < tol
 
 
 # --- hash-consing -----------------------------------------------------------
@@ -356,6 +367,7 @@ def test_raw_trees_evaluate_verify_and_emit_as_their_interned_twins(
         assert twin is not expr
         for fmt in ("text", "latex", "json"):
             assert emit(twin, fmt) == emit(expr, fmt)
-        assert evaluate(twin, report.digits) == evaluate(expr, report.digits)
+        with mp.workdps(report.digits):
+            assert evaluate(twin) == evaluate(expr)
     assert verify(twins, report.roots) == \
         verify(report.root_exprs, report.roots)

@@ -21,17 +21,20 @@ def c2_series():
     return composition_series(G)
 
 
-def quintic_forward(reference_label_order, digits=19):
+# the digit budget of quintic_forward
+QUINTIC_DIGITS = 19
+
+
+def quintic_forward(reference_label_order):
     p = parse_polynomial("x^5+20x+32")
     G = closure([parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,4)(2,3)", 5)])
     series = composition_series(G)
-    roots = find_roots(p, digits)
-    from radicalroots import Permutation
-    from radicalroots.rootfinder import relabel
+    roots = find_roots(p, QUINTIC_DIGITS)
     labeled = relabel(roots, Permutation(tuple(reference_label_order)))
-    zetas = zeta_tables(series, digits)
-    theta0 = build_theta0(labeled, series)
-    fwd = forward_pass(theta0, series, zetas)
+    with mp.workdps(QUINTIC_DIGITS):
+        zetas = zeta_tables(series)
+        theta0 = build_theta0(labeled, series)
+        fwd = forward_pass(theta0, series, zetas)
     return series, zetas, theta0, fwd
 
 
@@ -39,9 +42,10 @@ def sqrt2_forward(digits=14):
     series = c2_series()
     roots = find_roots(parse_polynomial("x^2-2"), digits)
     labeled = relabel(roots, label_roots(series.group, roots).permutation)
-    zetas = zeta_tables(series, digits)
-    theta0 = build_theta0(labeled, series)
-    fwd = forward_pass(theta0, series, zetas)
+    with mp.workdps(digits):
+        zetas = zeta_tables(series)
+        theta0 = build_theta0(labeled, series)
+        fwd = forward_pass(theta0, series, zetas)
     return series, zetas, theta0, fwd
 
 
@@ -148,7 +152,8 @@ def test_forward_level_sqrt2():
     # L0 = [x1 + x2, x1 - x2] = [0, 2*sqrt(2)]
     assert abs(L0.data[0]) < mpf("1e-12")
     assert abs(L0.data[1] - mpf("2.8284271247462")) < mpf("1e-11")
-    ints = round_theta_m(theta1)
+    with mp.workdps(14):
+        ints = round_theta_m(theta1)
     assert ints.values == (4, -4)
 
 
@@ -156,12 +161,11 @@ def test_forward_constant_axis_kills_nonzero_modes():
     # constant data along the axis: geometric sums of zeta vanish off k=0
     series = c2_series()
     digits = 16
-    zetas = zeta_tables(series, digits)
     with mp.workdps(digits):
+        zetas = zeta_tables(series)
         val = mp.mpc("1.25", "0.5")
-    tensor = ResolventTensor((2,), (val, val), digits)
-    L, _ = forward_level(tensor, 1, zetas, MultiplicationCounter())
-    with mp.workdps(digits):
+        tensor = ResolventTensor((2,), (val, val))
+        L, _ = forward_level(tensor, 1, zetas, MultiplicationCounter())
         assert abs(L.data[0] - (val + val)) < mpf(10) ** (3 - digits)
         assert abs(L.data[1]) < mpf(10) ** (3 - digits)
 
@@ -173,7 +177,8 @@ def test_quintic_theta2_values(reference_label_order):
     entry = theta2.data[1 * 2 + 1]
     assert abs(entry.real - 35000000) < mpf("1e-4")
     assert abs(entry.imag) < mpf("1e-4")
-    ints = round_theta_m(theta2)
+    with mp.workdps(QUINTIC_DIGITS):
+        ints = round_theta_m(theta2)
     assert ints.values == QUINTIC_THETA
     assert max(ints.residuals) < mpf("1e-4")
 
@@ -187,15 +192,14 @@ def test_multiplication_counter_budget_exact(reference_label_order):
 
 def test_round_theta_m_rejects_offset():
     with mp.workdps(12):
-        data = (mp.mpc("0.4"), mp.mpc(1))
-    bad = ResolventTensor((2,), data, 12)
-    with pytest.raises(ResidualTooLarge):
-        round_theta_m(bad, tolerance=0.25)
+        bad = ResolventTensor((2,), (mp.mpc("0.4"), mp.mpc(1)))
+        with pytest.raises(ResidualTooLarge):
+            round_theta_m(bad, tolerance=0.25)
 
 
 def test_fourier_inversion_identity(reference_label_order):
     series, zetas, theta0, fwd = quintic_forward(reference_label_order)
-    digits = theta0.digits
+    digits = QUINTIC_DIGITS
     for level in range(1, series.length + 1):
         p = series.primes[level - 1]
         prev = fwd.thetas[level - 1]
@@ -216,13 +220,14 @@ def test_fourier_inversion_identity(reference_label_order):
 def test_cyclic_shift_invariance(reference_label_order):
     # shifting axis i of Theta_{i-1} rephases L but leaves L^p and Theta_i alone
     series, zetas, theta0, fwd = quintic_forward(reference_label_order)
-    digits = theta0.digits
+    digits = QUINTIC_DIGITS
     for level in range(1, series.length + 1):
         p = series.primes[level - 1]
         prev = fwd.thetas[level - 1]
         shifted = reindex_axis(prev, level, 1, 1)
-        _, theta_shifted = forward_level(shifted, level, zetas,
-                                         MultiplicationCounter())
+        with mp.workdps(digits):
+            _, theta_shifted = forward_level(shifted, level, zetas,
+                                             MultiplicationCounter())
         ref = fwd.thetas[level]
         scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
@@ -233,15 +238,16 @@ def test_cyclic_shift_invariance(reference_label_order):
 def test_primitive_root_exchange_law(reference_label_order):
     # resolvents formed with zeta^k: Theta entries reindex by the inverse of k
     series, zetas, theta0, fwd = quintic_forward(reference_label_order)
-    digits = theta0.digits
+    digits = QUINTIC_DIGITS
     level, p = 1, 5
     prev = fwd.thetas[0]
     ref = fwd.thetas[1]
     for k in range(2, p):
         t = pow(k, -1, p)
         # sum_j zeta^(kjm) theta_j = sum_i zeta^(im) theta_(t*i), t = 1/k mod p
-        _, exchanged = forward_level(reindex_axis(prev, level, t, 0), level,
-                                     zetas, MultiplicationCounter())
+        with mp.workdps(digits):
+            _, exchanged = forward_level(reindex_axis(prev, level, t, 0),
+                                         level, zetas, MultiplicationCounter())
         scale = max(mpf(1), max(abs(e) for e in ref.data))
         tol = mpf(10) ** (3 - digits) * scale
         for line in axis_lines(prev.radices, level - 1):
