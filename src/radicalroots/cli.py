@@ -23,7 +23,7 @@ from .pipeline import as_generators, as_labeling, as_polynomial, solve
 from .polynomial import render_polynomial, sanity_check, to_monic
 from .precision import format_complex
 from .radical import emit, json_ast
-from .resolvent import DEFAULT_MARGIN, DEFAULT_ROUNDING_TOLERANCE
+from .resolvent import DEFAULT_MARGIN
 from .rootfinder import find_roots, relabel, root_residuals
 
 __all__ = ["main"]
@@ -72,16 +72,6 @@ def _resolve_inputs(args):
     if poly is None:
         raise InputSyntaxError("a polynomial is required (--poly or --input)")
     return poly, generators, root_order
-
-
-def _labeling_argument(args, root_order):
-    if root_order:
-        return root_order
-    if getattr(args, "labeling", "auto") == "given":
-        raise InputSyntaxError(
-            "--labeling given requires --root-order \"i1,i2,...\" "
-            "(or a labeling entry in the input file)")
-    return "auto"
 
 
 def _print_solve_text(report, args, out):
@@ -175,10 +165,8 @@ def _cmd_solve(args, out) -> int:
     poly, generators, root_order = _resolve_inputs(args)
     if not generators:
         raise InputSyntaxError("generators are required (--generators)")
-    labeling = _labeling_argument(args, root_order)
     report = solve(poly, generators, digits=args.digits, margin=args.margin,
-                   tolerance=args.tolerance, labeling=labeling,
-                   run_verification=args.verify)
+                   labeling=root_order or "auto", run_verification=args.verify)
     if args.format == "json":
         out.write(json.dumps(_solve_json_payload(report), indent=2))
         out.write("\n")
@@ -225,23 +213,20 @@ def _cmd_check(args, out) -> int:
     degree = reduction.monic.degree
     group = closure(as_generators(generators, degree))
     rs = find_roots(reduction.monic, args.digits)
-    labeling = _labeling_argument(args, root_order)
-    if labeling == "auto":
-        sigma = label_roots(group, rs).permutation
+    if root_order:
+        sigma = as_labeling(root_order, degree)
     else:
-        sigma = as_labeling(labeling, degree)
+        sigma = label_roots(group, rs).permutation
     labeled = relabel(rs, sigma)
     out.write(f"labeling: {','.join(map(str, sigma.images))}\n")
     for monomial, orbit in default_labeling_invariants(group):
-        value, residual = invariant_value(orbit, labeled,
-                                          tolerance=args.tolerance)
+        value, residual = invariant_value(orbit, labeled)
         out.write(f"orbit sum of {monomial}: {value} "
                   f"(residual {mpmath.nstr(residual, 4)})\n")
     if degree <= CERTIFICATE_DEGREE_CAP:
         edge = (1, 1) + (0,) * (degree - 2)
         cert = coset_product_certificate(
-            group, orbit_sum_invariant(group, edge), labeled,
-            tolerance=args.tolerance)
+            group, orbit_sum_invariant(group, edge), labeled)
         out.write(f"certificate degree: {cert.degree}\n")
         out.write("certificate coefficients (ascending): "
                   + ", ".join(map(str, cert.coefficients)) + "\n")
@@ -270,15 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--generators",
                            help="cycle notation, ';'-separated, e.g. "
                                 "\"(1,2,3,4,5);(1,4)(2,3)\"")
-            p.add_argument("--labeling", choices=("auto", "given"),
-                           default="auto")
             p.add_argument("--root-order", dest="root_order",
-                           help="with --labeling given: \"i1,i2,...\" so that "
-                                "label k takes the i_k-th listed root")
-            p.add_argument("--tolerance", type=float,
-                           default=DEFAULT_ROUNDING_TOLERANCE,
-                           help="integer rounding tolerance "
-                                f"(default {DEFAULT_ROUNDING_TOLERANCE})")
+                           help="\"i1,i2,...\": label k takes the i_k-th "
+                                "listed root (default: search for a labeling)")
 
     p_solve = sub.add_parser("solve", help="full radical solution")
     add_common(p_solve)
@@ -319,8 +298,6 @@ def _check_ranges(args) -> None:
         raise InputSyntaxError(f"--digits must be at least 1, got {args.digits}")
     if getattr(args, "margin", 0) < 0:
         raise InputSyntaxError(f"--margin must be at least 0, got {args.margin}")
-    if not getattr(args, "tolerance", 1) > 0:
-        raise InputSyntaxError(f"--tolerance must be positive, got {args.tolerance}")
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from .groups import (PermutationGroup, Permutation, coset_representatives,
                      orbit_sum_invariant)
 from .polynomial import eval_poly
 from .precision import nearest_integer
-from .resolvent import DEFAULT_ROUNDING_TOLERANCE
+from .resolvent import DEFAULT_ROUNDING_TOLERANCE, round_to_integer
 from .rootfinder import RootSet
 
 __all__ = [
@@ -55,22 +55,16 @@ def _orbit_value(orbit, roots) -> mpc:
     return acc
 
 
-def invariant_value(orbit, roots: RootSet,
-                    tolerance: float = DEFAULT_ROUNDING_TOLERANCE
-                    ) -> tuple[int, mpf]:
+def invariant_value(orbit, roots: RootSet) -> tuple[int, mpf]:
     """Evaluate an orbit-sum invariant on labeled roots and round it.
 
     Raises ResidualTooLarge when the value is not close to an integer
     (labeling inconsistent with the group, or precision too short).
     """
     with mp.workdps(roots.digits):
-        n, residual = nearest_integer(_orbit_value(orbit, roots.roots))
-    if residual >= tolerance:
-        raise ResidualTooLarge(
-            f"orbit sum is {mpmath.nstr(residual, 4)} away from an integer "
-            f"(tolerance {tolerance}); labeling inconsistent with the group, "
-            "or precision too short", residual=residual)
-    return n, residual
+        return round_to_integer(
+            _orbit_value(orbit, roots.roots), "orbit sum",
+            "; labeling inconsistent with the group, or precision too short")
 
 
 @dataclass(frozen=True)
@@ -85,9 +79,8 @@ class CertificateResult:
         return len(self.coefficients) - 1
 
 
-def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
-                              tolerance: float = DEFAULT_ROUNDING_TOLERANCE
-                              ) -> CertificateResult:
+def coset_product_certificate(G: PermutationGroup, orbit,
+                              roots: RootSet) -> CertificateResult:
     """Expand F(x) = prod over coset representatives of (x - sigma.theta).
 
     F is invariant under the full symmetric group, so its coefficients round
@@ -106,25 +99,19 @@ def coset_product_certificate(G: PermutationGroup, orbit, roots: RootSet,
                 nxt[i + 1] = nxt[i + 1] + c
                 nxt[i] = nxt[i] - v * c
             coeffs = nxt
-        ints, residuals = [], []
-        for i, c in enumerate(coeffs):
-            k, res = nearest_integer(c)
-            if res >= tolerance:
-                raise ResidualTooLarge(
-                    f"certificate coefficient {i} is {mpmath.nstr(res, 4)} away "
-                    f"from an integer (tolerance {tolerance})",
-                    position=i, residual=res)
-            ints.append(k)
-            residuals.append(res)
+        rounded = [round_to_integer(c, f"certificate coefficient {i}",
+                                    position=i)
+                   for i, c in enumerate(coeffs)]
+        ints = [k for k, _ in rounded]
         theta_val = _orbit_value(orbit, values)
         membership = abs(eval_poly(ints, theta_val))
-        cap = tolerance * (1 + abs(theta_val)) ** len(reps)
+        cap = DEFAULT_ROUNDING_TOLERANCE * (1 + abs(theta_val)) ** len(reps)
         if membership >= cap:
             raise ResidualTooLarge(
                 "labeled invariant is not a root of its own certificate "
                 f"polynomial (|F(theta)| = {mpmath.nstr(membership, 4)})",
                 residual=membership)
-    return CertificateResult(tuple(ints), tuple(residuals))
+    return CertificateResult(tuple(ints), tuple(res for _, res in rounded))
 
 
 def default_labeling_invariants(G: PermutationGroup):

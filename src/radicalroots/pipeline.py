@@ -12,8 +12,7 @@ from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
 from .radical import SolveReport, evaluate, reconstruct, verify
-from .resolvent import (DEFAULT_MARGIN, DEFAULT_ROUNDING_TOLERANCE,
-                        build_theta0, forward_pass, multiplication_budget,
+from .resolvent import (DEFAULT_MARGIN, build_theta0, forward_pass,
                         plan_precision, round_theta_m, zeta_tables)
 from .rootfinder import (aberth_stage, polish_roots, relabel,
                          root_magnitude_bound)
@@ -87,8 +86,7 @@ def as_labeling(labeling, degree: int) -> Permutation:
 
 
 def solve(poly, generators, *, digits: int | None = None,
-          margin: int = DEFAULT_MARGIN,
-          tolerance: float = DEFAULT_ROUNDING_TOLERANCE, labeling="auto",
+          margin: int = DEFAULT_MARGIN, labeling="auto",
           run_verification: bool = True) -> SolveReport:
     """Solve a monic-reducible integer polynomial by radicals.
 
@@ -135,7 +133,7 @@ def solve(poly, generators, *, digits: int | None = None,
             zetas = zeta_tables(series)
             theta0 = build_theta0(labeled, series)
             forward = forward_pass(theta0, series, zetas)
-            int_theta = round_theta_m(forward.thetas[-1], tolerance)
+            int_theta = round_theta_m(forward.thetas[-1])
             try:
                 recon = reconstruct(series, int_theta, forward.resolvents,
                                     zetas)
@@ -153,8 +151,8 @@ def solve(poly, generators, *, digits: int | None = None,
         if run_verification else None
     return SolveReport(
         polynomial=polynomial, reduction=reduction, series=series,
-        plan=plan, digits=budget_digits, roots=labeled, labeling=sigma,
-        theta=int_theta, root_exprs=recon.root_exprs, evaluations=evaluations,
+        plan=plan, roots=labeled, labeling=sigma, theta=int_theta,
+        root_exprs=recon.root_exprs, evaluations=evaluations,
         verification=deviations, multiplications=forward.counter.count,
-        budget=multiplication_budget(series), branch_log=recon.branch_log,
-        zero_notes=recon.zero_notes, notes=tuple(notes))
+        branch_log=recon.branch_log, zero_notes=recon.zero_notes,
+        notes=tuple(notes))

@@ -29,7 +29,7 @@ from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
 from .precision import principal_root, root_of_unity
 from .resolvent import (IntegerThetaTensor, PrecisionPlan, axis_lines,
-                        position_root_indices)
+                        multiplication_budget, position_root_indices)
 from .rootfinder import RootSet
 
 __all__ = [
@@ -547,7 +547,6 @@ class SolveReport:
     reduction: MonicReduction
     series: CompositionSeries
     plan: PrecisionPlan
-    digits: int
     roots: RootSet                      # labeled order
     labeling: Permutation
     theta: IntegerThetaTensor
@@ -555,10 +554,19 @@ class SolveReport:
     evaluations: tuple[mpc, ...]
     verification: tuple[mpf, ...] | None
     multiplications: int
-    budget: int
     branch_log: tuple[BranchChoice, ...]
     zero_notes: tuple[ZeroRadicandNote, ...]
     notes: tuple[str, ...]
+
+    @property
+    def digits(self) -> int:
+        """The digit budget of the attempt that succeeded."""
+        return self.roots.digits
+
+    @property
+    def budget(self) -> int:
+        """The forward pass's multiplication cap."""
+        return multiplication_budget(self.series)
 
     @property
     def max_rounding_residual(self) -> mpf:

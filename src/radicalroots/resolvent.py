@@ -34,6 +34,7 @@ __all__ = [
     "forward_pass",
     "multiplication_budget",
     "round_theta_m",
+    "round_to_integer",
     "position_root_indices",
     "zeta_tables",
 ]
@@ -222,23 +223,35 @@ def forward_pass(theta0: ResolventTensor, series: CompositionSeries,
     return ForwardResult(tuple(thetas), tuple(resolvents), counter)
 
 
-def round_theta_m(theta_m: ResolventTensor,
-                  tolerance: float = DEFAULT_ROUNDING_TOLERANCE) -> IntegerThetaTensor:
+def round_to_integer(z: mpc, subject: str, hint: str = "",
+                     position: int | None = None) -> tuple[int, mpf]:
+    """The integer nearest ``z`` and the residual.
+
+    Raises ResidualTooLarge, saying that ``subject`` is too far from an
+    integer and then ``hint``, when the residual is DEFAULT_ROUNDING_TOLERANCE
+    or more.
+    """
+    n, residual = nearest_integer(z)
+    if residual >= DEFAULT_ROUNDING_TOLERANCE:
+        raise ResidualTooLarge(
+            f"{subject} is {mpmath.nstr(residual, 4)} away from an integer "
+            f"(tolerance {DEFAULT_ROUNDING_TOLERANCE}){hint}",
+            position=position, residual=residual)
+    return n, residual
+
+
+def round_theta_m(theta_m: ResolventTensor) -> IntegerThetaTensor:
     """Round every final-level entry to the nearest integer.
 
-    Raises ResidualTooLarge when any entry is farther than the tolerance from
-    an integer: insufficient precision, a wrong group, a wrong labeling, or a
-    non-irreducible input polynomial.
+    Raises ResidualTooLarge when any entry is DEFAULT_ROUNDING_TOLERANCE or
+    farther from an integer: insufficient precision, a wrong group, a wrong
+    labeling, or a non-irreducible input polynomial.
     """
-    rounded = [nearest_integer(entry) for entry in theta_m.data]
-    values, residuals = [], []
-    for flat, (n, res) in enumerate(rounded):
-        if res >= tolerance:
-            raise ResidualTooLarge(
-                f"entry {flat} of the final tensor is {mpmath.nstr(res, 4)} away "
-                f"from an integer (tolerance {tolerance}); raise the digit "
-                "budget, or check the group, the labeling, and irreducibility",
-                position=flat, residual=res)
-        values.append(n)
-        residuals.append(res)
-    return IntegerThetaTensor(theta_m.radices, tuple(values), tuple(residuals))
+    hint = ("; raise the digit budget, or check the group, the labeling, "
+            "and irreducibility")
+    rounded = [round_to_integer(entry, f"entry {flat} of the final tensor",
+                                hint, flat)
+               for flat, entry in enumerate(theta_m.data)]
+    return IntegerThetaTensor(theta_m.radices,
+                              tuple(n for n, _ in rounded),
+                              tuple(res for _, res in rounded))

@@ -18,7 +18,8 @@ from tests.conftest import (QUINTIC_GENERATORS, QUINTIC_ROOT_STRINGS,
                             QUINTIC_TEXT, QUINTIC_THETA, match_root_order,
                             reindex_axis)
 from tests.test_groups import dihedral, symmetric, validate_series
-from tests.test_oracle import QUINTIC_EDGE_CERTIFICATE
+from tests.test_oracle import (QUINTIC_EDGE_CERTIFICATE,
+                               assert_certificate_holds_the_invariant)
 from tests.test_properties import INSTANCES, run_instance
 
 
@@ -169,18 +170,21 @@ def test_criterion_6_property_suite():
 def test_criterion_7_oracle_certificates(d5):
     G2 = closure([parse_cycles("(1,2)", 2)])
     rs2 = find_roots(parse_polynomial("x^2-2"), 20)
-    cert = coset_product_certificate(G2, orbit_sum_invariant(G2, (2, 0)), rs2,
-                                     tolerance=1e-4)
+    orbit2 = orbit_sum_invariant(G2, (2, 0))
+    cert = coset_product_certificate(G2, orbit2, rs2)
     assert cert.coefficients == (-4, 1)
+    assert max(cert.residuals) < mpf("1e-4")
+    assert_certificate_holds_the_invariant(cert, orbit2, rs2, mpf("1e-4"))
 
     rs5 = find_roots(parse_polynomial(QUINTIC_TEXT), 20)
     order = match_root_order(rs5, QUINTIC_ROOT_STRINGS)
     labeled = relabel(rs5, Permutation(tuple(order)))
-    cert = coset_product_certificate(
-        d5, orbit_sum_invariant(d5, (1, 1, 0, 0, 0)), labeled, tolerance=1e-4)
+    orbit5 = orbit_sum_invariant(d5, (1, 1, 0, 0, 0))
+    cert = coset_product_certificate(d5, orbit5, labeled)
     assert cert.degree == 12
     assert cert.coefficients == QUINTIC_EDGE_CERTIFICATE
     assert max(cert.residuals) < mpf("1e-4")
+    assert_certificate_holds_the_invariant(cert, orbit5, labeled, mpf("1e-4"))
 
 
 @criterion(8, "monic rescaling maps the reduced roots back onto the original")

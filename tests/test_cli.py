@@ -1,11 +1,15 @@
+import argparse
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
 from radicalroots import VerificationFailed, pipeline
-from radicalroots.cli import main
+from radicalroots.cli import _build_parser, main
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, argv):
@@ -97,7 +101,7 @@ def test_solve_given_labeling(capsys, reference_label_order):
     order = ",".join(map(str, reference_label_order))
     code, out, err = run(capsys, ["solve", "--poly", "x^5+20x+32",
                                   "--generators", "(1,2,3,4,5);(1,4)(2,3)",
-                                  "--labeling", "given", "--root-order", order])
+                                  "--root-order", order])
     assert code == 0
     assert "0, 0, -10000000, 35000000, 10000000, 15000000, 10000000, " \
            "15000000, -10000000, 35000000" in out
@@ -152,8 +156,7 @@ def test_exit_code_residual_too_large(capsys, reference_label_order):
     order = ",".join(map(str, reference_label_order))
     code, out, err = run(capsys, ["solve", "--poly", "x^5+20x+32",
                                   "--generators", "(1,2,3,4,5);(1,4)(2,3)",
-                                  "--digits", "6", "--labeling", "given",
-                                  "--root-order", order])
+                                  "--digits", "6", "--root-order", order])
     assert code == 4
     assert "ResidualTooLarge" in err
 
@@ -169,7 +172,7 @@ def test_exit_code_labeling_failed_for_an_intransitive_group(capsys):
     # (1,2) never moves label 3, so no tensor position holds root 3; the
     # given labeling fails with the same exit code as the automatic one
     argv = ["solve", "--poly", "x^3-2", "--generators", "(1,2)"]
-    for labeling in (["--labeling", "given", "--root-order", "1,2,3"], []):
+    for labeling in (["--root-order", "1,2,3"], []):
         code, out, err = run(capsys, argv + labeling)
         assert code == 6
         assert out == ""
@@ -263,11 +266,7 @@ def test_check_command(capsys):
     ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
     ["check", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
     ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--margin", "-1"],
-    ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--tolerance", "0"],
-    ["check", "--poly", "x^2-2", "--generators", "(1,2)",
-     "--tolerance", "nan"],
-], ids=["roots-digits", "solve-digits", "check-digits", "margin", "tolerance",
-        "tolerance-nan"])
+], ids=["roots-digits", "solve-digits", "check-digits", "margin"])
 def test_numeric_flags_out_of_range_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
@@ -365,12 +364,16 @@ def test_root_order_that_is_not_integers_exits_2(capsys, root_order):
                    f"got {root_order!r}\n")
 
 
-def test_given_labeling_without_a_root_order_exits_2(capsys):
-    code, out, err = run(capsys, ["solve", "--poly", "x^2-2", "--generators",
-                                  "(1,2)", "--labeling", "given"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error[InputSyntaxError]: --labeling given requires "
-                          "--root-order")
+@pytest.mark.parametrize("command,flag", [
+    ("solve", ["--tolerance", "0.1"]), ("check", ["--tolerance", "0.1"]),
+    ("solve", ["--labeling", "given"])],
+    ids=["solve-tolerance", "check-tolerance", "solve-labeling"])
+def test_removed_flags_are_rejected_by_the_parser(capsys, command, flag):
+    # the rounding tolerance is fixed, and --root-order alone sets a labeling
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--poly", "x^2-2", "--generators", "(1,2)", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_check_without_generators_exits_2(capsys):
@@ -395,8 +398,7 @@ def test_two_digit_plan_does_not_zero_the_roots(capsys):
 def test_two_digit_budget_fails_loudly_on_the_quintic(capsys):
     argv = ["solve", "--poly", "x^5+20x+32",
             "--generators", "(1,2,3,4,5);(1,4)(2,3)", "--digits", "2"]
-    code, out, err = run(capsys, argv + ["--labeling", "given",
-                                         "--root-order", "5,1,3,2,4"])
+    code, out, err = run(capsys, argv + ["--root-order", "5,1,3,2,4"])
     assert (code, out) == (4, "")
     assert err.startswith("error[ResidualTooLarge]: ")
     code, out, err = run(capsys, argv)
@@ -424,3 +426,40 @@ def test_check_at_two_digits_fails_loudly(capsys):
     assert "certificate" not in out
     assert "orbit sum of x_1*x_2^2: 0 " not in out
     assert err.startswith("error[ResidualTooLarge]: ")
+
+
+def readme_command_line_flags(text: str) -> set[str]:
+    """The ``--flags`` named in the README's ``## Command line`` section."""
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"--[a-z][a-z-]*", section))
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options of the parser and its subcommands, apart from
+    ``--help`` and ``--version``."""
+    flags = set()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            flags.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    return {f for f in flags if f.startswith("--")} - {"--help", "--version"}
+
+
+def test_readme_names_every_command_line_flag_and_no_other():
+    assert readme_command_line_flags(README.read_text()) \
+        == parser_flags(_build_parser())
+
+
+def test_readme_flag_drift_is_detected():
+    text = ("## Install\n`--no-build-isolation`\n"
+            "## Command line\n`solve --poly P --old-flag`\n"
+            "## Library\n`--ignored`\n")
+    assert readme_command_line_flags(text) == {"--poly", "--old-flag"}
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--version", action="version", version="1")
+    sub = parser.add_subparsers().add_parser("solve")
+    sub.add_argument("--poly")
+    sub.add_argument("-d", "--digits")
+    assert parser_flags(parser) == {"--poly", "--digits"}

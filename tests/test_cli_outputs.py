@@ -40,8 +40,7 @@ def _solve_argv(poly_text, gens_text, labeling):
         _, q, g, n = labeling
         order = _period_label_order(find_roots(parse_polynomial(poly_text), 30),
                                     q, g, n)
-        argv += ["--labeling", "given",
-                 "--root-order", ",".join(map(str, order))]
+        argv += ["--root-order", ",".join(map(str, order))]
     return argv
 
 

@@ -85,6 +85,11 @@ def test_unused_export_is_detected(tmp_path):
     assert unused_exports(tmp_path) == ["a.py: unused"]
 
 
+def _parameter_names(args: ast.arguments) -> list[str]:
+    """Names of a function's parameters other than ``*args``/``**kwargs``."""
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
 def unread_parameters(package: Path) -> list[str]:
     """Parameters, apart from ``self`` and ``cls``, that their function's
     body never reads."""
@@ -94,8 +99,7 @@ def unread_parameters(package: Path) -> list[str]:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args
-            params = [a.arg for a in (args.posonlyargs + args.args
-                                      + args.kwonlyargs)]
+            params = _parameter_names(args)
             params += [a.arg for a in (args.vararg, args.kwarg) if a]
             read = {name.id for stmt in node.body for name in ast.walk(stmt)
                     if isinstance(name, ast.Name)
@@ -256,7 +260,7 @@ def test_second_walker_is_detected(tmp_path):
 
 # dataclasses that hold a digit budget as a record of the solve, not as the
 # precision to compute at
-BUDGET_RECORDS = {"PrecisionPlan", "SolveReport"}
+BUDGET_RECORDS = {"PrecisionPlan"}
 
 
 def digit_carriers(path: Path) -> list[str]:
@@ -266,9 +270,7 @@ def digit_carriers(path: Path) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            if "digits" in [a.arg for a in (args.posonlyargs + args.args
-                                            + args.kwonlyargs)]:
+            if "digits" in _parameter_names(node.args):
                 found.append(f"{path.name}: {node.name}(digits)")
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node) \
                 and node.name not in BUDGET_RECORDS:
@@ -294,7 +296,7 @@ def test_digit_carrier_is_detected(tmp_path):
         "    data: tuple\n"
         "    digits: int\n"
         "@dataclass(frozen=True)\n"
-        "class SolveReport:\n"
+        "class PrecisionPlan:\n"
         "    digits: int\n"
         "class Cache:\n"
         "    def __init__(self, digits):\n"
@@ -306,3 +308,30 @@ def test_digit_carrier_is_detected(tmp_path):
     assert digit_carriers(tmp_path / "radical.py") == [
         "radical.py: Tensor.digits", "radical.py: evaluate(digits)",
         "radical.py: __init__(digits)"]
+
+
+def tolerance_parameters(package: Path) -> list[str]:
+    """Functions with a ``tolerance`` parameter.  Every rounding gate reads
+    ``resolvent.DEFAULT_ROUNDING_TOLERANCE``, so no caller can widen one."""
+    return [f"{path.name}: {node.name}(tolerance)"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "tolerance" in _parameter_names(node.args)]
+
+
+def test_no_function_takes_a_rounding_tolerance():
+    assert tolerance_parameters(SRC) == []
+
+
+def test_tolerance_parameter_is_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "TOLERANCE = 0.25\n"
+        "def round_theta_m(theta, tolerance=TOLERANCE):\n"
+        "    return theta\n"
+        "def gate(value, *, tolerance):\n"
+        "    return value < tolerance\n"
+        "def fixed(value):\n"
+        "    return value < TOLERANCE\n")
+    assert tolerance_parameters(tmp_path) == [
+        "a.py: round_theta_m(tolerance)", "a.py: gate(tolerance)"]

@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -11,7 +12,7 @@ from radicalroots import (LabelingAmbiguous, LabelingFailed, Permutation,
                           root_magnitude_bound, solve)
 from radicalroots.oracle import (DEFAULT_LABELING_TOLERANCE,
                                  default_labeling_invariants)
-from radicalroots.polynomial import to_monic
+from radicalroots.polynomial import eval_poly, to_monic
 from radicalroots.precision import nearest_integer
 from radicalroots.rootfinder import aberth_stage, polish_roots, relabel
 from tests.conftest import QUINTIC_ROOT_STRINGS, QUINTIC_THETA, match_root_order
@@ -28,6 +29,16 @@ def reference_labeled_roots(digits=20):
     rs = find_roots(p, digits)
     order = match_root_order(rs, QUINTIC_ROOT_STRINGS)
     return relabel(rs, Permutation(tuple(order)))
+
+
+def assert_certificate_holds_the_invariant(cert, orbit, roots, bound):
+    """|F(theta)| < bound * (1 + |theta|)^deg F for the orbit sum theta on
+    the labeled roots: theta is a root of its certificate F."""
+    with mp.workdps(roots.digits):
+        theta = sum(mpmath.fprod(z ** k for z, k in zip(roots.roots, vec))
+                    for vec in orbit)
+        membership = abs(eval_poly(cert.coefficients, theta))
+        assert membership < bound * (1 + abs(theta)) ** cert.degree
 
 
 def test_invariant_value_sum_of_roots(d5):
@@ -82,10 +93,11 @@ def test_certificate_single_coset():
 def test_certificate_quintic_degree_12(d5):
     labeled = reference_labeled_roots(20)
     orbit = orbit_sum_invariant(d5, (1, 1, 0, 0, 0))
-    cert = coset_product_certificate(d5, orbit, labeled, tolerance=1e-4)
+    cert = coset_product_certificate(d5, orbit, labeled)
     assert cert.degree == 12
     assert cert.coefficients == QUINTIC_EDGE_CERTIFICATE
     assert max(cert.residuals) < mpf("1e-4")
+    assert_certificate_holds_the_invariant(cert, orbit, labeled, mpf("1e-4"))
 
 
 def test_certificate_rejects_coefficients_far_from_integers(d5):

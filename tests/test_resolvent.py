@@ -194,7 +194,7 @@ def test_round_theta_m_rejects_offset():
     with mp.workdps(12):
         bad = ResolventTensor((2,), (mp.mpc("0.4"), mp.mpc(1)))
         with pytest.raises(ResidualTooLarge):
-            round_theta_m(bad, tolerance=0.25)
+            round_theta_m(bad)
 
 
 def test_fourier_inversion_identity(reference_label_order):
