@@ -84,7 +84,7 @@ def _print_solve_text(report, args, out):
     chain = " ; ".join(f"{sigma} [p={p}]" for sigma, p in report.series.steps)
     w(f"composition series: {chain if chain else '(trivial)'}\n")
     w(f"digits: {report.digits} (required {report.plan.required_digits}, "
-      f"margin {report.plan.margin})\n")
+      f"margin {DEFAULT_MARGIN})\n")
     w(f"labeling: {','.join(map(str, report.labeling.images))} "
       "(label j takes listed root sigma(j))\n")
     w("labeled roots:\n")
@@ -129,7 +129,7 @@ def _solve_json_payload(report):
         "digits": report.digits,
         "plan": {
             "required_digits": report.plan.required_digits,
-            "margin": report.plan.margin,
+            "margin": DEFAULT_MARGIN,
             "n_bound": str(report.plan.n_bound),
             "x0_bound": report.plan.x0_bound,
         },
@@ -165,8 +165,9 @@ def _cmd_solve(args, out) -> int:
     poly, generators, root_order = _resolve_inputs(args)
     if not generators:
         raise InputSyntaxError("generators are required (--generators)")
-    report = solve(poly, generators, digits=args.digits, margin=args.margin,
-                   labeling=root_order or "auto", run_verification=args.verify)
+    report = solve(poly, generators, digits=args.digits,
+                   labeling="auto" if root_order is None else root_order,
+                   run_verification=args.verify)
     if args.format == "json":
         out.write(json.dumps(_solve_json_payload(report), indent=2))
         out.write("\n")
@@ -213,7 +214,7 @@ def _cmd_check(args, out) -> int:
     degree = reduction.monic.degree
     group = closure(as_generators(generators, degree))
     rs = find_roots(reduction.monic, args.digits)
-    if root_order:
+    if root_order is not None:
         sigma = as_labeling(root_order, degree)
     else:
         sigma = label_roots(group, rs).permutation
@@ -263,9 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_solve)
     p_solve.add_argument("--digits", type=int, default=None,
                          help="override the planned digit budget")
-    p_solve.add_argument("--margin", type=int, default=DEFAULT_MARGIN,
-                         help="extra digits over the planned requirement "
-                              f"(default {DEFAULT_MARGIN})")
     p_solve.add_argument("--format", choices=("text", "latex", "json"),
                          default="text")
     p_solve.add_argument("--verify", action="store_true",
@@ -296,8 +294,6 @@ def _check_ranges(args) -> None:
     """Reject numeric flags outside their documented ranges."""
     if getattr(args, "digits", None) is not None and args.digits < 1:
         raise InputSyntaxError(f"--digits must be at least 1, got {args.digits}")
-    if getattr(args, "margin", 0) < 0:
-        raise InputSyntaxError(f"--margin must be at least 0, got {args.margin}")
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,8 @@ from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
 from .radical import SolveReport, evaluate, reconstruct, verify
-from .resolvent import (DEFAULT_MARGIN, build_theta0, forward_pass,
-                        plan_precision, round_theta_m, zeta_tables)
+from .resolvent import (build_theta0, forward_pass, plan_precision,
+                        round_theta_m, zeta_tables)
 from .rootfinder import (aberth_stage, polish_roots, relabel,
                          root_magnitude_bound)
 
@@ -85,8 +85,7 @@ def as_labeling(labeling, degree: int) -> Permutation:
     return sigma
 
 
-def solve(poly, generators, *, digits: int | None = None,
-          margin: int = DEFAULT_MARGIN, labeling="auto",
+def solve(poly, generators, *, digits: int | None = None, labeling="auto",
           run_verification: bool = True) -> SolveReport:
     """Solve a monic-reducible integer polynomial by radicals.
 
@@ -95,18 +94,16 @@ def solve(poly, generators, *, digits: int | None = None,
     a list of permutations; ``labeling`` is "auto" or an explicit assignment
     (label j takes the j-th listed position of the canonically ordered roots).
 
-    The digit budget, an integer >= 1, comes from the precision plan (with
-    ``margin``, an integer >= 0) unless overridden; on PhaseAmbiguous the
-    budget is doubled, up to 3 times.  A budget above DIGITS_HARD_CAP,
-    whether given, planned or doubled, raises PrecisionInfeasible.  One
-    Aberth run bounds the roots for the plan and is polished once to every
-    budget tried, and the roots are labeled once, at the first budget.
-    Each attempt sets ``mp.dps`` to its budget once.
+    The digit budget is ``digits``, an integer >= 1, when given, and the
+    precision plan's (its requirement plus DEFAULT_MARGIN) otherwise; on
+    PhaseAmbiguous the budget is doubled, up to 3 times.  A budget above
+    DIGITS_HARD_CAP, whether given, planned or doubled, raises
+    PrecisionInfeasible.  One Aberth run bounds the roots for the plan and
+    is polished once to every budget tried, and the roots are labeled once,
+    at the first budget.  Each attempt sets ``mp.dps`` to its budget once.
     """
     if digits is not None and _integer(digits, "digits") < 1:
         raise InputSyntaxError(f"digits must be at least 1, got {digits}")
-    if _integer(margin, "margin") < 0:
-        raise InputSyntaxError(f"margin must be at least 0, got {margin}")
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     monic = reduction.monic
@@ -115,7 +112,7 @@ def solve(poly, generators, *, digits: int | None = None,
     series = composition_series(group)
 
     start = aberth_stage(monic)
-    plan = plan_precision(series, root_magnitude_bound(start), margin)
+    plan = plan_precision(series, root_magnitude_bound(start))
     budget_digits = digits if digits is not None else plan.digits
 
     notes: list[str] = []

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_ROUNDING_TOLERANCE = 0.25
-# digits a solve adds to plan_precision's requirement unless given a margin
+# digits every planned budget adds to plan_precision's requirement
 DEFAULT_MARGIN = 6
 
 
@@ -74,8 +74,11 @@ class PrecisionPlan:
     n_bound: int
     x0_bound: float
     required_digits: int
-    margin: int
-    digits: int
+
+    @property
+    def digits(self) -> int:
+        """The planned budget: the requirement plus DEFAULT_MARGIN."""
+        return self.required_digits + DEFAULT_MARGIN
 
 
 @dataclass
@@ -109,15 +112,12 @@ def multiplication_budget(series: CompositionSeries) -> int:
     return series.order * sum(3 * p - 1 for p in series.primes)
 
 
-def plan_precision(series: CompositionSeries, x0_bound,
-                   margin: int) -> PrecisionPlan:
-    """Digit budget: ceil(log10(2 * N * |G| * x0^(|G|-1))) + margin.
+def plan_precision(series: CompositionSeries, x0_bound) -> PrecisionPlan:
+    """Digit budget: ceil(log10(2 * N * |G| * x0^(|G|-1))) + DEFAULT_MARGIN.
 
     N bounds the coefficient sum of any final-level invariant:
     N = prod_i p_i^(p_i * p_{i+1} * ... * p_m).
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
     primes = series.primes
     n_bound = 1
     for i, p in enumerate(primes):
@@ -127,10 +127,9 @@ def plan_precision(series: CompositionSeries, x0_bound,
         v = mpmath.log10(mpf(2) * n_bound * order)
         v += (order - 1) * mpmath.log10(mpf(x0_bound))
         required = int(mpmath.ceil(v - mpf(10) ** (-30)))
-    required = max(required, 1)
-    digits = required + margin
-    check_digit_budget(digits)
-    return PrecisionPlan(n_bound, float(x0_bound), required, margin, digits)
+    plan = PrecisionPlan(n_bound, float(x0_bound), max(required, 1))
+    check_digit_budget(plan.digits)
+    return plan
 
 
 def position_root_indices(series: CompositionSeries) -> list[int]:

@@ -13,6 +13,7 @@ from radicalroots import (NotSolvable, Permutation, closure,
                           orbit_sum_invariant, parse_cycles, parse_expr_json,
                           parse_polynomial, plan_precision, solve, to_monic,
                           emit)
+from radicalroots.resolvent import DEFAULT_MARGIN
 from radicalroots.rootfinder import relabel
 from tests.conftest import (QUINTIC_GENERATORS, QUINTIC_ROOT_STRINGS,
                             QUINTIC_TEXT, QUINTIC_THETA, match_root_order,
@@ -70,9 +71,9 @@ def test_criterion_2_roots_regression(quintic):
 @criterion(3, "precision plan requires 13 digits plus the margin")
 def test_criterion_3_precision_plan(d5):
     series = composition_series(d5)
-    plan = plan_precision(series, 2.4, 1)
+    plan = plan_precision(series, 2.4)
     assert plan.required_digits == 13
-    assert plan.digits == 14
+    assert plan.digits == 13 + DEFAULT_MARGIN
 
 
 @criterion(4, "small-case end-to-end: emitted radicals re-evaluate onto roots")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from radicalroots import VerificationFailed, pipeline
+from radicalroots import VerificationFailed, pipeline, precision
 from radicalroots.cli import _build_parser, main
 
 README = Path(__file__).parent.parent / "README.md"
@@ -179,9 +179,11 @@ def test_exit_code_labeling_failed_for_an_intransitive_group(capsys):
         assert err.startswith("error[LabelingFailed]: ")
 
 
-def test_exit_code_precision_infeasible(capsys):
+def test_exit_code_precision_infeasible(capsys, monkeypatch):
+    # x^2-2 plans 8 digits; a planned budget above the cap exits 7
+    monkeypatch.setattr(precision, "DIGITS_HARD_CAP", 7)
     code, out, err = run(capsys, ["solve", "--poly", "x^2-2",
-                                  "--generators", "(1,2)", "--margin", "100000"])
+                                  "--generators", "(1,2)"])
     assert code == 7
     assert out == ""
     assert "error[PrecisionInfeasible]" in err
@@ -265,8 +267,7 @@ def test_check_command(capsys):
     ["roots", "--poly", "x^2-2", "--digits", "0"],
     ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
     ["check", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
-    ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--margin", "-1"],
-], ids=["roots-digits", "solve-digits", "check-digits", "margin"])
+], ids=["roots-digits", "solve-digits", "check-digits"])
 def test_numeric_flags_out_of_range_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
@@ -364,12 +365,33 @@ def test_root_order_that_is_not_integers_exits_2(capsys, root_order):
                    f"got {root_order!r}\n")
 
 
+@pytest.mark.parametrize("command,with_file", [
+    ("solve", False), ("check", False), ("solve", True)],
+    ids=["solve", "check", "solve-input-file"])
+def test_empty_root_order_exits_2(tmp_path, capsys, command, with_file):
+    # an empty --root-order is a malformed labeling, not "search for one",
+    # and it does not fall back to the input file's labeling either
+    argv = [command, "--poly", "x^2-2", "--generators", "(1,2)"]
+    if with_file:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"poly": [-2, 0, 1],
+                                    "generators": ["(1,2)"],
+                                    "labeling": {"root_order": [2, 1]}}))
+        argv = [command, "--input", str(path)]
+    code, out, err = run(capsys, argv + ["--root-order", ""])
+    assert (code, out) == (2, "")
+    assert err == ("error[InputSyntaxError]: root order must list integers, "
+                   "got ''\n")
+
+
 @pytest.mark.parametrize("command,flag", [
     ("solve", ["--tolerance", "0.1"]), ("check", ["--tolerance", "0.1"]),
-    ("solve", ["--labeling", "given"])],
-    ids=["solve-tolerance", "check-tolerance", "solve-labeling"])
+    ("solve", ["--labeling", "given"]), ("solve", ["--margin", "6"])],
+    ids=["solve-tolerance", "check-tolerance", "solve-labeling",
+         "solve-margin"])
 def test_removed_flags_are_rejected_by_the_parser(capsys, command, flag):
-    # the rounding tolerance is fixed, and --root-order alone sets a labeling
+    # the rounding tolerance and the plan's margin are fixed, and
+    # --root-order alone sets a labeling
     with pytest.raises(SystemExit) as exc:
         main([command, "--poly", "x^2-2", "--generators", "(1,2)", *flag])
     assert exc.value.code == 2
@@ -387,10 +409,11 @@ def test_check_without_generators_exits_2(capsys):
 # not all snap to 0 and then pass as verified
 
 def test_two_digit_plan_does_not_zero_the_roots(capsys):
+    # x^2-2 requires 2 digits; the doubling on PhaseAmbiguous ends at 8
     code, out, err = run(capsys, ["solve", "--poly", "x^2-2", "--generators",
-                                  "(1,2)", "--margin", "0", "--verify"])
+                                  "(1,2)", "--digits", "2", "--verify"])
     assert code == 0
-    assert "digits: 8 (required 2, margin 0)" in out
+    assert "digits: 8 (required 2, margin 6)" in out
     assert "  x_1 = (1/2)*(root(2,0; 8))\n" in out
     assert "  x_2 = (1/2)*(root(2,1; 8))\n" in out
 

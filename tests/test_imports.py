@@ -258,22 +258,17 @@ def test_second_walker_is_detected(tmp_path):
         "radical.py: _walk", "radical.py: _text", "radical.py: _depth"]
 
 
-# dataclasses that hold a digit budget as a record of the solve, not as the
-# precision to compute at
-BUDGET_RECORDS = {"PrecisionPlan"}
-
-
 def digit_carriers(path: Path) -> list[str]:
-    """Functions with a ``digits`` parameter, and dataclasses other than
-    BUDGET_RECORDS with a ``digits`` field.  What works from the roots'
-    values computes at the caller's ``mp.dps`` instead."""
+    """Functions with a ``digits`` parameter, and dataclasses with a
+    ``digits`` field.  What works from the roots' values computes at the
+    caller's ``mp.dps`` instead; a record of the solve's budget derives it
+    in a property."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if "digits" in _parameter_names(node.args):
                 found.append(f"{path.name}: {node.name}(digits)")
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node) \
-                and node.name not in BUDGET_RECORDS:
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             found += [f"{path.name}: {node.name}.digits" for stmt in node.body
                       if isinstance(stmt, ast.AnnAssign)
                       and isinstance(stmt.target, ast.Name)
@@ -297,7 +292,10 @@ def test_digit_carrier_is_detected(tmp_path):
         "    digits: int\n"
         "@dataclass(frozen=True)\n"
         "class PrecisionPlan:\n"
-        "    digits: int\n"
+        "    required_digits: int\n"
+        "    @property\n"
+        "    def digits(self):\n"
+        "        return self.required_digits + 6\n"
         "class Cache:\n"
         "    def __init__(self, digits):\n"
         "        self.digits = digits\n"
@@ -310,18 +308,19 @@ def test_digit_carrier_is_detected(tmp_path):
         "radical.py: __init__(digits)"]
 
 
-def tolerance_parameters(package: Path) -> list[str]:
-    """Functions with a ``tolerance`` parameter.  Every rounding gate reads
-    ``resolvent.DEFAULT_ROUNDING_TOLERANCE``, so no caller can widen one."""
-    return [f"{path.name}: {node.name}(tolerance)"
+def parameters_named(package: Path, name: str) -> list[str]:
+    """Functions with a parameter called ``name``."""
+    return [f"{path.name}: {node.name}({name})"
             for path in sorted(package.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and "tolerance" in _parameter_names(node.args)]
+            and name in _parameter_names(node.args)]
 
 
 def test_no_function_takes_a_rounding_tolerance():
-    assert tolerance_parameters(SRC) == []
+    # every rounding gate reads resolvent.DEFAULT_ROUNDING_TOLERANCE, so no
+    # caller can widen one
+    assert parameters_named(SRC, "tolerance") == []
 
 
 def test_tolerance_parameter_is_detected(tmp_path):
@@ -333,5 +332,24 @@ def test_tolerance_parameter_is_detected(tmp_path):
         "    return value < tolerance\n"
         "def fixed(value):\n"
         "    return value < TOLERANCE\n")
-    assert tolerance_parameters(tmp_path) == [
+    assert parameters_named(tmp_path, "tolerance") == [
         "a.py: round_theta_m(tolerance)", "a.py: gate(tolerance)"]
+
+
+def test_no_function_takes_a_margin():
+    # a digit budget is either planned, with resolvent.DEFAULT_MARGIN, or
+    # given as digits; no caller pads the plan
+    assert parameters_named(SRC, "margin") == []
+
+
+def test_margin_parameter_is_detected(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "DEFAULT_MARGIN = 6\n"
+        "def plan_precision(series, x0_bound, margin):\n"
+        "    return series.required + margin\n"
+        "def solve(poly, *, digits=None, margin=DEFAULT_MARGIN):\n"
+        "    return digits or margin\n"
+        "def planned(required):\n"
+        "    return required + DEFAULT_MARGIN\n")
+    assert parameters_named(tmp_path, "margin") == [
+        "a.py: plan_precision(margin)", "a.py: solve(margin)"]

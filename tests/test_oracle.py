@@ -162,7 +162,7 @@ def budget_roots(text, generators):
     group = closure([parse_cycles(t, n) for t in generators.split(";")])
     start = aberth_stage(monic)
     plan = plan_precision(composition_series(group),
-                          root_magnitude_bound(start), 6)
+                          root_magnitude_bound(start))
     return group, polish_roots(monic, start, plan.digits)
 
 

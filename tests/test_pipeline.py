@@ -143,13 +143,17 @@ def test_results_do_not_depend_on_the_ambient_precision(poly, generators,
 
 @pytest.mark.parametrize("budget,message", [
     ({"digits": 20.5}, "digits must be an integer, got 20.5"),
-    ({"digits": 0}, "digits must be at least 1, got 0"),
-    ({"margin": 2.5}, "margin must be an integer, got 2.5"),
-    ({"margin": -1}, "margin must be at least 0, got -1")])
+    ({"digits": 0}, "digits must be at least 1, got 0")])
 def test_a_digit_budget_that_is_not_a_whole_number_is_refused(budget,
                                                               message):
     with pytest.raises(InputSyntaxError, match=f"^{message}$"):
         solve("x^3-2", "(1,2,3);(1,2)", **budget)
+
+
+def test_the_planned_margin_is_not_an_option():
+    # a budget is planned (requirement + DEFAULT_MARGIN) or given as digits
+    with pytest.raises(TypeError, match="margin"):
+        solve("x^2-2", "(1,2)", margin=6)
 
 
 @pytest.mark.parametrize("generators,labeling,message", [

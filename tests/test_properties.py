@@ -68,7 +68,7 @@ def run_instance(poly_text, gens_text, labeling):
     group = closure(gens)
     series = composition_series(group)
     coarse = find_roots(poly, 32)
-    digits = plan_precision(series, root_magnitude_bound(coarse.roots), 6).digits
+    digits = plan_precision(series, root_magnitude_bound(coarse.roots)).digits
     roots = find_roots(poly, digits)
     if labeling == "auto":
         labeled = relabel(roots, label_roots(group, roots).permutation)

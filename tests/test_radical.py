@@ -30,7 +30,7 @@ def run_backward(poly_text, gens_text, digits=None):
     if digits is None:
         from radicalroots import plan_precision, root_magnitude_bound
         coarse = find_roots(p, 32)
-        digits = plan_precision(series, root_magnitude_bound(coarse.roots), 6).digits
+        digits = plan_precision(series, root_magnitude_bound(coarse.roots)).digits
     roots = find_roots(p, digits)
     labeled = relabel(roots, label_roots(G, roots).permutation)
     with mp.workdps(digits):

@@ -8,8 +8,8 @@ from radicalroots import (LabelingFailed, Permutation, PrecisionInfeasible,
                           parse_cycles, parse_polynomial, plan_precision,
                           build_theta0, forward_pass, forward_level,
                           round_theta_m)
-from radicalroots.resolvent import (MultiplicationCounter, ResolventTensor,
-                                    axis_lines, multiplication_budget,
+from radicalroots.resolvent import (DEFAULT_MARGIN, MultiplicationCounter,
+                                    ResolventTensor, axis_lines, multiplication_budget,
                                     position_root_indices, zeta_tables)
 from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_THETA, reindex_axis
@@ -51,25 +51,27 @@ def sqrt2_forward(digits=14):
 
 def test_plan_precision_quintic(d5):
     series = composition_series(d5)
-    plan = plan_precision(series, 2.4, 1)
+    plan = plan_precision(series, 2.4)
     assert plan.n_bound == 5**10 * 2**2
     assert plan.required_digits == 13
-    assert plan.digits == 14
+    assert plan.digits == 13 + DEFAULT_MARGIN
 
 
 def test_plan_precision_c2_examples():
     series = c2_series()
-    plan = plan_precision(series, 1.5, 2)
+    plan = plan_precision(series, 1.5)
     assert plan.n_bound == 4
-    assert plan.digits == 4
-    plan = plan_precision(series, 1, 0)
-    assert plan.digits == 2
+    assert plan.required_digits == 2
+    assert plan.digits == 2 + DEFAULT_MARGIN
+    plan = plan_precision(series, 1)
+    assert plan.required_digits == 2
+    assert plan.digits == 2 + DEFAULT_MARGIN
 
 
 def test_plan_precision_cap():
     series = c2_series()
     with pytest.raises(PrecisionInfeasible):
-        plan_precision(series, "1e200000", 2)
+        plan_precision(series, "1e200000")
 
 
 def test_build_theta0_quintic_position_map(d5):

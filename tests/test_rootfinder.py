@@ -193,7 +193,7 @@ def test_hardware_sweeps_change_no_root(monkeypatch, poly_text, gens_text):
     gens = [parse_cycles(t, p.degree) for t in gens_text.split(";")]
     series = composition_series(closure(gens))
     start = aberth_stage(p)
-    budget = plan_precision(series, root_magnitude_bound(start), 6).digits
+    budget = plan_precision(series, root_magnitude_bound(start)).digits
     both = [polish_roots(p, start, d) for d in (budget, 32)]
     refused = _mpmath_only(monkeypatch)
     start = aberth_stage(p)
@@ -377,6 +377,16 @@ def test_close_roots_match_a_reference(poly_text, digits):
             find_roots(p, digits)
     else:
         _assert_near_reference(p, digits)
+
+
+def test_residual_contract_retries_on_a_real_input(monkeypatch):
+    # a Mignotte-type pair near 1/1000: the first polish, to 58 digits,
+    # misses the contract at 50 and the second rung, to 70, meets it
+    p = parse_polynomial("x^11-1000000x^2+2000x-1")
+    targets = _polish_skipping(monkeypatch, 0)
+    find_roots(p, 50)
+    assert targets == [58, 70]
+    _assert_near_reference(p, 50)
 
 
 @settings(max_examples=40, deadline=None)
