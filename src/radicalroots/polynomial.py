@@ -7,7 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from mpmath import mp, mpc
+
 from .errors import InputSyntaxError
+from .precision import horner, ints_mpc, mpc_ints
 
 __all__ = [
     "IntPolynomial",
@@ -142,9 +145,12 @@ def eval_poly(coeffs, z):
     """Horner evaluation of ascending integer ``coeffs`` at ``z``: exact for
     an integer ``z``, at the current mpmath precision for an mpmath one.
 
-    A zero coefficient adds nothing: adding an exact 0 to a value already
-    rounded at the current precision returns it unchanged, so x^n - a costs
-    one addition, not n."""
+    At an ``mpc`` point it runs on the integer kernel of ``precision``, with
+    the bits of the ``mpc`` loop.  A zero coefficient adds nothing: adding
+    an exact 0 to a value already rounded at the current precision returns
+    it unchanged, so x^n - a costs one addition, not n."""
+    if isinstance(z, mpc):
+        return ints_mpc(horner(coeffs, mpc_ints(z), mp.prec))
     acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c if c else acc * z

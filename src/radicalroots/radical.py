@@ -27,7 +27,8 @@ from mpmath import mp, mpc, mpf
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
-from .precision import principal_root, root_of_unity
+from .precision import (cmul, csub, ints_mpc, mpc_ints, principal_root,
+                        root_of_unity)
 from .resolvent import (IntegerThetaTensor, PrecisionPlan, axis_lines,
                         multiplication_budget, position_root_indices)
 from .rootfinder import RootSet
@@ -310,6 +311,17 @@ def _line_radicands(p: int, line_exprs, values: ValueCache, noise_scale: mpf,
     return radicands, roots, [abs(w) <= w_floor for w in roots]
 
 
+def _nearest_two(diffs) -> list[int]:
+    """The indices of the two smallest of the integer-form complex ``diffs``
+    by exact squared magnitude, each part's square shifted to a common
+    exponent; ties go to the lower index."""
+    parts = [(d[:2], d[2:]) for d in diffs]
+    low = min((2 * e for pair in parts for m, e in pair if m), default=0)
+    norms = [sum(m * m << (2 * e - low) for m, e in pair if m)
+             for pair in parts]
+    return sorted(range(len(diffs)), key=norms.__getitem__)[:2]
+
+
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 stored_L, zetas) -> ReconstructionResult:
     """Work the tensor transforms backward, picking root branches numerically.
@@ -321,6 +333,10 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     digits = mp.dps.  Acceptance requires the best branch within
     delta = 10^(-digits/4) and every other branch beyond 2*delta, else
     PhaseAmbiguous.  Radicands indistinguishable from zero collapse to 0.
+    The p candidates are ranked by the exact squared distance of their
+    rounded differences from the stored entry; only the two nearest
+    distances are rounded, as ``abs`` rounds them, and a tie in those is
+    always refused.
 
     Nodes are interned, so lines of a level with the same nodes are the same
     tuple of objects: they share the radicands, the values of their roots
@@ -328,6 +344,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     roots share the inverse combination.  Only the branch test reads each
     line's own stored targets.
     """
+    prec = mp.prec
     delta = mpf(10) ** (-mpf(mp.dps) / 4)
     noise_scale = mpf(10) ** (4 - mp.dps)
     floor = mpf(10) ** (-mp.dps)
@@ -341,6 +358,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     for level in range(series.length, 0, -1):
         p = radices[level - 1]
         stored = stored_L[level - 1]
+        zeta_x = [mpc_ints(z) for z in zetas[p]]
         new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
         # ids of a line's nodes -> (nodes, radicands, root values,
         # vanishing flags); ids of the chosen roots -> (roots, inverse
@@ -369,11 +387,10 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                         f"index {line[k]}: radicand magnitude "
                         f"{mpmath.nstr(abs(roots[k]), 4)} vs stored "
                         f"{mpmath.nstr(abs(target), 4)}")
-                branches = [roots[k] * zetas[p][s] for s in range(p)]
-                distances = sorted((abs(b - target), s)
-                                   for s, b in enumerate(branches))
-                best_d, best_s = distances[0]
-                second_d = distances[1][0]
+                w, t = mpc_ints(roots[k]), mpc_ints(target)
+                diffs = [csub(cmul(w, z, prec), t, prec) for z in zeta_x]
+                (best_d, best_s), (second_d, _) = sorted(
+                    (abs(ints_mpc(diffs[s])), s) for s in _nearest_two(diffs))
                 if best_d >= delta or second_d <= 2 * delta:
                     raise PhaseAmbiguous(
                         f"cannot fix the branch of a {p}-th root at level "

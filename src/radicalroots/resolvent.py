@@ -18,7 +18,8 @@ from mpmath import mp, mpc, mpf
 
 from .errors import LabelingFailed, ResidualTooLarge
 from .groups import CompositionSeries
-from .precision import check_digit_budget, nearest_integer, root_of_unity
+from .precision import (cadd, cdiv_int, check_digit_budget, cmul, ints_mpc,
+                        mpc_ints, nearest_integer, root_of_unity)
 from .rootfinder import RootSet
 
 __all__ = [
@@ -175,35 +176,39 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
 
     Returns (L_{level-1}, Theta_level).  The counter is incremented by exactly
     the complex multiplications performed: p per L entry, p-1 per power,
-    p per Theta entry.
+    p per Theta entry.  The sums and products run on the integer kernel of
+    ``precision`` at ``mp.prec``, with the bits of the same ``mpc``
+    expressions.
     """
     p = theta_prev.radices[level - 1]
     axis = level - 1
-    table = zetas[p]
-    ldata: list = [None] * len(theta_prev.data)
-    tdata: list = [None] * len(theta_prev.data)
+    prec = mp.prec
+    table = [mpc_ints(z) for z in zetas[p]]
+    data = [mpc_ints(z) for z in theta_prev.data]
+    ldata: list = [None] * len(data)
+    tdata: list = [None] * len(data)
     for line in axis_lines(theta_prev.radices, axis):
-        entries = [theta_prev.data[i] for i in line]
+        entries = [data[i] for i in line]
         powered = []
         for k in range(p):
             acc = None
             for j in range(p):
-                term = table[(j * k) % p] * entries[j]
-                acc = term if acc is None else acc + term
+                term = cmul(table[(j * k) % p], entries[j], prec)
+                acc = term if acc is None else cadd(acc, term, prec)
             counter.add(p)
-            ldata[line[k]] = acc
+            ldata[line[k]] = ints_mpc(acc)
             w = acc
             for _ in range(p - 1):
-                w = w * acc
+                w = cmul(w, acc, prec)
             counter.add(p - 1)
             powered.append(w)
         for j in range(p):
             acc = None
             for k in range(p):
-                term = table[(-k * j) % p] * powered[k]
-                acc = term if acc is None else acc + term
+                term = cmul(table[(-k * j) % p], powered[k], prec)
+                acc = term if acc is None else cadd(acc, term, prec)
             counter.add(p)
-            tdata[line[j]] = acc / p
+            tdata[line[j]] = ints_mpc(cdiv_int(acc, p, prec))
     return (replace(theta_prev, data=tuple(ldata)),
             replace(theta_prev, data=tuple(tdata)))
 

@@ -23,10 +23,12 @@ from itertools import combinations
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import dps_to_prec
 
 from .errors import NonConvergence, UnsupportedInput
 from .polynomial import IntPolynomial, eval_poly
-from .precision import check_digit_budget
+from .precision import (cdiv, check_digit_budget, csub, horner, ints_mpc,
+                        mpc_ints)
 
 __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
            "root_residuals", "root_magnitude_bound", "relabel"]
@@ -209,19 +211,24 @@ def aberth_stage(p: IntPolynomial) -> tuple:
 
 
 def _newton_polish(p: IntPolynomial, roots, target_dps: int):
+    """Three Newton steps from each root on every rung of a ladder that
+    doubles the digits from _BASE_DPS to ``target_dps``, each rung at its
+    digits + 10.  The steps run on the integer kernel of ``precision``, with
+    the bits of the same ``mpc`` expressions."""
     deriv = p.derivative_coeffs()
+    xs = [mpc_ints(z) for z in roots]
     dps = _BASE_DPS
     while dps < target_dps:
         dps = min(dps * 2, target_dps)
-        with mp.workdps(dps + 10):
-            for i, z in enumerate(roots):
-                for _ in range(3):
-                    dv = eval_poly(deriv, z)
-                    if dv == 0:
-                        break
-                    z = z - eval_poly(p.coeffs, z) / dv
-                roots[i] = z
-    return roots
+        prec = dps_to_prec(dps + 10)
+        for i, x in enumerate(xs):
+            for _ in range(3):
+                dv = horner(deriv, x, prec)
+                if not (dv[0] or dv[2]):
+                    break
+                x = csub(x, cdiv(horner(p.coeffs, x, prec), dv, prec), prec)
+            xs[i] = x
+    return [ints_mpc(x) for x in xs]
 
 
 def _close_pair(raw, separation) -> bool:

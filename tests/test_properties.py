@@ -16,6 +16,7 @@ from radicalroots import (Permutation, closure, composition_series, evaluate,
                           find_roots, label_roots, parse_cycles,
                           parse_polynomial, plan_precision, reconstruct,
                           root_magnitude_bound, solve, verify)
+from radicalroots import resolvent
 from radicalroots.radical import ValueCache
 from radicalroots.resolvent import (MultiplicationCounter, axis_lines,
                                     build_theta0, forward_level,
@@ -149,18 +150,25 @@ def test_multiplication_count_within_budget(bundle):
 
 
 def test_forward_pass_counts_its_real_multiplications(bundle, monkeypatch):
-    """The counter adds fixed amounts per entry; count the products mpc
-    actually performs instead, and hold both to the budget."""
+    """The counter adds fixed amounts per entry; count the complex products
+    actually performed instead, by the integer kernel where ``resolvent``
+    looks it up and by ``mpc``, and hold both to the budget."""
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
-    real = [0]
+    kernel, mpc_products = [0], [0]
+
+    def counting_cmul(x, y, prec, _original=resolvent.cmul):
+        kernel[0] += 1
+        return _original(x, y, prec)
+    monkeypatch.setattr(resolvent, "cmul", counting_cmul)
     for name in ("__mul__", "__rmul__"):
         def counting(self, other, _original=getattr(mpmath.mpc, name)):
-            real[0] += 1
+            mpc_products[0] += 1
             return _original(self, other)
         monkeypatch.setattr(mpmath.mpc, name, counting)
     forward = forward_pass(theta0, series, zetas)
     monkeypatch.undo()
-    assert real[0] == forward.counter.count == multiplication_budget(series)
+    assert mpc_products[0] == 0
+    assert kernel[0] == forward.counter.count == multiplication_budget(series)
 
 
 def _root_nodes(expr, seen):
