@@ -58,8 +58,8 @@ def _resolve_inputs(args):
     if getattr(args, "input", None):
         data = _load_input_file(args.input)
         poly = data["poly"]
-        generators = generators or ";".join(
-            _entry_list(data, "generators", str, "strings"))
+        if generators is None:
+            generators = ";".join(_entry_list(data, "generators", str, "strings"))
         lab = data.get("labeling") or {}
         if not isinstance(lab, dict):
             raise InputSyntaxError('input file entry "labeling" must be an '
@@ -67,7 +67,7 @@ def _resolve_inputs(args):
         if root_order is None and "root_order" in lab:
             root_order = ",".join(
                 map(str, _entry_list(lab, "root_order", int, "integers")))
-    if getattr(args, "poly", None):
+    if getattr(args, "poly", None) is not None:
         poly = args.poly
     if poly is None:
         raise InputSyntaxError("a polynomial is required (--poly or --input)")
@@ -294,6 +294,8 @@ def _check_ranges(args) -> None:
     """Reject numeric flags outside their documented ranges."""
     if getattr(args, "digits", None) is not None and args.digits < 1:
         raise InputSyntaxError(f"--digits must be at least 1, got {args.digits}")
+    if getattr(args, "degree", None) is not None and args.degree < 1:
+        raise InputSyntaxError(f"--degree must be at least 1, got {args.degree}")
 
 
 def main(argv=None) -> int:

@@ -6,11 +6,10 @@ sums, products, 1/p scalings, and branch-tagged p-th roots.  A node
 radicand.  Branches are selected against the resolvent arrays stored during
 the forward pass.
 
-Nodes are hash-consed: every node the module builds comes from one table
-keyed by (class, scalar fields, child ids), so two such nodes are the same
-object exactly when they are structurally equal, and id-keyed caches work
-once per distinct node.  Nodes built directly by their class are not in the
-table; they evaluate and render the same, only without the sharing.
+Nodes are hash-consed: calling a node class returns the one node with those
+fields, so two nodes are the same object exactly when they are structurally
+equal.  Equality and hash are identity, and every memo is keyed by the node
+itself, so each structurally distinct node is computed once.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Union, get_args
+from typing import Union
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -42,37 +41,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegerLiteral:
+# (class, *fields) -> node; an entry goes when its node does
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Node:
+    """Calling a node class returns the one node with those fields, built on
+    first use; the classes have ``init=False``, so the fields are set here."""
+
+    def __new__(cls, *args, **kwargs):
+        names = cls.__match_args__          # the field names, in order
+        if kwargs:      # a keyword call keys as the positional one
+            args += tuple(kwargs.pop(n) for n in names[len(args):]
+                          if n in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{cls.__name__} takes {', '.join(names)}")
+        key = (cls, *args)
+        node = _interned.get(key)
+        if node is None:
+            node = _interned[key] = super().__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __reduce__(self):       # a copy or an unpickled node is interned
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class IntegerLiteral(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class RationalScale:
+@dataclass(frozen=True, eq=False, init=False)
+class RationalScale(_Node):
     """A 1/denominator factor applied to a child expression."""
 
     denominator: int
     child: "RadicalExpr"
 
 
-@dataclass(frozen=True)
-class RootOfUnitySymbol:
+@dataclass(frozen=True, eq=False, init=False)
+class RootOfUnitySymbol(_Node):
     order: int
     power: int
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, init=False)
+class Sum(_Node):
     terms: tuple["RadicalExpr", ...]
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, eq=False, init=False)
+class Product(_Node):
     factors: tuple["RadicalExpr", ...]
 
 
-@dataclass(frozen=True)
-class Root:
+@dataclass(frozen=True, eq=False, init=False)
+class Root(_Node):
     """zeta_degree^branch times the principal degree-th root of the radicand."""
 
     degree: int
@@ -82,28 +108,9 @@ class Root:
 
 RadicalExpr = Union[IntegerLiteral, RationalScale, RootOfUnitySymbol,
                     Sum, Product, Root]
-_NODE_TYPES = get_args(RadicalExpr)
 
-# (class, fields with each child replaced by its id) -> node.  A live node
-# holds its children, so no id in a live entry's key can be reused; an entry
-# goes when its node does.
-_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _node(cls, *fields) -> RadicalExpr:
-    """The one node of class ``cls`` with these fields, built on first use."""
-    key = (cls, *[tuple(map(id, f)) if isinstance(f, tuple)
-                  else id(f) if isinstance(f, _NODE_TYPES) else f
-                  for f in fields])
-    node = _interned.get(key)
-    if node is None:
-        node = cls(*fields)
-        _interned[key] = node
-    return node
-
-
-_ZERO = _node(IntegerLiteral, 0)
-_ONE = _node(IntegerLiteral, 1)
+_ZERO = IntegerLiteral(0)
+_ONE = IntegerLiteral(1)
 
 
 def _zeta(p: int, k: int) -> RadicalExpr:
@@ -111,8 +118,8 @@ def _zeta(p: int, k: int) -> RadicalExpr:
     if k == 0:
         return _ONE
     if p == 2:
-        return _node(IntegerLiteral, -1)
-    return _node(RootOfUnitySymbol, p, k)
+        return IntegerLiteral(-1)
+    return RootOfUnitySymbol(p, k)
 
 
 def make_product(factors) -> RadicalExpr:
@@ -132,20 +139,19 @@ def make_product(factors) -> RadicalExpr:
     if int_part == -1:
         for i, f in enumerate(rest):
             if isinstance(f, Root) and f.degree == 2:
-                rest[i] = _node(Root, 2, f.radicand, (f.branch + 1) % 2)
+                rest[i] = Root(2, f.radicand, (f.branch + 1) % 2)
                 int_part = 1
                 break
     out: list[RadicalExpr] = []
     if int_part != 1:
-        out.append(_node(IntegerLiteral, int_part))
+        out.append(IntegerLiteral(int_part))
     for p in sorted(zetas):
         if not zetas[p]:
             continue
         # a zeta weight merges into the branch tag of a matching root
         for i, f in enumerate(rest):
             if isinstance(f, Root) and f.degree == p:
-                rest[i] = _node(Root, p, f.radicand,
-                                (f.branch + zetas[p]) % p)
+                rest[i] = Root(p, f.radicand, (f.branch + zetas[p]) % p)
                 break
         else:
             out.append(_zeta(p, zetas[p]))
@@ -154,7 +160,7 @@ def make_product(factors) -> RadicalExpr:
         return _ONE
     if len(out) == 1:
         return out[0]
-    return _node(Product, tuple(out))
+    return Product(tuple(out))
 
 
 def make_sum(terms) -> RadicalExpr:
@@ -168,20 +174,19 @@ def make_sum(terms) -> RadicalExpr:
             rest.append(t)
     out: list[RadicalExpr] = []
     if int_part != 0:
-        out.append(_node(IntegerLiteral, int_part))
+        out.append(IntegerLiteral(int_part))
     out.extend(rest)
     if not out:
         return _ZERO
     if len(out) == 1:
         return out[0]
-    return _node(Sum, tuple(out))
+    return Sum(tuple(out))
 
 
 def make_root(degree: int, radicand: RadicalExpr, branch: int) -> RadicalExpr:
-    # by value, not identity: a zero literal built by its class folds too
-    if radicand == _ZERO:
+    if radicand is _ZERO:
         return _ZERO
-    return _node(Root, degree, radicand, branch % degree)
+    return Root(degree, radicand, branch % degree)
 
 
 def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
@@ -189,17 +194,15 @@ def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
         if child.value == 0:
             return _ZERO
         if child.value % denominator == 0:
-            return _node(IntegerLiteral, child.value // denominator)
-    return _node(RationalScale, denominator, child)
+            return IntegerLiteral(child.value // denominator)
+    return RationalScale(denominator, child)
 
 
 def _walk(visit, expr: RadicalExpr, memo: dict):
     """``visit(node, results of its children)`` at ``expr``, bottom-up, once
-    per node object: ``memo`` maps id(node) -> (node, result), the node kept
-    so that its id cannot be reused."""
-    hit = memo.get(id(expr))
-    if hit is not None:
-        return hit[1]
+    per node: ``memo`` maps node -> result."""
+    if expr in memo:
+        return memo[expr]
     if isinstance(expr, Root):
         kids = [_walk(visit, expr.radicand, memo)]
     elif isinstance(expr, Sum):
@@ -213,22 +216,22 @@ def _walk(visit, expr: RadicalExpr, memo: dict):
     else:
         raise TypeError(f"not a radical expression node: {expr!r}")
     out = visit(expr, kids)
-    memo[id(expr)] = (expr, out)
+    memo[expr] = out
     return out
 
 
 class ValueCache:
     """Values of expression nodes at one ``mp.dps``, each computed once.
 
-    ``nodes`` is the memo of the walk whose visit function is ``value``.
-    For interned nodes identity is structure, so each structurally distinct
+    ``nodes`` is the memo of the walk whose visit function is ``value``,
+    keyed by node; a node is its structure, so each structurally distinct
     node is computed once.  Roots of unity come from the zeta tables when
     given; all branches of a radicand share the value of its branch-0 root.
     """
 
     def __init__(self, zetas=None):
         self.zetas = zetas or {}
-        self.nodes: dict = {}       # id(node) -> (node, value)
+        self.nodes: dict = {}       # node -> value
 
     def unity(self, p: int, k: int) -> mpc:
         table = self.zetas.get(p)
@@ -350,8 +353,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
     floor = mpf(10) ** (-mp.dps)
     values = ValueCache(zetas)
     radices = int_theta.radices
-    exact: list[RadicalExpr] = [_node(IntegerLiteral, v)
-                                for v in int_theta.values]
+    exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
     branch_log: list[BranchChoice] = []
     zero_notes: list[ZeroRadicandNote] = []
 
@@ -360,19 +362,16 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         stored = stored_L[level - 1]
         zeta_x = [mpc_ints(z) for z in zetas[p]]
         new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
-        # ids of a line's nodes -> (nodes, radicands, root values,
-        # vanishing flags); ids of the chosen roots -> (roots, inverse
-        # combinations).  The nodes are kept so that their ids cannot be
-        # reused.
+        # a line's nodes -> (radicands, root values, vanishing flags); the
+        # chosen roots -> inverse combinations
         lines: dict = {}
         combos: dict = {}
         for line in axis_lines(radices, level - 1):
             line_exprs = tuple(exact[i] for i in line)
-            key = tuple(map(id, line_exprs))
-            if key not in lines:
-                lines[key] = (line_exprs, *_line_radicands(
-                    p, line_exprs, values, noise_scale, floor))
-            _, radicands, roots, vanishes = lines[key]
+            if line_exprs not in lines:
+                lines[line_exprs] = _line_radicands(
+                    p, line_exprs, values, noise_scale, floor)
+            radicands, roots, vanishes = lines[line_exprs]
             l_exact: list[RadicalExpr] = []
             for k in range(p):
                 target = stored.data[line[k]]
@@ -402,12 +401,11 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                                                best_d, second_d, delta))
                 l_exact.append(make_root(p, radicands[k], best_s))
             chosen = tuple(l_exact)
-            key = tuple(map(id, chosen))
-            if key not in combos:
-                combos[key] = (chosen, [make_scale(p, make_sum(
+            if chosen not in combos:
+                combos[chosen] = [make_scale(p, make_sum(
                     make_product([_zeta(p, -j * k), chosen[k]])
-                    for k in range(p))) for j in range(p)])
-            for flat, expr in zip(line, combos[key][1]):
+                    for k in range(p))) for j in range(p)]
+            for flat, expr in zip(line, combos[chosen]):
                 new_exact[flat] = expr
         exact = new_exact
 
@@ -511,21 +509,19 @@ def _from_json_obj(obj) -> RadicalExpr:
         num, _, den = obj["scale"].partition("/")
         if num != "1":
             raise ValueError(f"scale must be 1/p, got {obj['scale']!r}")
-        return _node(RationalScale, int(den),
-                     _from_json_obj({"sum": obj["sum"]}))
+        return RationalScale(int(den), _from_json_obj({"sum": obj["sum"]}))
     if "int" in obj:
-        return _node(IntegerLiteral, int(obj["int"]))
+        return IntegerLiteral(int(obj["int"]))
     if "sum" in obj:
         terms = [_from_json_obj(t) for t in obj["sum"]]
-        return terms[0] if len(terms) == 1 else _node(Sum, tuple(terms))
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
     if "product" in obj:
-        return _node(Product,
-                     tuple(_from_json_obj(f) for f in obj["product"]))
+        return Product(tuple(_from_json_obj(f) for f in obj["product"]))
     if "zeta" in obj:
-        return _node(RootOfUnitySymbol, obj["zeta"]["p"], obj["zeta"]["k"])
+        return RootOfUnitySymbol(obj["zeta"]["p"], obj["zeta"]["k"])
     if "root" in obj:
         r = obj["root"]
-        return _node(Root, r["p"], _from_json_obj(r["radicand"]), r["branch"])
+        return Root(r["p"], _from_json_obj(r["radicand"]), r["branch"])
     raise ValueError(f"unknown expression node keys: {sorted(obj)}")
 
 

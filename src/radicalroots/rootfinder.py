@@ -124,8 +124,9 @@ def _alpha_data(coeffs, deriv, z: complex):
     max_k |f^(k)(z)/(k! f'(z))|^(1/(k-1)) from above.  The Taylor
     coefficients for gamma come from hardware floats, each widened by a
     Horner rounding bound: the same recurrence on |a_i| and |z|, times
-    8(n+2) float epsilons.  f and f' keep the Horner bound at ``mp.eps``
-    that an ``mpc`` evaluation would need, which is now conservative.
+    8(n+2) float epsilons.  f and f' carry the same Horner bound at
+    ``mp.eps``; as they are exact and rounded once, their real error is at
+    most ``mp.eps`` times their magnitude, so the bound only overstates it.
     """
     n = len(coeffs) - 1
     zm = mpc(z)

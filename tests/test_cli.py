@@ -267,7 +267,10 @@ def test_check_command(capsys):
     ["roots", "--poly", "x^2-2", "--digits", "0"],
     ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
     ["check", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],
-], ids=["roots-digits", "solve-digits", "check-digits"])
+    ["series", "--generators", "()", "--degree", "0"],
+    ["series", "--generators", "()", "--degree", "-3"],
+], ids=["roots-digits", "solve-digits", "check-digits", "series-degree-0",
+        "series-degree-negative"])
 def test_numeric_flags_out_of_range_exit_2(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
@@ -382,6 +385,21 @@ def test_empty_root_order_exits_2(tmp_path, capsys, command, with_file):
     assert (code, out) == (2, "")
     assert err == ("error[InputSyntaxError]: root order must list integers, "
                    "got ''\n")
+
+
+@pytest.mark.parametrize("command,flag,message", [
+    ("solve", "--poly", "empty polynomial"),
+    ("solve", "--generators", "generators are required (--generators)"),
+    ("check", "--poly", "empty polynomial"),
+    ("check", "--generators", "generators are required (--generators)")],
+    ids=["solve-poly", "solve-generators", "check-poly", "check-generators"])
+def test_empty_flag_does_not_fall_back_to_the_input_file(
+        tmp_path, capsys, command, flag, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"poly": [-2, 0, 1], "generators": ["(1,2)"]}))
+    code, out, err = run(capsys, [command, "--input", str(path), flag, ""])
+    assert (code, out) == (2, "")
+    assert err == f"error[InputSyntaxError]: {message}\n"
 
 
 @pytest.mark.parametrize("command,flag", [

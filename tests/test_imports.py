@@ -184,42 +184,28 @@ def test_write_only_field_is_detected(tmp_path):
         "a.py: Report.stored", "a.py: Counter.count"]
 
 
-NODE_CLASSES = {"IntegerLiteral", "RationalScale", "RootOfUnitySymbol", "Sum",
-                "Product", "Root"}
+def id_uses(path: Path) -> list[str]:
+    """Calls of ``id`` and passes of it, as in ``map(id, terms)``.  Nodes
+    compare and hash by identity, so a memo keys by the node itself; an
+    id-keyed memo would have to keep its nodes alive so that their ids are
+    not reused."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Name) and node.id == "id"]
 
 
-def direct_node_calls(package: Path) -> list[str]:
-    """Calls of an expression node class by name.  Such a node bypasses the
-    intern table, which ``radical._node`` fills by calling the class it is
-    passed, so an equal subtree built elsewhere is no longer shared."""
-    found = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else \
-                func.attr if isinstance(func, ast.Attribute) else None
-            if name in NODE_CLASSES:
-                found.append(f"{path.name}:{node.lineno}: {name}")
-    return found
+def test_radical_keys_its_memos_by_node():
+    assert id_uses(SRC / "radical.py") == []
 
 
-def test_nodes_are_built_through_the_intern_table():
-    assert direct_node_calls(SRC) == []
-
-
-def test_direct_node_call_is_detected(tmp_path):
-    (tmp_path / "a.py").write_text(
-        "from . import radical\n"
-        "from .radical import Sum, _node\n"
-        "def f(x, t):\n"
-        "    if isinstance(x, Sum):\n"
-        "        return _node(Sum, t)\n"
-        "    return Sum(t)\n"
-        "def g(x):\n"
-        "    return radical.Root(2, x, 0)\n")
-    assert direct_node_calls(tmp_path) == ["a.py:6: Sum", "a.py:8: Root"]
+def test_id_use_is_detected(tmp_path):
+    (tmp_path / "radical.py").write_text(
+        "def walk(expr, memo):\n"
+        "    if expr in memo:\n"
+        "        return memo[expr]\n"
+        "    memo[id(expr)] = (expr, expr.id)\n"
+        "    return tuple(map(id, expr.terms))\n")
+    assert id_uses(tmp_path / "radical.py") == ["radical.py:4", "radical.py:5"]
 
 
 def self_naming_functions(path: Path) -> list[str]:

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import math
+import pickle
 import weakref
 
 import mpmath
@@ -238,18 +240,16 @@ def node_objects(exprs):
     return list(seen.values())
 
 
-def raw_twin(expr):
-    """The same tree built by the node classes themselves: no interning, and
-    one new object for every occurrence of a subtree."""
-    fields = []
-    for f in dataclasses.fields(expr):
-        value = getattr(expr, f.name)
-        if isinstance(value, tuple):
-            value = tuple(raw_twin(v) for v in value)
-        elif not isinstance(value, int):
-            value = raw_twin(value)
-        fields.append(value)
-    return type(expr)(*fields)
+def structure(node):
+    """The node's class and fields, each child by its id.  The lowest two
+    distinct nodes of equal structure would have the same children and so
+    the same key: keys that differ pairwise over a DAG mean that no
+    structure occurs twice in it."""
+    return (type(node), *[
+        tuple(map(id, value)) if isinstance(value, tuple)
+        else value if isinstance(value, int) else id(value)
+        for value in (getattr(node, f.name)
+                      for f in dataclasses.fields(node))])
 
 
 def pure_power_labels(n, a):
@@ -304,7 +304,8 @@ def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct, roots):
     report, principal_roots = deep_solves[n]
     nodes = node_objects(report.root_exprs)
     assert len(nodes) == distinct
-    assert len(set(nodes)) == distinct     # structural hash and equality
+    # no two node objects have the same structure
+    assert len({structure(node) for node in nodes}) == distinct
     # one principal root per distinct (radicand, p) pair
     assert principal_roots == roots
 
@@ -341,6 +342,35 @@ def test_equal_nodes_are_one_object():
         parse_expr_json('{"sum":[{"int":"1"},{"int":"2"}]}')
 
 
+def test_a_class_call_returns_the_interned_node():
+    assert IntegerLiteral(8) is IntegerLiteral(8)
+    assert IntegerLiteral(value=8) is IntegerLiteral(8)
+    radicand = make_sum([IntegerLiteral(2), RootOfUnitySymbol(3, 1)])
+    root = make_root(3, radicand, 2)
+    assert Root(3, Sum((IntegerLiteral(2), RootOfUnitySymbol(3, 1))), 2) is root
+    assert Root(branch=2, degree=3, radicand=radicand) is root
+    assert Root(3, radicand, branch=2) is root
+    assert dataclasses.replace(root, branch=0) is make_root(3, radicand, 0)
+    assert copy.deepcopy(root) is root
+    assert pickle.loads(pickle.dumps(root)) is root
+    for args, kwargs in [((3, radicand), {}), ((3, radicand, 2, 1), {}),
+                         ((3, radicand), {"degree": 3}),
+                         ((3, radicand, 2), {"branch": 2}),
+                         ((3, radicand), {"sign": 2})]:
+        with pytest.raises(TypeError,
+                           match="^Root takes degree, radicand, branch$"):
+            Root(*args, **kwargs)
+
+
+def test_a_deep_chain_is_a_dict_key():
+    # equality and hash are identity, so neither recurses into the children
+    chain = IntegerLiteral(2)
+    for _ in range(5000):
+        chain = make_root(2, chain, 0)
+    assert {chain: 1}[chain] == 1
+    assert chain == chain and chain != chain.radicand
+
+
 def test_intern_table_drops_the_nodes_of_a_dropped_solve():
     gc.collect()
     before = list(radical._interned.values())     # kept alive on purpose
@@ -354,20 +384,3 @@ def test_intern_table_drops_the_nodes_of_a_dropped_solve():
     gc.collect()
     assert [ref() for ref in built if ref() is not None] == []
     assert {id(node) for node in radical._interned.values()} <= kept
-
-
-def test_raw_trees_evaluate_verify_and_emit_as_their_interned_twins(
-        reference_label_order):
-    report = solve("x^5+20x+32", "(1,2,3,4,5);(1,4)(2,3)",
-                   labeling=reference_label_order)
-    twins = tuple(raw_twin(expr) for expr in report.root_exprs)
-    assert twins == report.root_exprs
-    assert len(node_objects(twins)) > len(node_objects(report.root_exprs))
-    for expr, twin in zip(report.root_exprs, twins):
-        assert twin is not expr
-        for fmt in ("text", "latex", "json"):
-            assert emit(twin, fmt) == emit(expr, fmt)
-        with mp.workdps(report.digits):
-            assert evaluate(twin) == evaluate(expr)
-    assert verify(twins, report.roots) == \
-        verify(report.root_exprs, report.roots)
