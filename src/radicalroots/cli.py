@@ -196,6 +196,8 @@ def _cmd_roots(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
+    if not args.generators:
+        raise InputSyntaxError("generators are required (--generators)")
     group = closure(as_generators(args.generators, args.degree))
     series = composition_series(group)
     out.write(f"group order: {group.order}\n")

@@ -79,7 +79,8 @@ class PrecisionInfeasible(SolverError):
 
 
 class NonConvergence(SolverError):
-    """Root refinement did not meet its residual contract."""
+    """Root finding did not converge, or its roots are not certified or
+    not separated at the digit budget."""
 
     exit_code = EXIT_NONCONVERGENCE
 

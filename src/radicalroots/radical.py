@@ -198,26 +198,38 @@ def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
     return RationalScale(denominator, child)
 
 
+def _children(expr: RadicalExpr) -> tuple:
+    if isinstance(expr, Root):
+        return (expr.radicand,)
+    if isinstance(expr, Sum):
+        return expr.terms
+    if isinstance(expr, Product):
+        return expr.factors
+    if isinstance(expr, RationalScale):
+        return (expr.child,)
+    if isinstance(expr, (IntegerLiteral, RootOfUnitySymbol)):
+        return ()
+    raise TypeError(f"not a radical expression node: {expr!r}")
+
+
 def _walk(visit, expr: RadicalExpr, memo: dict):
     """``visit(node, results of its children)`` at ``expr``, bottom-up, once
-    per node: ``memo`` maps node -> result."""
+    per node: ``memo`` maps node -> result.  The nodes are visited in
+    post-order, children left to right, from an explicit stack, so the depth
+    of an expression is not bounded by the recursion limit."""
     if expr in memo:
         return memo[expr]
-    if isinstance(expr, Root):
-        kids = [_walk(visit, expr.radicand, memo)]
-    elif isinstance(expr, Sum):
-        kids = [_walk(visit, c, memo) for c in expr.terms]
-    elif isinstance(expr, Product):
-        kids = [_walk(visit, c, memo) for c in expr.factors]
-    elif isinstance(expr, RationalScale):
-        kids = [_walk(visit, expr.child, memo)]
-    elif isinstance(expr, (IntegerLiteral, RootOfUnitySymbol)):
-        kids = []
-    else:
-        raise TypeError(f"not a radical expression node: {expr!r}")
-    out = visit(expr, kids)
-    memo[expr] = out
-    return out
+    stack = [(expr, _children(expr))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if c not in memo:
+                stack.append((c, _children(c)))
+                break
+        else:
+            stack.pop()
+            memo[node] = visit(node, [memo[c] for c in kids])
+    return memo[expr]
 
 
 class ValueCache:
@@ -503,6 +515,9 @@ def emit(expr: RadicalExpr, format: str = "text") -> str:
 
 
 def _from_json_obj(obj) -> RadicalExpr:
+    """The node of a parsed JSON AST.  It recurses once per level: the
+    standard library's json module does as well, so an AST deep enough to
+    reach the recursion limit cannot be read or written as JSON anyway."""
     if not isinstance(obj, dict) or not obj:
         raise ValueError(f"bad expression node: {obj!r}")
     if "scale" in obj:

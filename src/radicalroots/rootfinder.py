@@ -2,14 +2,11 @@
 
 Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
 hardware ``complex``, then one 32-digit Newton step from each hardware root
-that Smale's alpha-test certifies (Smale 1986; Blum, Cucker, Shub and Smale
-1998, ch. 8).  The test evaluates f and f' at each hardware root exactly, in
-Gaussian integers, and rounds once.  Only when the hardware sweeps fail or a
-root is not certified do the sweeps run in ``mpc`` to ~32 digits.  Per-root
-Newton polish on a precision-doubling ladder then reaches each requested
-budget, and a hardware screen leaves the ``mpc`` separation test to the
-pairs of roots it cannot decide.  Both steps are pure functions; the
-residuals |f(x~)| are computed only on request, by ``root_residuals``.
+when Smale's alpha-test certifies them all (Smale 1986; Blum, Cucker, Shub
+and Smale 1998, ch. 8); otherwise the sweeps continue in ``mpc`` to ~32
+digits.  Newton steps on a precision-doubling ladder reach each requested
+budget, and the roots are returned once the same test certifies them as
+rounded; until then the ``mpc`` sweeps rerun at doubled precision.
 """
 
 from __future__ import annotations
@@ -42,8 +39,8 @@ _ALPHA_MAX = 0.157
 
 @dataclass(frozen=True)
 class RootSet:
-    """All n roots at a shared digit budget; ``root_residuals`` gives their
-    |f(x~)|."""
+    """All n roots at a shared digit budget, each certified by Smale's
+    alpha-test to lie within 10^(1-digits) * max(1, |x~|) of its own zero."""
 
     roots: tuple[mpc, ...]
     digits: int
@@ -55,8 +52,8 @@ class RootSet:
 
 def _sweeps(coeffs, deriv, z, radius, digits: int) -> bool:
     """Aberth sweeps on ``z`` in place, in the number type of ``z`` and
-    ``radius`` (``digits`` significant digits): True once every step is below
-    10^(6-digits) * max(1, |z_i|), False at the iteration cap."""
+    ``radius``: True once every step is below 10^(6-digits) * max(1, |z_i|),
+    False at the iteration cap."""
     ten = type(radius)(10)
     tol = ten ** (6 - digits)
     for _ in range(_MAX_ABERTH_ITERS):
@@ -116,64 +113,100 @@ def _exact_value(coeffs, z: complex) -> mpc:
     return mpc((re, -s * n), (im, -s * n))      # (man, exp) rounds once
 
 
-def _alpha_data(coeffs, deriv, z: complex):
-    """(z - f(z)/f'(z) in ``mpc``, beta, gamma) at the hardware point ``z``.
+def _fixed(m: int, k: int) -> int:
+    """m * 2^k rounded down to an integer."""
+    return m << k if k >= 0 else m >> -k
 
-    f and f' are evaluated exactly by ``_exact_value`` and rounded once at
-    the current precision; beta bounds |f/f'| and gamma bounds
-    max_k |f^(k)(z)/(k! f'(z))|^(1/(k-1)) from above.  The Taylor
-    coefficients for gamma come from hardware floats, each widened by a
-    Horner rounding bound: the same recurrence on |a_i| and |z|, times
-    8(n+2) float epsilons.  f and f' carry the same Horner bound at
-    ``mp.eps``; as they are exact and rounded once, their real error is at
-    most ``mp.eps`` times their magnitude, so the bound only overstates it.
+
+def _alpha_data(coeffs, x: mpc):
+    """Upper bounds (beta, alpha) at ``x``: beta, an ``mpf``, on |f/f'|, and
+    alpha, a float, on beta times gamma = max_k |f^(k)/(k! f')|^(1/(k-1));
+    (inf, inf) where f' may vanish or beta may reach 2^e.
+
+    They come from g(y) = f(2^e y) / 2^s, with 1/4 <= |y| < 1 (or y = 0) and
+    every coefficient b_i below 1: f's beta is 2^e times g's, and its alpha
+    is g's.  Horner's rule evaluates g and g' in integers, in units of 2^-P
+    for P = mp.prec + 2n + 20, rounding down: each is within (n+2)^3 units.
+    |g^(k)/k!| is at most the k-th Taylor coefficient of sum |b_i| t^i at
+    t = |y|, both rounded up, in floats widened by 8(n+3) float epsilons.
     """
     n = len(coeffs) - 1
-    zm = mpc(z)
-    fv, dv = _exact_value(coeffs, z), _exact_value(deriv, z)
-    size = _taylor([abs(float(c)) for c in coeffs], abs(z))
+    xr, er, xi, ei = mpc_ints(x)
+    e = 1 + max((m.bit_length() + k for m, k in ((xr, er), (xi, ei)) if m),
+                default=-1)
+    s = max(c.bit_length() + e * i for i, c in enumerate(coeffs) if c)
+    prec = mp.prec + 2 * n + 20
+    yr, yi = _fixed(xr, er - e + prec), _fixed(xi, ei - e + prec)
+    b = [_fixed(c, e * i - s + prec) for i, c in enumerate(coeffs)]
+    gr, gi, dr, di = b[n], 0, 0, 0
+    for c in reversed(b[:-1]):
+        dr, di = (((dr * yr - di * yi) >> prec) + gr,
+                  ((dr * yi + di * yr) >> prec) + gi)
+        gr, gi = ((gr * yr - gi * yi) >> prec) + c, (gr * yi + gi * yr) >> prec
+    err = (n + 2) ** 3
+    g_up = math.isqrt(gr * gr + gi * gi) + 1 + err
+    d_low = math.isqrt(dr * dr + di * di) - err
+    unit = 1 << prec
+    low = d_low / unit                                  # |g'(y)| from below
+    if not (g_up < d_low and low > 0):
+        return mpmath.inf, math.inf
+    size = _taylor([(abs(c) + 1) / unit for c in b],
+                   math.hypot((abs(yr) + 1) / unit, (abs(yi) + 1) / unit))
+    up = 1 + 8 * (n + 3) * sys.float_info.epsilon
     tiny = 2 * sys.float_info.min           # absolute error of an underflow
-    f_err, d_err = (8 * (n + 2) * float(mp.eps) * s + tiny for s in size[:2])
-    d_low = float(abs(dv)) - d_err
-    if not d_low > 0:
-        return None, math.inf, math.inf
-    beta = (float(abs(fv)) + f_err) / d_low
-    slack = 8 * (n + 2) * sys.float_info.epsilon
-    taylor = _taylor([float(c) for c in coeffs], z)
-    gamma = max((((abs(t) + slack * s + tiny) / d_low) ** (1 / (k - 1))
-                 for k, (t, s) in enumerate(zip(taylor, size)) if k >= 2),
-                default=0.0)
-    up = 1 + slack
-    return zm - fv / dv, beta * up, gamma * up
+    gamma = max(((c * up + tiny) / low) ** (1 / (k - 1))
+                for k, c in enumerate(size) if k >= 2) if n > 1 else 0.0
+    g_up += g_up >> 40      # covers rounding beta to 32 digits or more, twice
+    return mpf((g_up, e)) / d_low, g_up / d_low * gamma * up * up + tiny
+
+
+def _apart(points, radii) -> bool:
+    """Whether every |points[i] - points[j]| > radii[i] + radii[j] in ``mpc``
+    at the current precision.  A hardware screen passes a pair when its float
+    distance, less a bound on the float conversion of both points and on the
+    float and ``mpc`` roundings, exceeds the radii rounded up; every other
+    pair, non-finite and underflowing floats included, gets the ``mpc`` test,
+    so the screen changes no outcome."""
+    slack = 8 * (sys.float_info.epsilon + float(mp.eps))
+    tiny = 2 * sys.float_info.min           # absolute error of an underflow
+    fast = [complex(z) for z in points]
+    size = [math.hypot(z.real, z.imag) for z in fast]   # inf, not OverflowError
+    reach = [float(r) * (1 + slack) + tiny for r in radii]
+    for i, j in combinations(range(len(points)), 2):
+        d = fast[i] - fast[j]
+        low = (math.hypot(d.real, d.imag) * (1 - 2 * slack)
+               - slack * (size[i] + size[j]) - tiny)
+        if (not low > reach[i] + reach[j]
+                and abs(points[i] - points[j]) <= radii[i] + radii[j]):
+            return False
+    return True
+
+
+def _alpha_test(coeffs, points):
+    """[(beta_i, alpha_i)] when Smale's alpha-test certifies every point, or
+    None: each alpha_i < _ALPHA_MAX puts a zero within 2*beta_i of points[i],
+    and pairwise disjoint discs D(points[i], 2*beta_i) make them distinct."""
+    data = [_alpha_data(coeffs, x) for x in points]
+    if (all(alpha < _ALPHA_MAX for _, alpha in data)
+            and _apart(points, [2 * beta for beta, _ in data])):
+        return data
+    return None
 
 
 def _certified_step(coeffs, deriv, z):
-    """One 32-digit Newton step from each hardware root in ``z``, as ``mpc``,
-    or None unless every step is certified.
-
-    Certified means alpha = beta*gamma < _ALPHA_MAX, so z converges to a zero
-    within 2*beta; the bound 2*alpha(1-alpha)/psi(alpha)*beta on the
-    stepped point's error, psi = 1 - 4*alpha + 2*alpha^2, is below the mpc
-    sweeps' stop tolerance; and the discs D(z_i, 2*beta_i) are pairwise
-    disjoint, so the n zeros are distinct.
-    """
+    """One 32-digit Newton step, with f and f' from ``_exact_value``, from
+    each hardware root in ``z``; None unless the alpha-test certifies them
+    all and bounds every step's error, 2*alpha(1-alpha)/psi(alpha)*beta with
+    psi = 1 - 4*alpha + 2*alpha^2, below the mpc sweeps' stop tolerance."""
+    points = [mpc(zk) for zk in z]
+    data = _alpha_test(coeffs, points)
     tol = 10.0 ** (6 - _BASE_DPS)
-    steps, discs = [], []
-    for zk in z:
-        step, beta, gamma = _alpha_data(coeffs, deriv, zk)
-        alpha = beta * gamma
-        if not alpha < _ALPHA_MAX:
-            return None
-        psi = 1 - 4 * alpha + 2 * alpha * alpha
-        if not 2 * alpha * (1 - alpha) / psi * beta < tol * max(1, abs(zk)):
-            return None
-        steps.append(step)
-        discs.append(2 * beta)
-    shrink = 1 - 4 * sys.float_info.epsilon      # rounding of |z_i - z_j|
-    if all(abs(z[i] - z[j]) * shrink > discs[i] + discs[j]
-           for i, j in combinations(range(len(z)), 2)):
-        return tuple(steps)
-    return None
+    if data is None or not all(
+            2 * a * (1 - a) / (1 - 4 * a + 2 * a * a) * b < tol * max(1, abs(zk))
+            for zk, (b, a) in zip(z, data)):
+        return None
+    return tuple(x - _exact_value(coeffs, zk) / _exact_value(deriv, zk)
+                 for x, zk in zip(points, z))
 
 
 def aberth_stage(p: IntPolynomial) -> tuple:
@@ -211,108 +244,74 @@ def aberth_stage(p: IntPolynomial) -> tuple:
                          residuals=residuals)
 
 
-def _newton_polish(p: IntPolynomial, roots, target_dps: int):
-    """Three Newton steps from each root on every rung of a ladder that
-    doubles the digits from _BASE_DPS to ``target_dps``, each rung at its
-    digits + 10.  The steps run on the integer kernel of ``precision``, with
-    the bits of the same ``mpc`` expressions."""
+def _newton_polish(p: IntPolynomial, roots, dps: int):
+    """Three Newton steps from each root at dps + 10 digits, on the integer
+    kernel of ``precision``, with the bits of the same ``mpc`` expressions."""
     deriv = p.derivative_coeffs()
-    xs = [mpc_ints(z) for z in roots]
-    dps = _BASE_DPS
-    while dps < target_dps:
-        dps = min(dps * 2, target_dps)
-        prec = dps_to_prec(dps + 10)
-        for i, x in enumerate(xs):
-            for _ in range(3):
-                dv = horner(deriv, x, prec)
-                if not (dv[0] or dv[2]):
-                    break
-                x = csub(x, cdiv(horner(p.coeffs, x, prec), dv, prec), prec)
-            xs[i] = x
-    return [ints_mpc(x) for x in xs]
-
-
-def _close_pair(raw, separation) -> bool:
-    """Whether some |raw[i] - raw[j]| <= ``separation``, computed in ``mpc``
-    at the current precision.
-
-    A hardware screen passes a pair when its float distance, less a bound on
-    the float conversion of both points and on the float and ``mpc``
-    roundings, still exceeds ``separation``.  Every other pair, non-finite
-    and underflowing floats included, gets the ``mpc`` test, so the screen
-    changes no outcome.
-    """
-    slack = 8 * (sys.float_info.epsilon + float(mp.eps))
-    tiny = 2 * sys.float_info.min           # absolute error of an underflow
-    fast = [complex(z) for z in raw]
-    size = [math.hypot(z.real, z.imag) for z in fast]   # inf, not OverflowError
-    cap = float(separation) * (1 + slack) + tiny
-    for i, j in combinations(range(len(raw)), 2):
-        d = fast[i] - fast[j]
-        low = (math.hypot(d.real, d.imag) * (1 - 2 * slack)
-               - slack * (size[i] + size[j]) - tiny)
-        if not low > cap and abs(raw[i] - raw[j]) <= separation:
-            return True
-    return False
+    prec = dps_to_prec(dps + 10)
+    out = []
+    for z in roots:
+        x = mpc_ints(z)
+        for _ in range(3):
+            dv = horner(deriv, x, prec)
+            if not (dv[0] or dv[2]):
+                break
+            x = csub(x, cdiv(horner(p.coeffs, x, prec), dv, prec), prec)
+        out.append(ints_mpc(x))
+    return out
 
 
 def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
     """All n roots of a monic square-free polynomial at the given budget,
-    polished from ``start = aberth_stage(p)``.
-
-    Residual contract, checked on the polished iterates at digits + 10:
-    every |f(x~)| < 10^(2-digits) * max(1, |x~|)^n.  Roots closer than
-    10^(-digits/2) raise NonConvergence.  Budgets above DIGITS_HARD_CAP
-    raise PrecisionInfeasible.
-    Output order is canonical: ascending argument in (-pi, pi], then modulus.
+    polished from ``start = aberth_stage(p)`` by Newton steps on a ladder
+    that doubles the digits from 32 to digits + 8, then rounded.  They are
+    returned once Smale's alpha-test certifies them with every
+    2*beta <= 10^(1-digits) * max(1, |x~|); until then the ``mpc`` sweeps
+    rerun from them at twice the last digits, to steps below 10^(-digits-2).
+    Certified roots closer than 10^(-digits/2) raise NonConvergence, as do
+    roots left uncertified by sweeps at up to 4 * (digits + 32) digits;
+    budgets above DIGITS_HARD_CAP raise PrecisionInfeasible.  Output order
+    is canonical: ascending argument in (-pi, pi], then modulus.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     check_digit_budget(digits)
-    n = p.degree
-    if n == 1:
-        with mp.workdps(digits):
-            root = mpc(-p.coeffs[0])
-        return RootSet((root,), digits)
-
-    raw = _newton_polish(p, list(start), digits + 8)
-
-    with mp.workdps(digits + 10):
-        bound_pow = max(mpf(1), max(abs(z) for z in raw)) ** n
-        residual_cap = mpf(10) ** (2 - digits) * bound_pow
-        for attempt in range(3):
-            residuals = [abs(eval_poly(p.coeffs, z)) for z in raw]
-            if max(residuals) < residual_cap:
-                break
-            raw = _newton_polish(p, raw, digits + 10 * (attempt + 2))
-        else:
-            raise NonConvergence(
-                "root residuals exceed the digit-budget contract",
-                residuals=residuals)
-
-        if _close_pair(raw, mpf(10) ** (-mpf(digits) / 2)):
-            raise NonConvergence(
-                "roots are not separated; input may not be square-free",
-                residuals=residuals)
-
-        # components below the budget's own noise floor are exactly zero
-        # (real/imaginary structure then survives re-rendering); at 1 or 2
-        # digits the floor reaches |z| and would zero every root
-        floor = mpf(10) ** (2 - digits)
-        if floor < 1:
-            for i, z in enumerate(raw):
-                mag = abs(z)
-                re = mpf(0) if z.real != 0 and abs(z.real) <= mag * floor else z.real
-                im = mpf(0) if z.imag != 0 and abs(z.imag) <= mag * floor else z.imag
-                raw[i] = mpc(re, im)
-
-        order = sorted(range(n),
-                       key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),
-                                      abs(raw[i])))
-
-    with mp.workdps(digits):
-        roots = tuple(+raw[i] for i in order)
-    return RootSet(roots, digits)
+    raw, dps = list(start), _BASE_DPS
+    while dps < digits + 8:
+        dps = min(dps * 2, digits + 8)
+        raw = _newton_polish(p, raw, dps)
+    while True:
+        with mp.workdps(max(digits + 10, dps)):
+            # components below the budget's own noise floor are exactly zero
+            # (real/imaginary structure then survives re-rendering); at 1 or
+            # 2 digits the floor reaches |z| and would zero every root
+            floor = mpf(10) ** (2 - digits)
+            if floor < 1:
+                for i, z in enumerate(raw):
+                    mag = abs(z)
+                    re = mpf(0) if z.real != 0 and abs(z.real) <= mag * floor else z.real
+                    im = mpf(0) if z.imag != 0 and abs(z.imag) <= mag * floor else z.imag
+                    raw[i] = mpc(re, im)
+            order = sorted(range(p.degree),
+                           key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),
+                                          abs(raw[i])))
+            with mp.workdps(digits):
+                roots = tuple(+raw[i] for i in order)
+            data = _alpha_test(p.coeffs, roots)          # the certificate
+            tol = mpf(10) ** (1 - digits)
+            if data and all(2 * beta <= tol * max(1, abs(x))
+                            for x, (beta, _) in zip(roots, data)):
+                if not _apart(roots, [mpf(10) ** (-digits / 2) / 2] * p.degree):
+                    raise NonConvergence(
+                        "roots are not separated; input may not be square-free")
+                return RootSet(roots, digits)
+        if dps > 2 * (digits + _BASE_DPS):
+            raise NonConvergence(f"roots not certified at {digits} digits after "
+                                 f"sweeps at {dps}; input may not be square-free")
+        dps *= 2
+        with mp.workdps(dps):
+            radius = max(mpf(1), *(abs(z) for z in raw))
+            _sweeps(p.coeffs, p.derivative_coeffs(), raw, radius, digits + 8)
 
 
 def find_roots(p: IntPolynomial, digits: int) -> RootSet:

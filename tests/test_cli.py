@@ -391,13 +391,19 @@ def test_empty_root_order_exits_2(tmp_path, capsys, command, with_file):
     ("solve", "--poly", "empty polynomial"),
     ("solve", "--generators", "generators are required (--generators)"),
     ("check", "--poly", "empty polynomial"),
-    ("check", "--generators", "generators are required (--generators)")],
-    ids=["solve-poly", "solve-generators", "check-poly", "check-generators"])
+    ("check", "--generators", "generators are required (--generators)"),
+    ("series", "--generators", "generators are required (--generators)")],
+    ids=["solve-poly", "solve-generators", "check-poly", "check-generators",
+         "series-generators"])
 def test_empty_flag_does_not_fall_back_to_the_input_file(
         tmp_path, capsys, command, flag, message):
+    # series takes no input file: its empty --generators is not the trivial
+    # group either
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"poly": [-2, 0, 1], "generators": ["(1,2)"]}))
-    code, out, err = run(capsys, [command, "--input", str(path), flag, ""])
+    argv = ([command, "--degree", "3"] if command == "series"
+            else [command, "--input", str(path)])
+    code, out, err = run(capsys, argv + [flag, ""])
     assert (code, out) == (2, "")
     assert err == f"error[InputSyntaxError]: {message}\n"
 

@@ -222,10 +222,11 @@ def self_naming_functions(path: Path) -> list[str]:
 
 
 def test_radical_has_one_walker_of_the_expression_dag():
-    # evaluation and the renderers are visit functions of _walk; parsing the
-    # JSON AST builds nodes, so it walks the JSON, not the DAG
+    # evaluation and the renderers are visit functions of _walk, which keeps
+    # its own stack; parsing the JSON AST builds nodes, so it walks the
+    # JSON, not the DAG
     assert self_naming_functions(SRC / "radical.py") == [
-        "radical.py: _walk", "radical.py: _from_json_obj"]
+        "radical.py: _from_json_obj"]
 
 
 def test_second_walker_is_detected(tmp_path):
@@ -339,3 +340,65 @@ def test_margin_parameter_is_detected(tmp_path):
         "    return required + DEFAULT_MARGIN\n")
     assert parameters_named(tmp_path, "margin") == [
         "a.py: plan_precision(margin)", "a.py: solve(margin)"]
+
+
+def pairwise_loops(path: Path) -> list[str]:
+    """Functions that iterate over ``combinations``, by name or as
+    ``itertools.combinations``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{path.name}: {node.name}"
+                      for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and (getattr(call.func, "id", None) == "combinations"
+                           or getattr(call.func, "attr", None) == "combinations")]
+    return found
+
+
+def test_rootfinder_has_one_pairwise_loop():
+    # the separation rule, the hardware alpha-test and the budget
+    # certificate all ask _apart whether discs around the roots are disjoint
+    assert pairwise_loops(SRC / "rootfinder.py") == ["rootfinder.py: _apart"]
+
+
+def test_second_pairwise_loop_is_detected(tmp_path):
+    (tmp_path / "rootfinder.py").write_text(
+        "import itertools\n"
+        "from itertools import combinations\n"
+        "def _apart(points, radii):\n"
+        "    return all(abs(points[i] - points[j]) > radii[i] + radii[j]\n"
+        "               for i, j in combinations(range(len(points)), 2))\n"
+        "def _close_pair(raw, separation):\n"
+        "    pairs = itertools.combinations(raw, 2)\n"
+        "    return any(abs(a - b) <= separation for a, b in pairs)\n")
+    assert pairwise_loops(tmp_path / "rootfinder.py") == [
+        "rootfinder.py: _apart", "rootfinder.py: _close_pair"]
+
+
+def names_called(path: Path, function: str) -> set[str]:
+    """Names that the body of ``function`` calls or passes on."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {name.id for stmt in node.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name)}
+    raise LookupError(f"{path.name} defines no {function}")
+
+
+def test_polish_roots_takes_no_residuals():
+    # the returned roots are certified by the alpha-test; residuals are
+    # computed only on request, for the roots command
+    assert {"eval_poly", "root_residuals"} & names_called(
+        SRC / "rootfinder.py", "polish_roots") == set()
+
+
+def test_residual_in_polish_roots_is_detected(tmp_path):
+    (tmp_path / "rootfinder.py").write_text(
+        "def polish_roots(p, start, digits):\n"
+        "    raw = list(start)\n"
+        "    residuals = [abs(eval_poly(p.coeffs, z)) for z in raw]\n"
+        "    return max(map(root_residuals, raw)), residuals\n"
+        "def root_residuals(p, rs):\n"
+        "    return [eval_poly(p.coeffs, z) for z in rs.roots]\n")
+    assert {"eval_poly", "root_residuals"} & names_called(
+        tmp_path / "rootfinder.py", "polish_roots") == {
+        "eval_poly", "root_residuals"}

@@ -371,6 +371,19 @@ def test_a_deep_chain_is_a_dict_key():
     assert chain == chain and chain != chain.radicand
 
 
+def test_a_deep_chain_emits_and_evaluates():
+    # the walk keeps its own stack, so a chain 5000 levels deep stays below
+    # the recursion limit; x = sqrt(1 + x) converges to the golden ratio
+    chain = IntegerLiteral(2)
+    for _ in range(5000):
+        chain = make_root(2, make_sum([chain, IntegerLiteral(1)]), 0)
+    text = emit(chain, "text")
+    assert len(text) == 74997 and text.count("root(2,0; ") == 5000
+    assert emit(chain, "latex").count(r"\sqrt{") == 5000
+    with mp.workdps(30):
+        assert abs(evaluate(chain) - (1 + mpmath.sqrt(5)) / 2) < mpf(10) ** -28
+
+
 def test_intern_table_drops_the_nodes_of_a_dropped_solve():
     gc.collect()
     before = list(radical._interned.values())     # kept alive on purpose

@@ -288,17 +288,37 @@ def test_gamma_bound_is_an_upper_bound(monkeypatch, poly_text):
     (hardware, _), = calls
     for z in hardware:
         with mp.workdps(rootfinder._BASE_DPS):
-            _, _, bound = rootfinder._alpha_data(p.coeffs,
-                                                 p.derivative_coeffs(), z)
+            beta, alpha = rootfinder._alpha_data(p.coeffs, mpc(z))
         with mp.workdps(64):
-            assert bound >= _gamma(p.coeffs, z)
+            assert alpha >= beta * _gamma(p.coeffs, z)
+
+
+@pytest.mark.parametrize("poly_text,digits", [
+    ("x^13-2", 200), ("x^5+20x+32", 400), ("x^7-20000x^2+400x-2", 60),
+    (f"x^3-{2 * 10 ** 308}", 20), (f"x^2+{10 ** 309}x+1", 20),
+    (f"x^3-{10 ** 1200}", 30)],
+    ids=["F156", "quintic", "mignotte", "beyond-float-cubic",
+         "beyond-float-quadratic", "roots-beyond-float"])
+def test_alpha_bounds_hold_at_the_returned_roots(poly_text, digits):
+    # the certificate scales the polynomial by powers of two and evaluates it
+    # in fixed point; its beta and alpha must still bound the exact values
+    # at the rounded roots, also where coefficients or roots pass 1.8e308
+    p = parse_polynomial(poly_text)
+    deriv = p.derivative_coeffs()
+    for x in find_roots(p, digits).roots:
+        with mp.workdps(digits + 10):
+            beta, alpha = rootfinder._alpha_data(p.coeffs, x)
+        assert alpha < rootfinder._ALPHA_MAX
+        with mp.workdps(3 * digits + 40):
+            assert beta >= abs(eval_poly(p.coeffs, x) / eval_poly(deriv, x))
+            assert alpha >= beta * _gamma(p.coeffs, x)
 
 
 def test_alpha_test_refuses_a_point_where_the_derivative_vanishes():
     p = parse_polynomial("x^2-2")
     with mp.workdps(rootfinder._BASE_DPS):
-        assert rootfinder._alpha_data(p.coeffs, p.derivative_coeffs(), 0j) \
-            == (None, math.inf, math.inf)
+        assert rootfinder._alpha_data(p.coeffs, mpc(0)) == (mpmath.inf,
+                                                            math.inf)
 
 
 @pytest.mark.parametrize("points,certified", [
@@ -321,36 +341,66 @@ def test_certified_step_refuses_unless_every_root_is_certified(points,
 
 def _polish_skipping(monkeypatch, skips):
     """Make ``_newton_polish`` return its roots unchanged on its first
-    ``skips`` calls; return the list of targets it was called with."""
+    ``skips`` calls; return the list of rungs it was called with."""
     polish = rootfinder._newton_polish
-    targets = []
+    rungs = []
 
-    def skipping(p, roots, target_dps):
-        targets.append(target_dps)
-        return roots if len(targets) <= skips else polish(p, roots, target_dps)
+    def skipping(p, roots, dps):
+        rungs.append(dps)
+        return roots if len(rungs) <= skips else polish(p, roots, dps)
     monkeypatch.setattr(rootfinder, "_newton_polish", skipping)
-    return targets
+    return rungs
 
 
-def test_residual_contract_retries_an_unpolished_run(monkeypatch):
+def _mpc_sweeps(monkeypatch, run=True):
+    """Record the working digits of every ``mpc`` sweep run, and skip the
+    runs unless ``run``."""
+    sweeps = rootfinder._sweeps
+    digits = []
+
+    def record(coeffs, deriv, z, radius, target):
+        if isinstance(radius, float):
+            return sweeps(coeffs, deriv, z, radius, target)
+        digits.append(mp.dps)
+        return sweeps(coeffs, deriv, z, radius, target) if run else True
+    monkeypatch.setattr(rootfinder, "_sweeps", record)
+    return digits
+
+
+def test_skipped_polish_escalates_to_mpc_sweeps(monkeypatch):
+    # the first ladder leaves the 32-digit start, which the budget
+    # certificate refuses; sweeps at twice the last rung's digits follow
     p = parse_polynomial("x^3-2")
     expected = find_roots(p, 60)
-    targets = _polish_skipping(monkeypatch, 1)
-    rs = polish_roots(p, aberth_stage(p), 60)
-    assert targets == [68, 80]
+    start = aberth_stage(p)
+    rungs = _polish_skipping(monkeypatch, 2)
+    swept = _mpc_sweeps(monkeypatch)
+    rs = polish_roots(p, start, 60)
+    assert (rungs, swept) == ([64, 68], [136])
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in expected.roots]
 
 
-def test_residual_contract_raises_when_retries_do_not_polish(monkeypatch):
+def test_uncertified_roots_raise_at_the_sweep_cap(monkeypatch):
     p = parse_polynomial("x^3-2")
     start = aberth_stage(p)
-    targets = _polish_skipping(monkeypatch, 4)
-    with pytest.raises(NonConvergence,
-                       match="root residuals exceed the digit-budget "
-                             "contract") as info:
+    rungs = _polish_skipping(monkeypatch, 2)
+    swept = _mpc_sweeps(monkeypatch, run=False)
+    with pytest.raises(NonConvergence, match="roots not certified at 60 "
+                                             "digits after sweeps at 272"):
         polish_roots(p, start, 60)
-    assert targets == [68, 80, 90, 100]
-    assert len(info.value.residuals) == 3
+    assert (rungs, swept) == ([64, 68], [136, 272])
+
+
+def test_a_duplicated_start_escalates(monkeypatch):
+    # Newton keeps both copies on one root, so the certificate refuses the
+    # first polish; the sweeps move one copy to the missing root
+    p = parse_polynomial("x^3-2")
+    expected = find_roots(p, 30)
+    start = aberth_stage(p)
+    swept = _mpc_sweeps(monkeypatch)
+    rs = polish_roots(p, (start[0], start[0], start[2]), 30)
+    assert swept and swept[0] == 76
+    assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in expected.roots]
 
 
 def _assert_near_reference(p, digits):
@@ -379,14 +429,21 @@ def test_close_roots_match_a_reference(poly_text, digits):
         _assert_near_reference(p, digits)
 
 
-def test_residual_contract_retries_on_a_real_input(monkeypatch):
-    # a Mignotte-type pair near 1/1000: the first polish, to 58 digits,
-    # misses the contract at 50 and the second rung, to 70, meets it
-    p = parse_polynomial("x^11-1000000x^2+2000x-1")
-    targets = _polish_skipping(monkeypatch, 0)
-    find_roots(p, 50)
-    assert targets == [58, 70]
-    _assert_near_reference(p, 50)
+@pytest.mark.parametrize("poly_text,digits,sweeps", [
+    # a pair near 1/1000, about 6.3e-20 apart: the polish from the 32-digit
+    # start meets no certificate at 50 digits
+    ("x^11-1000000x^2+2000x-1", 50, [32, 116]),
+    # a pair near 10^-6, 1.41e-36 apart: Newton from the 32-digit start
+    # cannot split it, and sweeps at 256 digits do
+    ("x^10-2000000000000x^2+4000000x-2", 120, [32, 256])],
+    ids=["x^11", "x^10"])
+def test_close_pair_escalates_on_a_real_input(monkeypatch, poly_text, digits,
+                                              sweeps):
+    p = parse_polynomial(poly_text)
+    swept = _mpc_sweeps(monkeypatch)
+    find_roots(p, digits)
+    assert swept == sweeps
+    _assert_near_reference(p, digits)
 
 
 @settings(max_examples=40, deadline=None)
@@ -438,9 +495,9 @@ def test_exact_value_matches_mpc_points(coeffs, z, dps):
             _rounded_exact(coeffs, point)
 
 
-def _mpc_close_pair(raw, separation):
-    return any(abs(raw[i] - raw[j]) <= separation
-               for i in range(len(raw)) for j in range(i + 1, len(raw)))
+def _mpc_apart(points, radii):
+    return all(abs(points[i] - points[j]) > radii[i] + radii[j]
+               for i in range(len(points)) for j in range(i + 1, len(points)))
 
 
 class _CountedMpc(mpc):
@@ -464,8 +521,10 @@ def test_separation_screen_decides_like_mpc(digits, base):
                            "1.001", "2"):
                 raw = [a, a + direction * separation * mpf(factor),
                        a + 10 * direction]
-                assert (rootfinder._close_pair(raw, separation)
-                        == _mpc_close_pair(raw, separation))
+                for radii in ([separation / 2] * 3,
+                              [separation / 4, 3 * separation / 4, 0]):
+                    assert (rootfinder._apart(raw, radii)
+                            == _mpc_apart(raw, radii))
 
 
 def test_separation_screen_skips_mpc_for_separated_roots():
@@ -473,7 +532,7 @@ def test_separation_screen_skips_mpc_for_separated_roots():
     raw = [_CountedMpc(z) for z in find_roots(p, 40).roots]
     _CountedMpc.subtractions = 0
     with mp.workdps(50):
-        assert not rootfinder._close_pair(raw, mpf(10) ** -20)
+        assert rootfinder._apart(raw, [mpf(10) ** -20 / 2] * len(raw))
     assert _CountedMpc.subtractions == 0
 
 
@@ -484,9 +543,9 @@ def test_separation_screen_sends_beyond_float_roots_to_mpc():
                _CountedMpc("2e400")]
         near = [_CountedMpc("1e-400"), _CountedMpc("3e-400")]
         _CountedMpc.subtractions = 0
-        assert not rootfinder._close_pair(far, mpf(10) ** -10)
-        assert not rootfinder._close_pair(near, mpf(10) ** -405)
-        assert rootfinder._close_pair(near, mpf(10) ** -399)
+        assert rootfinder._apart(far, [mpf(10) ** -10] * 3)
+        assert rootfinder._apart(near, [mpf(10) ** -405] * 2)
+        assert not rootfinder._apart(near, [mpf(10) ** -399] * 2)
     assert _CountedMpc.subtractions == 3 + 1 + 1
 
 
