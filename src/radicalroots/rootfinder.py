@@ -1,12 +1,13 @@
 """Simultaneous root finding for monic integer polynomials.
 
 Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
-hardware ``complex``, then one 32-digit Newton step from each hardware root
-when Smale's alpha-test certifies them all (Smale 1986; Blum, Cucker, Shub
-and Smale 1998, ch. 8); otherwise the sweeps continue in ``mpc`` to ~32
-digits.  Newton steps on a precision-doubling ladder reach each requested
-budget, and the roots are returned once the same test certifies them as
-rounded; until then the ``mpc`` sweeps rerun at doubled precision.
+hardware ``complex``, then one 32-digit Newton step from each hardware root,
+by the f/f' of the test's own evaluation, when Smale's alpha-test certifies
+them all (Smale 1986; Blum, Cucker, Shub and Smale 1998, ch. 8); otherwise
+the sweeps continue in ``mpc`` to ~32 digits.  Newton steps on a
+precision-doubling ladder reach each requested budget, and the roots are
+returned once the same test certifies them as rounded; until then the
+``mpc`` sweeps rerun at doubled precision.
 """
 
 from __future__ import annotations
@@ -95,40 +96,25 @@ def _taylor(coeffs, z):
     return out
 
 
-def _exact_value(coeffs, z: complex) -> mpc:
-    """The ascending integer ``coeffs`` at the hardware point ``z``, computed
-    exactly and each part rounded once at the current precision.
-
-    z = (X + iY) / 2^s with integers X, Y and s >= 0, so Horner's rule on the
-    Gaussian integer X + iY, with a_k scaled by 2^(s(n-k)), gives
-    f(z) * 2^(sn) with no rounding.
-    """
-    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    s = max(xd, yd).bit_length() - 1            # xd and yd are powers of 2
-    x, y = xn * ((1 << s) // xd), yn * ((1 << s) // yd)
-    n = len(coeffs) - 1
-    re, im = coeffs[n], 0
-    for k in range(n - 1, -1, -1):
-        re, im = re * x - im * y + (coeffs[k] << (s * (n - k))), re * y + im * x
-    return mpc((re, -s * n), (im, -s * n))      # (man, exp) rounds once
-
-
 def _fixed(m: int, k: int) -> int:
     """m * 2^k rounded down to an integer."""
     return m << k if k >= 0 else m >> -k
 
 
 def _alpha_data(coeffs, x: mpc):
-    """Upper bounds (beta, alpha) at ``x``: beta, an ``mpf``, on |f/f'|, and
-    alpha, a float, on beta times gamma = max_k |f^(k)/(k! f')|^(1/(k-1));
-    (inf, inf) where f' may vanish or beta may reach 2^e.
+    """Upper bounds (beta, alpha) at ``x``, and the Newton correction f/f'
+    there: beta, an ``mpf``, on |f/f'|, alpha, a float, on beta times
+    gamma = max_k |f^(k)/(k! f')|^(1/(k-1)), and the correction an ``mpc``;
+    (inf, inf, None) where f' may vanish or beta may reach 2^e.
 
     They come from g(y) = f(2^e y) / 2^s, with 1/4 <= |y| < 1 (or y = 0) and
     every coefficient b_i below 1: f's beta is 2^e times g's, and its alpha
     is g's.  Horner's rule evaluates g and g' in integers, in units of 2^-P
     for P = mp.prec + 2n + 20, rounding down: each is within (n+2)^3 units.
-    |g^(k)/k!| is at most the k-th Taylor coefficient of sum |b_i| t^i at
-    t = |y|, both rounded up, in floats widened by 8(n+3) float epsilons.
+    The correction is 2^e g(y)/g'(y) from the same two integers, divided
+    once at mp.prec on the integer kernel.  |g^(k)/k!| is at most the k-th
+    Taylor coefficient of sum |b_i| t^i at t = |y|, both rounded up, in
+    floats widened by 8(n+3) float epsilons.
     """
     n = len(coeffs) - 1
     xr, er, xi, ei = mpc_ints(x)
@@ -149,7 +135,7 @@ def _alpha_data(coeffs, x: mpc):
     unit = 1 << prec
     low = d_low / unit                                  # |g'(y)| from below
     if not (g_up < d_low and low > 0):
-        return mpmath.inf, math.inf
+        return mpmath.inf, math.inf, None
     size = _taylor([(abs(c) + 1) / unit for c in b],
                    math.hypot((abs(yr) + 1) / unit, (abs(yi) + 1) / unit))
     up = 1 + 8 * (n + 3) * sys.float_info.epsilon
@@ -157,7 +143,8 @@ def _alpha_data(coeffs, x: mpc):
     gamma = max(((c * up + tiny) / low) ** (1 / (k - 1))
                 for k, c in enumerate(size) if k >= 2) if n > 1 else 0.0
     g_up += g_up >> 40      # covers rounding beta to 32 digits or more, twice
-    return mpf((g_up, e)) / d_low, g_up / d_low * gamma * up * up + tiny
+    step = ints_mpc(cdiv((gr, e, gi, e), (dr, 0, di, 0), mp.prec))
+    return mpf((g_up, e)) / d_low, g_up / d_low * gamma * up * up + tiny, step
 
 
 def _apart(points, radii) -> bool:
@@ -183,39 +170,47 @@ def _apart(points, radii) -> bool:
 
 
 def _alpha_test(coeffs, points):
-    """[(beta_i, alpha_i)] when Smale's alpha-test certifies every point, or
-    None: each alpha_i < _ALPHA_MAX puts a zero within 2*beta_i of points[i],
-    and pairwise disjoint discs D(points[i], 2*beta_i) make them distinct."""
+    """Each point's (beta, alpha, step) from ``_alpha_data`` when Smale's
+    alpha-test certifies them all, or None: alpha < _ALPHA_MAX puts a zero
+    within 2*beta of the point, and disjoint such discs make them distinct."""
     data = [_alpha_data(coeffs, x) for x in points]
-    if (all(alpha < _ALPHA_MAX for _, alpha in data)
-            and _apart(points, [2 * beta for beta, _ in data])):
+    if (all(alpha < _ALPHA_MAX for _, alpha, _ in data)
+            and _apart(points, [2 * beta for beta, _, _ in data])):
         return data
     return None
 
 
-def _certified_step(coeffs, deriv, z):
-    """One 32-digit Newton step, with f and f' from ``_exact_value``, from
-    each hardware root in ``z``; None unless the alpha-test certifies them
-    all and bounds every step's error, 2*alpha(1-alpha)/psi(alpha)*beta with
-    psi = 1 - 4*alpha + 2*alpha^2, below the mpc sweeps' stop tolerance."""
-    points = [mpc(zk) for zk in z]
+def _certified_step(coeffs, points):
+    """One 32-digit Newton step from each hardware root in ``points``, by the
+    alpha-test's corrections f/f'; None unless the test certifies them all
+    and bounds the exact step's error, 2*alpha(1-alpha)/psi(alpha)*beta with
+    psi = 1 - 4*alpha + 2*alpha^2, below 10^(6-32) * max(1, |z|).
+
+    In ``_alpha_data``'s terms, the step taken differs from the exact one by
+    two roundings at mp.prec and at most 2^(e+1) (n+2)^3 / d_low, as g and
+    g' are each within (n+2)^3 units of 2^-P and |g'| >= d_low.  As
+    2^e <= 4 max(1, |z|) and P = mp.prec + 2n + 20, that is below
+    10^-32 * max(1, |z|), inside the check's six digits of slack, wherever
+    |g'(y)| >= 2^-16.  The budget alpha-test in ``polish_roots`` is the one
+    guarantee on returned roots.
+    """
     data = _alpha_test(coeffs, points)
     tol = 10.0 ** (6 - _BASE_DPS)
     if data is None or not all(
-            2 * a * (1 - a) / (1 - 4 * a + 2 * a * a) * b < tol * max(1, abs(zk))
-            for zk, (b, a) in zip(z, data)):
+            2 * a * (1 - a) / (1 - 4 * a + 2 * a * a) * b < tol * max(1, abs(x))
+            for x, (b, a, _) in zip(points, data)):
         return None
-    return tuple(x - _exact_value(coeffs, zk) / _exact_value(deriv, zk)
-                 for x, zk in zip(points, z))
+    return tuple(x - step for x, (_, _, step) in zip(points, data))
 
 
 def aberth_stage(p: IntPolynomial) -> tuple:
     """All roots of monic ``p`` at ~32 digits.
 
     Aberth sweeps in hardware ``complex``, then one 32-digit Newton step from
-    each root when the alpha-test certifies all of them; otherwise the sweeps
-    continue in ``mpc`` to 32 digits, from the hardware roots when the
-    hardware sweeps converged and from the start points when they did not.
+    each root, by the f/f' from the alpha-test's one evaluation there, when
+    the test certifies all of them; otherwise the sweeps continue in ``mpc``
+    to 32 digits, from the hardware roots when the hardware sweeps converged
+    and from the start points when they did not.
     """
     if not p.is_monic():
         raise ValueError("root finding expects a monic polynomial")
@@ -234,7 +229,7 @@ def aberth_stage(p: IntPolynomial) -> tuple:
             if (_sweeps(p.coeffs, deriv, fast, float(radius), _HARDWARE_DIGITS)
                     and all(cmath.isfinite(zk) for zk in fast)):
                 z = [mpc(zk) for zk in fast]
-                certified = _certified_step(p.coeffs, deriv, fast)
+                certified = _certified_step(p.coeffs, z)
                 if certified is not None:
                     return certified
         if _sweeps(p.coeffs, deriv, z, radius, _BASE_DPS):
@@ -264,14 +259,17 @@ def _newton_polish(p: IntPolynomial, roots, dps: int):
 def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
     """All n roots of a monic square-free polynomial at the given budget,
     polished from ``start = aberth_stage(p)`` by Newton steps on a ladder
-    that doubles the digits from 32 to digits + 8, then rounded.  They are
-    returned once Smale's alpha-test certifies them with every
-    2*beta <= 10^(1-digits) * max(1, |x~|); until then the ``mpc`` sweeps
-    rerun from them at twice the last digits, to steps below 10^(-digits-2).
-    Certified roots closer than 10^(-digits/2) raise NonConvergence, as do
-    roots left uncertified by sweeps at up to 4 * (digits + 32) digits;
-    budgets above DIGITS_HARD_CAP raise PrecisionInfeasible.  Output order
-    is canonical: ascending argument in (-pi, pi], then modulus.
+    that doubles the digits from 32 to digits + 8, then rounded, with a real
+    or imaginary part zeroed when at most min(10^(2-digits) * |x~|,
+    10^(1-digits) * max(1, |x~|) / 4).  They are returned once Smale's
+    alpha-test certifies them with every 2*beta <= 10^(1-digits) *
+    max(1, |x~|), its Newton corrections unused; until then the ``mpc``
+    sweeps rerun from them at twice the last digits, to steps below
+    10^(-digits-2).  Certified roots closer than 10^(-digits/2) raise
+    NonConvergence, as do roots left uncertified by sweeps at up to
+    4 * (digits + 32) digits; budgets above DIGITS_HARD_CAP raise
+    PrecisionInfeasible.  Output order is canonical: ascending argument in
+    (-pi, pi], then modulus.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -283,14 +281,16 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
     while True:
         with mp.workdps(max(digits + 10, dps)):
             # components below the budget's own noise floor are exactly zero
-            # (real/imaginary structure then survives re-rendering); at 1 or
-            # 2 digits the floor reaches |z| and would zero every root
-            floor = mpf(10) ** (2 - digits)
+            # (real/imaginary structure then survives re-rendering), capped at
+            # a quarter of the certificate's tolerance; at 1 or 2 digits the
+            # floor reaches |z| and would zero every root
+            floor, tol = mpf(10) ** (2 - digits), mpf(10) ** (1 - digits)
             if floor < 1:
                 for i, z in enumerate(raw):
                     mag = abs(z)
-                    re = mpf(0) if z.real != 0 and abs(z.real) <= mag * floor else z.real
-                    im = mpf(0) if z.imag != 0 and abs(z.imag) <= mag * floor else z.imag
+                    cap = min(mag * floor, max(1, mag) * tol / 4)
+                    re = mpf(0) if z.real != 0 and abs(z.real) <= cap else z.real
+                    im = mpf(0) if z.imag != 0 and abs(z.imag) <= cap else z.imag
                     raw[i] = mpc(re, im)
             order = sorted(range(p.degree),
                            key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),
@@ -298,9 +298,8 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
             with mp.workdps(digits):
                 roots = tuple(+raw[i] for i in order)
             data = _alpha_test(p.coeffs, roots)          # the certificate
-            tol = mpf(10) ** (1 - digits)
             if data and all(2 * beta <= tol * max(1, abs(x))
-                            for x, (beta, _) in zip(roots, data)):
+                            for x, (beta, _, _) in zip(roots, data)):
                 if not _apart(roots, [mpf(10) ** (-digits / 2) / 2] * p.degree):
                     raise NonConvergence(
                         "roots are not separated; input may not be square-free")

@@ -309,6 +309,17 @@ def test_roots_warns_on_a_reducible_polynomial(capsys):
                           "reducible\n")
 
 
+def test_roots_warns_on_a_truncated_divisor_search(capsys):
+    # (x - 1)(x - 2000000000003): a constant term above 10^12 is searched
+    # for small divisors only, which still finds the root 1
+    code, out, err = run(capsys, ["roots", "--poly",
+                                  "x^2-2000000000004x+2000000000003"])
+    assert code == 0
+    assert out.startswith(
+        "warning: constant term too large; divisor search truncated\n"
+        "warning: integer roots found: polynomial is reducible\n")
+
+
 # input-file content (None: no file is written) and the error message; a
 # malformed entry must exit 2, not be truncated to an integer or end in a
 # traceback

@@ -402,3 +402,31 @@ def test_residual_in_polish_roots_is_detected(tmp_path):
     assert {"eval_poly", "root_residuals"} & names_called(
         tmp_path / "rootfinder.py", "polish_roots") == {
         "eval_poly", "root_residuals"}
+
+
+def evaluations_outside_the_alpha_test(path: Path) -> set[str]:
+    """Polynomial evaluators that ``_certified_step`` calls, and an
+    ``_exact_value`` that ``path`` defines: the Newton step from each
+    hardware root takes f/f' from the alpha-test's own evaluation."""
+    found = {"eval_poly", "horner", "_exact_value"} & names_called(
+        path, "_certified_step")
+    found |= {node.name for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_exact_value"}
+    return found
+
+
+def test_certified_step_evaluates_nothing_itself():
+    assert evaluations_outside_the_alpha_test(SRC / "rootfinder.py") == set()
+
+
+def test_second_evaluation_in_the_step_is_detected(tmp_path):
+    (tmp_path / "rootfinder.py").write_text(
+        "def _exact_value(coeffs, z):\n"
+        "    return z\n"
+        "def _certified_step(coeffs, deriv, z):\n"
+        "    data = _alpha_test(coeffs, z)\n"
+        "    return [x - eval_poly(coeffs, x) / horner(deriv, x, 53)\n"
+        "            for x in z], data\n")
+    assert evaluations_outside_the_alpha_test(tmp_path / "rootfinder.py") == {
+        "eval_poly", "horner", "_exact_value"}
