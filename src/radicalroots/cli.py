@@ -185,9 +185,8 @@ def _cmd_roots(args, out) -> int:
         out.write(f"monic reduction: {render_polynomial(reduction.monic)} "
                   f"({reduction.note})\n")
     report = sanity_check(reduction.monic)
-    if not report.clean:
-        for note in report.notes:
-            out.write(f"warning: {note}\n")
+    for note in report.notes:
+        out.write(f"warning: {note}\n")
     for i, z in enumerate(rs.roots, start=1):
         out.write(f"  x_{i} = {format_complex(z, rs.digits)}\n")
     residual = max(root_residuals(reduction.monic, rs))

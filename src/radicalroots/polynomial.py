@@ -7,10 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from mpmath import mp, mpc
-
 from .errors import InputSyntaxError
-from .precision import horner, ints_mpc, mpc_ints
 
 __all__ = [
     "IntPolynomial",
@@ -142,15 +139,11 @@ def to_monic(p: IntPolynomial) -> MonicReduction:
 
 
 def eval_poly(coeffs, z):
-    """Horner evaluation of ascending integer ``coeffs`` at ``z``: exact for
-    an integer ``z``, at the current mpmath precision for an mpmath one.
-
-    At an ``mpc`` point it runs on the integer kernel of ``precision``, with
-    the bits of the ``mpc`` loop.  A zero coefficient adds nothing: adding
+    """Horner evaluation of ascending integer ``coeffs`` at ``z``, in the
+    number type of ``z``: exact for an integer, at the current mpmath
+    precision for an mpmath number.  A zero coefficient adds nothing: adding
     an exact 0 to a value already rounded at the current precision returns
     it unchanged, so x^n - a costs one addition, not n."""
-    if isinstance(z, mpc):
-        return ints_mpc(horner(coeffs, mpc_ints(z), mp.prec))
     acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c if c else acc * z
@@ -164,10 +157,6 @@ class SanityReport:
     square_free: bool
     integer_roots: tuple[int, ...]
     notes: tuple[str, ...]
-
-    @property
-    def clean(self) -> bool:
-        return self.square_free and not self.integer_roots
 
 
 def _rational_gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:

@@ -6,12 +6,12 @@ current ``mp.dps``, which a solve sets once per attempt from its roots' digit
 budget.  The multi-step kernels here (root_of_unity, principal_root,
 nearest_integer) work with guard digits on top of it.
 
-The inner loops (the forward pass, Horner's rule, the Newton polish and the
-branch test) run on an integer form of the same values, which skips
-mpmath's per-call overhead and gives its exact bits.  A real is a pair
-(m, e) of a signed odd mantissa, or 0, and an exponent, worth m * 2^e; a
-complex is the four ints (re m, re e, im m, im e), from ``mpc_ints`` and back
-through ``ints_mpc``.  Each operation takes the precision in bits and rounds
+The inner loops of the forward pass and of the branch test run on an
+integer form of the same values, which skips mpmath's per-call overhead and
+gives its exact bits; so does the division f/f' of the root finder's
+fixed-point evaluation.  A real is a pair (m, e) of a signed odd mantissa,
+or 0, and an exponent, worth m * 2^e; a complex is the four ints (re m,
+re e, im m, im e), from ``mpc_ints`` and back through ``ints_mpc``.  Each operation takes the precision in bits and rounds
 as ``mpmath.libmp`` does (``mpf_add``, ``mpf_div``, ``mpc_mul``,
 ``mpc_div``, ``mpc_div_mpf``), with round-half-even, so the bits equal those
 of the ``mpc`` expression that each one names.
@@ -41,7 +41,6 @@ __all__ = [
     "cmul",
     "cdiv",
     "cdiv_int",
-    "horner",
 ]
 
 # extra digits used inside multi-step kernels (arg, roots, rounding)
@@ -249,14 +248,3 @@ def cdiv_int(x, n: int, prec: int):
     m, e = _int_pair(n)
     return _div(x[0], x[1], m, e, prec) + _div(x[2], x[3], m, e, prec)
 
-
-def horner(coeffs, x, prec: int):
-    """Horner's rule for the ascending integer ``coeffs`` at ``x``, as
-    ``eval_poly`` at an ``mpc`` point: one product and, for a nonzero
-    coefficient, one addition per step."""
-    acc = (0, 0, 0, 0)
-    for c in reversed(coeffs):
-        acc = cmul(acc, x, prec)
-        if c:
-            acc = _add(acc[0], acc[1], *_int_pair(c), prec) + acc[2:]
-    return acc

@@ -5,9 +5,9 @@ hardware ``complex``, then one 32-digit Newton step from each hardware root,
 by the f/f' of the test's own evaluation, when Smale's alpha-test certifies
 them all (Smale 1986; Blum, Cucker, Shub and Smale 1998, ch. 8); otherwise
 the sweeps continue in ``mpc`` to ~32 digits.  Newton steps on a
-precision-doubling ladder reach each requested budget, and the roots are
-returned once the same test certifies them as rounded; until then the
-``mpc`` sweeps rerun at doubled precision.
+precision-doubling ladder, by the same evaluation's f/f', reach each
+requested budget, and the roots are returned once the same test certifies
+them as rounded; until then the ``mpc`` sweeps rerun at doubled precision.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from itertools import combinations
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec
 
 from .errors import NonConvergence, UnsupportedInput
 from .polynomial import IntPolynomial, eval_poly
-from .precision import (cdiv, check_digit_budget, csub, horner, ints_mpc,
-                        mpc_ints)
+from .precision import cdiv, check_digit_budget, ints_mpc, mpc_ints
 
 __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
            "root_residuals", "root_magnitude_bound", "relabel"]
@@ -101,20 +99,17 @@ def _fixed(m: int, k: int) -> int:
     return m << k if k >= 0 else m >> -k
 
 
-def _alpha_data(coeffs, x: mpc):
-    """Upper bounds (beta, alpha) at ``x``, and the Newton correction f/f'
-    there: beta, an ``mpf``, on |f/f'|, alpha, a float, on beta times
-    gamma = max_k |f^(k)/(k! f')|^(1/(k-1)), and the correction an ``mpc``;
-    (inf, inf, None) where f' may vanish or beta may reach 2^e.
+def _scaled_horner(coeffs, x: mpc):
+    """g(y) = f(2^e y) / 2^s and g'(y) by Horner's rule in integers, where
+    1/4 <= |y| < 1 (or y = 0) and every coefficient b_i is below 1, in units
+    of 2^-P for P = mp.prec + 2n + 20, rounding down: each of g and g' is
+    within (n+2)^3 units.  Returns e, P, the b_i and y in those units, and
+    (re g, im g, re g', im g').
 
-    They come from g(y) = f(2^e y) / 2^s, with 1/4 <= |y| < 1 (or y = 0) and
-    every coefficient b_i below 1: f's beta is 2^e times g's, and its alpha
-    is g's.  Horner's rule evaluates g and g' in integers, in units of 2^-P
-    for P = mp.prec + 2n + 20, rounding down: each is within (n+2)^3 units.
-    The correction is 2^e g(y)/g'(y) from the same two integers, divided
-    once at mp.prec on the integer kernel.  |g^(k)/k!| is at most the k-th
-    Taylor coefficient of sum |b_i| t^i at t = |y|, both rounded up, in
-    floats widened by 8(n+3) float epsilons.
+    The loop holds y in units of 2^t, the coarser of 2^(e-P) and x's own
+    lowest bit, and shifts each product right by e - t: the integers are
+    those of y in units of 2^-P with each product shifted right by P, and a
+    short mantissa of x stays short.
     """
     n = len(coeffs) - 1
     xr, er, xi, ei = mpc_ints(x)
@@ -122,13 +117,34 @@ def _alpha_data(coeffs, x: mpc):
                 default=-1)
     s = max(c.bit_length() + e * i for i, c in enumerate(coeffs) if c)
     prec = mp.prec + 2 * n + 20
-    yr, yi = _fixed(xr, er - e + prec), _fixed(xi, ei - e + prec)
+    t = max(min((k for m, k in ((xr, er), (xi, ei)) if m), default=e - prec),
+            e - prec)
+    yr, yi, shift = _fixed(xr, er - t), _fixed(xi, ei - t), e - t
     b = [_fixed(c, e * i - s + prec) for i, c in enumerate(coeffs)]
     gr, gi, dr, di = b[n], 0, 0, 0
     for c in reversed(b[:-1]):
-        dr, di = (((dr * yr - di * yi) >> prec) + gr,
-                  ((dr * yi + di * yr) >> prec) + gi)
-        gr, gi = ((gr * yr - gi * yi) >> prec) + c, (gr * yi + gi * yr) >> prec
+        dr, di = (((dr * yr - di * yi) >> shift) + gr,
+                  ((dr * yi + di * yr) >> shift) + gi)
+        gr, gi = (((gr * yr - gi * yi) >> shift) + c,
+                  (gr * yi + gi * yr) >> shift)
+    pad = prec - shift
+    return e, prec, b, (yr << pad, yi << pad), (gr, gi, dr, di)
+
+
+def _alpha_data(coeffs, x: mpc):
+    """Upper bounds (beta, alpha) at ``x``, and the Newton correction f/f'
+    there: beta, an ``mpf``, on |f/f'|, alpha, a float, on beta times
+    gamma = max_k |f^(k)/(k! f')|^(1/(k-1)), and the correction an ``mpc``;
+    (inf, inf, None) where f' may vanish or beta may reach 2^e.
+
+    They come from ``_scaled_horner``'s g and g': f's beta is 2^e times
+    g's, and its alpha is g's.  The correction is 2^e g(y)/g'(y) from the
+    same integers, divided once at mp.prec on the integer kernel.
+    |g^(k)/k!| is at most the k-th Taylor coefficient of sum |b_i| t^i at
+    t = |y|, both rounded up, in floats widened by 8(n+3) float epsilons.
+    """
+    n = len(coeffs) - 1
+    e, prec, b, (yr, yi), (gr, gi, dr, di) = _scaled_horner(coeffs, x)
     err = (n + 2) ** 3
     g_up = math.isqrt(gr * gr + gi * gi) + 1 + err
     d_low = math.isqrt(dr * dr + di * di) - err
@@ -240,19 +256,17 @@ def aberth_stage(p: IntPolynomial) -> tuple:
 
 
 def _newton_polish(p: IntPolynomial, roots, dps: int):
-    """Three Newton steps from each root at dps + 10 digits, on the integer
-    kernel of ``precision``, with the bits of the same ``mpc`` expressions."""
-    deriv = p.derivative_coeffs()
-    prec = dps_to_prec(dps + 10)
+    """Three Newton steps from each root at dps + 10 digits, each by the
+    correction f/f' of ``_alpha_data``; a root stops where it has none."""
     out = []
-    for z in roots:
-        x = mpc_ints(z)
-        for _ in range(3):
-            dv = horner(deriv, x, prec)
-            if not (dv[0] or dv[2]):
-                break
-            x = csub(x, cdiv(horner(p.coeffs, x, prec), dv, prec), prec)
-        out.append(ints_mpc(x))
+    with mp.workdps(dps + 10):
+        for x in roots:
+            for _ in range(3):
+                step = _alpha_data(p.coeffs, x)[2]
+                if step is None:
+                    break
+                x = x - step
+            out.append(x)
     return out
 
 

@@ -310,14 +310,18 @@ def test_roots_warns_on_a_reducible_polynomial(capsys):
 
 
 def test_roots_warns_on_a_truncated_divisor_search(capsys):
-    # (x - 1)(x - 2000000000003): a constant term above 10^12 is searched
-    # for small divisors only, which still finds the root 1
-    code, out, err = run(capsys, ["roots", "--poly",
-                                  "x^2-2000000000004x+2000000000003"])
-    assert code == 0
-    assert out.startswith(
-        "warning: constant term too large; divisor search truncated\n"
-        "warning: integer roots found: polynomial is reducible\n")
+    # a constant term above 10^12 is searched for small divisors only: that
+    # finds the root 1 of (x - 1)(x - 2000000000003), and no root of
+    # (x - 1000003)(x - 2000003), whose search is still reported
+    truncated = "warning: constant term too large; divisor search truncated\n"
+    for poly, warnings in [
+            ("x^2-2000000000004x+2000000000003",
+             truncated
+             + "warning: integer roots found: polynomial is reducible\n"),
+            ("x^2-3000006x+2000009000009", truncated)]:
+        code, out, err = run(capsys, ["roots", "--poly", poly])
+        assert code == 0
+        assert out.startswith(warnings + "  x_1 = ")
 
 
 # input-file content (None: no file is written) and the error message; a

@@ -430,3 +430,53 @@ def test_second_evaluation_in_the_step_is_detected(tmp_path):
         "            for x in z], data\n")
     assert evaluations_outside_the_alpha_test(tmp_path / "rootfinder.py") == {
         "eval_poly", "horner", "_exact_value"}
+
+
+def second_integer_evaluators(package: Path) -> list[str]:
+    """Integer evaluations of f besides ``rootfinder._alpha_data``'s: a
+    ``horner`` in ``precision.py``, a Newton polish that steps by anything
+    but ``_alpha_data``, and ``polynomial.py`` taking a kernel from
+    ``precision``."""
+    found = [f"precision.py: def {node.name}"
+             for node in ast.walk(ast.parse((package / "precision.py")
+                                            .read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "horner"]
+    called = names_called(package / "rootfinder.py", "_newton_polish")
+    found += [f"rootfinder.py: _newton_polish calls {name}"
+              for name in sorted({"horner", "eval_poly"} & called)]
+    if "_alpha_data" not in called:
+        found.append("rootfinder.py: _newton_polish does not call _alpha_data")
+    found += [f"polynomial.py: from .precision import {alias.name}"
+              for node in ast.walk(ast.parse((package / "polynomial.py")
+                                             .read_text()))
+              if isinstance(node, ast.ImportFrom) and node.level == 1
+              and node.module == "precision" for alias in node.names]
+    return found
+
+
+def test_alpha_data_is_the_only_integer_evaluation():
+    assert second_integer_evaluators(SRC) == []
+
+
+def test_second_integer_evaluation_is_detected(tmp_path):
+    (tmp_path / "precision.py").write_text(
+        "def cmul(x, y, prec):\n"
+        "    return x\n"
+        "def horner(coeffs, x, prec):\n"
+        "    return cmul(x, x, prec)\n")
+    (tmp_path / "rootfinder.py").write_text(
+        "def _alpha_data(coeffs, x):\n"
+        "    return None, None, x\n"
+        "def _newton_polish(p, roots, dps):\n"
+        "    return [x - eval_poly(p.coeffs, x) / horner(p.coeffs, x, dps)\n"
+        "            for x in roots]\n")
+    (tmp_path / "polynomial.py").write_text(
+        "from .precision import horner, ints_mpc\n"
+        "from .errors import InputSyntaxError\n")
+    assert second_integer_evaluators(tmp_path) == [
+        "precision.py: def horner",
+        "rootfinder.py: _newton_polish calls eval_poly",
+        "rootfinder.py: _newton_polish calls horner",
+        "rootfinder.py: _newton_polish does not call _alpha_data",
+        "polynomial.py: from .precision import horner",
+        "polynomial.py: from .precision import ints_mpc"]

@@ -143,13 +143,13 @@ def test_eval_poly_matches_dense_horner_at_hardware_points(coeffs, re, im):
 
 def test_sanity_check_clean():
     rep = sanity_check(parse_polynomial("x^2-2"))
-    assert rep.square_free and rep.integer_roots == () and rep.clean
+    assert rep.square_free and rep.integer_roots == () and rep.notes == ()
 
 
 def test_sanity_check_integer_roots():
     rep = sanity_check(parse_polynomial("x^2-1"))
     assert rep.integer_roots == (-1, 1)
-    assert not rep.clean
+    assert rep.notes == ("integer roots found: polynomial is reducible",)
 
 
 def test_sanity_check_not_square_free():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -305,6 +306,76 @@ def test_certified_step_is_the_newton_step(monkeypatch, poly_text):
         for x, step in zip(hardware, steps):
             exact = x - eval_poly(p.coeffs, x) / eval_poly(deriv, x)
             assert abs(step - exact) <= mpf(10) ** -32 * max(1, abs(x))
+
+
+def _padded_horner(coeffs, x):
+    """The reference for ``_scaled_horner``: y zero-padded to units of 2^-P
+    and every product shifted right by P."""
+    def fixed(m, k):
+        return m << k if k >= 0 else m >> -k
+    n = len(coeffs) - 1
+    (rs, rm, re, _), (js, jm, je, _) = x._mpc_
+    xr, xi = -rm if rs else rm, -jm if js else jm
+    e = 1 + max((m.bit_length() + k for m, k in ((xr, re), (xi, je)) if m),
+                default=-1)
+    s = max(c.bit_length() + e * i for i, c in enumerate(coeffs) if c)
+    prec = mp.prec + 2 * n + 20
+    yr, yi = fixed(xr, re - e + prec), fixed(xi, je - e + prec)
+    b = [fixed(c, e * i - s + prec) for i, c in enumerate(coeffs)]
+    gr, gi, dr, di = b[n], 0, 0, 0
+    for c in reversed(b[:-1]):
+        dr, di = (((dr * yr - di * yi) >> prec) + gr,
+                  ((dr * yi + di * yr) >> prec) + gi)
+        gr, gi = ((gr * yr - gi * yi) >> prec) + c, (gr * yi + gi * yr) >> prec
+    return e, prec, b, (yr, yi), (gr, gi, dr, di)
+
+
+def _random_point(rng, dps):
+    """x = 0, a zero part, an imaginary part 10^-dps to 10^-3dps below the
+    real one, or two parts of short or full mantissas at up to 2^+-300."""
+    def part(bits):
+        m = rng.getrandbits(bits) * rng.choice((1, -1))
+        return mpf((m, rng.randint(-300, 300)))
+    bits = rng.choice((1, 8, 53, mp.prec))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return mpc(0)
+    re = part(bits)
+    if kind == 1:
+        return mpc(re, 0) if rng.random() < 0.5 else mpc(0, re)
+    if kind == 2:
+        scale = mpf(10) ** -rng.randint(dps, 3 * dps)
+        return mpc(re, re * scale * rng.choice((1, -1)))
+    return mpc(re, part(rng.choice((1, 8, 53, mp.prec))))
+
+
+@pytest.mark.parametrize("dps", [10, 32, 60, 200])
+def test_short_mantissa_loop_is_the_padded_loop(dps):
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        for _ in range(250):
+            coeffs = [rng.choice((0, 0, 1, -1, 3, 10**20,
+                                  rng.randint(-10**6, 10**6)))
+                      for _ in range(rng.randint(1, 12))] + [1]
+            x = _random_point(rng, dps)
+            assert rootfinder._scaled_horner(coeffs, x) == _padded_horner(
+                coeffs, x)
+
+
+@pytest.mark.parametrize("dps", [64, 200])
+@pytest.mark.parametrize("poly_text", ["x^2-32", "x^3-2", "x^3-21x-35",
+                                       "x^6+x^5-5x^4-4x^3+6x^2+3x-1",
+                                       "x^5+20x+32"])
+def test_ladder_steps_are_newton_steps(poly_text, dps):
+    # one rung of three steps by the alpha-test's f/f' from the 32-digit
+    # start reaches every root to the rung's digits
+    p = parse_polynomial(poly_text)
+    rung = rootfinder._newton_polish(p, aberth_stage(p), dps)
+    reference = find_roots(p, 2 * dps).roots
+    with mp.workdps(2 * dps):
+        for z in rung:
+            zeta = min(reference, key=lambda r: abs(z - r))
+            assert abs(z - zeta) <= mpf(10) ** -(dps + 5) * max(1, abs(zeta))
 
 
 @pytest.mark.parametrize("poly_text,digits", [
