@@ -308,22 +308,24 @@ class ReconstructionResult:
 def _line_radicands(p: int, line_exprs, values: ValueCache, noise_scale: mpf,
                     floor: mpf):
     """What one tensor line gives from its nodes alone: the p radicands
-    E_k = sum_j line[j] * zeta_p^{jk}, the values of their principal p-th
-    roots, and whether each of those lies below the line's noise floor.
+    E_k = sum_j line[j] * zeta_p^{jk}, their magnitudes, the line's zero
+    floor, and the values of the principal p-th roots of the radicands above
+    that floor (None for the others, which vanish).
 
-    Radicand values below the evaluation noise floor, ``noise_scale`` times
-    the line's sum of magnitudes, are zero; the p-th root inflates noise to
-    noise^(1/p), so the test is at that scale and never below ``floor``.
+    The floor is at radicand scale: the evaluation noise floor,
+    ``noise_scale`` times the line's sum of magnitudes, and never below
+    ``floor``^p.  It is the p-th power of a floor on |E_k^(1/p)|, so the
+    roots of vanishing radicands, which collapse to 0, are never taken.
     """
-    line_scale = mpf(0)
-    for expr in line_exprs:
-        line_scale += abs(_walk(values.value, expr, values.nodes))
-    w_floor = max((line_scale * noise_scale) ** (mpf(1) / p), floor)
+    line_scale = sum((abs(_walk(values.value, expr, values.nodes))
+                      for expr in line_exprs), mpf(0))
+    e_floor = max(line_scale * noise_scale, floor ** p)
     radicands = [make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
                           for j in range(p)) for k in range(p)]
+    mags = [abs(_walk(values.value, e_k, values.nodes)) for e_k in radicands]
     roots = [_walk(values.value, make_root(p, e_k, 0), values.nodes)
-             for e_k in radicands]
-    return radicands, roots, [abs(w) <= w_floor for w in roots]
+             if mag > e_floor else None for e_k, mag in zip(radicands, mags)]
+    return radicands, roots, mags, e_floor
 
 
 def _nearest_two(diffs) -> list[int]:
@@ -355,9 +357,11 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
 
     Nodes are interned, so lines of a level with the same nodes are the same
     tuple of objects: they share the radicands, the values of their roots
-    and the noise floor, each computed once, and lines that choose the same
-    roots share the inverse combination.  Only the branch test reads each
-    line's own stored targets.
+    and the zero floor, each computed once, and lines that choose the same
+    roots share the inverse combination.  Lines with the same nodes and the
+    same stored targets, bit for bit, also share the zero and branch
+    decisions, made once; each line still logs one BranchChoice or
+    ZeroRadicandNote per entry, under the entry's own flat index.
     """
     prec = mp.prec
     delta = mpf(10) ** (-mpf(mp.dps) / 4)
@@ -374,50 +378,63 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         stored = stored_L[level - 1]
         zeta_x = [mpc_ints(z) for z in zetas[p]]
         new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
-        # a line's nodes -> (radicands, root values, vanishing flags); the
-        # chosen roots -> inverse combinations
+        # a line's nodes -> _line_radicands; the chosen roots -> inverse
+        # combinations; (nodes, targets) -> per-entry decisions, combination
         lines: dict = {}
         combos: dict = {}
+        decided: dict = {}
         for line in axis_lines(radices, level - 1):
             line_exprs = tuple(exact[i] for i in line)
-            if line_exprs not in lines:
-                lines[line_exprs] = _line_radicands(
-                    p, line_exprs, values, noise_scale, floor)
-            radicands, roots, vanishes = lines[line_exprs]
-            l_exact: list[RadicalExpr] = []
-            for k in range(p):
-                target = stored.data[line[k]]
-                target_vanishes = abs(target) < delta
-                if vanishes[k] and target_vanishes:
-                    l_exact.append(_ZERO)
-                    zero_notes.append(ZeroRadicandNote(level, line[k]))
-                    continue
-                if vanishes[k] != target_vanishes:
-                    raise PhaseAmbiguous(
-                        f"resolvent magnitude inconsistent at level {level}, "
-                        f"index {line[k]}: radicand magnitude "
-                        f"{mpmath.nstr(abs(roots[k]), 4)} vs stored "
-                        f"{mpmath.nstr(abs(target), 4)}")
-                w, t = mpc_ints(roots[k]), mpc_ints(target)
-                diffs = [csub(cmul(w, z, prec), t, prec) for z in zeta_x]
-                (best_d, best_s), (second_d, _) = sorted(
-                    (abs(ints_mpc(diffs[s])), s) for s in _nearest_two(diffs))
-                if best_d >= delta or second_d <= 2 * delta:
-                    raise PhaseAmbiguous(
-                        f"cannot fix the branch of a {p}-th root at level "
-                        f"{level}, index {line[k]}: nearest branch at distance "
-                        f"{mpmath.nstr(best_d, 4)}, next at "
-                        f"{mpmath.nstr(second_d, 4)}, delta "
-                        f"{mpmath.nstr(delta, 4)}")
-                branch_log.append(BranchChoice(level, line[k], p, best_s,
-                                               best_d, second_d, delta))
-                l_exact.append(make_root(p, radicands[k], best_s))
-            chosen = tuple(l_exact)
-            if chosen not in combos:
-                combos[chosen] = [make_scale(p, make_sum(
-                    make_product([_zeta(p, -j * k), chosen[k]])
-                    for k in range(p))) for j in range(p)]
-            for flat, expr in zip(line, combos[chosen]):
+            key = (line_exprs, tuple(stored.data[i]._mpc_ for i in line))
+            if key not in decided:
+                if line_exprs not in lines:
+                    lines[line_exprs] = _line_radicands(
+                        p, line_exprs, values, noise_scale, floor)
+                radicands, roots, mags, e_floor = lines[line_exprs]
+                # per entry: None for a zero, else (branch, best, second)
+                picks: list = []
+                for k in range(p):
+                    target = stored.data[line[k]]
+                    target_vanishes = abs(target) < delta
+                    if roots[k] is None and target_vanishes:
+                        picks.append(None)
+                        continue
+                    if (roots[k] is None) != target_vanishes:
+                        raise PhaseAmbiguous(
+                            f"resolvent magnitude inconsistent at level "
+                            f"{level}, index {line[k]}: radicand magnitude "
+                            f"{mpmath.nstr(mags[k], 4)} vs zero floor "
+                            f"{mpmath.nstr(e_floor, 4)}, stored "
+                            f"{mpmath.nstr(abs(target), 4)} vs delta "
+                            f"{mpmath.nstr(delta, 4)}")
+                    w, t = mpc_ints(roots[k]), mpc_ints(target)
+                    diffs = [csub(cmul(w, z, prec), t, prec) for z in zeta_x]
+                    (best_d, best_s), (second_d, _) = sorted(
+                        (abs(ints_mpc(diffs[s])), s)
+                        for s in _nearest_two(diffs))
+                    if best_d >= delta or second_d <= 2 * delta:
+                        raise PhaseAmbiguous(
+                            f"cannot fix the branch of a {p}-th root at level "
+                            f"{level}, index {line[k]}: nearest branch at "
+                            f"distance {mpmath.nstr(best_d, 4)}, next at "
+                            f"{mpmath.nstr(second_d, 4)}, delta "
+                            f"{mpmath.nstr(delta, 4)}")
+                    picks.append((best_s, best_d, second_d))
+                chosen = tuple(_ZERO if pick is None
+                               else make_root(p, radicands[k], pick[0])
+                               for k, pick in enumerate(picks))
+                if chosen not in combos:
+                    combos[chosen] = [make_scale(p, make_sum(
+                        make_product([_zeta(p, -j * k), chosen[k]])
+                        for k in range(p))) for j in range(p)]
+                decided[key] = picks, combos[chosen]
+            picks, combo = decided[key]
+            for flat, pick, expr in zip(line, picks, combo):
+                if pick is None:
+                    zero_notes.append(ZeroRadicandNote(level, flat))
+                else:
+                    branch_log.append(BranchChoice(level, flat, p, *pick,
+                                                   delta))
                 new_exact[flat] = expr
         exact = new_exact
 

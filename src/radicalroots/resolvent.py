@@ -174,10 +174,13 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                   counter: MultiplicationCounter):
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
-    Returns (L_{level-1}, Theta_level).  The counter is incremented by exactly
-    the complex multiplications performed: p per L entry, p-1 per power,
-    p per Theta entry.  The sums and products run on the integer kernel of
-    ``precision`` at ``mp.prec``, with the bits of the same ``mpc``
+    Returns (L_{level-1}, Theta_level).  Each distinct line, by the bits of
+    its entries, is transformed once; a repeated line copies its L and Theta
+    entries.  The counter is incremented by exactly the complex
+    multiplications performed: p per L entry, p-1 per power, p per Theta
+    entry of each distinct line, so it stays at or below
+    ``multiplication_budget``.  The sums and products run on the integer
+    kernel of ``precision`` at ``mp.prec``, with the bits of the same ``mpc``
     expressions.
     """
     p = theta_prev.radices[level - 1]
@@ -187,28 +190,31 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     data = [mpc_ints(z) for z in theta_prev.data]
     ldata: list = [None] * len(data)
     tdata: list = [None] * len(data)
+    done: dict = {}     # a line's entries -> its L and Theta entries
     for line in axis_lines(theta_prev.radices, axis):
-        entries = [data[i] for i in line]
-        powered = []
-        for k in range(p):
-            acc = None
-            for j in range(p):
-                term = cmul(table[(j * k) % p], entries[j], prec)
-                acc = term if acc is None else cadd(acc, term, prec)
-            counter.add(p)
-            ldata[line[k]] = ints_mpc(acc)
-            w = acc
-            for _ in range(p - 1):
-                w = cmul(w, acc, prec)
-            counter.add(p - 1)
-            powered.append(w)
-        for j in range(p):
-            acc = None
+        entries = tuple(data[i] for i in line)
+        if entries not in done:
+            l_line, powered, t_line = [], [], []
             for k in range(p):
-                term = cmul(table[(-k * j) % p], powered[k], prec)
-                acc = term if acc is None else cadd(acc, term, prec)
-            counter.add(p)
-            tdata[line[j]] = ints_mpc(cdiv_int(acc, p, prec))
+                acc = None
+                for j in range(p):
+                    term = cmul(table[(j * k) % p], entries[j], prec)
+                    acc = term if acc is None else cadd(acc, term, prec)
+                l_line.append(ints_mpc(acc))
+                w = acc
+                for _ in range(p - 1):
+                    w = cmul(w, acc, prec)
+                powered.append(w)
+            for j in range(p):
+                acc = None
+                for k in range(p):
+                    term = cmul(table[(-k * j) % p], powered[k], prec)
+                    acc = term if acc is None else cadd(acc, term, prec)
+                t_line.append(ints_mpc(cdiv_int(acc, p, prec)))
+            counter.add(p * (3 * p - 1))
+            done[entries] = l_line, t_line
+        for flat, l_entry, t_entry in zip(line, *done[entries]):
+            ldata[flat], tdata[flat] = l_entry, t_entry
     return (replace(theta_prev, data=tuple(ldata)),
             replace(theta_prev, data=tuple(tdata)))
 

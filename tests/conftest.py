@@ -1,3 +1,4 @@
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -81,3 +82,15 @@ def load_perfbench(name: str) -> ModuleType:
         path = PERFBENCH / f"{name}.py"
         exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return sys.modules[key]
+
+
+def rewrite_pins(path: Path, entries: dict) -> None:
+    """Write ``entries`` as the pin file ``path``, one entry per line, and
+    print each key whose entry changed, appeared or went."""
+    old = json.loads(path.read_text())
+    for name in sorted(old.keys() | entries.keys()):
+        if old.get(name) != entries.get(name):
+            print(f"changed: {name}")
+    lines = [f"{json.dumps(name)}: {json.dumps(value)}"
+             for name, value in entries.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -35,6 +35,15 @@ def test_solve_quintic_stats(capsys):
     assert "35000000" in out
 
 
+def test_solve_stats_count_repeated_lines_once(capsys):
+    # S4's tensor repeats lines, whose products the forward pass skips
+    code, out, err = run(capsys, ["solve", "--poly", "x^4+x+1",
+                                  "--generators", "(1,2,3,4);(1,2)",
+                                  "--stats"])
+    assert code == 0
+    assert "stats: multiplications 458 / budget 552" in out
+
+
 def test_solve_deterministic_output(capsys):
     argv = ["solve", "--poly", "x^5+20x+32",
             "--generators", "(1,2,3,4,5);(1,4)(2,3)", "--stats", "--verify"]

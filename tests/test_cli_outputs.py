@@ -22,6 +22,7 @@ import pytest
 
 from radicalroots import find_roots, parse_polynomial
 from radicalroots.cli import main
+from tests.conftest import rewrite_pins
 from tests.test_properties import INSTANCES, _period_label_order
 
 DATA = Path(__file__).parent / "data" / "cli_outputs.json"
@@ -84,6 +85,4 @@ def test_cli_output_unchanged(name, argv):
 
 
 if __name__ == "__main__":
-    lines = [f"{json.dumps(name)}: {json.dumps(cli_output(argv))}"
-             for name, argv in CASES]
-    DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    rewrite_pins(DATA, {name: cli_output(argv) for name, argv in CASES})

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from radicalroots import emit, find_roots, parse_polynomial, solve
+from tests.conftest import rewrite_pins
 from tests.test_properties import INSTANCES, _period_label_order
 
 DATA = Path(__file__).parent / "data" / "exact_outputs.json"
@@ -47,6 +48,5 @@ def test_exact_outputs_unchanged(instance):
 
 
 if __name__ == "__main__":
-    lines = [f"{json.dumps(name)}: {json.dumps(exact_outputs(*rest))}"
-             for name, *rest in INSTANCES]
-    DATA.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    rewrite_pins(DATA, {name: exact_outputs(*rest)
+                        for name, *rest in INSTANCES})

@@ -4,6 +4,7 @@ from mpmath import mp, mpf
 import math
 
 from radicalroots import (LabelingFailed, Permutation, PrecisionInfeasible,
+                          resolvent, solve,
                           ResidualTooLarge, closure, composition_series, find_roots, label_roots,
                           parse_cycles, parse_polynomial, plan_precision,
                           build_theta0, forward_pass, forward_level,
@@ -11,9 +12,11 @@ from radicalroots import (LabelingFailed, Permutation, PrecisionInfeasible,
 from radicalroots.resolvent import (DEFAULT_MARGIN, MultiplicationCounter,
                                     ResolventTensor, axis_lines, multiplication_budget,
                                     position_root_indices, zeta_tables)
+from radicalroots.precision import cadd, cdiv_int, cmul, ints_mpc, mpc_ints
 from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_THETA, reindex_axis
 from tests.test_properties import INSTANCES
+from tests.test_radical import affine_generators, pure_power_labels
 
 
 def c2_series():
@@ -257,3 +260,71 @@ def test_primitive_root_exchange_law(reference_label_order):
                 got = exchanged.data[line[j]]
                 expected = ref.data[line[(t * j) % p]]
                 assert abs(got - expected) < tol
+
+
+def _unmemoised_forward(theta0, series, zetas):
+    """Every line of every level transformed on its own, with no memo: the
+    loop of ``forward_level`` before it reused repeated lines."""
+    prec, current, tensors = mp.prec, theta0, []
+    for level in range(1, series.length + 1):
+        p = current.radices[level - 1]
+        table = [mpc_ints(z) for z in zetas[p]]
+        data = [mpc_ints(z) for z in current.data]
+        ldata, tdata = [None] * len(data), [None] * len(data)
+        for line in axis_lines(current.radices, level - 1):
+            entries, powered = [data[i] for i in line], []
+            for k in range(p):
+                acc = None
+                for j in range(p):
+                    term = cmul(table[(j * k) % p], entries[j], prec)
+                    acc = term if acc is None else cadd(acc, term, prec)
+                ldata[line[k]] = ints_mpc(acc)
+                w = acc
+                for _ in range(p - 1):
+                    w = cmul(w, acc, prec)
+                powered.append(w)
+            for j in range(p):
+                acc = None
+                for k in range(p):
+                    term = cmul(table[(-k * j) % p], powered[k], prec)
+                    acc = term if acc is None else cadd(acc, term, prec)
+                tdata[line[j]] = ints_mpc(cdiv_int(acc, p, prec))
+        current = ResolventTensor(current.radices, tuple(tdata))
+        tensors += [ResolventTensor(current.radices, tuple(ldata)), current]
+    return tensors
+
+
+# instances whose tensors repeat lines: name, polynomial, generators, labeling
+REPEATING = [("S4 x^4+x+1", "x^4+x+1", "(1,2,3,4);(1,2)", "auto"),
+             ("F42 x^7-2", "x^7-2", affine_generators(7, 3),
+              pure_power_labels(7, 2)),
+             ("F110 x^11-2", "x^11-2", affine_generators(11, 2),
+              pure_power_labels(11, 2))]
+
+
+@pytest.mark.parametrize("name,poly,gens,labeling", REPEATING,
+                         ids=[i[0] for i in REPEATING])
+def test_memoised_forward_pass_is_the_unmemoised_loop(monkeypatch, name, poly,
+                                                      gens, labeling):
+    """Reusing repeated lines keeps every L and Theta bit, and the counter
+    counts the kernel products actually performed, below the budget."""
+    report = solve(poly, gens, labeling=labeling)
+    series = report.series
+    kernel = [0]
+
+    def counting_cmul(x, y, prec, _original=resolvent.cmul):
+        kernel[0] += 1
+        return _original(x, y, prec)
+    with mp.workdps(report.digits):
+        zetas = zeta_tables(series)
+        theta0 = build_theta0(report.roots, series)
+        reference = _unmemoised_forward(theta0, series, zetas)
+        monkeypatch.setattr(resolvent, "cmul", counting_cmul)
+        fwd = forward_pass(theta0, series, zetas)
+        monkeypatch.undo()
+    memoised = [t for pair in zip(fwd.resolvents, fwd.thetas[1:])
+                for t in pair]
+    assert [[z._mpc_ for z in t.data] for t in memoised] == \
+        [[z._mpc_ for z in t.data] for t in reference]
+    assert kernel[0] == fwd.counter.count == report.multiplications
+    assert fwd.counter.count < multiplication_budget(series)
