@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import operator
 
-from mpmath import mp
+import mpmath
+from mpmath import mp, mpf
 
 from .errors import InputSyntaxError, PhaseAmbiguous
 from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
-from .radical import SolveReport, evaluate, reconstruct, verify
+from .radical import (SolveReport, ValueCache, evaluate, reconstruct,
+                      verify)
 from .resolvent import (build_theta0, forward_pass, plan_precision,
                         round_theta_m, zeta_tables)
 from .rootfinder import (aberth_stage, polish_roots, relabel,
@@ -85,6 +87,19 @@ def as_labeling(labeling, degree: int) -> Permutation:
     return sigma
 
 
+def _guard_roots(evaluations, roots) -> None:
+    """Raise PhaseAmbiguous when an evaluation lies delta * max(1, |x|) or
+    more from its labeled root x, delta = 10^(-mp.dps/4): a flipped branch
+    then fails the attempt, whether or not the solve verifies."""
+    delta = mpf(10) ** (-mpf(mp.dps) / 4)
+    for label, (value, root) in enumerate(zip(evaluations, roots.roots), 1):
+        deviation = abs(value - root)
+        if deviation >= delta * max(1, abs(root)):
+            raise PhaseAmbiguous(
+                f"x_{label} evaluates {mpmath.nstr(deviation, 4)} from its "
+                f"labeled root, delta {mpmath.nstr(delta, 4)}")
+
+
 def solve(poly, generators, *, digits: int | None = None, labeling="auto",
           run_verification: bool = True) -> SolveReport:
     """Solve a monic-reducible integer polynomial by radicals.
@@ -95,8 +110,11 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
     (label j takes the j-th listed position of the canonically ordered roots).
 
     The digit budget is ``digits``, an integer >= 1, when given, and the
-    precision plan's (its requirement plus DEFAULT_MARGIN) otherwise; on
-    PhaseAmbiguous the budget is doubled, up to 3 times.  A budget above
+    precision plan's (its requirement plus DEFAULT_MARGIN) otherwise.  Each
+    attempt evaluates the root expressions once, after ``reconstruct``, and
+    an evaluation off its labeled root is PhaseAmbiguous as well, so no
+    flipped branch is returned, verified or not.  On PhaseAmbiguous the
+    budget is doubled, up to 3 times.  A budget above
     DIGITS_HARD_CAP, whether given, planned or doubled, raises
     PrecisionInfeasible.  One Aberth run bounds the roots for the plan and
     is polished once to every budget tried, and the roots are labeled once,
@@ -132,8 +150,11 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
             forward = forward_pass(theta0, series, zetas)
             int_theta = round_theta_m(forward.thetas[-1])
             try:
-                recon = reconstruct(series, int_theta, forward.resolvents,
-                                    zetas)
+                recon = reconstruct(series, int_theta, forward)
+                values = ValueCache(zetas)
+                evaluations = tuple(evaluate(e, values)
+                                    for e in recon.root_exprs)
+                _guard_roots(evaluations, labeled)
             except PhaseAmbiguous:
                 if attempt == _PHASE_RETRIES:
                     raise
@@ -141,10 +162,8 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
                 notes.append(f"branch selection ambiguous; digits doubled to "
                              f"{budget_digits}")
                 continue
-            evaluations = tuple(evaluate(e, recon.values)
-                                for e in recon.root_exprs)
         break
-    deviations = tuple(verify(recon.root_exprs, labeled, recon.values)) \
+    deviations = tuple(verify(recon.root_exprs, labeled, values)) \
         if run_verification else None
     return SolveReport(
         polynomial=polynomial, reduction=reduction, series=series,

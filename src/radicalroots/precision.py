@@ -37,7 +37,6 @@ __all__ = [
     "mpc_ints",
     "ints_mpc",
     "cadd",
-    "csub",
     "cmul",
     "cdiv",
     "cdiv_int",
@@ -209,12 +208,6 @@ def cadd(x, y, prec: int):
     """x + y, as ``mpc.__add__``."""
     return (_add(x[0], x[1], y[0], y[1], prec)
             + _add(x[2], x[3], y[2], y[3], prec))
-
-
-def csub(x, y, prec: int):
-    """x - y, as ``mpc.__sub__``."""
-    return (_add(x[0], x[1], -y[0], y[1], prec)
-            + _add(x[2], x[3], -y[2], y[3], prec))
 
 
 def cmul(x, y, prec: int):

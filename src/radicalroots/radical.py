@@ -26,10 +26,10 @@ from mpmath import mp, mpc, mpf
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
-from .precision import (cmul, csub, ints_mpc, mpc_ints, principal_root,
-                        root_of_unity)
-from .resolvent import (IntegerThetaTensor, PrecisionPlan, axis_lines,
-                        multiplication_budget, position_root_indices)
+from .precision import principal_root, root_of_unity
+from .resolvent import (ForwardResult, IntegerThetaTensor, PrecisionPlan,
+                        axis_lines, multiplication_budget,
+                        position_root_indices)
 from .rootfinder import RootSet
 
 __all__ = [
@@ -277,7 +277,14 @@ def evaluate(expr: RadicalExpr, cache: ValueCache | None = None) -> mpc:
 
 @dataclass(frozen=True)
 class BranchChoice:
-    """Record of one accepted p-th-root branch selection."""
+    """Record of one accepted p-th-root branch selection, in sector units.
+
+    The stored resolvent entry L_k lies at x = p * arg(L_k) / 2pi; branch s
+    is the sector centred on x = s (mod p).  ``best_distance`` is |x - c|
+    for the chosen sector's centre c, ``second_distance`` the distance
+    1 - |x - c| to the next centre.  Off the branch cut the best distance is
+    at most 1/2 - delta; on it both are 1/2 to within delta^2.
+    """
 
     level: int
     flat_index: int
@@ -302,72 +309,71 @@ class ReconstructionResult:
     theta0_exprs: tuple[RadicalExpr, ...]     # full position tensor
     branch_log: tuple[BranchChoice, ...]
     zero_notes: tuple[ZeroRadicandNote, ...]
-    values: ValueCache                        # every value computed on the way
 
 
-def _line_radicands(p: int, line_exprs, values: ValueCache, noise_scale: mpf,
-                    floor: mpf):
-    """What one tensor line gives from its nodes alone: the p radicands
-    E_k = sum_j line[j] * zeta_p^{jk}, their magnitudes, the line's zero
-    floor, and the values of the principal p-th roots of the radicands above
-    that floor (None for the others, which vanish).
+def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
+    """The zero and branch decisions of one tensor line from the stored
+    resolvent entries alone: per entry None for a zero, else (branch, best
+    distance, second distance) in sector units.
 
-    The floor is at radicand scale: the evaluation noise floor,
-    ``noise_scale`` times the line's sum of magnitudes, and never below
-    ``floor``^p.  It is the p-th power of a floor on |E_k^(1/p)|, so the
-    roots of vanishing radicands, which collapse to 0, are never taken.
+    An entry is zero when |L_k| < delta.  A nonzero entry whose |L_k|^p lies
+    on the noise floor, 10^(4-digits) times the line's sum of magnitudes in
+    ``theta`` (Theta_level at full precision), raises PhaseAmbiguous.  The
+    branch is nint(x) mod p for x = p * arg(L_k) / 2pi; within delta^2 of a
+    sector boundary x is on the cut, and the branch is nint(x - 1/2) mod p,
+    which puts arg w = +pi/p as ``principal_root`` does; between delta^2
+    and delta of a boundary it raises PhaseAmbiguous.
     """
-    line_scale = sum((abs(_walk(values.value, expr, values.nodes))
-                      for expr in line_exprs), mpf(0))
-    e_floor = max(line_scale * noise_scale, floor ** p)
-    radicands = [make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
-                          for j in range(p)) for k in range(p)]
-    mags = [abs(_walk(values.value, e_k, values.nodes)) for e_k in radicands]
-    roots = [_walk(values.value, make_root(p, e_k, 0), values.nodes)
-             if mag > e_floor else None for e_k, mag in zip(radicands, mags)]
-    return radicands, roots, mags, e_floor
-
-
-def _nearest_two(diffs) -> list[int]:
-    """The indices of the two smallest of the integer-form complex ``diffs``
-    by exact squared magnitude, each part's square shifted to a common
-    exponent; ties go to the lower index."""
-    parts = [(d[:2], d[2:]) for d in diffs]
-    low = min((2 * e for pair in parts for m, e in pair if m), default=0)
-    norms = [sum(m * m << (2 * e - low) for m, e in pair if m)
-             for pair in parts]
-    return sorted(range(len(diffs)), key=norms.__getitem__)[:2]
+    floor = mpf(10) ** (4 - mp.dps) * sum(abs(theta.data[i]) for i in line)
+    half = mpf(1) / 2
+    picks: list = []
+    for flat in line:
+        target = stored.data[flat]
+        magnitude = abs(target)
+        if magnitude < delta:
+            picks.append(None)
+            continue
+        if magnitude ** p <= floor:
+            raise PhaseAmbiguous(
+                f"resolvent entry at level {level}, index {flat} is on the "
+                f"noise floor: |L|^{p} = {mpmath.nstr(magnitude ** p, 4)} vs "
+                f"{mpmath.nstr(floor, 4)}, |L| = {mpmath.nstr(magnitude, 4)} "
+                f"vs delta {mpmath.nstr(delta, 4)}")
+        x = p * mpmath.arg(target) / (2 * mp.pi)
+        centre = mpmath.nint(x)
+        edge = half - abs(x - centre)
+        if edge < delta * delta:
+            centre = mpmath.nint(x - half)
+        elif edge < delta:
+            raise PhaseAmbiguous(
+                f"cannot fix the branch of a {p}-th root at level {level}, "
+                f"index {flat}: {mpmath.nstr(edge, 4)} sectors from a "
+                f"boundary, delta {mpmath.nstr(delta, 4)}")
+        best = abs(x - centre)
+        picks.append((int(centre) % p, best, 1 - best))
+    return picks
 
 
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
-                stored_L, zetas) -> ReconstructionResult:
-    """Work the tensor transforms backward, picking root branches numerically.
+                forward: ForwardResult) -> ReconstructionResult:
+    """Work the tensor transforms backward, building nodes only.
 
     For each level i = m..1 and resolvent index k, the exact combination
-    E_k = sum_j Theta_i[...,j,...] * zeta_i^{jk} equals the p_i-th power of the
-    stored resolvent entry; the branch s of its p_i-th root is the one whose
-    numeric value lands on the stored entry, at the working precision
-    digits = mp.dps.  Acceptance requires the best branch within
-    delta = 10^(-digits/4) and every other branch beyond 2*delta, else
-    PhaseAmbiguous.  Radicands indistinguishable from zero collapse to 0.
-    The p candidates are ranked by the exact squared distance of their
-    rounded differences from the stored entry; only the two nearest
-    distances are rounded, as ``abs`` rounds them, and a tie in those is
-    always refused.
+    E_k = sum_j Theta_i[...,j,...] * zeta_i^{jk} equals the p_i-th power of
+    the stored resolvent entry L_k of ``forward``.  Whether E_k vanishes and
+    which branch of its p_i-th root is L_k are decided from L_k alone, at
+    the working precision digits = mp.dps, with delta = 10^(-digits/4); see
+    ``_decide``.  No value of a node is computed here: the solve evaluates
+    the root expressions once afterwards.
 
     Nodes are interned, so lines of a level with the same nodes are the same
-    tuple of objects: they share the radicands, the values of their roots
-    and the zero floor, each computed once, and lines that choose the same
-    roots share the inverse combination.  Lines with the same nodes and the
-    same stored targets, bit for bit, also share the zero and branch
-    decisions, made once; each line still logs one BranchChoice or
-    ZeroRadicandNote per entry, under the entry's own flat index.
+    tuple of objects, and lines that choose the same roots share the inverse
+    combination.  Lines with the same nodes and the same stored targets, bit
+    for bit, share the decisions, made once; each line still logs one
+    BranchChoice or ZeroRadicandNote per entry, under the entry's own flat
+    index.
     """
-    prec = mp.prec
     delta = mpf(10) ** (-mpf(mp.dps) / 4)
-    noise_scale = mpf(10) ** (4 - mp.dps)
-    floor = mpf(10) ** (-mp.dps)
-    values = ValueCache(zetas)
     radices = int_theta.radices
     exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
     branch_log: list[BranchChoice] = []
@@ -375,54 +381,22 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
 
     for level in range(series.length, 0, -1):
         p = radices[level - 1]
-        stored = stored_L[level - 1]
-        zeta_x = [mpc_ints(z) for z in zetas[p]]
+        stored = forward.resolvents[level - 1]
         new_exact: list[RadicalExpr] = [None] * len(exact)  # type: ignore
-        # a line's nodes -> _line_radicands; the chosen roots -> inverse
-        # combinations; (nodes, targets) -> per-entry decisions, combination
-        lines: dict = {}
+        # the chosen roots -> inverse combination; (nodes, targets) ->
+        # per-entry decisions, combination
         combos: dict = {}
         decided: dict = {}
         for line in axis_lines(radices, level - 1):
             line_exprs = tuple(exact[i] for i in line)
             key = (line_exprs, tuple(stored.data[i]._mpc_ for i in line))
             if key not in decided:
-                if line_exprs not in lines:
-                    lines[line_exprs] = _line_radicands(
-                        p, line_exprs, values, noise_scale, floor)
-                radicands, roots, mags, e_floor = lines[line_exprs]
-                # per entry: None for a zero, else (branch, best, second)
-                picks: list = []
-                for k in range(p):
-                    target = stored.data[line[k]]
-                    target_vanishes = abs(target) < delta
-                    if roots[k] is None and target_vanishes:
-                        picks.append(None)
-                        continue
-                    if (roots[k] is None) != target_vanishes:
-                        raise PhaseAmbiguous(
-                            f"resolvent magnitude inconsistent at level "
-                            f"{level}, index {line[k]}: radicand magnitude "
-                            f"{mpmath.nstr(mags[k], 4)} vs zero floor "
-                            f"{mpmath.nstr(e_floor, 4)}, stored "
-                            f"{mpmath.nstr(abs(target), 4)} vs delta "
-                            f"{mpmath.nstr(delta, 4)}")
-                    w, t = mpc_ints(roots[k]), mpc_ints(target)
-                    diffs = [csub(cmul(w, z, prec), t, prec) for z in zeta_x]
-                    (best_d, best_s), (second_d, _) = sorted(
-                        (abs(ints_mpc(diffs[s])), s)
-                        for s in _nearest_two(diffs))
-                    if best_d >= delta or second_d <= 2 * delta:
-                        raise PhaseAmbiguous(
-                            f"cannot fix the branch of a {p}-th root at level "
-                            f"{level}, index {line[k]}: nearest branch at "
-                            f"distance {mpmath.nstr(best_d, 4)}, next at "
-                            f"{mpmath.nstr(second_d, 4)}, delta "
-                            f"{mpmath.nstr(delta, 4)}")
-                    picks.append((best_s, best_d, second_d))
-                chosen = tuple(_ZERO if pick is None
-                               else make_root(p, radicands[k], pick[0])
-                               for k, pick in enumerate(picks))
+                picks = _decide(level, p, line, stored,
+                                forward.thetas[level], delta)
+                chosen = tuple(_ZERO if pick is None else make_root(
+                    p, make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
+                                for j in range(p)), pick[0])
+                    for k, pick in enumerate(picks))
                 if chosen not in combos:
                     combos[chosen] = [make_scale(p, make_sum(
                         make_product([_zeta(p, -j * k), chosen[k]])
@@ -443,7 +417,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         by_root.setdefault(label, exact[flat])
     return ReconstructionResult(
         tuple(by_root[r] for r in range(1, series.degree + 1)),
-        tuple(exact), tuple(branch_log), tuple(zero_notes), values)
+        tuple(exact), tuple(branch_log), tuple(zero_notes))
 
 
 # --- rendering -------------------------------------------------------------

@@ -480,3 +480,58 @@ def test_second_integer_evaluation_is_detected(tmp_path):
         "rootfinder.py: _newton_polish does not call _alpha_data",
         "polynomial.py: from .precision import horner",
         "polynomial.py: from .precision import ints_mpc"]
+
+
+def evaluations_in_reconstruct(path: Path) -> list[str]:
+    """Evaluators that ``reconstruct`` names, directly or through the
+    module's functions it calls, and a ``values`` field of
+    ``ReconstructionResult``: the backward pass builds nodes only, and the
+    solve evaluates the roots once afterwards."""
+    tree = ast.parse(path.read_text(), str(path))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["reconstruct"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [n for n in names_called(path, name) if n in functions]
+    evaluators = {"_walk", "evaluate", "ValueCache", "principal_root"}
+    found = sorted(f"{path.name}: {name} reaches {evaluator}"
+                   for name in reached
+                   for evaluator in evaluators & names_called(path, name))
+    found += [f"{path.name}: ReconstructionResult.values"
+              for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "ReconstructionResult"
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id == "values"]
+    return found
+
+
+def test_reconstruct_builds_nodes_only():
+    assert evaluations_in_reconstruct(SRC / "radical.py") == []
+
+
+def test_evaluation_in_reconstruct_is_detected(tmp_path):
+    (tmp_path / "radical.py").write_text(
+        "class ReconstructionResult:\n"
+        "    root_exprs: tuple\n"
+        "    values: object\n"
+        "def _line_radicands(line, values):\n"
+        "    return [_walk(values.value, e, values.nodes) for e in line]\n"
+        "def _pick(w):\n"
+        "    return principal_root(w, 2)\n"
+        "def reconstruct(series, int_theta, forward):\n"
+        "    values = ValueCache()\n"
+        "    roots = _line_radicands(series, values)\n"
+        "    return evaluate(roots[0], values), _pick(roots)\n"
+        "def verify(exprs, cache):\n"
+        "    return [evaluate(e, cache) for e in exprs]\n")
+    assert evaluations_in_reconstruct(tmp_path / "radical.py") == [
+        "radical.py: _line_radicands reaches _walk",
+        "radical.py: _pick reaches principal_root",
+        "radical.py: reconstruct reaches ValueCache",
+        "radical.py: reconstruct reaches evaluate",
+        "radical.py: ReconstructionResult.values"]

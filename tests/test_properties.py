@@ -73,6 +73,8 @@ def run_instance(poly_text, gens_text, labeling):
     roots = find_roots(poly, digits)
     if labeling == "auto":
         labeled = relabel(roots, label_roots(group, roots).permutation)
+    elif isinstance(labeling, Permutation):
+        labeled = relabel(roots, labeling)
     else:
         _, q, g, n = labeling
         order = _period_label_order(roots, q, g, n)
@@ -82,7 +84,7 @@ def run_instance(poly_text, gens_text, labeling):
         theta0 = build_theta0(labeled, series)
         fwd = forward_pass(theta0, series, zetas)
         ints = round_theta_m(fwd.thetas[-1])
-        recon = reconstruct(series, ints, fwd.resolvents, zetas)
+        recon = reconstruct(series, ints, fwd)
     return series, zetas, theta0, fwd, ints, recon, labeled, digits
 
 
@@ -206,9 +208,16 @@ def test_branch_separation_soundness(bundle):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     if series.length and len(ints.values) > 1:
         assert recon.branch_log  # nontrivial instances select branches
-    for choice in recon.branch_log:
-        assert choice.best_distance < choice.delta
-        assert choice.second_distance > 2 * choice.delta
+    # in sector units: each stored resolvent lies delta or more inside the
+    # chosen sector, whose centre is the nearer one, or on the cut, within
+    # delta^2 of the boundary, where both centres are 1/2 away
+    half = mpf(1) / 2
+    with mp.workdps(digits):
+        for choice in recon.branch_log:
+            best, second = choice.best_distance, choice.second_distance
+            assert abs(best + second - 1) < choice.delta ** 2
+            if abs(best - half) >= choice.delta ** 2:
+                assert best <= half - choice.delta
 
 
 def test_round_trip_theta0_positions(bundle):

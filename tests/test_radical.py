@@ -10,19 +10,21 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import radical
-from radicalroots import (PhaseAmbiguous, VerificationFailed, closure,
-                          composition_series, emit, evaluate, find_roots,
-                          label_roots, parse_cycles, parse_expr_json,
-                          parse_polynomial, reconstruct, solve, verify)
+from radicalroots import pipeline, radical
+from radicalroots import (Permutation, PhaseAmbiguous, VerificationFailed,
+                          closure, composition_series, emit, evaluate,
+                          find_roots, label_roots, parse_cycles,
+                          parse_expr_json, parse_polynomial, reconstruct,
+                          solve, verify)
 from radicalroots.radical import (IntegerLiteral, Product, RationalScale, Root,
                                   RootOfUnitySymbol, Sum, json_ast,
                                   make_product, make_root, make_scale,
                                   make_sum)
-from radicalroots.resolvent import (build_theta0, forward_pass,
+from radicalroots.resolvent import (axis_lines, build_theta0, forward_pass,
                                     round_theta_m, zeta_tables)
 from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_ROOT_STRINGS
+from tests.test_properties import INSTANCES, run_instance
 
 
 def run_backward(poly_text, gens_text, digits=None):
@@ -41,7 +43,7 @@ def run_backward(poly_text, gens_text, digits=None):
         theta0 = build_theta0(labeled, series)
         fwd = forward_pass(theta0, series, zetas)
         ints = round_theta_m(fwd.thetas[-1])
-        recon = reconstruct(series, ints, fwd.resolvents, zetas)
+        recon = reconstruct(series, ints, fwd)
     return series, zetas, theta0, fwd, ints, recon, labeled, digits
 
 
@@ -85,18 +87,58 @@ def test_quintic_reconstruction_matches_13_decimals(reference_label_order):
         assert abs(value - target) < mpf("1e-13")
 
 
-def test_reconstruct_phase_ambiguous_on_corrupted_resolvents():
-    series, zetas, theta0, fwd, ints, recon, labeled, digits = \
-        run_backward("x^3-2", "(1,2,3);(1,2)")
-    # rotate the stored level-2 resolvents so no branch matches
-    from radicalroots.resolvent import ResolventTensor
-    with mp.workdps(digits):
-        bad_value = mp.mpc(1, 1)
-        corrupted = ResolventTensor(
-            fwd.resolvents[1].radices,
-            tuple(v * bad_value for v in fwd.resolvents[1].data))
-        with pytest.raises(PhaseAmbiguous):
-            reconstruct(series, ints, (fwd.resolvents[0], corrupted), zetas)
+def _corrupting(monkeypatch, level, turn):
+    """Make every solve's forward pass return its stored level-``level``
+    resolvents multiplied by ``turn(p)``, computed at the attempt's working
+    precision."""
+    honest = pipeline.forward_pass
+
+    def corrupted(theta0, series, zetas):
+        forward = honest(theta0, series, zetas)
+        stored = forward.resolvents[level - 1]
+        factor = turn(series.primes[level - 1])
+        data = tuple(v * factor for v in stored.data)
+        resolvents = list(forward.resolvents)
+        resolvents[level - 1] = dataclasses.replace(stored, data=data)
+        return dataclasses.replace(forward, resolvents=tuple(resolvents))
+
+    monkeypatch.setattr(pipeline, "forward_pass", corrupted)
+
+
+def test_reconstruct_phase_ambiguous_on_corrupted_resolvents(monkeypatch):
+    # x^3-2: level 2 holds real entries on sector centres (L = +-18) and
+    # imaginary ones on the cut (L^2 = -972)
+    def half_sector(p):
+        # half a sector, less 10^(-3d/8): the centred entries land between
+        # delta^2 and delta from a boundary, every attempt
+        edge = mpf(10) ** (-3 * mpf(mp.dps) / 8)
+        return mpmath.expjpi(2 * (mpf(1) / 2 - edge) / p)
+
+    _corrupting(monkeypatch, 2, half_sector)
+    with pytest.raises(PhaseAmbiguous, match="cannot fix the branch of a "
+                       "2-th root at level 2, index 0: .* sectors from a "
+                       "boundary"):
+        solve("x^3-2", "(1,2,3);(1,2)")
+
+
+def test_a_flipped_sector_fails_the_root_guard_without_verification(
+        monkeypatch):
+    # one whole sector: every branch decision is clean, and wrong; the root
+    # guard refuses the evaluations at every budget
+    accepted = []
+    original = pipeline.reconstruct
+
+    def recording(*args):
+        accepted.append(original(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(pipeline, "reconstruct", recording)
+    _corrupting(monkeypatch, 1, lambda p: mpmath.expjpi(mpf(2) / p))
+    with pytest.raises(PhaseAmbiguous, match="evaluates .* from its labeled "
+                       "root"):
+        solve("x^3-2", "(1,2,3);(1,2)", run_verification=False)
+    assert len(accepted) == 4
+    assert all(recon.branch_log for recon in accepted)
 
 
 def test_evaluate_examples():
@@ -194,39 +236,106 @@ def test_verify_accepts_and_rejects():
         verify(tuple(reversed(recon.root_exprs)), labeled)
 
 
-def _inconsistent_magnitudes(index, value):
-    """Reconstruct x^3-2 with stored L_0[index] set to ``value``: the
-    PhaseAmbiguous message's radicand magnitude, zero floor, stored
-    magnitude and delta, and the unperturbed entry."""
-    series, zetas, theta0, fwd, ints, recon, labeled, digits = \
-        run_backward("x^3-2", "(1,2,3);(1,2)")
-    level_1 = fwd.resolvents[0]
-    data = list(level_1.data)
-    original, data[index] = data[index], mp.mpc(value)
-    stored = (dataclasses.replace(level_1, data=tuple(data)),
-              *fwd.resolvents[1:])
-    with mp.workdps(digits), pytest.raises(PhaseAmbiguous) as info:
-        reconstruct(series, ints, stored, zetas)
-    match = re.fullmatch(
-        f"resolvent magnitude inconsistent at level 1, index {index}: "
-        "radicand magnitude (.+) vs zero floor (.+), stored (.+) vs delta "
-        "(.+)", str(info.value))
-    assert match, str(info.value)
-    return [mpf(g) for g in match.groups()], original
-
-
-def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
-    (radicand, floor, stored, delta), original = _inconsistent_magnitudes(3, 0)
-    assert abs(original) > 1
-    assert radicand > floor and stored < delta
-    # the message gives the radicand |E_k| = |L|^3, not its cube root |L|
-    assert abs(radicand / abs(original) ** 3 - 1) < mpf("1e-3")
-
-
 def test_reconstruct_rejects_a_stored_nonzero_over_a_vanishing_radicand():
-    (radicand, floor, stored, delta), original = _inconsistent_magnitudes(0, 1)
-    assert abs(original) < delta
-    assert radicand <= floor and stored >= delta
+    # x^2-2 at 8 digits: delta 10^-2, and the noise floor for L_0^2 is
+    # 10^-4 * (|4| + |-4|); the stored L_0 = x_1 + x_2 vanishes
+    series, zetas, theta0, fwd, ints, recon, labeled, digits = \
+        run_backward("x^2-2", "(1,2)", digits=8)
+    assert recon.zero_notes == (radical.ZeroRadicandNote(1, 0),)
+
+    def with_l0(value):
+        level_1 = fwd.resolvents[0]
+        data = (mp.mpc(value), *level_1.data[1:])
+        return dataclasses.replace(
+            fwd, resolvents=(dataclasses.replace(level_1, data=data),))
+
+    with mp.workdps(digits):
+        # below delta L_0 is a zero; at or above it, |L_0|^2 must clear the
+        # noise floor, measured on the stored tensors alone
+        again = reconstruct(series, ints, with_l0("0.009"))
+        with pytest.raises(PhaseAmbiguous) as info:
+            reconstruct(series, ints, with_l0("0.02"))
+    assert again.zero_notes == recon.zero_notes
+    assert again.root_exprs == recon.root_exprs
+    match = re.fullmatch(
+        r"resolvent entry at level 1, index 0 is on the noise floor: "
+        r"\|L\|\^2 = (.+) vs (.+), \|L\| = (.+) vs delta (.+)",
+        str(info.value))
+    assert match, str(info.value)
+    powered, floor, magnitude, delta = map(mpf, match.groups())
+    assert magnitude >= delta and powered <= floor
+    assert abs(floor / mpf("8e-4") - 1) < mpf("1e-3")
+
+
+def value_based_selection(series, ints, fwd, zetas):
+    """The branch and zero decisions of the value-based backward pass that
+    ``reconstruct`` replaced, kept as a reference: each radicand is
+    evaluated from its nodes; one at or below max(10^(4-d) * the line's sum
+    of magnitudes, 10^(-p*d)) is a zero, and otherwise its principal root
+    times the zeta_p^s nearest the stored entry gives the branch, the
+    nearest within delta and the next beyond 2*delta.  Stored magnitudes
+    must agree with the radicands'.  Returns the (level, flat, branch)
+    triples and the (level, flat) zeros, in the order ``reconstruct`` logs
+    them."""
+    digits = mp.dps
+    delta = mpf(10) ** (-mpf(digits) / 4)
+    cache = radical.ValueCache(zetas)
+    exact = [IntegerLiteral(v) for v in ints.values]
+    branches, zeros = [], []
+    for level in range(series.length, 0, -1):
+        p = ints.radices[level - 1]
+        stored = fwd.resolvents[level - 1].data
+        new_exact = [None] * len(exact)
+        for line in axis_lines(ints.radices, level - 1):
+            nodes = [exact[i] for i in line]
+            floor = max(mpf(10) ** (4 - digits)
+                        * sum(abs(evaluate(e, cache)) for e in nodes),
+                        mpf(10) ** (-p * digits))
+            chosen = []
+            for k, flat in enumerate(line):
+                radicand = make_sum(make_product([radical._zeta(p, j * k),
+                                                  nodes[j]])
+                                    for j in range(p))
+                value, target = evaluate(radicand, cache), stored[flat]
+                if abs(value) <= floor:
+                    assert abs(target) < delta
+                    zeros.append((level, flat))
+                    chosen.append(IntegerLiteral(0))
+                    continue
+                assert abs(target) >= delta
+                w = radical.principal_root(value, p)
+                (best, s), (second, _) = sorted(
+                    (abs(w * zetas[p][s] - target), s) for s in range(p))[:2]
+                assert best < delta and second > 2 * delta
+                branches.append((level, flat, s))
+                chosen.append(make_root(p, radicand, s))
+            for j, flat in enumerate(line):
+                new_exact[flat] = make_scale(p, make_sum(
+                    make_product([radical._zeta(p, -j * k), chosen[k]])
+                    for k in range(p)))
+        exact = new_exact
+    return branches, zeros
+
+
+def test_branches_from_the_stored_resolvents_match_the_value_based_ones():
+    cases = [instance[1:] for instance in INSTANCES] + [
+        (f"x^{n}-2", affine_generators(n, unit),
+         Permutation(pure_power_labels(n, 2))) for n, unit in ((7, 3), (11, 2))]
+    assert len(cases) == 27
+    on_cut = 0
+    for poly_text, gens_text, labeling in cases:
+        series, zetas, theta0, fwd, ints, recon, labeled, digits = \
+            run_instance(poly_text, gens_text, labeling)
+        with mp.workdps(digits):
+            branches, zeros = value_based_selection(series, ints, fwd, zetas)
+            on_cut += sum(abs(c.best_distance - mpf(1) / 2) < c.delta ** 2
+                          for c in recon.branch_log)
+        assert [(c.level, c.flat_index, c.branch)
+                for c in recon.branch_log] == branches, poly_text
+        assert [(z.level, z.flat_index) for z in recon.zero_notes] == zeros
+    # some stored entries lie on the cut, where the rule's nint(x - 1/2)
+    # is what agrees with principal_root's arg w = +pi/p
+    assert on_cut > 0
 
 
 def test_verify_zero_expression():
@@ -333,23 +442,24 @@ def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct):
                                    for node in nodes if isinstance(node, Root)})
 
 
-@pytest.mark.parametrize("n,distinct,lines", [(13, 26, 220), (11, 18, 87)])
-def test_reconstruct_derives_each_distinct_line_once(monkeypatch, n, distinct,
+@pytest.mark.parametrize("n,keys,lines", [(13, 49, 220), (11, 43, 87)])
+def test_reconstruct_decides_each_distinct_key_once(monkeypatch, n, keys,
                                                     lines):
-    calls = [0]
-    counted = radical._line_radicands
+    decided = []
+    counted = radical._decide
 
-    def counting(*args):
-        calls[0] += 1
-        return counted(*args)
+    def counting(level, p, line, stored, theta, delta):
+        decided.append((level, tuple(stored.data[i]._mpc_ for i in line)))
+        return counted(level, p, line, stored, theta, delta)
 
-    monkeypatch.setattr(radical, "_line_radicands", counting)
+    monkeypatch.setattr(radical, "_decide", counting)
     report = solve(f"x^{n}-2", affine_generators(n, 2),
                    labeling=pure_power_labels(n, 2))
     radices = report.theta.radices
     assert sum(math.prod(radices) // p for p in radices) == lines
-    # one set of radicands, root values and noise floor per distinct line
-    assert calls[0] == distinct
+    # one zero and branch decision per distinct (line nodes, stored
+    # targets) key; here no two keys share their targets
+    assert len(decided) == len(set(decided)) == keys
 
 
 def test_equal_nodes_are_one_object():

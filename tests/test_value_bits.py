@@ -2,11 +2,12 @@
 
 ``tests/test_cli_outputs.py`` and ``tests/test_exact_outputs.py`` pin the
 bytes and the exact part of the small solves; F42 x^7-2, Phi17, Phi19,
-F110 x^11-2 and F156 x^13-2 come only from ``perfbench/workloads.py``.  For
-each of these the file ``data/value_bits.json`` holds the sha256 of the
-mpmath bits (``_mpc_``/``_mpf_``) of the evaluations, the verification
-deviations, the rounding residuals and each branch choice's distances, plus
-the zero notes.  A change that only reorganises the arithmetic must leave
+F110 x^11-2 and F156 x^13-2 come only from ``perfbench/workloads.py``, and
+F272 x^17-2 from its ``pure_power``.  For each of these the file
+``data/value_bits.json`` holds the sha256 of the mpmath bits
+(``_mpc_``/``_mpf_``) of the evaluations, the verification deviations, the
+rounding residuals and each branch choice's distances, plus the zero
+notes.  A change that only reorganises the arithmetic must leave
 every one of them as it is.
 
 Regenerate the file only for a change to the values that is meant:
@@ -26,11 +27,13 @@ DATA = Path(__file__).parent / "data" / "value_bits.json"
 
 
 def instances():
-    """F42 (auto-labeled), Phi17, Phi19, F110 and F156 at the default seed."""
+    """F42 (auto-labeled), Phi17, Phi19, F110 and F156 at the default seed,
+    and F272 with explicit labels."""
     workloads = load_perfbench("workloads")
     seed = workloads.DEFAULT_SEED
     return (workloads.label_search(seed)[:1] + workloads.cyclo_roots(seed)
-            + workloads.deep_radicals(seed))
+            + workloads.deep_radicals(seed)
+            + [workloads.pure_power("F272", 17, 2, 3)])
 
 
 def _bits(value):
