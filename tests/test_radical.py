@@ -267,6 +267,30 @@ def test_reconstruct_rejects_a_stored_nonzero_over_a_vanishing_radicand():
     assert abs(floor / mpf("8e-4") - 1) < mpf("1e-3")
 
 
+def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
+    # x^3-2 with a stored L_0 of magnitude above 1 set to zero: the stored
+    # data alone says zero, so reconstruct drops the term, and the roots'
+    # evaluations, off their labeled roots, are refused by the root guard
+    series, zetas, theta0, fwd, ints, recon, labeled, digits = \
+        run_backward("x^3-2", "(1,2,3);(1,2)")
+    level_1 = fwd.resolvents[0]
+    data = list(level_1.data)
+    original, data[3] = data[3], mp.mpc(0)
+    assert abs(original) > 1
+    assert radical.ZeroRadicandNote(1, 3) not in recon.zero_notes
+    stored = dataclasses.replace(
+        fwd, resolvents=(dataclasses.replace(level_1, data=tuple(data)),
+                         *fwd.resolvents[1:]))
+    with mp.workdps(digits):
+        zeroed = reconstruct(series, ints, stored)
+        values = radical.ValueCache(zetas)
+        evaluations = tuple(evaluate(e, values) for e in zeroed.root_exprs)
+        with pytest.raises(PhaseAmbiguous, match="evaluates .* from its "
+                           "labeled root"):
+            pipeline._guard_roots(evaluations, labeled)
+    assert radical.ZeroRadicandNote(1, 3) in zeroed.zero_notes
+
+
 def value_based_selection(series, ints, fwd, zetas):
     """The branch and zero decisions of the value-based backward pass that
     ``reconstruct`` replaced, kept as a reference: each radicand is
