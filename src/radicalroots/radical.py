@@ -306,9 +306,13 @@ class ZeroRadicandNote:
 @dataclass(frozen=True)
 class ReconstructionResult:
     root_exprs: tuple[RadicalExpr, ...]       # indexed by root label 1..n
-    theta0_exprs: tuple[RadicalExpr, ...]     # full position tensor
     branch_log: tuple[BranchChoice, ...]
     zero_notes: tuple[ZeroRadicandNote, ...]
+
+
+def _exponent(x: mpf) -> int:
+    """The e with 2^(e-1) <= |x| < 2^e, for a nonzero ``x``."""
+    return x._mpf_[2] + x._mpf_[3]
 
 
 def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
@@ -323,8 +327,17 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     sector boundary x is on the cut, and the branch is nint(x - 1/2) mod p,
     which puts arg w = +pi/p as ``principal_root`` does; between delta^2
     and delta of a boundary it raises PhaseAmbiguous.
+
+    The floor test runs only where a screen cannot pass it: with the parts
+    of the Theta line below 2^top, the computed floor is below
+    2^(top + e + bitlen(p) + 2), e the exponent of the computed 10^(4-digits),
+    and the computed |L_k|^p above 2^(p(e_k - 1) - 1), e_k that of |L_k|.
     """
-    floor = mpf(10) ** (4 - mp.dps) * sum(abs(theta.data[i]) for i in line)
+    ten = mpf(10) ** (4 - mp.dps)
+    top = max((exp + bc for i in line
+               for _, man, exp, bc in theta.data[i]._mpc_ if man),
+              default=-math.inf)      # an all-zero line has a zero floor
+    clear = top + _exponent(ten) + p.bit_length() + 3
     half = mpf(1) / 2
     picks: list = []
     for flat in line:
@@ -333,7 +346,8 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
         if magnitude < delta:
             picks.append(None)
             continue
-        if magnitude ** p <= floor:
+        if p * (_exponent(magnitude) - 1) < clear and magnitude ** p <= (
+                floor := ten * sum(abs(theta.data[i]) for i in line)):
             raise PhaseAmbiguous(
                 f"resolvent entry at level {level}, index {flat} is on the "
                 f"noise floor: |L|^{p} = {mpmath.nstr(magnitude ** p, 4)} vs "
@@ -354,27 +368,62 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     return picks
 
 
+def _representatives(series: CompositionSeries) -> list[int]:
+    """The Theta_0 position of each root label 1..n: the first level-1
+    line's when it holds every label (sigma_1 an n-cycle, as at prime
+    degree), else the first position of each label."""
+    labels = position_root_indices(series)
+    scan = next(axis_lines(series.primes, 0)) if series.length else []
+    if len({labels[flat] for flat in scan}) < series.degree:
+        scan = range(len(labels))
+    position: dict[int, int] = {}
+    for flat in scan:
+        position.setdefault(labels[flat], flat)
+    return [position[label] for label in range(1, series.degree + 1)]
+
+
+def _demand(radices: tuple[int, ...], positions) -> list[list]:
+    """Per level 1..m, the lines of its axis that hold an entry read below:
+    at level 1 one of ``positions``, above it one of a line of the level
+    below."""
+    demand, needed = [], set(positions)
+    for axis in range(len(radices)):
+        demand.append([line for line in axis_lines(radices, axis)
+                       if not needed.isdisjoint(line)])
+        needed = {flat for line in demand[-1] for flat in line}
+    return demand
+
+
 def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 forward: ForwardResult) -> ReconstructionResult:
-    """Work the tensor transforms backward, building nodes only.
+    """Work the tensor transforms backward, building nodes only, and only on
+    the lines that the root expressions read.
 
-    For each level i = m..1 and resolvent index k, the exact combination
-    E_k = sum_j Theta_i[...,j,...] * zeta_i^{jk} equals the p_i-th power of
-    the stored resolvent entry L_k of ``forward``.  Whether E_k vanishes and
-    which branch of its p_i-th root is L_k are decided from L_k alone, at
-    the working precision digits = mp.dps, with delta = 10^(-digits/4); see
-    ``_decide``.  No value of a node is computed here: the solve evaluates
-    the root expressions once afterwards.
+    Each root is built at one Theta_0 position (``_representatives``): at
+    prime degree one level-1 line holds them all, so the n roots share its
+    p radicals, as in Lagrange's formula x_j = (1/p) sum_k zeta^(-jk) R_k.
+    A level builds only the lines that a built line below reads
+    (``_demand``).
+
+    For each built line of level i = m..1 and resolvent index k, the exact
+    combination E_k = sum_j Theta_i[...,j,...] * zeta_i^{jk} equals the
+    p_i-th power of the stored resolvent entry L_k of ``forward``.  Whether
+    E_k vanishes and which branch of its p_i-th root is L_k are decided from
+    L_k alone, at the working precision digits = mp.dps, with
+    delta = 10^(-digits/4); see ``_decide``.  No value of a node is computed
+    here: the solve evaluates the root expressions once afterwards.
 
     Nodes are interned, so lines of a level with the same nodes are the same
     tuple of objects, and lines that choose the same roots share the inverse
     combination.  Lines with the same nodes and the same stored targets, bit
-    for bit, share the decisions, made once; each line still logs one
+    for bit, share the decisions, made once; each built line still logs one
     BranchChoice or ZeroRadicandNote per entry, under the entry's own flat
     index.
     """
     delta = mpf(10) ** (-mpf(mp.dps) / 4)
     radices = int_theta.radices
+    positions = _representatives(series)
+    demand = _demand(radices, positions)
     exact: list[RadicalExpr] = [IntegerLiteral(v) for v in int_theta.values]
     branch_log: list[BranchChoice] = []
     zero_notes: list[ZeroRadicandNote] = []
@@ -387,7 +436,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         # per-entry decisions, combination
         combos: dict = {}
         decided: dict = {}
-        for line in axis_lines(radices, level - 1):
+        for line in demand[level - 1]:
             line_exprs = tuple(exact[i] for i in line)
             key = (line_exprs, tuple(stored.data[i]._mpc_ for i in line))
             if key not in decided:
@@ -412,12 +461,8 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
                 new_exact[flat] = expr
         exact = new_exact
 
-    by_root: dict[int, RadicalExpr] = {}
-    for flat, label in enumerate(position_root_indices(series)):
-        by_root.setdefault(label, exact[flat])
-    return ReconstructionResult(
-        tuple(by_root[r] for r in range(1, series.degree + 1)),
-        tuple(exact), tuple(branch_log), tuple(zero_notes))
+    return ReconstructionResult(tuple(exact[flat] for flat in positions),
+                                tuple(branch_log), tuple(zero_notes))
 
 
 # --- rendering -------------------------------------------------------------

@@ -196,11 +196,20 @@ def _alpha_test(coeffs, points):
     return None
 
 
+def _step_error(beta, alpha):
+    """Smale's bound 2*alpha(1-alpha)/psi(alpha)*beta, psi = 1 - 4*alpha +
+    2*alpha^2, on the distance from the Newton step's result to the zero
+    near the point, given alpha < _ALPHA_MAX; inf for a larger alpha."""
+    if not alpha < _ALPHA_MAX:
+        return math.inf
+    return 2 * alpha * (1 - alpha) / (1 - 4 * alpha + 2 * alpha * alpha) * beta
+
+
 def _certified_step(coeffs, points):
     """One 32-digit Newton step from each hardware root in ``points``, by the
     alpha-test's corrections f/f'; None unless the test certifies them all
-    and bounds the exact step's error, 2*alpha(1-alpha)/psi(alpha)*beta with
-    psi = 1 - 4*alpha + 2*alpha^2, below 10^(6-32) * max(1, |z|).
+    and ``_step_error`` bounds the exact step's error below
+    10^(6-32) * max(1, |z|).
 
     In ``_alpha_data``'s terms, the step taken differs from the exact one by
     two roundings at mp.prec and at most 2^(e+1) (n+2)^3 / d_low, as g and
@@ -212,9 +221,8 @@ def _certified_step(coeffs, points):
     """
     data = _alpha_test(coeffs, points)
     tol = 10.0 ** (6 - _BASE_DPS)
-    if data is None or not all(
-            2 * a * (1 - a) / (1 - 4 * a + 2 * a * a) * b < tol * max(1, abs(x))
-            for x, (b, a, _) in zip(points, data)):
+    if data is None or not all(_step_error(b, a) < tol * max(1, abs(x))
+                               for x, (b, a, _) in zip(points, data)):
         return None
     return tuple(x - step for x, (_, _, step) in zip(points, data))
 
@@ -256,16 +264,22 @@ def aberth_stage(p: IntPolynomial) -> tuple:
 
 
 def _newton_polish(p: IntPolynomial, roots, dps: int):
-    """Three Newton steps from each root at dps + 10 digits, each by the
-    correction f/f' of ``_alpha_data``; a root stops where it has none."""
+    """Up to three Newton steps from each root at dps + 10 digits, each by
+    the correction f/f' of ``_alpha_data``; a root stops where it has none,
+    and after a step whose ``_step_error`` is at most 10^(-dps-10) *
+    max(1, |x|), below the working precision."""
     out = []
     with mp.workdps(dps + 10):
+        tol = mpf(10) ** (-dps - 10)
         for x in roots:
             for _ in range(3):
-                step = _alpha_data(p.coeffs, x)[2]
+                beta, a, step = _alpha_data(p.coeffs, x)
                 if step is None:
                     break
+                done = _step_error(beta, a) <= tol * max(1, abs(x))
                 x = x - step
+                if done:
+                    break
             out.append(x)
     return out
 

@@ -535,3 +535,31 @@ def test_evaluation_in_reconstruct_is_detected(tmp_path):
         "radical.py: reconstruct reaches ValueCache",
         "radical.py: reconstruct reaches evaluate",
         "radical.py: ReconstructionResult.values"]
+
+
+def full_tensor_fields(path: Path) -> list[str]:
+    """A ``theta0_exprs`` field of ``ReconstructionResult``: the backward
+    pass builds the root expressions at one position per label, and no
+    expression for the rest of Theta_0."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}: ReconstructionResult.theta0_exprs"
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and node.name == "ReconstructionResult"
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and stmt.target.id == "theta0_exprs"]
+
+
+def test_reconstruction_keeps_no_full_tensor():
+    assert full_tensor_fields(SRC / "radical.py") == []
+
+
+def test_full_tensor_field_is_detected(tmp_path):
+    (tmp_path / "radical.py").write_text(
+        "class ReconstructionResult:\n"
+        "    root_exprs: tuple\n"
+        "    theta0_exprs: tuple\n"
+        "class SolveReport:\n"
+        "    theta0_exprs: tuple\n")
+    assert full_tensor_fields(tmp_path / "radical.py") == [
+        "radical.py: ReconstructionResult.theta0_exprs"]

@@ -16,7 +16,8 @@ from radicalroots import (Permutation, closure, composition_series, evaluate,
                           find_roots, label_roots, parse_cycles,
                           parse_polynomial, plan_precision, reconstruct,
                           root_magnitude_bound, solve, verify)
-from radicalroots import resolvent
+from radicalroots import radical, resolvent
+from radicalroots.groups import smallest_prime_factor
 from radicalroots.radical import ValueCache
 from radicalroots.resolvent import (MultiplicationCounter, axis_lines,
                                     build_theta0, forward_level,
@@ -220,14 +221,32 @@ def test_branch_separation_soundness(bundle):
                 assert best <= half - choice.delta
 
 
+def built_lines(recon, level):
+    """The flat indices that ``reconstruct`` logged at ``level``: the
+    entries of the lines it built there."""
+    return {entry.flat_index for entry in (*recon.branch_log, *recon.zero_notes)
+            if entry.level == level}
+
+
 def test_round_trip_theta0_positions(bundle):
+    # each root's expression is built at one representative position of
+    # Theta_0, which holds that root's label and evaluates to its entry
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     tol = mpf(10) ** (-mpf(digits) / 2)
+    positions = radical._representatives(series)
+    labels = resolvent.position_root_indices(series)
+    assert [labels[flat] for flat in positions] == \
+        list(range(1, series.degree + 1))
     cache = ValueCache()
     with mp.workdps(digits):
-        values = [evaluate(expr, cache) for expr in recon.theta0_exprs]
-    for value, fwd_value in zip(values, theta0.data):
-        assert abs(value - fwd_value) < tol
+        values = [evaluate(expr, cache) for expr in recon.root_exprs]
+    for value, flat in zip(values, positions):
+        assert abs(value - theta0.data[flat]) < tol
+    if smallest_prime_factor(series.degree) == series.degree:
+        # prime degree: one level-1 line, the only one built
+        lines = [set(line) for line in axis_lines(series.primes, 0)]
+        assert set(positions) in lines
+        assert built_lines(recon, 1) == set(positions)
 
 
 def test_expressions_verify_against_roots(bundle):

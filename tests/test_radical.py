@@ -21,7 +21,8 @@ from radicalroots.radical import (IntegerLiteral, Product, RationalScale, Root,
                                   make_product, make_root, make_scale,
                                   make_sum)
 from radicalroots.resolvent import (axis_lines, build_theta0, forward_pass,
-                                    round_theta_m, zeta_tables)
+                                    position_root_indices, round_theta_m,
+                                    zeta_tables)
 from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_ROOT_STRINGS
 from tests.test_properties import INSTANCES, run_instance
@@ -74,6 +75,18 @@ def test_x3_minus_2_reconstruction():
         values = [evaluate(expr) for expr in recon.root_exprs]
     for value, root in zip(values, labeled.roots):
         assert abs(value - root) < mpf(10) ** (-digits // 2)
+    # Lagrange's formula on the first level-1 line: L_0 and L_1 vanish, so
+    # each root is a third of one cube root, x_j = (1/3) zeta^(-2j) R_2,
+    # and the three share its radicand
+    radicands = set()
+    for expr, branch in zip(recon.root_exprs, (2, 0, 1)):
+        assert isinstance(expr, RationalScale) and expr.denominator == 3
+        assert isinstance(expr.child, Root) and expr.child.degree == 3
+        assert expr.child.branch == branch
+        radicands.add(expr.child.radicand)
+    assert len(radicands) == 1
+    assert {(z.level, z.flat_index) for z in recon.zero_notes} == \
+        {(2, 1), (1, 0), (1, 2)}
 
 
 def test_quintic_reconstruction_matches_13_decimals(reference_label_order):
@@ -268,16 +281,17 @@ def test_reconstruct_rejects_a_stored_nonzero_over_a_vanishing_radicand():
 
 
 def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
-    # x^3-2 with a stored L_0 of magnitude above 1 set to zero: the stored
-    # data alone says zero, so reconstruct drops the term, and the roots'
-    # evaluations, off their labeled roots, are refused by the root guard
+    # x^3-2 with a stored L_2 of magnitude above 1 set to zero, on the
+    # level-1 line the roots are built from: the stored data alone says
+    # zero, so reconstruct drops the term, and the roots' evaluations, off
+    # their labeled roots, are refused by the root guard
     series, zetas, theta0, fwd, ints, recon, labeled, digits = \
         run_backward("x^3-2", "(1,2,3);(1,2)")
     level_1 = fwd.resolvents[0]
     data = list(level_1.data)
-    original, data[3] = data[3], mp.mpc(0)
+    original, data[4] = data[4], mp.mpc(0)
     assert abs(original) > 1
-    assert radical.ZeroRadicandNote(1, 3) not in recon.zero_notes
+    assert radical.ZeroRadicandNote(1, 4) not in recon.zero_notes
     stored = dataclasses.replace(
         fwd, resolvents=(dataclasses.replace(level_1, data=tuple(data)),
                          *fwd.resolvents[1:]))
@@ -288,12 +302,116 @@ def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
         with pytest.raises(PhaseAmbiguous, match="evaluates .* from its "
                            "labeled root"):
             pipeline._guard_roots(evaluations, labeled)
-    assert radical.ZeroRadicandNote(1, 3) in zeroed.zero_notes
+    assert radical.ZeroRadicandNote(1, 4) in zeroed.zero_notes
+
+
+def demanded_lines(series):
+    """Per level 1..m, the lines of its axis that the roots read: Theta_0
+    is read at the first level-1 line when that line holds every label, and
+    at the first position of each label otherwise; each level reads the
+    lines holding an entry of a line read below."""
+    radices = series.primes
+    labels = position_root_indices(series)
+    first = list(axis_lines(radices, 0))[0]
+    if len({labels[flat] for flat in first}) == series.degree:
+        needed = set(first)
+    else:
+        needed = {labels.index(label)
+                  for label in range(1, series.degree + 1)}
+    demand = []
+    for axis in range(series.length):
+        lines = [line for line in axis_lines(radices, axis)
+                 if needed & set(line)]
+        demand.append(lines)
+        needed = set().union(*lines)
+    return demand
+
+
+def unscreened_decide(level, p, line, stored, theta, delta):
+    """``radical._decide`` without its screen: the noise floor and |L_k|^p
+    are computed for every key and every nonzero entry."""
+    floor = mpf(10) ** (4 - mp.dps) * sum(abs(theta.data[i]) for i in line)
+    half = mpf(1) / 2
+    picks = []
+    for flat in line:
+        target = stored.data[flat]
+        magnitude = abs(target)
+        if magnitude < delta:
+            picks.append(None)
+            continue
+        if magnitude ** p <= floor:
+            raise PhaseAmbiguous(
+                f"resolvent entry at level {level}, index {flat} is on the "
+                f"noise floor: |L|^{p} = {mpmath.nstr(magnitude ** p, 4)} vs "
+                f"{mpmath.nstr(floor, 4)}, |L| = {mpmath.nstr(magnitude, 4)} "
+                f"vs delta {mpmath.nstr(delta, 4)}")
+        x = p * mpmath.arg(target) / (2 * mp.pi)
+        centre = mpmath.nint(x)
+        edge = half - abs(x - centre)
+        if edge < delta * delta:
+            centre = mpmath.nint(x - half)
+        elif edge < delta:
+            raise PhaseAmbiguous(
+                f"cannot fix the branch of a {p}-th root at level {level}, "
+                f"index {flat}: {mpmath.nstr(edge, 4)} sectors from a "
+                f"boundary, delta {mpmath.nstr(delta, 4)}")
+        best = abs(x - centre)
+        picks.append((int(centre) % p, best, 1 - best))
+    return picks
+
+
+def decisions(decide, *args):
+    """The picks of ``decide``, each distance by its bits, or the message of
+    the PhaseAmbiguous it raises."""
+    try:
+        return [pick and (pick[0], pick[1]._mpf_, pick[2]._mpf_)
+                for pick in decide(*args)]
+    except PhaseAmbiguous as exc:
+        return str(exc)
+
+
+def test_the_screened_noise_floor_decides_as_the_unscreened_test():
+    # every line of every level of the property instances, and x^2-2 and
+    # x^3-2 at 8 digits with level-1 entries scaled across their floor
+    outcomes = []
+    for _, *instance in INSTANCES:
+        series, zetas, theta0, fwd, ints, recon, labeled, digits = \
+            run_instance(*instance)
+        with mp.workdps(digits):
+            delta = mpf(10) ** (-mpf(digits) / 4)
+            for level in range(1, series.length + 1):
+                for line in axis_lines(ints.radices, level - 1):
+                    args = (level, series.primes[level - 1], line,
+                            fwd.resolvents[level - 1], fwd.thetas[level],
+                            delta)
+                    outcomes.append(decisions(unscreened_decide, *args))
+                    assert decisions(radical._decide, *args) == outcomes[-1]
+    for poly_text, gens_text in (("x^2-2", "(1,2)"),
+                                 ("x^3-2", "(1,2,3);(1,2)")):
+        series, zetas, theta0, fwd, ints, recon, labeled, digits = \
+            run_backward(poly_text, gens_text, digits=8)
+        level_1 = fwd.resolvents[0]
+        p = series.primes[0]
+        with mp.workdps(digits):
+            delta = mpf(10) ** (-mpf(digits) / 4)
+            for step in range(-60, 61):
+                # |L| from 10^-2 to 10^1, each entry at its own phase
+                data = tuple(mpmath.expjpi(mpf(flat) / 7)
+                             * mpf(10) ** (mpf(step) / 40 - mpf(1) / 2)
+                             for flat in range(len(level_1.data)))
+                stored = dataclasses.replace(level_1, data=data)
+                for line in axis_lines(ints.radices, 0):
+                    args = (1, p, line, stored, fwd.thetas[1], delta)
+                    outcomes.append(decisions(unscreened_decide, *args))
+                    assert decisions(radical._decide, *args) == outcomes[-1]
+    floors = [o for o in outcomes if isinstance(o, str) and "noise" in o]
+    assert floors and len(floors) < len(outcomes)
 
 
 def value_based_selection(series, ints, fwd, zetas):
     """The branch and zero decisions of the value-based backward pass that
-    ``reconstruct`` replaced, kept as a reference: each radicand is
+    ``reconstruct`` replaced, kept as a reference, on the lines of
+    ``demanded_lines``: each radicand is
     evaluated from its nodes; one at or below max(10^(4-d) * the line's sum
     of magnitudes, 10^(-p*d)) is a zero, and otherwise its principal root
     times the zeta_p^s nearest the stored entry gives the branch, the
@@ -306,11 +424,12 @@ def value_based_selection(series, ints, fwd, zetas):
     cache = radical.ValueCache(zetas)
     exact = [IntegerLiteral(v) for v in ints.values]
     branches, zeros = [], []
+    demand = demanded_lines(series)
     for level in range(series.length, 0, -1):
         p = ints.radices[level - 1]
         stored = fwd.resolvents[level - 1].data
         new_exact = [None] * len(exact)
-        for line in axis_lines(ints.radices, level - 1):
+        for line in demand[level - 1]:
             nodes = [exact[i] for i in line]
             floor = max(mpf(10) ** (4 - digits)
                         * sum(abs(evaluate(e, cache)) for e in nodes),
@@ -369,13 +488,22 @@ def test_verify_zero_expression():
 
 
 def test_round_trip_theta0_every_position(reference_label_order):
+    # x^3-2: the roots are built at the first level-1 line, positions 0, 2
+    # and 4 of Theta_0 with labels 1, 2 and 3, and only that line is built
+    # at level 1; level 2 builds the three lines that it reads
     series, zetas, theta0, fwd, ints, recon, labeled, digits = \
         run_backward("x^3-2", "(1,2,3);(1,2)")
+    positions = radical._representatives(series)
+    assert positions == [0, 2, 4]
+    for level, flats in ((1, {0, 2, 4}), (2, set(range(6)))):
+        assert {entry.flat_index
+                for entry in (*recon.branch_log, *recon.zero_notes)
+                if entry.level == level} == flats
     tol = mpf(10) ** (-mpf(digits) / 2)
     with mp.workdps(digits):
-        values = [evaluate(expr) for expr in recon.theta0_exprs]
-    for value, fwd_value in zip(values, theta0.data):
-        assert abs(value - fwd_value) < tol
+        values = [evaluate(expr) for expr in recon.root_exprs]
+    for value, flat in zip(values, positions):
+        assert abs(value - theta0.data[flat]) < tol
 
 
 # --- hash-consing -----------------------------------------------------------
@@ -431,6 +559,41 @@ def affine_generators(n, unit):
     return "(" + ",".join(map(str, range(1, n + 1))) + ");" + "".join(cycles)
 
 
+def top_radicands(expr):
+    """The radicands of the Root nodes of ``expr`` that lie inside no other
+    Root, with their degrees."""
+    found, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Root):
+            found.add((node.degree, node.radicand))
+        else:
+            stack.extend(radical._children(node))
+    return found
+
+
+@pytest.mark.parametrize("poly_text,gens_text,labels", [
+    ("x^3-5", "(1,2,3);(1,2)", None),
+    ("x^5+20x+32", "(1,2,3,4,5);(1,4)(2,3)", None),
+    ("x^7-2", affine_generators(7, 3), (7, 2)),
+    ("x^11-2", affine_generators(11, 2), (11, 2))],
+    ids=["S3", "D5", "F42", "F110"])
+def test_prime_degree_roots_share_the_level_1_radicands(poly_text, gens_text,
+                                                       labels):
+    # Lagrange's formula: x_j = (1/p) sum_k zeta^(-jk) R_k over one level-1
+    # line, so every root reads the same radicals R_k, one per resolvent
+    # entry of that line that did not vanish
+    report = solve(poly_text, gens_text, labeling="auto" if labels is None
+                   else pure_power_labels(*labels))
+    p = report.series.degree
+    assert report.series.primes[0] == p
+    shared = top_radicands(report.root_exprs[0])
+    zeros = sum(note.level == 1 for note in report.zero_notes)
+    assert {degree for degree, _ in shared} == {p}
+    assert len(shared) == p - zeros >= 1
+    assert all(top_radicands(expr) == shared for expr in report.root_exprs)
+
+
 @pytest.fixture(scope="module")
 def deep_solves():
     """x^13-2 (F156) and x^11-2 (F110) with explicit labels, each with the
@@ -453,7 +616,7 @@ def deep_solves():
     return out
 
 
-@pytest.mark.parametrize("n,distinct", [(13, 205), (11, 166)])
+@pytest.mark.parametrize("n,distinct", [(13, 194), (11, 157)])
 def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct):
     report, principal_roots = deep_solves[n]
     nodes = node_objects(report.root_exprs)
@@ -466,7 +629,7 @@ def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct):
                                    for node in nodes if isinstance(node, Root)})
 
 
-@pytest.mark.parametrize("n,keys,lines", [(13, 49, 220), (11, 43, 87)])
+@pytest.mark.parametrize("n,keys,lines", [(13, 33, 220), (11, 21, 87)])
 def test_reconstruct_decides_each_distinct_key_once(monkeypatch, n, keys,
                                                     lines):
     decided = []
@@ -482,8 +645,12 @@ def test_reconstruct_decides_each_distinct_key_once(monkeypatch, n, keys,
     radices = report.theta.radices
     assert sum(math.prod(radices) // p for p in radices) == lines
     # one zero and branch decision per distinct (line nodes, stored
-    # targets) key; here no two keys share their targets
+    # targets) key of the built lines; here no two keys share their targets
     assert len(decided) == len(set(decided)) == keys
+    # the lines built: the first level-1 line, and at level i the lines
+    # through it, one per entry of the levels below
+    built = len(report.branch_log) + len(report.zero_notes)
+    assert built == sum(math.prod(radices[:i + 1]) for i in range(len(radices)))
 
 
 def test_equal_nodes_are_one_object():

@@ -367,8 +367,8 @@ def test_short_mantissa_loop_is_the_padded_loop(dps):
                                        "x^6+x^5-5x^4-4x^3+6x^2+3x-1",
                                        "x^5+20x+32"])
 def test_ladder_steps_are_newton_steps(poly_text, dps):
-    # one rung of three steps by the alpha-test's f/f' from the 32-digit
-    # start reaches every root to the rung's digits
+    # one rung of up to three steps by the alpha-test's f/f' from the
+    # 32-digit start reaches every root to the rung's digits
     p = parse_polynomial(poly_text)
     rung = rootfinder._newton_polish(p, aberth_stage(p), dps)
     reference = find_roots(p, 2 * dps).roots
@@ -376,6 +376,56 @@ def test_ladder_steps_are_newton_steps(poly_text, dps):
         for z in rung:
             zeta = min(reference, key=lambda r: abs(z - r))
             assert abs(z - zeta) <= mpf(10) ** -(dps + 5) * max(1, abs(zeta))
+
+
+def _three_step_rung(p, roots, dps):
+    """A rung of the ladder that always takes three steps per root, each by
+    the alpha-test's f/f', stopping only where there is none."""
+    out = []
+    with mp.workdps(dps + 10):
+        for x in roots:
+            for _ in range(3):
+                step = _ALPHA_DATA(p.coeffs, x)[2]
+                if step is None:
+                    break
+                x = x - step
+            out.append(x)
+    return out
+
+
+_ALPHA_DATA = rootfinder._alpha_data
+
+
+@pytest.mark.parametrize("poly_text", ["x^2-32", "x^3-2", "x^3-21x-35",
+                                       "x^6+x^5-5x^4-4x^3+6x^2+3x-1",
+                                       "x^5+20x+32", "x^11-2"])
+def test_ladder_stops_a_root_once_its_step_is_converged(monkeypatch,
+                                                        poly_text):
+    # to 200 digits the ladder climbs 64, 128 and 208 digits; a root stops
+    # once alpha and beta bound its step's error below the working
+    # precision: two steps on the first rung and one on each of the others,
+    # 4 evaluations instead of 9; the returned roots have the bytes of three
+    # steps per rung
+    p = parse_polynomial(poly_text)
+    start = aberth_stage(p)
+    roots = polish_roots(p, start, 200).roots
+    calls = []
+
+    def counting(coeffs, x):
+        calls.append(x)
+        return _ALPHA_DATA(coeffs, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rootfinder, "_alpha_data", counting)
+        for x in start:
+            calls.clear()
+            raw = [x]
+            for dps in (64, 128, 208):
+                raw = rootfinder._newton_polish(p, raw, dps)
+            assert len(calls) == 4
+    monkeypatch.setattr(rootfinder, "_newton_polish", _three_step_rung)
+    reference = polish_roots(p, start, 200).roots
+    assert [z._mpc_ for z in roots] == [z._mpc_ for z in reference]
 
 
 @pytest.mark.parametrize("poly_text,digits", [
