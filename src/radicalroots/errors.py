@@ -43,7 +43,8 @@ class ResidualTooLarge(SolverError):
     """A value that must round to an integer is too far from one.
 
     Signals insufficient precision, a wrong group, a wrong root labeling,
-    or a non-irreducible input polynomial.
+    or a non-irreducible input polynomial.  ``residual`` is None when the
+    value is too large for the digit budget to resolve its units.
     """
 
     exit_code = EXIT_RESIDUAL

@@ -8,7 +8,7 @@ import operator
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import InputSyntaxError, PhaseAmbiguous
+from .errors import InputSyntaxError, PhaseAmbiguous, ResidualTooLarge
 from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
@@ -113,9 +113,11 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
     precision plan's (its requirement plus DEFAULT_MARGIN) otherwise.  Each
     attempt evaluates the root expressions once, after ``reconstruct``, and
     an evaluation off its labeled root is PhaseAmbiguous as well, so no
-    flipped branch is returned, verified or not.  On PhaseAmbiguous the
-    budget is doubled, up to 3 times.  A budget above
-    DIGITS_HARD_CAP, whether given, planned or doubled, raises
+    flipped branch is returned, verified or not.  On PhaseAmbiguous, and on
+    a final-tensor entry too large to round at a planned budget (the
+    ResidualTooLarge of ``round_theta_m`` with ``residual`` None), the
+    budget is doubled, up to 3 times; a given budget raises the latter.  A
+    budget above DIGITS_HARD_CAP, whether given, planned or doubled, raises
     PrecisionInfeasible.  One Aberth run bounds the roots for the plan and
     is polished once to every budget tried, and the roots are labeled once,
     at the first budget.  Each attempt sets ``mp.dps`` to its budget once.
@@ -148,21 +150,26 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
             zetas = zeta_tables(series)
             theta0 = build_theta0(labeled, series)
             forward = forward_pass(theta0, series, zetas)
-            int_theta = round_theta_m(forward.thetas[-1])
             try:
+                int_theta = round_theta_m(forward.thetas[-1])
                 recon = reconstruct(series, int_theta, forward)
                 values = ValueCache(zetas)
                 evaluations = tuple(evaluate(e, values)
                                     for e in recon.root_exprs)
                 _guard_roots(evaluations, labeled)
+                break
+            except ResidualTooLarge as exc:
+                if (exc.residual is not None or digits is not None
+                        or attempt == _PHASE_RETRIES):
+                    raise
+                reason = (f"entry {exc.position} of the final tensor too "
+                          f"large to round")
             except PhaseAmbiguous:
                 if attempt == _PHASE_RETRIES:
                     raise
-                budget_digits *= 2
-                notes.append(f"branch selection ambiguous; digits doubled to "
-                             f"{budget_digits}")
-                continue
-        break
+                reason = "branch selection ambiguous"
+        budget_digits *= 2
+        notes.append(f"{reason}; digits doubled to {budget_digits}")
     deviations = tuple(verify(recon.root_exprs, labeled, values)) \
         if run_verification else None
     return SolveReport(

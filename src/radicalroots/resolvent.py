@@ -170,15 +170,29 @@ def zeta_tables(series: CompositionSeries):
             for p in set(series.primes)}
 
 
+def _turn(table, e: int, x, prec: int):
+    """zeta^e * x in the integer form, ``table`` holding zeta's powers: x
+    itself at e = 0, its negation where zeta^e = -1 (p = 2), else one kernel
+    product.  Both shortcuts give the bits of the product, since x is
+    rounded at ``prec`` already."""
+    if e == 0:
+        return x
+    if len(table) == 2:
+        return (-x[0], x[1], -x[2], x[3])
+    return cmul(table[e], x, prec)
+
+
 def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                   counter: MultiplicationCounter):
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
     Returns (L_{level-1}, Theta_level).  Each distinct line, by the bits of
     its entries, is transformed once; a repeated line copies its L and Theta
-    entries.  The counter is incremented by exactly the complex
-    multiplications performed: p per L entry, p-1 per power, p per Theta
-    entry of each distinct line, so it stays at or below
+    entries.  A factor zeta^0 = 1 is skipped and a factor -1 (p = 2) is a
+    negation (``_turn``), so a distinct line costs the p(p - 1) products of
+    the powers, and for odd p the (p - 1)^2 twiddles of its L sums and of
+    its Theta sums each.  The counter is incremented by exactly the complex
+    multiplications performed, which stay at or below
     ``multiplication_budget``.  The sums and products run on the integer
     kernel of ``precision`` at ``mp.prec``, with the bits of the same ``mpc``
     expressions.
@@ -188,6 +202,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     prec = mp.prec
     table = [mpc_ints(z) for z in zetas[p]]
     data = [mpc_ints(z) for z in theta_prev.data]
+    products = p * (p - 1) + (2 * (p - 1) ** 2 if p > 2 else 0)
     ldata: list = [None] * len(data)
     tdata: list = [None] * len(data)
     done: dict = {}     # a line's entries -> its L and Theta entries
@@ -198,7 +213,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
             for k in range(p):
                 acc = None
                 for j in range(p):
-                    term = cmul(table[(j * k) % p], entries[j], prec)
+                    term = _turn(table, (j * k) % p, entries[j], prec)
                     acc = term if acc is None else cadd(acc, term, prec)
                 l_line.append(ints_mpc(acc))
                 w = acc
@@ -208,10 +223,10 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
             for j in range(p):
                 acc = None
                 for k in range(p):
-                    term = cmul(table[(-k * j) % p], powered[k], prec)
+                    term = _turn(table, (-k * j) % p, powered[k], prec)
                     acc = term if acc is None else cadd(acc, term, prec)
                 t_line.append(ints_mpc(cdiv_int(acc, p, prec)))
-            counter.add(p * (3 * p - 1))
+            counter.add(products)
             done[entries] = l_line, t_line
         for flat, l_entry, t_entry in zip(line, *done[entries]):
             ldata[flat], tdata[flat] = l_entry, t_entry
@@ -219,15 +234,82 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
             replace(theta_prev, data=tuple(tdata)))
 
 
+def _level1_maps(series: CompositionSeries):
+    """The affine map (u_c, t_c) of each level-1 line c, or None.
+
+    Line c's labels, read from ``position_root_indices``, must be line 0's
+    in the order j -> u_c * j + t_c mod p_1, u_c a unit: then its Theta_0
+    entries are Theta_0(0)[u_c * j + t_c].  That holds when the degree is
+    p_1 and every step normalises <sigma_1>, as in a solvable group of prime
+    degree, which lies in AGL(1, p) (Galois); it fails at any other degree,
+    where line 0 misses a label.
+    """
+    p = series.primes[0]
+    labels = position_root_indices(series)
+    lines = list(axis_lines(series.primes, 0))
+    index = {labels[flat]: j for j, flat in enumerate(lines[0])}
+    maps = []
+    for line in lines:
+        image = [index.get(labels[flat]) for flat in line]
+        if None in image:
+            return None
+        t, u = image[0], (image[1] - image[0]) % p
+        if not u or image != [(u * j + t) % p for j in range(p)]:
+            return None
+        maps.append((u, t))
+    return maps
+
+
+def _forward_level1(theta0: ResolventTensor, series: CompositionSeries,
+                    zetas, counter: MultiplicationCounter, maps):
+    """Level 1 from line 0 alone, for lines related by the affine ``maps``.
+
+    Line 0 is transformed by ``forward_level`` as a (p,) tensor.  For line c
+    with map (u, t), Theta_1(c)[j] = Theta_1(0)[u j] is an index copy, and
+    L_k(c) = zeta^(-t k / u) * L_(k / u)(0) one ``_turn`` of line 0's entry,
+    the division mod p; the counter adds the products that performs.
+    """
+    p = series.primes[0]
+    lines = list(axis_lines(series.primes, 0))
+    line0 = ResolventTensor((p,), tuple(theta0.data[f] for f in lines[0]))
+    L0, theta1 = forward_level(line0, 1, zetas, counter)
+    prec = mp.prec
+    table = [mpc_ints(z) for z in zetas[p]]
+    ldata: list = [None] * len(theta0.data)
+    tdata: list = [None] * len(theta0.data)
+    for line, (u, t) in zip(lines, maps):
+        inverse = pow(u, -1, p)
+        for j, flat in enumerate(line):
+            tdata[flat] = theta1.data[u * j % p]
+            k = j * inverse % p         # L_j(c) from L_k(0), j = u k
+            e = -t * k % p
+            ldata[flat] = L0.data[k] if e == 0 else ints_mpc(
+                _turn(table, e, mpc_ints(L0.data[k]), prec))
+            if e and p > 2:
+                counter.add(1)
+    return (replace(theta0, data=tuple(ldata)),
+            replace(theta0, data=tuple(tdata)))
+
+
 def forward_pass(theta0: ResolventTensor, series: CompositionSeries,
                  zetas) -> ForwardResult:
-    """Run all m levels, retaining every Theta and L tensor."""
+    """Run all m levels, retaining every Theta and L tensor.
+
+    Level 1 transforms line 0 alone and fills the other lines by index maps
+    (``_forward_level1``) when every level-1 line is an affine image of line
+    0 (``_level1_maps``), as at prime degree.  Otherwise, and at every level
+    above 1, ``forward_level`` transforms each distinct line.
+    """
     counter = MultiplicationCounter()
     thetas = [theta0]
     resolvents = []
     current = theta0
+    maps = _level1_maps(series) if series.length else None
     for level in range(1, series.length + 1):
-        L, current = forward_level(current, level, zetas, counter)
+        if level == 1 and maps is not None:
+            L, current = _forward_level1(theta0, series, zetas, counter, maps)
+        else:
+            L, current = forward_level(current, level, zetas, counter)
         resolvents.append(L)
         thetas.append(current)
     return ForwardResult(tuple(thetas), tuple(resolvents), counter)
@@ -255,8 +337,19 @@ def round_theta_m(theta_m: ResolventTensor) -> IntegerThetaTensor:
 
     Raises ResidualTooLarge when any entry is DEFAULT_ROUNDING_TOLERANCE or
     farther from an integer: insufficient precision, a wrong group, a wrong
-    labeling, or a non-irreducible input polynomial.
+    labeling, or a non-irreducible input polynomial.  An entry of magnitude
+    DEFAULT_ROUNDING_TOLERANCE * 10^mp.dps or more raises it first, with
+    ``residual`` None: ``mp.dps`` digits cannot resolve its units, so its
+    nearest integer says nothing.
     """
+    limit = DEFAULT_ROUNDING_TOLERANCE * mpf(10) ** mp.dps
+    for flat, entry in enumerate(theta_m.data):
+        if abs(entry) >= limit:
+            raise ResidualTooLarge(
+                f"entry {flat} of the final tensor has magnitude "
+                f"{mpmath.nstr(abs(entry), 4)}, too large to round at "
+                f"{mp.dps} digits; raise the digit budget",
+                position=flat)
     hint = ("; raise the digit budget, or check the group, the labeling, "
             "and irreducibility")
     rounded = [round_to_integer(entry, f"entry {flat} of the final tensor",

@@ -11,6 +11,7 @@ from radicalroots import (InputSyntaxError, Permutation, PhaseAmbiguous,
 from radicalroots.cli import main
 from radicalroots.resolvent import zeta_tables
 from tests.conftest import QUINTIC_GENERATORS, QUINTIC_TEXT
+from tests.test_radical import affine_generators, pure_power_labels
 
 
 def _count_calls(monkeypatch, module, name):
@@ -91,6 +92,48 @@ def test_phase_retry_stops_at_the_digit_cap(monkeypatch):
         solve("x^3-2", "(1,2,3);(1,2)")
     assert digits_seen == [planned, 2 * planned]
     assert [args[2] for args in polish] == [planned, 2 * planned, 4 * planned]
+
+
+# x^2 - 10^240: Theta_1 = (2 * 10^240, -2 * 10^240), and the plan's 128
+# digits cannot resolve the units of a 241-digit entry
+BIG_SQUARE = "x^2-1" + "0" * 240
+
+
+def test_a_final_entry_too_large_to_round_doubles_a_planned_budget():
+    report = solve(BIG_SQUARE, "(1,2)")
+    assert report.plan.digits == 128
+    assert report.digits == 256
+    assert report.notes == ("entry 0 of the final tensor too large to round; "
+                            "digits doubled to 256",)
+    assert report.theta.values == (2 * 10**240, -2 * 10**240)
+    assert [radical.emit(e) for e in report.root_exprs] == [
+        f"(1/2)*(root(2,{branch}; {4 * 10**240}))" for branch in (0, 1)]
+    # the plan's x0^(|G|-1) is one factor short here too: 15 digits for a
+    # 16-digit entry, which the guard sends on to 30
+    report = solve("x^2-1000000000000001", "(1,2)")
+    assert (report.plan.digits, report.digits) == (15, 30)
+    assert report.theta.values == (2000000000000002, -2000000000000002)
+
+
+@pytest.mark.parametrize("poly,generators,labeling,digits,magnitude", [
+    (BIG_SQUARE, "(1,2)", "auto", 128, r"2\.0e\+240"),
+    # F156: the parent returned a wrong integer tensor here, and verified it
+    ("x^13-2", affine_generators(13, 2), pure_power_labels(13, 2), 140,
+     r"4\.827e\+167")], ids=["x^2-10^240", "x^13-2"])
+def test_a_final_entry_too_large_to_round_at_a_given_budget_is_refused(
+        capsys, poly, generators, labeling, digits, magnitude):
+    with pytest.raises(ResidualTooLarge, match=f"entry 0 of the final tensor "
+                       f"has magnitude {magnitude}, too large to round at "
+                       f"{digits} digits") as caught:
+        solve(poly, generators, labeling=labeling, digits=digits)
+    assert caught.value.residual is None
+    assert caught.value.position == 0
+    argv = ["solve", "--poly", poly, "--generators", generators,
+            "--digits", str(digits)]
+    if labeling != "auto":
+        argv += ["--root-order", ",".join(map(str, labeling))]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error[ResidualTooLarge]: ")
 
 
 def test_roots_of_unity_come_from_the_zeta_tables(monkeypatch):

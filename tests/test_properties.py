@@ -153,9 +153,10 @@ def test_multiplication_count_within_budget(bundle):
 
 
 def test_forward_pass_counts_its_real_multiplications(bundle, monkeypatch):
-    """The counter adds fixed amounts per entry; count the complex products
+    """The counter adds fixed amounts per line; count the complex products
     actually performed instead, by the integer kernel where ``resolvent``
-    looks it up and by ``mpc``, and hold both to the budget."""
+    looks it up and by ``mpc``: the counter equals the kernel's count, which
+    stays within the budget."""
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     kernel, mpc_products = [0], [0]
 
@@ -171,7 +172,7 @@ def test_forward_pass_counts_its_real_multiplications(bundle, monkeypatch):
     forward = forward_pass(theta0, series, zetas)
     monkeypatch.undo()
     assert mpc_products[0] == 0
-    assert kernel[0] == forward.counter.count == multiplication_budget(series)
+    assert kernel[0] == forward.counter.count <= multiplication_budget(series)
 
 
 def _root_nodes(expr, seen):

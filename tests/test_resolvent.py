@@ -14,7 +14,7 @@ from radicalroots.resolvent import (DEFAULT_MARGIN, MultiplicationCounter,
                                     position_root_indices, zeta_tables)
 from radicalroots.precision import cadd, cdiv_int, cmul, ints_mpc, mpc_ints
 from radicalroots.rootfinder import relabel
-from tests.conftest import QUINTIC_THETA, reindex_axis
+from tests.conftest import QUINTIC_THETA, load_perfbench, reindex_axis
 from tests.test_properties import INSTANCES
 from tests.test_radical import affine_generators, pure_power_labels
 
@@ -191,7 +191,9 @@ def test_quintic_theta2_values(reference_label_order):
 def test_multiplication_counter_budget_exact(reference_label_order):
     series, _, _, fwd = quintic_forward(reference_label_order)
     assert multiplication_budget(series) == 190  # 10 * (14 + 5)
-    assert fwd.counter.count == 190
+    # level 1: line 0's 4 * 13 products, and 4 zeta-powers to fill line 1;
+    # level 2: 2 products for each of its 5 lines
+    assert fwd.counter.count == 66
     assert fwd.counter.count <= multiplication_budget(series)
 
 
@@ -262,11 +264,13 @@ def test_primitive_root_exchange_law(reference_label_order):
                 assert abs(got - expected) < tol
 
 
-def _unmemoised_forward(theta0, series, zetas):
-    """Every line of every level transformed on its own, with no memo: the
-    loop of ``forward_level`` before it reused repeated lines."""
-    prec, current, tensors = mp.prec, theta0, []
-    for level in range(1, series.length + 1):
+def _unmemoised_forward(theta, series, zetas, first=1):
+    """Every line of levels ``first``..m, from ``theta`` = Theta_(first-1),
+    transformed on its own with every twiddle a kernel product and no memo:
+    the loop of ``forward_level`` before it reused repeated lines and skipped
+    the factors 1 and -1.  Returns L_(first-1), Theta_first, ..., Theta_m."""
+    prec, current, tensors = mp.prec, theta, []
+    for level in range(first, series.length + 1):
         p = current.radices[level - 1]
         table = [mpc_ints(z) for z in zetas[p]]
         data = [mpc_ints(z) for z in current.data]
@@ -294,6 +298,28 @@ def _unmemoised_forward(theta0, series, zetas):
     return tensors
 
 
+def _bits(tensors):
+    return [[z._mpc_ for z in t.data] for t in tensors]
+
+
+def _counted_forward(monkeypatch, report):
+    """The report's zeta tables, Theta_0 and forward pass, with the kernel
+    products that the pass performs."""
+    kernel = [0]
+
+    def counting_cmul(x, y, prec, _original=resolvent.cmul):
+        kernel[0] += 1
+        return _original(x, y, prec)
+    series = report.series
+    with mp.workdps(report.digits):
+        zetas = zeta_tables(series)
+        theta0 = build_theta0(report.roots, series)
+        monkeypatch.setattr(resolvent, "cmul", counting_cmul)
+        fwd = forward_pass(theta0, series, zetas)
+        monkeypatch.undo()
+    return zetas, theta0, fwd, kernel[0]
+
+
 # instances whose tensors repeat lines: name, polynomial, generators, labeling
 REPEATING = [("S4 x^4+x+1", "x^4+x+1", "(1,2,3,4);(1,2)", "auto"),
              ("F42 x^7-2", "x^7-2", affine_generators(7, 3),
@@ -307,24 +333,67 @@ REPEATING = [("S4 x^4+x+1", "x^4+x+1", "(1,2,3,4);(1,2)", "auto"),
 def test_memoised_forward_pass_is_the_unmemoised_loop(monkeypatch, name, poly,
                                                       gens, labeling):
     """Reusing repeated lines keeps every L and Theta bit, and the counter
-    counts the kernel products actually performed, below the budget."""
-    report = solve(poly, gens, labeling=labeling)
-    series = report.series
-    kernel = [0]
+    counts the kernel products actually performed, below the budget.
 
-    def counting_cmul(x, y, prec, _original=resolvent.cmul):
-        kernel[0] += 1
-        return _original(x, y, prec)
-    with mp.workdps(report.digits):
-        zetas = zeta_tables(series)
-        theta0 = build_theta0(report.roots, series)
-        reference = _unmemoised_forward(theta0, series, zetas)
-        monkeypatch.setattr(resolvent, "cmul", counting_cmul)
-        fwd = forward_pass(theta0, series, zetas)
-        monkeypatch.undo()
+    At prime degree (F42, F110) level 1 transforms line 0 alone: its L and
+    Theta entries, and every level above fed the pass's Theta_1, keep the
+    loop's bits; the other Theta_1 entries are line 0's, copied by the
+    index map j -> u j of the line's labels; they and the L_0 entries that
+    the zeta-powers fill lie within 10^(10-d) of the loop's recomputed
+    values, relative to their size; the rounded final tensors are equal."""
+    report = solve(poly, gens, labeling=labeling)
+    series, digits = report.series, report.digits
+    zetas, theta0, fwd, kernel = _counted_forward(monkeypatch, report)
     memoised = [t for pair in zip(fwd.resolvents, fwd.thetas[1:])
                 for t in pair]
-    assert [[z._mpc_ for z in t.data] for t in memoised] == \
-        [[z._mpc_ for z in t.data] for t in reference]
-    assert kernel[0] == fwd.counter.count == report.multiplications
+    with mp.workdps(digits):
+        reference = _unmemoised_forward(theta0, series, zetas)
+        above = _unmemoised_forward(fwd.thetas[1], series, zetas, first=2)
+        reference_ints = round_theta_m(reference[-1])
+    assert kernel == fwd.counter.count == report.multiplications
     assert fwd.counter.count < multiplication_budget(series)
+    if name.startswith("S4"):
+        assert _bits(memoised) == _bits(reference)
+        return
+    assert _bits(memoised[2:]) == _bits(above)
+    assert reference_ints.values == report.theta.values
+    p, labels = series.primes[0], position_root_indices(series)
+    lines = list(axis_lines(series.primes, 0))
+    theta1, reference1 = fwd.thetas[1].data, reference[1].data
+    for flat in lines[0]:
+        assert fwd.resolvents[0].data[flat]._mpc_ == \
+            reference[0].data[flat]._mpc_
+        assert theta1[flat]._mpc_ == reference1[flat]._mpc_
+    first = [labels[flat] for flat in lines[0]]
+    tolerance = mpf(10) ** (10 - digits)
+    for line in lines[1:]:
+        t = first.index(labels[line[0]])
+        u = (first.index(labels[line[1]]) - t) % p
+        for j, flat in enumerate(line):
+            assert labels[flat] == first[(u * j + t) % p]
+            assert theta1[flat] is theta1[lines[0][u * j % p]]
+            for ours, loop in ((theta1, reference1),
+                               (fwd.resolvents[0].data, reference[0].data)):
+                assert abs(ours[flat] - loop[flat]) < \
+                    tolerance * max(1, abs(loop[flat]))
+
+
+@pytest.mark.parametrize("name", ["S4 x^4+x+1", "C6 deg-6 cyclic", "C16 Phi17"])
+def test_exact_twiddles_keep_every_bit(monkeypatch, name):
+    """Skipping the factor zeta^0 = 1 and negating for the factor -1 (p = 2)
+    gives every L and Theta entry the bits of the loop that multiplies by
+    them, on groups whose level-1 lines are not affine images of line 0."""
+    workloads = load_perfbench("workloads")
+    seed = workloads.DEFAULT_SEED
+    pool = workloads.small_mixed(seed) + workloads.cyclo_roots(seed)
+    instance = next(i for i in pool if i.name.startswith(name))
+    report = solve(instance.poly, instance.generators,
+                   labeling=instance.labeling)
+    zetas, theta0, fwd, kernel = _counted_forward(monkeypatch, report)
+    with mp.workdps(report.digits):
+        reference = _unmemoised_forward(theta0, report.series, zetas)
+    assert resolvent._level1_maps(report.series) is None
+    assert _bits(t for pair in zip(fwd.resolvents, fwd.thetas[1:])
+                 for t in pair) == _bits(reference)
+    assert kernel == fwd.counter.count
+    assert fwd.counter.count < multiplication_budget(report.series)
