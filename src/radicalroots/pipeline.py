@@ -132,7 +132,7 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
     series = composition_series(group)
 
     start = aberth_stage(monic)
-    plan = plan_precision(series, root_magnitude_bound(start))
+    plan = plan_precision(series, root_magnitude_bound(start.roots))
     budget_digits = digits if digits is not None else plan.digits
 
     notes: list[str] = []

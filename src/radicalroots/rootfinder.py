@@ -4,10 +4,14 @@ Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
 hardware ``complex``, then one 32-digit Newton step from each hardware root,
 by the f/f' of the test's own evaluation, when Smale's alpha-test certifies
 them all (Smale 1986; Blum, Cucker, Shub and Smale 1998, ch. 8); otherwise
-the sweeps continue in ``mpc`` to ~32 digits.  Newton steps on a
-precision-doubling ladder, by the same evaluation's f/f', reach each
-requested budget, and the roots are returned once the same test certifies
-them as rounded; until then the ``mpc`` sweeps rerun at doubled precision.
+the sweeps continue in ``mpc`` to ~32 digits and one Newton step follows.
+One Newton step per root on each rung of a precision-doubling ladder, by the
+same evaluation's f/f', reaches each requested budget.  Every step gives the
+radius of a disc about its result that holds a zero, from that step's alpha
+and beta and its rounding bound; the roots are returned once the last
+step's discs, widened by the rounding to the budget, are within the budget
+and disjoint.  Until then the ``mpc`` sweeps rerun at doubled precision,
+each followed by one Newton step.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ _ALPHA_MAX = 0.157
 
 @dataclass(frozen=True)
 class RootSet:
-    """All n roots at a shared digit budget, each certified by Smale's
-    alpha-test to lie within 10^(1-digits) * max(1, |x~|) of its own zero."""
+    """All n roots at a shared digit budget, each within 10^(1-digits) *
+    max(1, |x~|) of its own zero, by the radius that the Newton step which
+    produced it certifies (``polish_roots``)."""
 
     roots: tuple[mpc, ...]
     digits: int
@@ -47,6 +52,15 @@ class RootSet:
     @property
     def n(self) -> int:
         return len(self.roots)
+
+
+@dataclass(frozen=True)
+class Iterates:
+    """Newton iterates, each with the radius of a disc about it that holds a
+    zero of the polynomial; the radius is inf where no step certifies one."""
+
+    roots: tuple[mpc, ...]
+    radii: tuple[mpf, ...]
 
 
 def _sweeps(coeffs, deriv, z, radius, digits: int) -> bool:
@@ -132,16 +146,25 @@ def _scaled_horner(coeffs, x: mpc):
 
 
 def _alpha_data(coeffs, x: mpc):
-    """Upper bounds (beta, alpha) at ``x``, and the Newton correction f/f'
-    there: beta, an ``mpf``, on |f/f'|, alpha, a float, on beta times
-    gamma = max_k |f^(k)/(k! f')|^(1/(k-1)), and the correction an ``mpc``;
-    (inf, inf, None) where f' may vanish or beta may reach 2^e.
+    """Upper bounds (beta, alpha) at ``x``, the Newton correction f/f'
+    there, and the slip of the step x - f/f' taken at mp.prec: beta, an
+    ``mpf``, on |f/f'|, alpha, a float, on beta times gamma =
+    max_k |f^(k)/(k! f')|^(1/(k-1)), the correction an ``mpc``, and the
+    slip, an ``mpf``, on the distance from the computed x - correction to
+    the exact Newton step; (inf, inf, None, inf) where f' may vanish or beta
+    may reach 2^e.
 
     They come from ``_scaled_horner``'s g and g': f's beta is 2^e times
     g's, and its alpha is g's.  The correction is 2^e g(y)/g'(y) from the
-    same integers, divided once at mp.prec on the integer kernel.
-    |g^(k)/k!| is at most the k-th Taylor coefficient of sum |b_i| t^i at
-    t = |y|, both rounded up, in floats widened by 8(n+3) float epsilons.
+    same integers, divided once at mp.prec on the integer kernel.  As g and
+    g' are each within err = (n+2)^3 units of 2^-P, |g| <= g_up < d_low and
+    |g'| >= d_low, the quotient of the integers is within 2 err / d_low of
+    g/g'.  The division and the subtraction round each part within 2^-prec
+    of itself, twice, and |correction| <= beta, |x - correction| <= 2^e +
+    beta, so the slip is at most 2^(e+1) err / d_low + 2^(2-prec) (2^e +
+    beta).  |g^(k)/k!| is at most the k-th Taylor coefficient of
+    sum |b_i| t^i at t = |y|, both rounded up, in floats widened by 8(n+3)
+    float epsilons.
     """
     n = len(coeffs) - 1
     e, prec, b, (yr, yi), (gr, gi, dr, di) = _scaled_horner(coeffs, x)
@@ -151,7 +174,7 @@ def _alpha_data(coeffs, x: mpc):
     unit = 1 << prec
     low = d_low / unit                                  # |g'(y)| from below
     if not (g_up < d_low and low > 0):
-        return mpmath.inf, math.inf, None
+        return mpmath.inf, math.inf, None, mpmath.inf
     size = _taylor([(abs(c) + 1) / unit for c in b],
                    math.hypot((abs(yr) + 1) / unit, (abs(yi) + 1) / unit))
     up = 1 + 8 * (n + 3) * sys.float_info.epsilon
@@ -160,7 +183,10 @@ def _alpha_data(coeffs, x: mpc):
                 for k, c in enumerate(size) if k >= 2) if n > 1 else 0.0
     g_up += g_up >> 40      # covers rounding beta to 32 digits or more, twice
     step = ints_mpc(cdiv((gr, e, gi, e), (dr, 0, di, 0), mp.prec))
-    return mpf((g_up, e)) / d_low, g_up / d_low * gamma * up * up + tiny, step
+    beta = mpf((g_up, e)) / d_low
+    slip = (mpf((2 * err, e)) / d_low
+            + mpmath.ldexp(beta + mpf((1, e)), 2 - mp.prec))
+    return beta, g_up / d_low * gamma * up * up + tiny, step, slip
 
 
 def _apart(points, radii) -> bool:
@@ -186,12 +212,13 @@ def _apart(points, radii) -> bool:
 
 
 def _alpha_test(coeffs, points):
-    """Each point's (beta, alpha, step) from ``_alpha_data`` when Smale's
-    alpha-test certifies them all, or None: alpha < _ALPHA_MAX puts a zero
-    within 2*beta of the point, and disjoint such discs make them distinct."""
+    """Each point's (beta, alpha, step, slip) from ``_alpha_data`` when
+    Smale's alpha-test certifies them all, or None: alpha < _ALPHA_MAX puts a
+    zero within 2*beta of the point, and disjoint such discs make them
+    distinct."""
     data = [_alpha_data(coeffs, x) for x in points]
-    if (all(alpha < _ALPHA_MAX for _, alpha, _ in data)
-            and _apart(points, [2 * beta for beta, _, _ in data])):
+    if (all(alpha < _ALPHA_MAX for _, alpha, _, _ in data)
+            and _apart(points, [2 * beta for beta, _, _, _ in data])):
         return data
     return None
 
@@ -205,107 +232,169 @@ def _step_error(beta, alpha):
     return 2 * alpha * (1 - alpha) / (1 - 4 * alpha + 2 * alpha * alpha) * beta
 
 
+def _newton_step(x, data):
+    """x - f/f' at the current precision, by the correction in ``data =
+    _alpha_data(f, x)``, and the radius of a disc about the result that holds
+    a zero of f: ``_step_error`` on the exact step plus the step's slip.
+    (x, inf) where ``data`` has no correction."""
+    beta, alpha, step, slip = data
+    if step is None:
+        return x, mpmath.inf
+    return x - step, _step_error(beta, alpha) + slip
+
+
 def _certified_step(coeffs, points):
     """One 32-digit Newton step from each hardware root in ``points``, by the
-    alpha-test's corrections f/f'; None unless the test certifies them all
-    and ``_step_error`` bounds the exact step's error below
-    10^(6-32) * max(1, |z|).
-
-    In ``_alpha_data``'s terms, the step taken differs from the exact one by
-    two roundings at mp.prec and at most 2^(e+1) (n+2)^3 / d_low, as g and
-    g' are each within (n+2)^3 units of 2^-P and |g'| >= d_low.  As
-    2^e <= 4 max(1, |z|) and P = mp.prec + 2n + 20, that is below
-    10^-32 * max(1, |z|), inside the check's six digits of slack, wherever
-    |g'(y)| >= 2^-16.  The budget alpha-test in ``polish_roots`` is the one
-    guarantee on returned roots.
-    """
+    alpha-test's corrections f/f', as ``Iterates`` with each step's radius;
+    None unless the test certifies them all and every radius is below
+    10^(6-32) * max(1, |z|)."""
     data = _alpha_test(coeffs, points)
-    tol = 10.0 ** (6 - _BASE_DPS)
-    if data is None or not all(_step_error(b, a) < tol * max(1, abs(x))
-                               for x, (b, a, _) in zip(points, data)):
+    if data is None:
         return None
-    return tuple(x - step for x, (_, _, step) in zip(points, data))
+    steps = [_newton_step(x, d) for x, d in zip(points, data)]
+    tol = 10.0 ** (6 - _BASE_DPS)
+    if not all(r < tol * max(1, abs(x)) for x, (_, r) in zip(points, steps)):
+        return None
+    return Iterates(*zip(*steps))
 
 
-def aberth_stage(p: IntPolynomial) -> tuple:
-    """All roots of monic ``p`` at ~32 digits.
+def aberth_stage(p: IntPolynomial) -> Iterates:
+    """All roots of monic ``p`` at ~32 digits, with the radii of their last
+    Newton steps.
 
-    Aberth sweeps in hardware ``complex``, then one 32-digit Newton step from
-    each root, by the f/f' from the alpha-test's one evaluation there, when
-    the test certifies all of them; otherwise the sweeps continue in ``mpc``
-    to 32 digits, from the hardware roots when the hardware sweeps converged
-    and from the start points when they did not.
+    Aberth sweeps in hardware ``complex`` from start points on Fujiwara's
+    bound, then one 32-digit Newton step from each root, by the f/f' from
+    the alpha-test's one evaluation there, when the test certifies all of
+    them; otherwise the sweeps continue in ``mpc`` to 32 digits, from the
+    hardware roots when the hardware sweeps converged and from ``mpc`` start
+    points when they did not, and one Newton step from each (at 42 digits)
+    follows.
     """
     if not p.is_monic():
         raise ValueError("root finding expects a monic polynomial")
     n = p.degree
     deriv = p.derivative_coeffs()
-    with mp.workdps(_BASE_DPS):
+    z = None
+    with suppress(OverflowError, ZeroDivisionError):
         # Fujiwara's bound on the root moduli, so the start lies near them
+        radius = max(1.0, 2 * max(abs(c) ** (1 / (n - k))
+                                  for k, c in enumerate(p.coeffs[:-1])))
+        # deterministic index-dependent perturbation breaks symmetry traps
+        fast = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.25) / n
+                                         + k / 1000))
+                for k in range(n)]
+        if (_sweeps(p.coeffs, deriv, fast, radius, _HARDWARE_DIGITS)
+                and all(cmath.isfinite(zk) for zk in fast)):
+            z = [mpc(zk) for zk in fast]
+            with mp.workdps(_BASE_DPS):
+                certified = _certified_step(p.coeffs, z)
+            if certified is not None:
+                return certified
+    with mp.workdps(_BASE_DPS):
         radius = max(mpf(1), 2 * max(mpf(abs(c)) ** (mpf(1) / (n - k))
                                      for k, c in enumerate(p.coeffs[:-1])))
-        # deterministic index-dependent perturbation breaks symmetry traps
-        z = [radius * mpmath.exp(1j * (2 * mpmath.pi * (k + mpf(1) / 4) / n
-                                       + mpf(k) / 1000))
-             for k in range(n)]
-        with suppress(OverflowError, ZeroDivisionError):
-            fast = [complex(zk) for zk in z]
-            if (_sweeps(p.coeffs, deriv, fast, float(radius), _HARDWARE_DIGITS)
-                    and all(cmath.isfinite(zk) for zk in fast)):
-                z = [mpc(zk) for zk in fast]
-                certified = _certified_step(p.coeffs, z)
-                if certified is not None:
-                    return certified
+        if z is None:           # the same start points, in mpc
+            z = [radius * mpmath.exp(1j * (2 * mpmath.pi * (k + mpf(1) / 4) / n
+                                           + mpf(k) / 1000))
+                 for k in range(n)]
         if _sweeps(p.coeffs, deriv, z, radius, _BASE_DPS):
-            return tuple(z)
+            return _newton_polish(p, z, _BASE_DPS)
         residuals = [abs(eval_poly(p.coeffs, zi)) for zi in z]
     raise NonConvergence("simultaneous iteration did not converge",
                          residuals=residuals)
 
 
-def _newton_polish(p: IntPolynomial, roots, dps: int):
-    """Up to three Newton steps from each root at dps + 10 digits, each by
-    the correction f/f' of ``_alpha_data``; a root stops where it has none,
-    and after a step whose ``_step_error`` is at most 10^(-dps-10) *
-    max(1, |x|), below the working precision."""
-    out = []
+def _newton_polish(p: IntPolynomial, roots, dps: int) -> Iterates:
+    """One Newton step from each of ``roots`` at dps + 10 digits, by the
+    correction f/f' of ``_alpha_data``, with the radius it certifies
+    (``_newton_step``)."""
     with mp.workdps(dps + 10):
-        tol = mpf(10) ** (-dps - 10)
-        for x in roots:
-            for _ in range(3):
-                beta, a, step = _alpha_data(p.coeffs, x)
-                if step is None:
-                    break
-                done = _step_error(beta, a) <= tol * max(1, abs(x))
-                x = x - step
-                if done:
-                    break
-            out.append(x)
-    return out
+        return Iterates(*zip(*(_newton_step(x, _alpha_data(p.coeffs, x))
+                               for x in roots)))
 
 
-def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
+def _canonical_order(points) -> list[int]:
+    """Indices of ``points`` in ascending (argument in (-pi, pi], modulus),
+    by ``mpmath.atan2`` and ``abs`` at the current precision.
+
+    Float keys from ``math.atan2`` and ``math.hypot`` decide when each
+    nonzero part converts to a normal float and each two neighbours in
+    their order differ by more than 2^-46 of the sum of their keys: in the
+    argument, or in the modulus for two points with a zero part and one
+    float argument, whose ``mpmath`` arguments are then equal.  A float key
+    lies within a few units of 2^-53 of the ``mpmath`` one, relative, so
+    the screen changes no order; otherwise the ``mpmath`` keys decide.
+    """
+    slack, normal = 2.0 ** -46, sys.float_info.min
+    keys = []
+    for z in points:
+        parts = (z.real, z.imag)
+        fast = [float(m) for m in parts]
+        if not all(m == 0 or (math.isfinite(f) and abs(f) >= normal)
+                   for m, f in zip(parts, fast)):
+            break
+        keys.append((math.atan2(fast[1], fast[0]), math.hypot(*fast),
+                     0.0 in fast))
+    else:
+        order = sorted(range(len(points)), key=lambda i: keys[i][:2])
+
+        def ahead(i, j):
+            (ta, ma, axis_a), (tb, mb, axis_b) = keys[i], keys[j]
+            if tb - ta > slack * (abs(ta) + abs(tb)) + 2 * normal:
+                return True
+            return (axis_a and axis_b and ta == tb
+                    and mb - ma > slack * (ma + mb))
+        if all(ahead(i, j) for i, j in zip(order, order[1:])):
+            return order
+    return sorted(range(len(points)),
+                  key=lambda i: (mpmath.atan2(points[i].imag, points[i].real),
+                                 abs(points[i])))
+
+
+def _certify(it: Iterates, raw, digits: int):
+    """The snapped iterates ``raw`` of ``it`` in canonical order, rounded to
+    ``digits``, with a radius about each that holds its zero, when every
+    radius is at most 10^(1-digits) * max(1, |x~|) and the discs are
+    disjoint; None otherwise.  Each zero lies within the last step's radius
+    of that step's result x', so within that radius plus |x~ - x'| of the
+    returned x~; the sum is widened by 2^-40 of itself for its own
+    roundings."""
+    order = _canonical_order(raw)
+    with mp.workdps(digits):
+        roots = tuple(+raw[i] for i in order)
+    radii = [(it.radii[i] + abs(x - it.roots[i])) * (1 + 2.0 ** -40)
+             for x, i in zip(roots, order)]
+    tol = mpf(10) ** (1 - digits)
+    if (all(r <= tol * max(1, abs(x)) for x, r in zip(roots, radii))
+            and _apart(roots, radii)):
+        return roots, radii
+    return None
+
+
+def polish_roots(p: IntPolynomial, start: Iterates, digits: int) -> RootSet:
     """All n roots of a monic square-free polynomial at the given budget,
-    polished from ``start = aberth_stage(p)`` by Newton steps on a ladder
-    that doubles the digits from 32 to digits + 8, then rounded, with a real
-    or imaginary part zeroed when at most min(10^(2-digits) * |x~|,
-    10^(1-digits) * max(1, |x~|) / 4).  They are returned once Smale's
-    alpha-test certifies them with every 2*beta <= 10^(1-digits) *
-    max(1, |x~|), its Newton corrections unused; until then the ``mpc``
-    sweeps rerun from them at twice the last digits, to steps below
-    10^(-digits-2).  Certified roots closer than 10^(-digits/2) raise
-    NonConvergence, as do roots left uncertified by sweeps at up to
-    4 * (digits + 32) digits; budgets above DIGITS_HARD_CAP raise
-    PrecisionInfeasible.  Output order is canonical: ascending argument in
-    (-pi, pi], then modulus.
+    polished from ``start = aberth_stage(p)`` by one Newton step per root on
+    each rung of a ladder that doubles the digits from 32 to digits + 8,
+    then rounded, with a real or imaginary part zeroed when at most
+    min(10^(2-digits) * |x~|, 10^(1-digits) * max(1, |x~|) / 4).  They are
+    returned once the radii of the last steps, widened by |x~ - x'|, are
+    each at most 10^(1-digits) * max(1, |x~|) and the discs are disjoint
+    (``_certify``); until then the ``mpc`` sweeps run at twice the last
+    digits, to steps below 10^(-digits-2), from these roots the first time
+    and from their own last roots after that, and one Newton step from
+    their roots follows each run.  Certified roots closer than
+    10^(-digits/2) raise NonConvergence, as do roots left uncertified by
+    sweeps at up to 4 * (digits + 32) digits; budgets above DIGITS_HARD_CAP
+    raise PrecisionInfeasible.  Output order is canonical: ascending
+    argument in (-pi, pi], then modulus.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     check_digit_budget(digits)
-    raw, dps = list(start), _BASE_DPS
+    it, dps, swept = start, _BASE_DPS, None
     while dps < digits + 8:
         dps = min(dps * 2, digits + 8)
-        raw = _newton_polish(p, raw, dps)
+        it = _newton_polish(p, it.roots, dps)
     while True:
         with mp.workdps(max(digits + 10, dps)):
             # components below the budget's own noise floor are exactly zero
@@ -313,6 +402,7 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
             # a quarter of the certificate's tolerance; at 1 or 2 digits the
             # floor reaches |z| and would zero every root
             floor, tol = mpf(10) ** (2 - digits), mpf(10) ** (1 - digits)
+            raw = list(it.roots)
             if floor < 1:
                 for i, z in enumerate(raw):
                     mag = abs(z)
@@ -320,14 +410,9 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
                     re = mpf(0) if z.real != 0 and abs(z.real) <= cap else z.real
                     im = mpf(0) if z.imag != 0 and abs(z.imag) <= cap else z.imag
                     raw[i] = mpc(re, im)
-            order = sorted(range(p.degree),
-                           key=lambda i: (mpmath.atan2(raw[i].imag, raw[i].real),
-                                          abs(raw[i])))
-            with mp.workdps(digits):
-                roots = tuple(+raw[i] for i in order)
-            data = _alpha_test(p.coeffs, roots)          # the certificate
-            if data and all(2 * beta <= tol * max(1, abs(x))
-                            for x, (beta, _, _) in zip(roots, data)):
+            certified = _certify(it, raw, digits)
+            if certified is not None:
+                roots, _ = certified
                 if not _apart(roots, [mpf(10) ** (-digits / 2) / 2] * p.degree):
                     raise NonConvergence(
                         "roots are not separated; input may not be square-free")
@@ -336,9 +421,13 @@ def polish_roots(p: IntPolynomial, start, digits: int) -> RootSet:
             raise NonConvergence(f"roots not certified at {digits} digits after "
                                  f"sweeps at {dps}; input may not be square-free")
         dps *= 2
+        # Newton puts two copies of one root exactly on it, where Aberth's
+        # correction f/f' vanishes, so the sweeps go on from their own roots
+        swept = raw if swept is None else swept
         with mp.workdps(dps):
-            radius = max(mpf(1), *(abs(z) for z in raw))
-            _sweeps(p.coeffs, p.derivative_coeffs(), raw, radius, digits + 8)
+            radius = max(mpf(1), *(abs(z) for z in swept))
+            _sweeps(p.coeffs, p.derivative_coeffs(), swept, radius, digits + 8)
+        it = _newton_polish(p, swept, dps)
 
 
 def find_roots(p: IntPolynomial, digits: int) -> RootSet:

@@ -7,8 +7,15 @@ from types import ModuleType
 import pytest
 from mpmath import mp
 
+import radicalroots
 from radicalroots import closure, find_roots, parse_cycles, parse_polynomial
 from radicalroots.resolvent import axis_lines
+
+
+def pytest_report_header(config):
+    """Name the package the tests import: pyproject.toml's ``pythonpath``
+    puts this checkout's ``src`` ahead of ``PYTHONPATH``."""
+    return f"radicalroots: {Path(radicalroots.__file__).parent}"
 
 # x^5 + 20x + 32: the dihedral quintic used as the main regression, with its
 # 13-decimal root approximations (labels match the group's permutation action)

@@ -385,8 +385,8 @@ def names_called(path: Path, function: str) -> set[str]:
 
 
 def test_polish_roots_takes_no_residuals():
-    # the returned roots are certified by the alpha-test; residuals are
-    # computed only on request, for the roots command
+    # the returned roots are certified by the radii of their last Newton
+    # steps; residuals are computed only on request, for the roots command
     assert {"eval_poly", "root_residuals"} & names_called(
         SRC / "rootfinder.py", "polish_roots") == set()
 
@@ -430,6 +430,40 @@ def test_second_evaluation_in_the_step_is_detected(tmp_path):
         "            for x in z], data\n")
     assert evaluations_outside_the_alpha_test(tmp_path / "rootfinder.py") == {
         "eval_poly", "horner", "_exact_value"}
+
+
+def alpha_test_callers(path: Path) -> list[str]:
+    """Functions of ``path`` other than ``_certified_step`` that call or
+    pass on ``_alpha_test``: a returned root is certified by the Newton step
+    that produced it, not by a second alpha-evaluation."""
+    return [f"{path.name}: {node.name}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name != "_certified_step"
+            and any(isinstance(name, ast.Name) and name.id == "_alpha_test"
+                    and isinstance(name.ctx, ast.Load)
+                    for stmt in node.body for name in ast.walk(stmt))]
+
+
+def test_only_the_hardware_step_runs_the_alpha_test():
+    assert alpha_test_callers(SRC / "rootfinder.py") == []
+
+
+def test_second_alpha_test_caller_is_detected(tmp_path):
+    (tmp_path / "rootfinder.py").write_text(
+        "def _alpha_test(coeffs, points):\n"
+        "    return points\n"
+        "def _certified_step(coeffs, points):\n"
+        "    return _alpha_test(coeffs, points)\n"
+        "def polish_roots(p, start, digits):\n"
+        "    def certify(roots):\n"
+        "        return _alpha_test(p.coeffs, roots)\n"
+        "    return certify(start)\n"
+        "def _mapped(coeffs, batches):\n"
+        "    return map(_alpha_test, [coeffs] * len(batches), batches)\n")
+    assert alpha_test_callers(tmp_path / "rootfinder.py") == [
+        "rootfinder.py: polish_roots", "rootfinder.py: _mapped",
+        "rootfinder.py: certify"]
 
 
 def second_integer_evaluators(package: Path) -> list[str]:

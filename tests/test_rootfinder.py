@@ -10,10 +10,11 @@ from mpmath import mp, mpc, mpf
 from radicalroots import (IntPolynomial, NonConvergence, closure,
                           composition_series, eval_poly, find_roots,
                           parse_cycles, parse_polynomial, plan_precision,
-                          root_magnitude_bound, root_residuals, sanity_check)
+                          root_magnitude_bound, root_residuals, sanity_check,
+                          solve, to_monic)
 from radicalroots import rootfinder
 from radicalroots.rootfinder import aberth_stage, polish_roots
-from tests.conftest import QUINTIC_ROOT_STRINGS
+from tests.conftest import QUINTIC_ROOT_STRINGS, load_perfbench
 from tests.test_properties import INSTANCES
 
 
@@ -192,7 +193,7 @@ def test_hardware_sweeps_change_no_root(monkeypatch, poly_text, gens_text):
     gens = [parse_cycles(t, p.degree) for t in gens_text.split(";")]
     series = composition_series(closure(gens))
     start = aberth_stage(p)
-    budget = plan_precision(series, root_magnitude_bound(start)).digits
+    budget = plan_precision(series, root_magnitude_bound(start.roots)).digits
     both = [polish_roots(p, start, d) for d in (budget, 32)]
     refused = _mpmath_only(monkeypatch)
     start = aberth_stage(p)
@@ -287,7 +288,7 @@ def test_gamma_bound_is_an_upper_bound(monkeypatch, poly_text):
     (hardware, _), = calls
     for z in hardware:
         with mp.workdps(rootfinder._BASE_DPS):
-            beta, alpha, _ = rootfinder._alpha_data(p.coeffs, z)
+            beta, alpha, _, _ = rootfinder._alpha_data(p.coeffs, z)
         with mp.workdps(64):
             assert alpha >= beta * _gamma(p.coeffs, z)
 
@@ -303,7 +304,7 @@ def test_certified_step_is_the_newton_step(monkeypatch, poly_text):
     (hardware, steps), = calls
     deriv = p.derivative_coeffs()
     with mp.workdps(3 * rootfinder._BASE_DPS):
-        for x, step in zip(hardware, steps):
+        for x, step in zip(hardware, steps.roots):
             exact = x - eval_poly(p.coeffs, x) / eval_poly(deriv, x)
             assert abs(step - exact) <= mpf(10) ** -32 * max(1, abs(x))
 
@@ -367,30 +368,29 @@ def test_short_mantissa_loop_is_the_padded_loop(dps):
                                        "x^6+x^5-5x^4-4x^3+6x^2+3x-1",
                                        "x^5+20x+32"])
 def test_ladder_steps_are_newton_steps(poly_text, dps):
-    # one rung of up to three steps by the alpha-test's f/f' from the
-    # 32-digit start reaches every root to the rung's digits
+    # a rung takes one step by the alpha-test's f/f' from each root: the
+    # exact Newton step from the 32-digit start, to the rung's digits
     p = parse_polynomial(poly_text)
-    rung = rootfinder._newton_polish(p, aberth_stage(p), dps)
-    reference = find_roots(p, 2 * dps).roots
-    with mp.workdps(2 * dps):
-        for z in rung:
-            zeta = min(reference, key=lambda r: abs(z - r))
-            assert abs(z - zeta) <= mpf(10) ** -(dps + 5) * max(1, abs(zeta))
+    start = aberth_stage(p).roots
+    rung = rootfinder._newton_polish(p, start, dps).roots
+    deriv = p.derivative_coeffs()
+    with mp.workdps(2 * dps + 20):
+        for x, z in zip(start, rung):
+            exact = x - eval_poly(p.coeffs, x) / eval_poly(deriv, x)
+            assert abs(z - exact) <= mpf(10) ** -(dps + 5) * max(1, abs(exact))
 
 
 def _three_step_rung(p, roots, dps):
     """A rung of the ladder that always takes three steps per root, each by
-    the alpha-test's f/f', stopping only where there is none."""
+    the alpha-test's f/f', stopping only where there is none, with the
+    radius of the last step."""
     out = []
     with mp.workdps(dps + 10):
         for x in roots:
             for _ in range(3):
-                step = _ALPHA_DATA(p.coeffs, x)[2]
-                if step is None:
-                    break
-                x = x - step
-            out.append(x)
-    return out
+                x, radius = rootfinder._newton_step(x, _ALPHA_DATA(p.coeffs, x))
+            out.append((x, radius))
+    return rootfinder.Iterates(*zip(*out))
 
 
 _ALPHA_DATA = rootfinder._alpha_data
@@ -401,11 +401,10 @@ _ALPHA_DATA = rootfinder._alpha_data
                                        "x^5+20x+32", "x^11-2"])
 def test_ladder_stops_a_root_once_its_step_is_converged(monkeypatch,
                                                         poly_text):
-    # to 200 digits the ladder climbs 64, 128 and 208 digits; a root stops
-    # once alpha and beta bound its step's error below the working
-    # precision: two steps on the first rung and one on each of the others,
-    # 4 evaluations instead of 9; the returned roots have the bytes of three
-    # steps per rung
+    # to 200 digits the ladder climbs 64, 128 and 208 digits; quadratic
+    # convergence doubles a root's digits with each step, so a root takes
+    # one step per rung, 3 evaluations instead of 9; the returned roots have
+    # the bytes of three steps per rung
     p = parse_polynomial(poly_text)
     start = aberth_stage(p)
     roots = polish_roots(p, start, 200).roots
@@ -417,12 +416,12 @@ def test_ladder_stops_a_root_once_its_step_is_converged(monkeypatch,
 
     with monkeypatch.context() as patch:
         patch.setattr(rootfinder, "_alpha_data", counting)
-        for x in start:
+        for x in start.roots:
             calls.clear()
             raw = [x]
             for dps in (64, 128, 208):
-                raw = rootfinder._newton_polish(p, raw, dps)
-            assert len(calls) == 4
+                raw = rootfinder._newton_polish(p, raw, dps).roots
+            assert len(calls) == 3
     monkeypatch.setattr(rootfinder, "_newton_polish", _three_step_rung)
     reference = polish_roots(p, start, 200).roots
     assert [z._mpc_ for z in roots] == [z._mpc_ for z in reference]
@@ -442,18 +441,102 @@ def test_alpha_bounds_hold_at_the_returned_roots(poly_text, digits):
     deriv = p.derivative_coeffs()
     for x in find_roots(p, digits).roots:
         with mp.workdps(digits + 10):
-            beta, alpha, _ = rootfinder._alpha_data(p.coeffs, x)
+            beta, alpha, _, _ = rootfinder._alpha_data(p.coeffs, x)
         assert alpha < rootfinder._ALPHA_MAX
         with mp.workdps(3 * digits + 40):
             assert beta >= abs(eval_poly(p.coeffs, x) / eval_poly(deriv, x))
             assert alpha >= beta * _gamma(p.coeffs, x)
 
 
+def _certificates_of_polish(monkeypatch):
+    """Record (iterates, rounded roots, radii) of every certificate that
+    ``polish_roots`` grants."""
+    certify = rootfinder._certify
+    granted = []
+
+    def record(it, raw, digits):
+        result = certify(it, raw, digits)
+        if result is not None:
+            granted.append((it, *result))
+        return result
+    monkeypatch.setattr(rootfinder, "_certify", record)
+    return granted
+
+
+def _nearest(points, zeros):
+    """Index of the zero nearest each point, one zero per point."""
+    nearest = [min(range(len(zeros)), key=lambda j: abs(z - zeros[j]))
+               for z in points]
+    assert sorted(nearest) == list(range(len(zeros)))
+    return nearest
+
+
+def _workload_polynomials():
+    """The monic reductions of the benchmark's polynomials."""
+    workloads = load_perfbench("workloads")
+    texts = {inst.poly for make in workloads.WORKLOADS.values()
+             for inst in make(workloads.DEFAULT_SEED)}
+    return [to_monic(parse_polynomial(t)).monic
+            for t in sorted(texts, key=lambda t: (len(t), t))]
+
+
+def _random_polynomials(count=12):
+    """Seeded square-free monic polynomials of degree 2 to 9."""
+    rng = random.Random(2718)
+    out = []
+    while len(out) < count:
+        p = IntPolynomial(tuple(rng.randint(-30, 30)
+                                for _ in range(rng.randint(2, 9))) + (1,))
+        if sanity_check(p).square_free:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("digits", [10, 20, 40, 150])
+def test_every_root_lies_within_its_certificate_radius(monkeypatch, digits):
+    # the radius of the last Newton step, widened by the rounding to the
+    # budget, holds a zero computed at twice the digits plus 20; so does the
+    # step's own radius about the unrounded iterate
+    granted = _certificates_of_polish(monkeypatch)
+    for p in _workload_polynomials() + _random_polynomials():
+        granted.clear()
+        roots = find_roots(p, digits).roots
+        (it, rounded, radii), = granted
+        assert rounded == roots
+        zeros = find_roots(p, 2 * digits + 20).roots
+        with mp.workdps(2 * digits + 20):
+            for x, r, j in zip(roots, radii, _nearest(roots, zeros)):
+                assert abs(x - zeros[j]) <= r
+                assert r <= mpf(10) ** (1 - digits) * max(1, abs(x))
+            for x, r, j in zip(it.roots, it.radii, _nearest(it.roots, zeros)):
+                assert abs(x - zeros[j]) <= r
+
+
+def test_budgets_to_24_digits_evaluate_each_root_once(monkeypatch):
+    # no ladder rung runs, so the hardware roots' certified 32-digit step is
+    # the only evaluation, and its radii certify the rounded roots
+    workloads = load_perfbench("workloads")
+    phi17 = workloads.cyclo_roots(workloads.DEFAULT_SEED)[0]
+    calls = []
+
+    def counting(coeffs, x):
+        calls.append(x)
+        return _ALPHA_DATA(coeffs, x)
+    monkeypatch.setattr(rootfinder, "_alpha_data", counting)
+    for poly, gens, labeling, digits, n in [
+            ("x^3-2", "(1,2,3);(1,2)", "auto", 12, 3),
+            (phi17.poly, phi17.generators, phi17.labeling, 17, 16)]:
+        calls.clear()
+        assert solve(poly, gens, digits=digits, labeling=labeling).digits \
+            == digits
+        assert len(calls) == n
+
+
 def test_alpha_test_refuses_a_point_where_the_derivative_vanishes():
     p = parse_polynomial("x^2-2")
     with mp.workdps(rootfinder._BASE_DPS):
         assert rootfinder._alpha_data(p.coeffs, mpc(0)) == (
-            mpmath.inf, math.inf, None)
+            mpmath.inf, math.inf, None, mpmath.inf)
 
 
 @pytest.mark.parametrize("points,certified", [
@@ -467,21 +550,24 @@ def test_certified_step_refuses_unless_every_root_is_certified(points,
     with mp.workdps(rootfinder._BASE_DPS):
         steps = rootfinder._certified_step(p.coeffs, [mpc(x) for x in points])
         if certified:
-            assert [abs(s ** 2 - 2) < mpf(10) ** -30 for s in steps] \
+            assert [abs(s ** 2 - 2) < mpf(10) ** -30 for s in steps.roots] \
                 == [True, True]
         else:
             assert steps is None
 
 
 def _polish_skipping(monkeypatch, skips):
-    """Make ``_newton_polish`` return its roots unchanged on its first
-    ``skips`` calls; return the list of rungs it was called with."""
+    """Make ``_newton_polish`` return its roots unchanged, each with an
+    infinite radius, on its first ``skips`` calls; return the list of rungs
+    it was called with."""
     polish = rootfinder._newton_polish
     rungs = []
 
     def skipping(p, roots, dps):
         rungs.append(dps)
-        return roots if len(rungs) <= skips else polish(p, roots, dps)
+        if len(rungs) > skips:
+            return polish(p, roots, dps)
+        return rootfinder.Iterates(tuple(roots), (mpmath.inf,) * len(roots))
     monkeypatch.setattr(rootfinder, "_newton_polish", skipping)
     return rungs
 
@@ -502,27 +588,29 @@ def _mpc_sweeps(monkeypatch, run=True):
 
 
 def test_skipped_polish_escalates_to_mpc_sweeps(monkeypatch):
-    # the first ladder leaves the 32-digit start, which the budget
-    # certificate refuses; sweeps at twice the last rung's digits follow
+    # the first ladder leaves the 32-digit start with no certified radius,
+    # so the certificate refuses it; sweeps at twice the last rung's digits
+    # follow, and one Newton step at those digits certifies their roots
     p = parse_polynomial("x^3-2")
     expected = find_roots(p, 60)
     start = aberth_stage(p)
     rungs = _polish_skipping(monkeypatch, 2)
     swept = _mpc_sweeps(monkeypatch)
     rs = polish_roots(p, start, 60)
-    assert (rungs, swept) == ([64, 68], [136])
+    assert (rungs, swept) == ([64, 68, 136], [136])
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in expected.roots]
 
 
 def test_uncertified_roots_raise_at_the_sweep_cap(monkeypatch):
+    # no step certifies a radius, neither on the ladder nor after a sweep
     p = parse_polynomial("x^3-2")
     start = aberth_stage(p)
-    rungs = _polish_skipping(monkeypatch, 2)
+    rungs = _polish_skipping(monkeypatch, 4)
     swept = _mpc_sweeps(monkeypatch, run=False)
     with pytest.raises(NonConvergence, match="roots not certified at 60 "
                                              "digits after sweeps at 272"):
         polish_roots(p, start, 60)
-    assert (rungs, swept) == ([64, 68], [136, 272])
+    assert (rungs, swept) == ([64, 68, 136, 272], [136, 272])
 
 
 def test_a_duplicated_start_escalates(monkeypatch):
@@ -532,7 +620,9 @@ def test_a_duplicated_start_escalates(monkeypatch):
     expected = find_roots(p, 30)
     start = aberth_stage(p)
     swept = _mpc_sweeps(monkeypatch)
-    rs = polish_roots(p, (start[0], start[0], start[2]), 30)
+    twice = rootfinder.Iterates(*((r[0], r[0], r[2])
+                                  for r in (start.roots, start.radii)))
+    rs = polish_roots(p, twice, 30)
     assert swept and swept[0] == 76
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in expected.roots]
 
@@ -656,6 +746,50 @@ def test_separation_screen_sends_beyond_float_roots_to_mpc():
         assert rootfinder._apart(near, [mpf(10) ** -405] * 2)
         assert not rootfinder._apart(near, [mpf(10) ** -399] * 2)
     assert _CountedMpc.subtractions == 3 + 1 + 1
+
+
+def _mpc_order(points):
+    return sorted(range(len(points)),
+                  key=lambda i: (mpmath.atan2(points[i].imag, points[i].real),
+                                 abs(points[i])))
+
+
+@pytest.mark.parametrize("digits", [10, 30, 200])
+def test_order_screen_orders_like_mpc(digits):
+    with mp.workdps(digits + 10):
+        tiny = mpf(10) ** -(digits + 5)
+        turn = mpmath.expjpi(mpf(2) / 7)
+        near = mpmath.expjpi(mpf(2) / 7 + tiny)
+        cases = [
+            [mpc(2), mpc(1), mpc(3), mpc(0), mpc(-1), mpc(-3), mpc(-2)],
+            [mpc(0, 2), mpc(0, 1), mpc(0, -1), mpc(0, -2), mpc(1)],
+            [mpc(1, tiny), mpc(1), mpc(1, -tiny), mpc(2, tiny)],
+            [mpc(-1, tiny), mpc(-1, -tiny), mpc(-1), mpc(-2, -tiny)],
+            [mpc(1, 1), mpc(2, 2), mpc(1, 1)],
+            [turn, 2 * turn, near, turn * (1 + tiny)],
+            [near, 2 * turn],       # one float argument, off the axes
+            [mpc("1e-400", 1), mpc("1e400", 1), mpc(1, "1e-320"), mpc(1)],
+            [mpc("1e300", "1e-300"), mpc(1, "1e-20"), mpc("-1e300", "1e-300")],
+            list(find_roots(parse_polynomial("x^9-3"), digits).roots)[::-1],
+        ]
+        for points in cases:
+            assert rootfinder._canonical_order(points) == _mpc_order(points)
+
+
+def test_order_screen_skips_atan2_for_separated_roots(monkeypatch):
+    atan2, calls = mpmath.atan2, []
+
+    def counting(y, x):
+        calls.append((y, x))
+        return atan2(y, x)
+    monkeypatch.setattr(mpmath, "atan2", counting)
+    with mp.workdps(40):
+        roots = find_roots(parse_polynomial("x^9-3"), 30).roots
+        calls.clear()
+        assert rootfinder._canonical_order(roots[::-1]) == list(range(9))[::-1]
+        assert calls == []
+        rootfinder._canonical_order([mpc(1, 1), mpc(2, 2)])
+        assert len(calls) == 2
 
 
 def test_degree_one_residual_is_that_of_the_rounded_root():
