@@ -5,7 +5,10 @@ is stored flat in row-major order (j_1 slowest).  Level i transforms act along
 axis i: a weighted Fourier sum produces the resolvent array L_{i-1}, whose
 entrywise p_i-th powers are Fourier-inverted into the next invariant array
 Theta_i.  After level m every entry is (numerically) a rational integer.
-The transforms and the rounding compute at the caller's ``mp.dps``.
+The group's action makes many lines of a level copies of one another up to
+an affine reindexing j -> u*j + t (mod p); each level transforms one line of
+each such family and fills the others from it.  The transforms and the
+rounding compute at the caller's ``mp.dps``.
 """
 
 from __future__ import annotations
@@ -182,136 +185,120 @@ def _turn(table, e: int, x, prec: int):
     return cmul(table[e], x, prec)
 
 
+def _transform(entries, table, prec: int, counter: MultiplicationCounter):
+    """One line's L and Theta entries from its Theta entries in the integer
+    form: p(p - 1) products for the powers and, for odd p, (p - 1)^2
+    twiddles for the L sums and for the Theta sums each, which the counter
+    adds (``_turn`` takes none for the factors 1 and -1)."""
+    p = len(entries)
+    counter.add(p * (p - 1) + (2 * (p - 1) ** 2 if p > 2 else 0))
+    l_line, powered, t_line = [], [], []
+    for k in range(p):
+        acc = None
+        for j in range(p):
+            term = _turn(table, (j * k) % p, entries[j], prec)
+            acc = term if acc is None else cadd(acc, term, prec)
+        l_line.append(ints_mpc(acc))
+        w = acc
+        for _ in range(p - 1):
+            w = cmul(w, acc, prec)
+        powered.append(w)
+    for j in range(p):
+        acc = None
+        for k in range(p):
+            term = _turn(table, (-k * j) % p, powered[k], prec)
+            acc = term if acc is None else cadd(acc, term, prec)
+        t_line.append(ints_mpc(cdiv_int(acc, p, prec)))
+    return l_line, t_line
+
+
+def _affine_source(entries, holders, p: int):
+    """(ref, u, t) with entries[j] == ref's entry (u*j + t) mod p for every
+    j, u a unit, ref the L and Theta entries of a line that ``holders``
+    lists under entries[0]; else None."""
+    for where, ref in holders.get(entries[0], ()):
+        t = where[entries[0]]
+        u = (where.get(entries[1], t) - t) % p
+        if u and all(where.get(e) == (u * j + t) % p
+                     for j, e in enumerate(entries)):
+            return ref, u, t
+    return None
+
+
+def _fill(ref, u: int, t: int, table, prec: int,
+          counter: MultiplicationCounter):
+    """The L and Theta entries of the line (u, t) maps onto ``ref``:
+    L_j = zeta^(-t*k) * L_k(ref) with k = j/u mod p, by one ``_turn`` each,
+    and Theta_j = Theta_(u*j)(ref) by index copy."""
+    l_ref, t_ref = ref
+    p = len(l_ref)
+    inverse = pow(u, -1, p)
+    l_line = []
+    for j in range(p):
+        k = j * inverse % p
+        e = -t * k % p
+        l_line.append(l_ref[k] if e == 0 else ints_mpc(
+            _turn(table, e, mpc_ints(l_ref[k]), prec)))
+        if e and p > 2:
+            counter.add(1)
+    return l_line, [t_ref[u * j % p] for j in range(p)]
+
+
 def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                   counter: MultiplicationCounter):
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
-    Returns (L_{level-1}, Theta_level).  Each distinct line, by the bits of
-    its entries, is transformed once; a repeated line copies its L and Theta
-    entries.  A factor zeta^0 = 1 is skipped and a factor -1 (p = 2) is a
-    negation (``_turn``), so a distinct line costs the p(p - 1) products of
-    the powers, and for odd p the (p - 1)^2 twiddles of its L sums and of
-    its Theta sums each.  The counter is incremented by exactly the complex
+    Returns (L_{level-1}, Theta_level).  A line equal to an earlier one, by
+    the bits of its entries, copies that line's L and Theta entries.  A line
+    whose entries are a transformed line's in the order j -> u*j + t
+    (mod p), u a unit, is filled from it (``_fill``); the reference is found
+    through the line's first entry, among the transformed lines whose p
+    entries are distinct.  Every other line is transformed
+    (``_transform``).  The counter is incremented by exactly the complex
     multiplications performed, which stay at or below
     ``multiplication_budget``.  The sums and products run on the integer
-    kernel of ``precision`` at ``mp.prec``, with the bits of the same ``mpc``
-    expressions.
+    kernel of ``precision`` at ``mp.prec``, with the bits of the same
+    ``mpc`` expressions.
     """
     p = theta_prev.radices[level - 1]
-    axis = level - 1
     prec = mp.prec
     table = [mpc_ints(z) for z in zetas[p]]
     data = [mpc_ints(z) for z in theta_prev.data]
-    products = p * (p - 1) + (2 * (p - 1) ** 2 if p > 2 else 0)
     ldata: list = [None] * len(data)
     tdata: list = [None] * len(data)
-    done: dict = {}     # a line's entries -> its L and Theta entries
-    for line in axis_lines(theta_prev.radices, axis):
+    done: dict = {}      # a line's entries -> its L and Theta entries
+    # an entry -> (entry -> index, L and Theta) of each transformed line
+    # that holds it among p distinct entries
+    holders: dict = {}
+    for line in axis_lines(theta_prev.radices, level - 1):
         entries = tuple(data[i] for i in line)
         if entries not in done:
-            l_line, powered, t_line = [], [], []
-            for k in range(p):
-                acc = None
-                for j in range(p):
-                    term = _turn(table, (j * k) % p, entries[j], prec)
-                    acc = term if acc is None else cadd(acc, term, prec)
-                l_line.append(ints_mpc(acc))
-                w = acc
-                for _ in range(p - 1):
-                    w = cmul(w, acc, prec)
-                powered.append(w)
-            for j in range(p):
-                acc = None
-                for k in range(p):
-                    term = _turn(table, (-k * j) % p, powered[k], prec)
-                    acc = term if acc is None else cadd(acc, term, prec)
-                t_line.append(ints_mpc(cdiv_int(acc, p, prec)))
-            counter.add(products)
-            done[entries] = l_line, t_line
+            source = _affine_source(entries, holders, p)
+            if source:
+                done[entries] = _fill(*source, table, prec, counter)
+            else:
+                done[entries] = _transform(entries, table, prec, counter)
+                where = {e: j for j, e in enumerate(entries)}
+                if len(where) == p:
+                    for e in entries:
+                        holders.setdefault(e, []).append(
+                            (where, done[entries]))
         for flat, l_entry, t_entry in zip(line, *done[entries]):
             ldata[flat], tdata[flat] = l_entry, t_entry
     return (replace(theta_prev, data=tuple(ldata)),
             replace(theta_prev, data=tuple(tdata)))
 
 
-def _level1_maps(series: CompositionSeries):
-    """The affine map (u_c, t_c) of each level-1 line c, or None.
-
-    Line c's labels, read from ``position_root_indices``, must be line 0's
-    in the order j -> u_c * j + t_c mod p_1, u_c a unit: then its Theta_0
-    entries are Theta_0(0)[u_c * j + t_c].  That holds when the degree is
-    p_1 and every step normalises <sigma_1>, as in a solvable group of prime
-    degree, which lies in AGL(1, p) (Galois); it fails at any other degree,
-    where line 0 misses a label.
-    """
-    p = series.primes[0]
-    labels = position_root_indices(series)
-    lines = list(axis_lines(series.primes, 0))
-    index = {labels[flat]: j for j, flat in enumerate(lines[0])}
-    maps = []
-    for line in lines:
-        image = [index.get(labels[flat]) for flat in line]
-        if None in image:
-            return None
-        t, u = image[0], (image[1] - image[0]) % p
-        if not u or image != [(u * j + t) % p for j in range(p)]:
-            return None
-        maps.append((u, t))
-    return maps
-
-
-def _forward_level1(theta0: ResolventTensor, series: CompositionSeries,
-                    zetas, counter: MultiplicationCounter, maps):
-    """Level 1 from line 0 alone, for lines related by the affine ``maps``.
-
-    Line 0 is transformed by ``forward_level`` as a (p,) tensor.  For line c
-    with map (u, t), Theta_1(c)[j] = Theta_1(0)[u j] is an index copy, and
-    L_k(c) = zeta^(-t k / u) * L_(k / u)(0) one ``_turn`` of line 0's entry,
-    the division mod p; the counter adds the products that performs.
-    """
-    p = series.primes[0]
-    lines = list(axis_lines(series.primes, 0))
-    line0 = ResolventTensor((p,), tuple(theta0.data[f] for f in lines[0]))
-    L0, theta1 = forward_level(line0, 1, zetas, counter)
-    prec = mp.prec
-    table = [mpc_ints(z) for z in zetas[p]]
-    ldata: list = [None] * len(theta0.data)
-    tdata: list = [None] * len(theta0.data)
-    for line, (u, t) in zip(lines, maps):
-        inverse = pow(u, -1, p)
-        for j, flat in enumerate(line):
-            tdata[flat] = theta1.data[u * j % p]
-            k = j * inverse % p         # L_j(c) from L_k(0), j = u k
-            e = -t * k % p
-            ldata[flat] = L0.data[k] if e == 0 else ints_mpc(
-                _turn(table, e, mpc_ints(L0.data[k]), prec))
-            if e and p > 2:
-                counter.add(1)
-    return (replace(theta0, data=tuple(ldata)),
-            replace(theta0, data=tuple(tdata)))
-
-
 def forward_pass(theta0: ResolventTensor, series: CompositionSeries,
                  zetas) -> ForwardResult:
-    """Run all m levels, retaining every Theta and L tensor.
-
-    Level 1 transforms line 0 alone and fills the other lines by index maps
-    (``_forward_level1``) when every level-1 line is an affine image of line
-    0 (``_level1_maps``), as at prime degree.  Otherwise, and at every level
-    above 1, ``forward_level`` transforms each distinct line.
-    """
+    """Run all m levels by ``forward_level``, retaining every Theta and L
+    tensor."""
     counter = MultiplicationCounter()
-    thetas = [theta0]
-    resolvents = []
-    current = theta0
-    maps = _level1_maps(series) if series.length else None
+    thetas, resolvents = [theta0], []
     for level in range(1, series.length + 1):
-        if level == 1 and maps is not None:
-            L, current = _forward_level1(theta0, series, zetas, counter, maps)
-        else:
-            L, current = forward_level(current, level, zetas, counter)
+        L, theta = forward_level(thetas[-1], level, zetas, counter)
         resolvents.append(L)
-        thetas.append(current)
+        thetas.append(theta)
     return ForwardResult(tuple(thetas), tuple(resolvents), counter)
 
 

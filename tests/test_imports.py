@@ -466,6 +466,62 @@ def test_second_alpha_test_caller_is_detected(tmp_path):
         "rootfinder.py: certify"]
 
 
+def forward_pass_forks(path: Path) -> list[str]:
+    """Functions of ``path`` other than ``build_theta0`` that call or pass
+    on ``position_root_indices``, and functions of ``path`` other than
+    ``forward_level`` that ``forward_pass`` names: the forward pass shares
+    lines by their entries' bits, not by the root labels, through one
+    transform at every level."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f"{path.name}: {node.name} reads position_root_indices"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name != "build_theta0"
+             and any(isinstance(name, ast.Name)
+                     and name.id == "position_root_indices"
+                     for stmt in node.body for name in ast.walk(stmt))]
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    found += [f"{path.name}: forward_pass calls {name}"
+              for name in sorted(defined & names_called(path, "forward_pass"))
+              if name != "forward_level"]
+    return found
+
+
+def test_forward_pass_is_one_loop_over_forward_level():
+    assert forward_pass_forks(SRC / "resolvent.py") == []
+
+
+def test_forward_pass_fork_is_detected(tmp_path):
+    (tmp_path / "resolvent.py").write_text(
+        "def position_root_indices(series):\n"
+        "    return [1]\n"
+        "def build_theta0(roots, series):\n"
+        "    return [roots[i - 1] for i in position_root_indices(series)]\n"
+        "def forward_level(theta, level, zetas, counter):\n"
+        "    return theta, theta\n"
+        "def _level1_maps(series):\n"
+        "    labels = position_root_indices(series)\n"
+        "    return [(1, 0) for _ in labels]\n"
+        "def _forward_level1(theta0, series, zetas, counter, maps):\n"
+        "    return forward_level(theta0[:maps[0][0]], 1, zetas, counter)\n"
+        "def forward_pass(theta0, series, zetas):\n"
+        "    current, counter = theta0, []\n"
+        "    maps = _level1_maps(series) if series.length else None\n"
+        "    for level in range(1, series.length + 1):\n"
+        "        if level == 1 and maps is not None:\n"
+        "            L, current = _forward_level1(theta0, series, zetas,\n"
+        "                                         counter, maps)\n"
+        "        else:\n"
+        "            L, current = forward_level(current, level, zetas,\n"
+        "                                       counter)\n"
+        "    return current\n")
+    assert forward_pass_forks(tmp_path / "resolvent.py") == [
+        "resolvent.py: _level1_maps reads position_root_indices",
+        "resolvent.py: forward_pass calls _forward_level1",
+        "resolvent.py: forward_pass calls _level1_maps"]
+
+
 def second_integer_evaluators(package: Path) -> list[str]:
     """Integer evaluations of f besides ``rootfinder._alpha_data``'s: a
     ``horner`` in ``precision.py``, a Newton polish that steps by anything

@@ -192,8 +192,9 @@ def test_multiplication_counter_budget_exact(reference_label_order):
     series, _, _, fwd = quintic_forward(reference_label_order)
     assert multiplication_budget(series) == 190  # 10 * (14 + 5)
     # level 1: line 0's 4 * 13 products, and 4 zeta-powers to fill line 1;
-    # level 2: 2 products for each of its 5 lines
-    assert fwd.counter.count == 66
+    # level 2: 2 products for each of lines 0, 1 and 2; lines 3 and 4 hold
+    # the entries of lines 2 and 1 swapped, and are filled by negations
+    assert fwd.counter.count == 62
     assert fwd.counter.count <= multiplication_budget(series)
 
 
@@ -264,42 +265,70 @@ def test_primitive_root_exchange_law(reference_label_order):
                 assert abs(got - expected) < tol
 
 
-def _unmemoised_forward(theta, series, zetas, first=1):
-    """Every line of levels ``first``..m, from ``theta`` = Theta_(first-1),
-    transformed on its own with every twiddle a kernel product and no memo:
-    the loop of ``forward_level`` before it reused repeated lines and skipped
-    the factors 1 and -1.  Returns L_(first-1), Theta_first, ..., Theta_m."""
-    prec, current, tensors = mp.prec, theta, []
-    for level in range(first, series.length + 1):
-        p = current.radices[level - 1]
-        table = [mpc_ints(z) for z in zetas[p]]
-        data = [mpc_ints(z) for z in current.data]
-        ldata, tdata = [None] * len(data), [None] * len(data)
-        for line in axis_lines(current.radices, level - 1):
-            entries, powered = [data[i] for i in line], []
-            for k in range(p):
-                acc = None
-                for j in range(p):
-                    term = cmul(table[(j * k) % p], entries[j], prec)
-                    acc = term if acc is None else cadd(acc, term, prec)
-                ldata[line[k]] = ints_mpc(acc)
-                w = acc
-                for _ in range(p - 1):
-                    w = cmul(w, acc, prec)
-                powered.append(w)
+def _unmemoised_level(theta, level, zetas):
+    """L_(level-1) and Theta_level from ``theta`` = Theta_(level-1), every
+    line transformed on its own with every twiddle a kernel product and no
+    memo: the loop of ``forward_level`` before it shared lines and skipped
+    the factors 1 and -1."""
+    prec, p = mp.prec, theta.radices[level - 1]
+    table = [mpc_ints(z) for z in zetas[p]]
+    data = [mpc_ints(z) for z in theta.data]
+    ldata, tdata = [None] * len(data), [None] * len(data)
+    for line in axis_lines(theta.radices, level - 1):
+        entries, powered = [data[i] for i in line], []
+        for k in range(p):
+            acc = None
             for j in range(p):
-                acc = None
-                for k in range(p):
-                    term = cmul(table[(-k * j) % p], powered[k], prec)
-                    acc = term if acc is None else cadd(acc, term, prec)
-                tdata[line[j]] = ints_mpc(cdiv_int(acc, p, prec))
-        current = ResolventTensor(current.radices, tuple(tdata))
-        tensors += [ResolventTensor(current.radices, tuple(ldata)), current]
+                term = cmul(table[(j * k) % p], entries[j], prec)
+                acc = term if acc is None else cadd(acc, term, prec)
+            ldata[line[k]] = ints_mpc(acc)
+            w = acc
+            for _ in range(p - 1):
+                w = cmul(w, acc, prec)
+            powered.append(w)
+        for j in range(p):
+            acc = None
+            for k in range(p):
+                term = cmul(table[(-k * j) % p], powered[k], prec)
+                acc = term if acc is None else cadd(acc, term, prec)
+            tdata[line[j]] = ints_mpc(cdiv_int(acc, p, prec))
+    return (ResolventTensor(theta.radices, tuple(ldata)),
+            ResolventTensor(theta.radices, tuple(tdata)))
+
+
+def _unmemoised_forward(theta0, series, zetas):
+    """L_0, Theta_1, ..., L_(m-1), Theta_m from Theta_0 by
+    ``_unmemoised_level``."""
+    current, tensors = theta0, []
+    for level in range(1, series.length + 1):
+        L, current = _unmemoised_level(current, level, zetas)
+        tensors += [L, current]
     return tensors
 
 
-def _bits(tensors):
-    return [[z._mpc_ for z in t.data] for t in tensors]
+def _line_sources(theta, level):
+    """The lines along axis ``level`` - 1 of ``theta``, and for each, in
+    order: None for a line the sharing rule transforms; ("equal", earlier)
+    for a line with the bits of an earlier line; ("fill", ref, u, t) for a
+    line whose j-th entry has the bits of entry (u j + t) mod p of ``ref``,
+    a transformed line with p distinct entries.  Every map is tried."""
+    p = theta.radices[level - 1]
+    bits = [z._mpc_ for z in theta.data]
+    lines = list(axis_lines(theta.radices, level - 1))
+    sources, refs = [], []
+    for c, line in enumerate(lines):
+        entries = [bits[i] for i in line]
+        source = next((("equal", lines[d]) for d in range(c)
+                       if [bits[i] for i in lines[d]] == entries), None)
+        source = source or next(
+            (("fill", ref, u, t) for ref in refs
+             for u in range(1, p) for t in range(p)
+             if all(entries[j] == bits[ref[(u * j + t) % p]]
+                    for j in range(p))), None)
+        if source is None and len(set(entries)) == p:
+            refs.append(line)
+        sources.append(source)
+    return lines, sources
 
 
 def _counted_forward(monkeypatch, report):
@@ -332,57 +361,62 @@ REPEATING = [("S4 x^4+x+1", "x^4+x+1", "(1,2,3,4);(1,2)", "auto"),
                          ids=[i[0] for i in REPEATING])
 def test_memoised_forward_pass_is_the_unmemoised_loop(monkeypatch, name, poly,
                                                       gens, labeling):
-    """Reusing repeated lines keeps every L and Theta bit, and the counter
-    counts the kernel products actually performed, below the budget.
+    """At every level, against the loop fed the pass's Theta of the level
+    below: a line the pass transforms keeps the loop's L and Theta bits; a
+    line equal to an earlier one holds that line's entries; a line filled
+    from a transformed line by j -> u j + t holds the reference's Theta
+    entries at u j, the same objects, and L and Theta entries within
+    10^(10-d) of the loop's, relative to their size.  The rounded final
+    tensors are equal, and the counter counts the kernel products actually
+    performed, below the budget.
 
-    At prime degree (F42, F110) level 1 transforms line 0 alone: its L and
-    Theta entries, and every level above fed the pass's Theta_1, keep the
-    loop's bits; the other Theta_1 entries are line 0's, copied by the
-    index map j -> u j of the line's labels; they and the L_0 entries that
-    the zeta-powers fill lie within 10^(10-d) of the loop's recomputed
-    values, relative to their size; the rounded final tensors are equal."""
+    At prime degree (F42, F110) level 1 transforms line 0 alone, and the
+    labels of each filled line are line 0's in the order of its map."""
     report = solve(poly, gens, labeling=labeling)
     series, digits = report.series, report.digits
     zetas, theta0, fwd, kernel = _counted_forward(monkeypatch, report)
-    memoised = [t for pair in zip(fwd.resolvents, fwd.thetas[1:])
-                for t in pair]
-    with mp.workdps(digits):
-        reference = _unmemoised_forward(theta0, series, zetas)
-        above = _unmemoised_forward(fwd.thetas[1], series, zetas, first=2)
-        reference_ints = round_theta_m(reference[-1])
     assert kernel == fwd.counter.count == report.multiplications
     assert fwd.counter.count < multiplication_budget(series)
-    if name.startswith("S4"):
-        assert _bits(memoised) == _bits(reference)
-        return
-    assert _bits(memoised[2:]) == _bits(above)
-    assert reference_ints.values == report.theta.values
-    p, labels = series.primes[0], position_root_indices(series)
-    lines = list(axis_lines(series.primes, 0))
-    theta1, reference1 = fwd.thetas[1].data, reference[1].data
-    for flat in lines[0]:
-        assert fwd.resolvents[0].data[flat]._mpc_ == \
-            reference[0].data[flat]._mpc_
-        assert theta1[flat]._mpc_ == reference1[flat]._mpc_
-    first = [labels[flat] for flat in lines[0]]
+    labels = position_root_indices(series)
     tolerance = mpf(10) ** (10 - digits)
-    for line in lines[1:]:
-        t = first.index(labels[line[0]])
-        u = (first.index(labels[line[1]]) - t) % p
-        for j, flat in enumerate(line):
-            assert labels[flat] == first[(u * j + t) % p]
-            assert theta1[flat] is theta1[lines[0][u * j % p]]
-            for ours, loop in ((theta1, reference1),
-                               (fwd.resolvents[0].data, reference[0].data)):
-                assert abs(ours[flat] - loop[flat]) < \
-                    tolerance * max(1, abs(loop[flat]))
+    fills = 0
+    with mp.workdps(digits):
+        reference = _unmemoised_forward(theta0, series, zetas)
+        assert round_theta_m(reference[-1]).values == report.theta.values
+        for level in range(1, series.length + 1):
+            L, theta = fwd.resolvents[level - 1].data, fwd.thetas[level].data
+            loop_L, loop_theta = (t.data for t in _unmemoised_level(
+                fwd.thetas[level - 1], level, zetas))
+            p = series.primes[level - 1]
+            lines, sources = _line_sources(fwd.thetas[level - 1], level)
+            if level == 1 and series.degree == p:
+                assert sources[0] is None
+                assert all(s[0] == "fill" for s in sources[1:])
+            for line, source in zip(lines, sources):
+                if source is None:
+                    assert [(L[f]._mpc_, theta[f]._mpc_) for f in line] == \
+                        [(loop_L[f]._mpc_, loop_theta[f]._mpc_) for f in line]
+                elif source[0] == "equal":
+                    for f, g in zip(line, source[1]):
+                        assert L[f] is L[g] and theta[f] is theta[g]
+                else:
+                    fills += 1
+                    _, ref, u, t = source
+                    for j, f in enumerate(line):
+                        assert theta[f] is theta[ref[u * j % p]]
+                        if level == 1:
+                            assert labels[f] == labels[ref[(u * j + t) % p]]
+                        for ours, loop in ((L, loop_L), (theta, loop_theta)):
+                            assert abs(ours[f] - loop[f]) < \
+                                tolerance * max(1, abs(loop[f]))
+    assert fills
 
 
 @pytest.mark.parametrize("name", ["S4 x^4+x+1", "C6 deg-6 cyclic", "C16 Phi17"])
 def test_exact_twiddles_keep_every_bit(monkeypatch, name):
     """Skipping the factor zeta^0 = 1 and negating for the factor -1 (p = 2)
-    gives every L and Theta entry the bits of the loop that multiplies by
-    them, on groups whose level-1 lines are not affine images of line 0."""
+    gives every L and Theta entry of a line the pass transforms the bits of
+    the loop that multiplies by them, fed the same Theta."""
     workloads = load_perfbench("workloads")
     seed = workloads.DEFAULT_SEED
     pool = workloads.small_mixed(seed) + workloads.cyclo_roots(seed)
@@ -390,10 +424,56 @@ def test_exact_twiddles_keep_every_bit(monkeypatch, name):
     report = solve(instance.poly, instance.generators,
                    labeling=instance.labeling)
     zetas, theta0, fwd, kernel = _counted_forward(monkeypatch, report)
+    transformed = 0
     with mp.workdps(report.digits):
-        reference = _unmemoised_forward(theta0, report.series, zetas)
-    assert resolvent._level1_maps(report.series) is None
-    assert _bits(t for pair in zip(fwd.resolvents, fwd.thetas[1:])
-                 for t in pair) == _bits(reference)
+        for level in range(1, report.series.length + 1):
+            prev = fwd.thetas[level - 1]
+            loop = _unmemoised_level(prev, level, zetas)
+            ours = fwd.resolvents[level - 1], fwd.thetas[level]
+            lines, sources = _line_sources(prev, level)
+            for line, source in zip(lines, sources):
+                if source is None:
+                    transformed += 1
+                    assert [[t.data[f]._mpc_ for f in line] for t in ours] == \
+                        [[t.data[f]._mpc_ for f in line] for t in loop]
+    assert transformed >= report.series.length
     assert kernel == fwd.counter.count
     assert fwd.counter.count < multiplication_budget(report.series)
+
+
+P2_FILLS = ["S3 x^3-2", "C16 Phi17 g=11", "F272 x^17-2"]
+
+
+@pytest.mark.parametrize("name", P2_FILLS)
+def test_swapped_lines_at_p2_keep_the_bits_of_their_own_transform(name):
+    """A p = 2 line that holds a transformed line's entries swapped is
+    filled by one negation of L_1 and copies of L_0 and Theta; those have
+    the bits that transforming the line itself gives."""
+    workloads = load_perfbench("workloads")
+    pool = (workloads.small_mixed(workloads.DEFAULT_SEED)
+            + workloads.cyclo_roots(7)
+            + [workloads.pure_power("F272", 17, 2, 3)])
+    instance = next(i for i in pool if i.name == name)
+    report = solve(instance.poly, instance.generators,
+                   labeling=instance.labeling)
+    series = report.series
+    swapped = 0
+    with mp.workdps(report.digits):
+        zetas = zeta_tables(series)
+        fwd = forward_pass(build_theta0(report.roots, series), series, zetas)
+        for level, p in enumerate(series.primes, start=1):
+            if p != 2:
+                continue
+            prev = fwd.thetas[level - 1]
+            lines, sources = _line_sources(prev, level)
+            for line, source in zip(lines, sources):
+                if source is None or source[0] != "fill":
+                    continue
+                assert source[2:] == (1, 1)
+                swapped += 1
+                own = _unmemoised_level(ResolventTensor(
+                    (2,), tuple(prev.data[f] for f in line)), 1, zetas)
+                ours = fwd.resolvents[level - 1], fwd.thetas[level]
+                assert [[t.data[f]._mpc_ for f in line] for t in ours] == \
+                    [[z._mpc_ for z in t.data] for t in own]
+    assert swapped

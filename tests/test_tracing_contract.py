@@ -48,7 +48,7 @@ def test_traced_solve_records_every_wrapped_layer_but_the_known_gaps():
         name for name, calls in tracer.calls.items() if calls}
     assert wrapped - recorded == UNCALLED
     by_name = {span["name"]: span for span in tracer.spans}
-    assert by_name["resolvent.forward_pass"]["mults"] == 66
+    assert by_name["resolvent.forward_pass"]["mults"] == 62
     assert by_name["oracle.label_roots"]["candidates"] >= 1
     assert by_name["radical.reconstruct"]["branch_choices"] > 0
     assert by_name["resolvent.round_theta_m"]["residual_frac"] < 1
