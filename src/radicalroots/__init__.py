@@ -9,10 +9,10 @@ re-evaluation.
 
 __version__ = "0.1.0"
 
-from .errors import (InputSyntaxError, LabelingAmbiguous, LabelingFailed,
-                     NonConvergence, NotSolvable, PhaseAmbiguous,
-                     PrecisionInfeasible, ResidualTooLarge, SolverError,
-                     UnsupportedInput, VerificationFailed)
+from .errors import (InputSyntaxError, LabelingFailed, NonConvergence,
+                     NotSolvable, PhaseAmbiguous, PrecisionInfeasible,
+                     ResidualTooLarge, SolverError, UnsupportedInput,
+                     VerificationFailed)
 from .groups import (CompositionSeries, Permutation, PermutationGroup,
                      closure, composition_series, coset_representatives,
                      orbit_sum_invariant, parse_cycles)
@@ -59,6 +59,5 @@ __all__ = [
     # errors
     "SolverError", "InputSyntaxError", "UnsupportedInput", "NotSolvable",
     "ResidualTooLarge", "PhaseAmbiguous", "LabelingFailed",
-    "LabelingAmbiguous", "PrecisionInfeasible", "NonConvergence",
-    "VerificationFailed",
+    "PrecisionInfeasible", "NonConvergence", "VerificationFailed",
 ]

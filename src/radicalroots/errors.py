@@ -67,6 +67,7 @@ class LabelingFailed(SolverError):
     exit_code = EXIT_LABELING
 
 
+# nothing raises this; it stays because perfbench/tracing.py imports it
 class LabelingAmbiguous(SolverError):
     """Inequivalent coset representatives pass all integrality tests."""
 

@@ -137,11 +137,6 @@ class PermutationGroup:
     def __contains__(self, perm: Permutation) -> bool:
         return perm.images in self._element_set
 
-    def is_normalized_by(self, s: Permutation) -> bool:
-        """True when s G s^-1 = G, checked on the generators."""
-        s_inv = s.inverse()
-        return all((s * g * s_inv) in self for g in self.generators)
-
 
 def _close_elements(generators: list[Permutation],
                     degree: int) -> list[Permutation]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import LabelingAmbiguous, LabelingFailed, ResidualTooLarge
+from .errors import LabelingFailed, ResidualTooLarge
 from .groups import (PermutationGroup, Permutation, coset_representatives,
                      orbit_sum_invariant)
 from .polynomial import eval_poly
@@ -183,7 +183,7 @@ def _screen(reps, invariants, roots: RootSet) -> list[Permutation]:
 @dataclass(frozen=True)
 class LabelingResult:
     permutation: Permutation          # label j takes input root permutation(j)
-    candidates_passed: int
+    candidates_passed: int            # candidates the float screen kept
 
 
 def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
@@ -194,32 +194,25 @@ def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
     relabeling makes every invariant in the test set integral.  The test
     screens every representative in hardware ``complex`` first, and keeps
     each one the screen cannot reject (including those whose values
-    overflow); only those are confirmed in ``mpc`` at the roots' digit
-    budget.  Two passing labelings sigma, tau are equivalent (they induce the
-    same permutation action) when sigma^-1 tau normalizes G, which is checked
-    by conjugating G's generators; passes that are not all equivalent to the
-    first raise LabelingAmbiguous, and no pass at all raises LabelingFailed.
-    Best-effort: ambiguity means the caller must supply the labeling.
+    overflow); the survivors are confirmed in ``mpc`` at the roots' digit
+    budget, in order, and the first confirmed one is returned, with the
+    number of survivors as ``candidates_passed``; when none passes,
+    LabelingFailed is raised.  A labeling that is not the Galois action can
+    still make the invariants integral, so ``solve`` still rounds the final
+    tensor and guards every root: it returns a radical only when it
+    evaluates within delta of its labeled root.
     """
     n = G.degree
     if roots.n != n:
         raise ValueError("root count does not match the group degree")
     invariants = [orbit for _, orbit in default_labeling_invariants(G)]
     reps = _screen(coset_representatives(G), invariants, roots)
-    passing = []
     with mp.workdps(roots.digits):
         for rep in reps:
             moved = tuple(roots.roots[rep(j) - 1] for j in range(1, n + 1))
             if all(nearest_integer(_orbit_value(orbit, moved))[1]
                    < DEFAULT_LABELING_TOLERANCE for orbit in invariants):
-                passing.append(rep)
-    if not passing:
-        raise LabelingFailed(
-            "no coset representative makes the test invariants integral; "
-            "check the group, or supply --root-order explicitly")
-    first_inv = passing[0].inverse()
-    if not all(G.is_normalized_by(first_inv * other) for other in passing[1:]):
-        raise LabelingAmbiguous(
-            f"{len(passing)} inequivalent labelings pass the "
-            "integrality tests; supply --root-order explicitly")
-    return LabelingResult(passing[0], len(passing))
+                return LabelingResult(rep, len(reps))
+    raise LabelingFailed(
+        "no coset representative makes the test invariants integral; "
+        "check the group, or supply --root-order explicitly")

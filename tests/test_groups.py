@@ -216,8 +216,3 @@ def test_orbit_sum_examples(d5):
 def test_orbit_length_divides_group_order(vec, d5):
     orbit = orbit_sum_invariant(d5, tuple(vec))
     assert d5.order % len(orbit) == 0
-
-
-def test_normalizer_of_d5_is_order_20(d5):
-    assert sum(d5.is_normalized_by(Permutation(images))
-               for images in itertools.permutations(range(1, 6))) == 20

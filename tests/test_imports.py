@@ -653,3 +653,47 @@ def test_full_tensor_field_is_detected(tmp_path):
         "    theta0_exprs: tuple\n")
     assert full_tensor_fields(tmp_path / "radical.py") == [
         "radical.py: ReconstructionResult.theta0_exprs"]
+
+
+RETIRED_LABELING_NAMES = ("is_normalized_by", "LabelingAmbiguous")
+
+
+def retired_labeling_names(path: Path) -> list[str]:
+    """Names, attributes, imports and definitions of ``is_normalized_by`` or
+    ``LabelingAmbiguous``: auto-labeling takes the first confirmed
+    candidate, so no passing labeling is compared with another."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in RETIRED_LABELING_NAMES:
+            found.append(f"{path.name}: {name}")
+    return sorted(found)
+
+
+def test_labeling_compares_no_passing_candidates():
+    assert [line for module in ("oracle.py", "groups.py")
+            for line in retired_labeling_names(SRC / module)] == []
+
+
+def test_retired_labeling_name_is_detected(tmp_path):
+    (tmp_path / "oracle.py").write_text(
+        "from .errors import LabelingAmbiguous, LabelingFailed\n"
+        "class PermutationGroup:\n"
+        "    def is_normalized_by(self, s):\n"
+        "        return True\n"
+        "def label_roots(G, passing):\n"
+        "    if not all(G.is_normalized_by(p) for p in passing):\n"
+        "        raise LabelingAmbiguous('two labelings')\n"
+        "    raise LabelingFailed('none')\n")
+    assert retired_labeling_names(tmp_path / "oracle.py") == [
+        "oracle.py: LabelingAmbiguous", "oracle.py: LabelingAmbiguous",
+        "oracle.py: is_normalized_by", "oracle.py: is_normalized_by"]

@@ -20,8 +20,6 @@ FAILURES = {
     "S4 x^4+x+1": "branch_mismatch",
     "S3 2x^3-3": "scale",
     "F42 x^7-2": "branch_mismatch",
-    "D6 x^6-2": "LabelingAmbiguous",
-    "D4 x^4-2": "LabelingAmbiguous",
     "C18 Phi19 g=2": "branch_mismatch",
     "F110 x^11-2": "branch_mismatch",
     "F156 x^13-2": "branch_mismatch",
@@ -55,3 +53,22 @@ def test_independent_check_failure_set_is_pinned(instance):
     else:
         reason = check.check_report(report)
     assert reason == FAILURES.get(instance.name)
+
+
+D4 = "(1,2,3,4);(2,4)"
+D6 = "(1,2,3,4,5,6);(2,6)(3,5)"
+# x^4-a and x^6-a at the a that the label-search workload draws, and the two
+# cyclic sextics: several labelings pass the integrality tests for each, and
+# the first one solves
+AUTO_LABELED = [(f"x^{n}-{a}", gens) for n, gens in ((4, D4), (6, D6))
+                for a in (2, 3, 5, 6, 7)] + [
+    ("x^6+x^3+1", "(1,2,3,4,5,6)"), ("x^6-x^3+1", "(1,2,3,4,5,6)")]
+
+
+@pytest.mark.parametrize("text,generators", AUTO_LABELED)
+def test_auto_labeled_dihedral_and_cyclic_sextics_pass_the_check(text,
+                                                                 generators):
+    check = load_perfbench("check")
+    report = solve(text, generators, labeling="auto", run_verification=True)
+    assert report.verification is not None
+    assert check.check_report(report) is None
