@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (dps_to_prec, from_int, fzero, mpf_abs, mpf_atan2,
-                          mpf_cos_sin, mpf_div, mpf_hypot, mpf_le, mpf_mul,
-                          mpf_nthroot, mpf_pow_int, normalize, round_nearest)
+from mpmath.libmp import (dps_to_prec, fzero, mpc_nthroot, normalize,
+                          round_nearest)
 
 from .errors import PrecisionInfeasible
 from .groups import smallest_prime_factor
@@ -72,32 +71,15 @@ def root_of_unity(p: int, k: int) -> mpc:
 def principal_root(z: mpc, p: int) -> mpc:
     """The p-th root w of z with arg(w) in (-pi/p, pi/p]; zero maps to zero.
 
-    Imaginary parts below the rounding floor are snapped to zero first so that
-    values that are exactly real (up to working precision) stay on one side of
-    the branch cut regardless of noise sign.  The steps are ``mpmath.libmp``
-    calls at the guarded precision, each rounded to nearest.
+    ``mpc_nthroot`` at the guarded precision, rounded to nearest: the root
+    that ``mpmath.root`` takes, with nothing snapped, so a z on the negative
+    real axis takes arg w = +pi/p only when its imaginary part is exactly 0.
     """
     if p < 1:
         raise ValueError("root degree must be >= 1")
-    if z == 0:
-        return mpc(0)
-    digits = mp.dps
-    wp, rnd = dps_to_prec(digits + _GUARD), round_nearest
-    re, im = z._mpc_
-    mag = mpf_hypot(re, im, wp, rnd)
-    eps = mpf_pow_int(from_int(10), 2 - digits, wp, rnd)   # 10^(2-digits)
-    if im != fzero and mpf_le(mpf_abs(im), mpf_mul(mag, eps, wp, rnd)):
-        im = fzero
-    theta = mpf_div(mpf_atan2(im, re, wp, rnd), from_int(p), wp, rnd)
-    r = mpf_nthroot(mag, p, wp, rnd)
-    cos, sin = mpf_cos_sin(theta, wp, rnd)
-    floor = mpf_mul(r, eps, wp, rnd)
-    parts = []
-    for c in (cos, sin):
-        w = mpf_mul(r, c, wp, rnd)
-        parts.append(fzero if w != fzero and mpf_le(mpf_abs(w), floor)
-                     else normalize(*w, mp.prec, rnd))
-    return mp.make_mpc(tuple(parts))
+    wp, rnd = dps_to_prec(mp.dps + _GUARD), round_nearest
+    parts = mpc_nthroot(z._mpc_, p, wp, rnd)
+    return mp.make_mpc(tuple(normalize(*w, mp.prec, rnd) for w in parts))
 
 
 def nearest_integer(z: mpc) -> tuple[int, mpf]:

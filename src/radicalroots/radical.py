@@ -279,11 +279,11 @@ def evaluate(expr: RadicalExpr, cache: ValueCache | None = None) -> mpc:
 class BranchChoice:
     """Record of one accepted p-th-root branch selection, in sector units.
 
-    The stored resolvent entry L_k lies at x = p * arg(L_k) / 2pi; branch s
-    is the sector centred on x = s (mod p).  ``best_distance`` is |x - c|
-    for the chosen sector's centre c, ``second_distance`` the distance
-    1 - |x - c| to the next centre.  Off the branch cut the best distance is
-    at most 1/2 - delta; on it both are 1/2 to within delta^2.
+    The stored resolvent entry L_k lies at x = p * arg(L_k) / 2pi.
+    ``branch`` is the tag of the Root that ``_root`` emits for it,
+    ``best_distance`` |x - c| for the sector centre c that ``_decide`` picks
+    and ``second_distance`` 1 - |x - c|.  Off the branch cut the best
+    distance is at most 1/2 - delta; on it both are 1/2 to within delta^2.
     """
 
     level: int
@@ -318,15 +318,15 @@ def _exponent(x: mpf) -> int:
 def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     """The zero and branch decisions of one tensor line from the stored
     resolvent entries alone: per entry None for a zero, else (branch, best
-    distance, second distance) in sector units.
+    distance, second distance, on the cut) in sector units.
 
     An entry is zero when |L_k| < delta.  A nonzero entry whose |L_k|^p lies
     on the noise floor, 10^(4-digits) times the line's sum of magnitudes in
     ``theta`` (Theta_level at full precision), raises PhaseAmbiguous.  The
-    branch is nint(x) mod p for x = p * arg(L_k) / 2pi; within delta^2 of a
+    branch is nint(x) mod p for x = p * arg(L_k) / 2pi.  Within delta^2 of a
     sector boundary x is on the cut, and the branch is nint(x - 1/2) mod p,
-    which puts arg w = +pi/p as ``principal_root`` does; between delta^2
-    and delta of a boundary it raises PhaseAmbiguous.
+    arg +pi/p as for an exactly negative real (``_root`` takes a compound
+    radicand off the cut); between delta^2 and delta it raises PhaseAmbiguous.
 
     The floor test runs only where a screen cannot pass it: with the parts
     of the Theta line below 2^top, the computed floor is below
@@ -364,8 +364,25 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
                 f"index {flat}: {mpmath.nstr(edge, 4)} sectors from a "
                 f"boundary, delta {mpmath.nstr(delta, 4)}")
         best = abs(x - centre)
-        picks.append((int(centre) % p, best, 1 - best))
+        picks.append((int(centre) % p, best, 1 - best, edge < delta * delta))
     return picks
+
+
+def _root(p: int, radicand: RadicalExpr, branch: int, best, second, on_cut):
+    """The node of zeta_p^branch times the principal p-th root of E, and its
+    pick (tag of the emitted Root, best and second distance).  A compound E
+    on the cut gives way to -E, off it: -root(p, branch + (p+1)/2; -E) at
+    odd p, root(2,0; -1)*root(2,branch; -E) at p = 2."""
+    if not on_cut or isinstance(radicand, IntegerLiteral):
+        node = make_root(p, radicand, branch)
+    elif p == 2:
+        node = make_product([Root(2, IntegerLiteral(-1), 0), Root(
+            2, make_product([IntegerLiteral(-1), radicand]), branch)])
+    else:
+        branch = (branch + (p + 1) // 2) % p
+        node = make_product([IntegerLiteral(-1), Root(
+            p, make_product([IntegerLiteral(-1), radicand]), branch)])
+    return node, (branch, best, second)
 
 
 def _representatives(series: CompositionSeries) -> list[int]:
@@ -440,12 +457,13 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
             line_exprs = tuple(exact[i] for i in line)
             key = (line_exprs, tuple(stored.data[i]._mpc_ for i in line))
             if key not in decided:
-                picks = _decide(level, p, line, stored,
-                                forward.thetas[level], delta)
-                chosen = tuple(_ZERO if pick is None else make_root(
-                    p, make_sum(make_product([_zeta(p, j * k), line_exprs[j]])
-                                for j in range(p)), pick[0])
-                    for k, pick in enumerate(picks))
+                decisions = _decide(level, p, line, stored,
+                                    forward.thetas[level], delta)
+                chosen, picks = zip(*(
+                    (_ZERO, None) if pick is None else _root(p, make_sum(
+                        make_product([_zeta(p, j * k), line_exprs[j]])
+                        for j in range(p)), *pick)
+                    for k, pick in enumerate(decisions)))
                 if chosen not in combos:
                     combos[chosen] = [make_scale(p, make_sum(
                         make_product([_zeta(p, -j * k), chosen[k]])

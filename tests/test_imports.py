@@ -697,3 +697,61 @@ def test_retired_labeling_name_is_detected(tmp_path):
     assert retired_labeling_names(tmp_path / "oracle.py") == [
         "oracle.py: LabelingAmbiguous", "oracle.py: LabelingAmbiguous",
         "oracle.py: is_normalized_by", "oracle.py: is_normalized_by"]
+
+
+STANDARD_ROOT_CALLS = {"dps_to_prec", "mpc_nthroot", "normalize", "make_mpc",
+                       "mpc", "tuple", "ValueError"}
+
+
+def calls_in(path: Path, function: str) -> set[str]:
+    """Names of the functions and methods that the body of ``function``
+    calls."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {call.func.id if isinstance(call.func, ast.Name)
+                    else call.func.attr
+                    for stmt in node.body for call in ast.walk(stmt)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, (ast.Name, ast.Attribute))}
+    raise LookupError(f"{path.name} defines no {function}")
+
+
+def test_principal_root_is_the_standard_root():
+    # mpmath's mpc_nthroot rounded to the working precision: no floor, and
+    # no snap of branch-cut noise that other evaluators do not make
+    assert calls_in(SRC / "precision.py", "principal_root") \
+        - STANDARD_ROOT_CALLS == set()
+
+
+def test_snap_in_principal_root_is_detected(tmp_path):
+    (tmp_path / "precision.py").write_text(
+        "def principal_root(z, p):\n"
+        "    if p < 1:\n"
+        "        raise ValueError('root degree must be >= 1')\n"
+        "    if z == 0:\n"
+        "        return mpc(0)\n"
+        "    digits = mp.dps\n"
+        "    wp, rnd = dps_to_prec(digits + _GUARD), round_nearest\n"
+        "    re, im = z._mpc_\n"
+        "    mag = mpf_hypot(re, im, wp, rnd)\n"
+        "    eps = mpf_pow_int(from_int(10), 2 - digits, wp, rnd)\n"
+        "    if im != fzero and mpf_le(mpf_abs(im),\n"
+        "                              mpf_mul(mag, eps, wp, rnd)):\n"
+        "        im = fzero\n"
+        "    theta = mpf_div(mpf_atan2(im, re, wp, rnd), from_int(p),\n"
+        "                    wp, rnd)\n"
+        "    r = mpf_nthroot(mag, p, wp, rnd)\n"
+        "    cos, sin = mpf_cos_sin(theta, wp, rnd)\n"
+        "    floor = mpf_mul(r, eps, wp, rnd)\n"
+        "    parts = []\n"
+        "    for c in (cos, sin):\n"
+        "        w = mpf_mul(r, c, wp, rnd)\n"
+        "        parts.append(fzero if w != fzero\n"
+        "                     and mpf_le(mpf_abs(w), floor)\n"
+        "                     else normalize(*w, mp.prec, rnd))\n"
+        "    return mp.make_mpc(tuple(parts))\n")
+    assert calls_in(tmp_path / "precision.py", "principal_root") \
+        - STANDARD_ROOT_CALLS == {
+        "mpf_hypot", "mpf_pow_int", "from_int", "mpf_le", "mpf_abs",
+        "mpf_mul", "mpf_div", "mpf_atan2", "mpf_nthroot", "mpf_cos_sin",
+        "append"}

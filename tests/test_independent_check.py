@@ -3,9 +3,10 @@
 ``perfbench/check.py`` re-evaluates every emitted radical with plain mpmath
 (principal branches, no snapping) and asks whether the values are distinct
 roots of the input polynomial.  ``verify`` compares the solver's evaluator
-with itself, so this is the only tier-1 test that asks whether an answer is
-right.  The failure set is pinned exactly, by instance and reason: a change
-may shrink it, with the entry removed here, and must never grow it.
+with itself, so these are the only tier-1 tests that ask whether an answer
+is right.  The failure set is pinned exactly, by instance and reason: a change
+may shrink it, with the entry removed here, and must never grow it.  The
+large pure powers and the auto-labeled polynomials below must all pass.
 """
 
 import pytest
@@ -15,15 +16,7 @@ from tests.conftest import load_perfbench
 
 # name -> reason: an exception type, "branch_mismatch" (the values are not
 # distinct roots) or "scale" (they are the monic reduction's roots)
-FAILURES = {
-    "D5 quintic": "branch_mismatch",
-    "S4 x^4+x+1": "branch_mismatch",
-    "S3 2x^3-3": "scale",
-    "F42 x^7-2": "branch_mismatch",
-    "C18 Phi19 g=2": "branch_mismatch",
-    "F110 x^11-2": "branch_mismatch",
-    "F156 x^13-2": "branch_mismatch",
-}
+FAILURES = {"S3 2x^3-3": "scale"}
 
 
 def instances():
@@ -71,4 +64,38 @@ def test_auto_labeled_dihedral_and_cyclic_sextics_pass_the_check(text,
     check = load_perfbench("check")
     report = solve(text, generators, labeling="auto", run_verification=True)
     assert report.verification is not None
+    assert check.check_report(report) is None
+
+
+@pytest.mark.parametrize("n,unit", [(17, 3), (19, 2), (23, 5)])
+def test_large_pure_powers_pass_the_check(n, unit):
+    # F272, F342 and F506: x^17-2, x^19-2 and x^23-2 with explicit labels
+    check = load_perfbench("check")
+    instance = load_perfbench("workloads").pure_power(f"F{n * (n - 1)}", n,
+                                                      2, unit)
+    report = solve(instance.poly, instance.generators,
+                   labeling=instance.labeling, run_verification=True)
+    assert check.check_report(report) is None
+
+
+S4 = "(1,2,3,4);(1,2)"
+S3 = "(1,2,3);(1,2)"
+# irreducible quartics and cubics with full symmetric groups (sympy's
+# galois_group), drawn at seed 5: each has compound radicands on the negative
+# real axis, whose standard principal roots would read the sign of rounding
+# noise
+RANDOM_SYMMETRIC = [(text, S4) for text in (
+    "x^4-7x^3+x^2-9x+9", "x^4+x^3+6x^2+2", "x^4+2x^3+4x^2+8x-9",
+    "x^4-8x^3+5x^2-9x+9", "x^4+7x^3+2x^2+7x+2", "x^4+2x^3+9x^2-6x+5",
+    "x^4+x^3-7x+8", "x^4-5x^2-7x-4", "x^4-x^3+6x^2+x+6",
+    "x^4-6x^3-5x^2+3x+6", "x^4+x^3+6x^2-4x+8", "x^4+6x^3-x^2+8x+2",
+    "x^4+x^3+2x^2+5x-4")] + [(text, S3) for text in (
+        "x^3+3x-3", "x^3-4x^2+4x+2", "x^3-x^2+6x-7")]
+
+
+@pytest.mark.parametrize("text,generators", RANDOM_SYMMETRIC)
+def test_auto_labeled_random_symmetric_polynomials_pass_the_check(
+        text, generators):
+    check = load_perfbench("check")
+    report = solve(text, generators, labeling="auto", run_verification=True)
     assert check.check_report(report) is None

@@ -130,18 +130,6 @@ def test_principal_root_power_recovers_radicand(re, im, scale, p):
         assert abs(back - z) < mpf(10) ** (3 - digits) * abs(z)
 
 
-@given(num=st.integers(-10**12, 10**12), p=st.sampled_from([2, 3, 5, 11, 13]),
-       dps=st.sampled_from([15, 40, 140, 400]))
-@settings(max_examples=60, deadline=None)
-def test_one_cos_sin_call_gives_the_bits_of_cos_and_sin(num, p, dps):
-    # principal_root takes cos and sin of its angle from one cos_sin call
-    with mp.workdps(dps):
-        theta = mpmath.pi * num / 10**12 / p
-        cos, sin = mpmath.cos_sin(theta)
-        assert (cos._mpf_, sin._mpf_) == (mpmath.cos(theta)._mpf_,
-                                          mpmath.sin(theta)._mpf_)
-
-
 def test_nearest_integer_reference_values():
     with mp.workdps(20):
         n, res = nearest_integer(mp.mpc("-9999999.9999970"))
