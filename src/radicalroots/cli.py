@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", choices=("text", "latex", "json"),
                          default="text")
     p_solve.add_argument("--verify", action="store_true",
-                         help="compare each expression's value to its root")
+                         help="print each root's deviation from its radical")
     p_solve.add_argument("--stats", action="store_true",
                          help="print the multiplication count and budget")
     p_solve.set_defaults(func=_cmd_solve)

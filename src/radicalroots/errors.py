@@ -67,11 +67,8 @@ class LabelingFailed(SolverError):
     exit_code = EXIT_LABELING
 
 
-# nothing raises this; it stays because perfbench/tracing.py imports it
-class LabelingAmbiguous(SolverError):
-    """Inequivalent coset representatives pass all integrality tests."""
-
-    exit_code = EXIT_LABELING
+# nothing raises this; the name stays because perfbench/tracing.py imports it
+LabelingAmbiguous = LabelingFailed
 
 
 class PrecisionInfeasible(SolverError):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputSyntaxError, NotSolvable, UnsupportedInput
 
@@ -128,14 +128,10 @@ class PermutationGroup:
     degree: int
     generators: tuple[Permutation, ...]
     elements: tuple[Permutation, ...]
-    _element_set: frozenset[tuple[int, ...]] = field(repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm.images in self._element_set
 
 
 def _close_elements(generators: list[Permutation],
@@ -171,8 +167,7 @@ def closure(generators) -> PermutationGroup:
         if g.degree != degree:
             raise InputSyntaxError("generators have mismatched degrees")
     elements = _close_elements(gens, degree)
-    return PermutationGroup(degree, tuple(gens), tuple(elements),
-                            frozenset(e.images for e in elements))
+    return PermutationGroup(degree, tuple(gens), tuple(elements))
 
 
 @dataclass(frozen=True)

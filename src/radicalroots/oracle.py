@@ -199,8 +199,8 @@ def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
     number of survivors as ``candidates_passed``; when none passes,
     LabelingFailed is raised.  A labeling that is not the Galois action can
     still make the invariants integral, so ``solve`` still rounds the final
-    tensor and guards every root: it returns a radical only when it
-    evaluates within delta of its labeled root.
+    tensor and verifies every root: it returns a radical only when it
+    evaluates within 10^(-digits/2) of its labeled root.
     """
     n = G.degree
     if roots.n != n:

@@ -5,18 +5,18 @@ from __future__ import annotations
 
 import operator
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath import mp
 
-from .errors import InputSyntaxError, PhaseAmbiguous, ResidualTooLarge
+from .errors import (InputSyntaxError, PhaseAmbiguous, ResidualTooLarge,
+                     VerificationFailed)
 from .groups import Permutation, closure, composition_series, parse_cycles
 from .oracle import label_roots
 from .polynomial import IntPolynomial, parse_polynomial, to_monic
-from .radical import (SolveReport, ValueCache, evaluate, reconstruct,
-                      verify)
+from .radical import (SolveReport, ValueCache, evaluate, make_scale,
+                      reconstruct, verify)
 from .resolvent import (build_theta0, forward_pass, plan_precision,
                         round_theta_m, zeta_tables)
-from .rootfinder import (aberth_stage, polish_roots, relabel,
+from .rootfinder import (RootSet, aberth_stage, polish_roots, relabel,
                          root_magnitude_bound)
 
 __all__ = ["solve", "as_polynomial", "as_generators", "as_labeling"]
@@ -87,34 +87,25 @@ def as_labeling(labeling, degree: int) -> Permutation:
     return sigma
 
 
-def _guard_roots(evaluations, roots) -> None:
-    """Raise PhaseAmbiguous when an evaluation lies delta * max(1, |x|) or
-    more from its labeled root x, delta = 10^(-mp.dps/4): a flipped branch
-    then fails the attempt, whether or not the solve verifies."""
-    delta = mpf(10) ** (-mpf(mp.dps) / 4)
-    for label, (value, root) in enumerate(zip(evaluations, roots.roots), 1):
-        deviation = abs(value - root)
-        if deviation >= delta * max(1, abs(root)):
-            raise PhaseAmbiguous(
-                f"x_{label} evaluates {mpmath.nstr(deviation, 4)} from its "
-                f"labeled root, delta {mpmath.nstr(delta, 4)}")
-
-
 def solve(poly, generators, *, digits: int | None = None, labeling="auto",
           run_verification: bool = True) -> SolveReport:
-    """Solve a monic-reducible integer polynomial by radicals.
+    """Solve an integer polynomial by radicals.
 
     ``poly`` is polynomial text, an ascending coefficient list, or an
     IntPolynomial; ``generators`` is cycle-notation text separated by ``;`` or
     a list of permutations; ``labeling`` is "auto" or an explicit assignment
     (label j takes the j-th listed position of the canonically ordered roots).
 
-    The digit budget is ``digits``, an integer >= 1, when given, and the
-    precision plan's (its requirement plus DEFAULT_MARGIN) otherwise.  Each
-    attempt evaluates the root expressions once, after ``reconstruct``, and
-    an evaluation off its labeled root is PhaseAmbiguous as well, so no
-    flipped branch is returned, verified or not.  On PhaseAmbiguous, and on
-    a final-tensor entry too large to round at a planned budget (the
+    The monic reduction, in y = a_n * x, is solved, and each of its root
+    expressions is scaled by 1/a_n, so the expressions, the labeled roots,
+    the evaluations and the deviations are those of ``poly``.  The digit
+    budget is ``digits``, an integer >= 1, when given, and the precision
+    plan's (its requirement plus DEFAULT_MARGIN) otherwise.  Each attempt
+    evaluates the root expressions once, and ``verify`` compares each value
+    with its labeled root, so no radical off its root is returned;
+    ``run_verification`` decides only whether the report carries the
+    deviations.  On PhaseAmbiguous or VerificationFailed, and on a
+    final-tensor entry too large to round at a planned budget (the
     ResidualTooLarge of ``round_theta_m`` with ``residual`` None), the
     budget is doubled, up to 3 times; a given budget raises the latter.  A
     budget above DIGITS_HARD_CAP, whether given, planned or doubled, raises
@@ -126,7 +117,7 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
         raise InputSyntaxError(f"digits must be at least 1, got {digits}")
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
-    monic = reduction.monic
+    monic, scale = reduction.monic, reduction.scale
     degree = monic.degree
     group = closure(as_generators(generators, degree))
     series = composition_series(group)
@@ -136,10 +127,6 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
     budget_digits = digits if digits is not None else plan.digits
 
     notes: list[str] = []
-    if reduction.scale != 1:
-        notes.append(f"solved the monic reduction ({reduction.note}); "
-                     f"divide the roots by {reduction.scale}")
-
     sigma = None if labeling == "auto" else as_labeling(labeling, degree)
     for attempt in range(_PHASE_RETRIES + 1):
         roots = polish_roots(monic, start, budget_digits)
@@ -153,10 +140,13 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
             try:
                 int_theta = round_theta_m(forward.thetas[-1])
                 recon = reconstruct(series, int_theta, forward)
+                exprs = tuple(make_scale(scale, e) for e in recon.root_exprs)
+                if scale != 1:
+                    labeled = RootSet(tuple(x / scale for x in labeled.roots),
+                                      budget_digits)
                 values = ValueCache(zetas)
-                evaluations = tuple(evaluate(e, values)
-                                    for e in recon.root_exprs)
-                _guard_roots(evaluations, labeled)
+                evaluations = tuple(evaluate(e, values) for e in exprs)
+                deviations = verify(exprs, labeled, values)
                 break
             except ResidualTooLarge as exc:
                 if (exc.residual is not None or digits is not None
@@ -164,18 +154,19 @@ def solve(poly, generators, *, digits: int | None = None, labeling="auto",
                     raise
                 reason = (f"entry {exc.position} of the final tensor too "
                           f"large to round")
-            except PhaseAmbiguous:
+            except (PhaseAmbiguous, VerificationFailed) as exc:
                 if attempt == _PHASE_RETRIES:
                     raise
-                reason = "branch selection ambiguous"
+                reason = ("branch selection ambiguous"
+                          if isinstance(exc, PhaseAmbiguous)
+                          else "radicals off their labeled roots")
         budget_digits *= 2
         notes.append(f"{reason}; digits doubled to {budget_digits}")
-    deviations = tuple(verify(recon.root_exprs, labeled, values)) \
-        if run_verification else None
     return SolveReport(
         polynomial=polynomial, reduction=reduction, series=series,
         plan=plan, roots=labeled, labeling=sigma, theta=int_theta,
-        root_exprs=recon.root_exprs, evaluations=evaluations,
-        verification=deviations, multiplications=forward.counter.count,
+        root_exprs=exprs, evaluations=evaluations,
+        verification=tuple(deviations) if run_verification else None,
+        multiplications=forward.counter.count,
         branch_log=recon.branch_log, zero_notes=recon.zero_notes,
         notes=tuple(notes))

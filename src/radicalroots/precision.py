@@ -41,7 +41,8 @@ __all__ = [
     "cdiv_int",
 ]
 
-# extra digits used inside multi-step kernels (arg, roots, rounding)
+# extra digits used inside multi-step kernels (roots of unity, principal
+# roots, rounding)
 _GUARD = 8
 # the largest digit budget that a plan, a solve, its retries, roots or check
 # may use

@@ -190,12 +190,17 @@ def make_root(degree: int, radicand: RadicalExpr, branch: int) -> RadicalExpr:
 
 
 def make_scale(denominator: int, child: RadicalExpr) -> RadicalExpr:
-    if isinstance(child, IntegerLiteral):
-        if child.value == 0:
-            return _ZERO
-        if child.value % denominator == 0:
-            return IntegerLiteral(child.value // denominator)
-    return RationalScale(denominator, child)
+    """child/denominator: the denominator of a scaled child multiplies in, a
+    negative one negates the child, and 1 leaves it alone."""
+    if isinstance(child, RationalScale):
+        denominator, child = denominator * child.denominator, child.child
+    if denominator < 0:
+        factors = child.factors if isinstance(child, Product) else (child,)
+        denominator = -denominator
+        child = make_product([IntegerLiteral(-1), *factors])
+    if isinstance(child, IntegerLiteral) and child.value % denominator == 0:
+        return IntegerLiteral(child.value // denominator)
+    return child if denominator == 1 else RationalScale(denominator, child)
 
 
 def _children(expr: RadicalExpr) -> tuple:
@@ -600,10 +605,11 @@ def parse_expr_json(text: str) -> RadicalExpr:
 
 def verify(exprs, roots: RootSet, cache: ValueCache | None = None):
     """Compare each expression's value, from ``cache`` when given, to its
-    claimed root, at the roots' digit budget.
+    claimed root, at the roots' digit budget: the check that ``solve``
+    makes of every answer.
 
-    Returns the per-root deviations; raises VerificationFailed when any
-    deviation reaches 10^(-digits/2).
+    Returns the per-root deviations; raises VerificationFailed, naming the
+    worst root, when a deviation reaches 10^(-digits/2).
     """
     if len(exprs) != roots.n:
         raise ValueError("one expression per root is required")
@@ -613,10 +619,11 @@ def verify(exprs, roots: RootSet, cache: ValueCache | None = None):
         threshold = mpf(10) ** (-mpf(digits) / 2)
         deviations = [abs(_walk(cache.value, expr, cache.nodes) - root)
                       for expr, root in zip(exprs, roots.roots)]
-    worst = max(deviations) if deviations else mpf(0)
+    worst = max(deviations, default=mpf(0))
     if worst >= threshold:
         raise VerificationFailed(
-            f"worst re-evaluation deviation {mpmath.nstr(worst, 4)} exceeds "
+            f"x_{deviations.index(worst) + 1} evaluates "
+            f"{mpmath.nstr(worst, 4)} from its labeled root, over "
             f"10^(-digits/2) = {mpmath.nstr(threshold, 4)}")
     return deviations
 

@@ -52,6 +52,8 @@ def test_permutation_inverse_and_power():
     assert (g * g.inverse()).is_identity()
     assert g.power(6).is_identity()
     assert g.power(2) == g * g
+    assert g.power(-1) == g.inverse()
+    assert str(Permutation.identity(3)) == "()"
 
 
 def test_closure_d5(d5):
@@ -164,9 +166,10 @@ def test_coset_representatives_d5(d5):
     assert len(reps) == 12
     assert reps[0].is_identity()
     # pairwise distinct cosets: r1^-1 * r2 never lands in G
+    elements = {e.images for e in d5.elements}
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            assert (reps[i].inverse() * reps[j]) not in d5
+            assert (reps[i].inverse() * reps[j]).images not in elements
 
 
 def test_coset_representatives_full_group():

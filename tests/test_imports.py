@@ -755,3 +755,84 @@ def test_snap_in_principal_root_is_detected(tmp_path):
         "mpf_hypot", "mpf_pow_int", "from_int", "mpf_le", "mpf_abs",
         "mpf_mul", "mpf_div", "mpf_atan2", "mpf_nthroot", "mpf_cos_sin",
         "append"}
+
+
+def raise_sites(package: Path) -> dict[str, set[str]]:
+    """Exception name -> the ``module.function`` of each ``raise`` of it in
+    the package, by the innermost enclosing function (the module alone
+    outside any); a bare re-raise names nothing."""
+    sites: dict[str, set[str]] = {}
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                name = exc.id if isinstance(exc, ast.Name) else \
+                    exc.attr if isinstance(exc, ast.Attribute) else None
+                sites.setdefault(name, set()).add(where)
+            visit(child, module, where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, path.stem)
+    return sites
+
+
+def test_one_raiser_each_for_branch_and_verification_failures():
+    # the branch decisions refuse an ambiguous branch, and verify alone
+    # refuses a radical off its labeled root
+    sites = raise_sites(SRC)
+    assert sites["PhaseAmbiguous"] == {"radical._decide"}
+    assert sites["VerificationFailed"] == {"radical.verify"}
+
+
+def test_second_raiser_is_detected(tmp_path):
+    (tmp_path / "radical.py").write_text(
+        "def _decide(x):\n"
+        "    raise PhaseAmbiguous('branch')\n"
+        "def verify(x):\n"
+        "    raise VerificationFailed('off')\n")
+    (tmp_path / "pipeline.py").write_text(
+        "def _guard_roots(evaluations):\n"
+        "    def check(x):\n"
+        "        raise PhaseAmbiguous('off its labeled root')\n"
+        "    try:\n"
+        "        check(evaluations)\n"
+        "    except ValueError:\n"
+        "        raise\n"
+        "    raise errors.VerificationFailed\n")
+    sites = raise_sites(tmp_path)
+    assert sites["PhaseAmbiguous"] == {"radical._decide", "pipeline.check"}
+    assert sites["VerificationFailed"] == {"radical.verify",
+                                           "pipeline._guard_roots"}
+
+
+def unraised_errors(package: Path) -> list[str]:
+    """Classes of ``errors.py``, other than the base SolverError, that no
+    ``raise`` in the package names."""
+    tree = ast.parse((package / "errors.py").read_text())
+    raised = raise_sites(package)
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            and node.name != "SolverError" and node.name not in raised]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors(SRC) == []
+
+
+def test_unraised_error_class_is_detected(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class SolverError(Exception):\n"
+        "    exit_code = 1\n"
+        "class LabelingFailed(SolverError):\n"
+        "    exit_code = 6\n"
+        "class LabelingAmbiguous(SolverError):\n"
+        "    exit_code = 6\n")
+    (tmp_path / "oracle.py").write_text(
+        "from .errors import LabelingAmbiguous, LabelingFailed\n"
+        "def label_roots(G):\n"
+        "    raise LabelingFailed('none')\n")
+    assert unraised_errors(tmp_path) == ["LabelingAmbiguous"]

@@ -2,11 +2,17 @@
 
 import pytest
 
+from mpmath import mpc
+
 from radicalroots import (InputSyntaxError, IntPolynomial, Permutation,
-                          closure, emit, find_roots, orbit_sum_invariant,
+                          build_theta0, closure, composition_series, emit,
+                          find_roots, label_roots, orbit_sum_invariant,
                           parse_expr_json, parse_polynomial, verify)
 from radicalroots.pipeline import as_labeling
+from radicalroots.precision import principal_root
 from radicalroots.radical import IntegerLiteral
+from radicalroots.resolvent import ResolventTensor
+from radicalroots.rootfinder import aberth_stage, polish_roots
 
 CHECKS = [
     ("json-not-a-dict", lambda: parse_expr_json("[1]"),
@@ -40,6 +46,26 @@ CHECKS = [
      InputSyntaxError, "leading coefficient must be nonzero"),
     ("labeling-length", lambda: as_labeling([2, 1], 3),
      InputSyntaxError, "labeling must list 3 root positions, got 2"),
+    ("polynomial-constant", lambda: IntPolynomial((5,)),
+     InputSyntaxError, "polynomial degree must be >= 1"),
+    ("polynomial-trailing-sign", lambda: parse_polynomial("x+"),
+     InputSyntaxError, "cannot tokenize polynomial: 'x+'"),
+    ("principal-root-degree", lambda: principal_root(mpc(2), 0),
+     ValueError, "root degree must be >= 1"),
+    ("polish-digits", lambda: polish_roots(
+        parse_polynomial("x^2-2"),
+        aberth_stage(parse_polynomial("x^2-2")), 0),
+     ValueError, "digits must be >= 1"),
+    ("tensor-length", lambda: ResolventTensor((2, 3), (mpc(1),) * 5),
+     ValueError, "tensor data length does not match radices"),
+    ("theta0-root-count", lambda: build_theta0(
+        find_roots(parse_polynomial("x^2-2"), 10),
+        composition_series(closure([Permutation((2, 3, 1))]))),
+     ValueError, "root count does not match the group degree"),
+    ("labeling-root-count", lambda: label_roots(
+        closure([Permutation((2, 3, 1))]),
+        find_roots(parse_polynomial("x^2-2"), 10)),
+     ValueError, "root count does not match the group degree"),
 ]
 
 

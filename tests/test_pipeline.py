@@ -5,8 +5,9 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from radicalroots import (InputSyntaxError, Permutation, PhaseAmbiguous,
-                          PrecisionInfeasible, ResidualTooLarge, pipeline,
+from radicalroots import (InputSyntaxError, IntPolynomial, Permutation,
+                          PhaseAmbiguous, PrecisionInfeasible,
+                          ResidualTooLarge, VerificationFailed, pipeline,
                           precision, radical, solve)
 from radicalroots.cli import main
 from radicalroots.resolvent import zeta_tables
@@ -74,6 +75,57 @@ def test_phase_retries_exhausted_propagate(monkeypatch):
     assert len(aberth) == 1
     assert len(digits_seen) == 4
     assert [args[2] for args in polish] == digits_seen
+
+
+def test_a_verification_failure_doubles_the_budget(monkeypatch):
+    # verify gates every attempt, and run_verification only decides whether
+    # the report carries its deviations
+    original = pipeline.verify
+    digits_seen = []
+
+    def failing_once(exprs, roots, cache):
+        digits_seen.append(mp.dps)
+        if len(digits_seen) == 1:
+            raise VerificationFailed("forced for the test")
+        return original(exprs, roots, cache)
+
+    monkeypatch.setattr(pipeline, "verify", failing_once)
+    report = solve("x^3-2", "(1,2,3);(1,2)", run_verification=False)
+    assert digits_seen == [report.plan.digits, 2 * report.plan.digits]
+    assert report.notes == (f"radicals off their labeled roots; digits "
+                            f"doubled to {report.digits}",)
+    assert report.verification is None
+
+
+@pytest.mark.parametrize("poly,generators", [
+    ("2x^3-3", "(1,2,3);(1,2)"), ("-x^3+2", "(1,2,3);(1,2)"),
+    ("-2x^2+3", "(1,2)"), ("3x^5+60x+96", QUINTIC_GENERATORS)])
+def test_non_monic_input_gets_its_own_roots(poly, generators):
+    # the radicals of the monic reduction in y = a_n * x, scaled by 1/a_n,
+    # with the input's roots, values and deviations
+    report = solve(poly, generators)
+    scale = report.reduction.scale
+    assert scale != 1 and report.notes == ()
+    monic = solve(report.reduction.monic.coeffs, generators,
+                  labeling=report.labeling)
+    assert report.digits == monic.digits
+    assert report.root_exprs == tuple(radical.make_scale(scale, e)
+                                      for e in monic.root_exprs)
+    assert all(isinstance(e, radical.RationalScale) and e.denominator > 0
+               for e in report.root_exprs)
+    with mp.workdps(report.digits):
+        for x, y, value in zip(report.roots.roots, monic.roots.roots,
+                               report.evaluations):
+            assert abs(x * scale - y) <= mpf(10) ** (2 - report.digits)
+            assert abs(value - x) < mpf(10) ** (-mpf(report.digits) / 2)
+    assert max(report.verification) < mpf(10) ** (-mpf(report.digits) / 2)
+
+
+def test_inputs_of_the_library_types_pass_through():
+    poly = IntPolynomial((-2, 0, 0, 1))
+    sigma = Permutation((1, 2, 3))
+    assert pipeline.as_polynomial(poly) is poly
+    assert pipeline.as_labeling(sigma, 3) is sigma
 
 
 def test_phase_retries_exhausted_exit_code(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from radicalroots import (Permutation, PhaseAmbiguous, VerificationFailed,
                           find_roots, label_roots, parse_cycles,
                           parse_expr_json, parse_polynomial, reconstruct,
                           solve, verify)
+from radicalroots.cli import main
 from radicalroots.radical import (IntegerLiteral, Product, RationalScale, Root,
                                   RootOfUnitySymbol, Sum, json_ast,
                                   make_product, make_root, make_scale,
@@ -134,10 +135,11 @@ def test_reconstruct_phase_ambiguous_on_corrupted_resolvents(monkeypatch):
         solve("x^3-2", "(1,2,3);(1,2)")
 
 
-def test_a_flipped_sector_fails_the_root_guard_without_verification(
+def test_a_flipped_sector_fails_verification_without_run_verification(
         monkeypatch):
-    # one whole sector: every branch decision is clean, and wrong; the root
-    # guard refuses the evaluations at every budget
+    # one whole sector: every branch decision is clean, and wrong; verify
+    # refuses the radicals at every budget, whether or not the solve reports
+    # the deviations
     accepted = []
     original = pipeline.reconstruct
 
@@ -147,11 +149,20 @@ def test_a_flipped_sector_fails_the_root_guard_without_verification(
 
     monkeypatch.setattr(pipeline, "reconstruct", recording)
     _corrupting(monkeypatch, 1, lambda p: mpmath.expjpi(mpf(2) / p))
-    with pytest.raises(PhaseAmbiguous, match="evaluates .* from its labeled "
-                       "root"):
+    with pytest.raises(VerificationFailed, match=r"x_\d evaluates .* from "
+                       r"its labeled root, over 10\^\(-digits/2\)"):
         solve("x^3-2", "(1,2,3);(1,2)", run_verification=False)
     assert len(accepted) == 4
     assert all(recon.branch_log for recon in accepted)
+
+
+def test_a_flipped_sector_exits_1_from_the_cli(monkeypatch, capsys):
+    _corrupting(monkeypatch, 1, lambda p: mpmath.expjpi(mpf(2) / p))
+    assert main(["solve", "--poly", "x^3-2",
+                 "--generators", "(1,2,3);(1,2)"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[VerificationFailed]: x_")
 
 
 def test_evaluate_examples():
@@ -186,6 +197,14 @@ def test_simplification_rules():
     assert make_scale(2, IntegerLiteral(8)) == IntegerLiteral(4)
     r = Root(2, IntegerLiteral(8), 0)
     assert make_scale(2, r) == RationalScale(2, r)
+    # a scaled child's denominator multiplies in, 1 drops out, and a
+    # negative denominator becomes a -1 factor among the child's factors
+    assert make_scale(3, RationalScale(2, r)) == RationalScale(6, r)
+    assert make_scale(1, r) == r
+    r3 = Root(3, IntegerLiteral(2), 0)
+    assert make_scale(-3, Product((IntegerLiteral(-1), r3))) == \
+        RationalScale(3, r3)
+    assert make_scale(-2, r) == RationalScale(2, Root(2, IntegerLiteral(8), 1))
     assert make_product([IntegerLiteral(1), r]) == r
     assert make_product([IntegerLiteral(0), r]) == IntegerLiteral(0)
     # sign and zeta weights merge into branch tags of matching roots
@@ -284,7 +303,7 @@ def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
     # x^3-2 with a stored L_2 of magnitude above 1 set to zero, on the
     # level-1 line the roots are built from: the stored data alone says
     # zero, so reconstruct drops the term, and the roots' evaluations, off
-    # their labeled roots, are refused by the root guard
+    # their labeled roots, are refused by verify
     series, zetas, theta0, fwd, ints, recon, labeled, digits = \
         run_backward("x^3-2", "(1,2,3);(1,2)")
     level_1 = fwd.resolvents[0]
@@ -298,10 +317,9 @@ def test_reconstruct_rejects_a_stored_zero_over_a_nonzero_radicand():
     with mp.workdps(digits):
         zeroed = reconstruct(series, ints, stored)
         values = radical.ValueCache(zetas)
-        evaluations = tuple(evaluate(e, values) for e in zeroed.root_exprs)
-        with pytest.raises(PhaseAmbiguous, match="evaluates .* from its "
+        with pytest.raises(VerificationFailed, match="evaluates .* from its "
                            "labeled root"):
-            pipeline._guard_roots(evaluations, labeled)
+            verify(zeroed.root_exprs, labeled, values)
     assert radical.ZeroRadicandNote(1, 4) in zeroed.zero_notes
 
 

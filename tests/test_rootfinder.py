@@ -539,6 +539,22 @@ def test_alpha_test_refuses_a_point_where_the_derivative_vanishes():
             mpmath.inf, math.inf, None, mpmath.inf)
 
 
+def test_sweeps_nudge_a_point_where_the_derivative_vanishes():
+    # f' = 2x is 0 at the start 0: the point moves off it, and the sweeps
+    # still converge to both roots of x^2 - 2
+    z = [0j, 1 + 0j]
+    assert rootfinder._sweeps((-2, 0, 1), (0, 2), z, 2.0, 16)
+    assert sorted(w.real for w in z) == pytest.approx(
+        [-math.sqrt(2), math.sqrt(2)])
+    assert max(abs(w.imag) for w in z) < 1e-12
+
+
+def test_newton_step_without_a_correction_stays_put():
+    x = mpc(1)
+    assert rootfinder._newton_step(x, (mpf(1), 0.5, None, mpf(0))) == (
+        x, mpmath.inf)
+
+
 @pytest.mark.parametrize("points,certified", [
     ([math.sqrt(2), -math.sqrt(2)], True),
     ([math.sqrt(2), math.sqrt(2)], False),      # the discs overlap
