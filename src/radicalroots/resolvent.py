@@ -6,8 +6,9 @@ axis i: a weighted Fourier sum produces the resolvent array L_{i-1}, whose
 entrywise p_i-th powers are Fourier-inverted into the next invariant array
 Theta_i.  After level m every entry is (numerically) a rational integer.
 The group's action makes many lines of a level copies of one another up to
-an affine reindexing j -> u*j + t (mod p); each level transforms one line of
-each such family and fills the others from it.  The transforms and the
+an affine reindexing j -> u*j + t (mod p), an equal line being the map
+(1, 0); each level transforms one line of each such family, whether or not
+its entries repeat, and fills the others from it.  The transforms and the
 rounding compute at the caller's ``mp.dps``.
 """
 
@@ -212,19 +213,6 @@ def _transform(entries, table, prec: int, counter: MultiplicationCounter):
     return l_line, t_line
 
 
-def _affine_source(entries, holders, p: int):
-    """(ref, u, t) with entries[j] == ref's entry (u*j + t) mod p for every
-    j, u a unit, ref the L and Theta entries of a line that ``holders``
-    lists under entries[0]; else None."""
-    for where, ref in holders.get(entries[0], ()):
-        t = where[entries[0]]
-        u = (where.get(entries[1], t) - t) % p
-        if u and all(where.get(e) == (u * j + t) % p
-                     for j, e in enumerate(entries)):
-            return ref, u, t
-    return None
-
-
 def _fill(ref, u: int, t: int, table, prec: int,
           counter: MultiplicationCounter):
     """The L and Theta entries of the line (u, t) maps onto ``ref``:
@@ -248,13 +236,15 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                   counter: MultiplicationCounter):
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
-    Returns (L_{level-1}, Theta_level).  A line equal to an earlier one, by
-    the bits of its entries, copies that line's L and Theta entries.  A line
-    whose entries are a transformed line's in the order j -> u*j + t
-    (mod p), u a unit, is filled from it (``_fill``); the reference is found
-    through the line's first entry, among the transformed lines whose p
-    entries are distinct.  Every other line is transformed
-    (``_transform``).  The counter is incremented by exactly the complex
+    Returns (L_{level-1}, Theta_level).  One table, ``known``, maps the bits
+    of a line's entries to (ref, u, t): ``ref`` holds the L and Theta
+    entries of a line met before whose entry (u*j + t) mod p is the line's
+    j-th, u a unit.  A line in the table is filled from it by ``_fill``; an
+    equal line is the map (1, 0), which shares ``ref``'s objects with no
+    product, so a line equal to a filled one copies it.  Every other line
+    is transformed (``_transform``), and its images under every map join
+    the table whether or not its entries repeat; an image already there
+    keeps its earlier map.  The counter is incremented by exactly the complex
     multiplications performed, which stay at or below
     ``multiplication_budget``.  The sums and products run on the integer
     kernel of ``precision`` at ``mp.prec``, with the bits of the same
@@ -266,24 +256,22 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     data = [mpc_ints(z) for z in theta_prev.data]
     ldata: list = [None] * len(data)
     tdata: list = [None] * len(data)
-    done: dict = {}      # a line's entries -> its L and Theta entries
-    # an entry -> (entry -> index, L and Theta) of each transformed line
-    # that holds it among p distinct entries
-    holders: dict = {}
+    codes: dict = {}     # an entry's bits -> a small int
+    known: dict = {}     # a line's entry codes -> (ref, u, t) for _fill
     for line in axis_lines(theta_prev.radices, level - 1):
-        entries = tuple(data[i] for i in line)
-        if entries not in done:
-            source = _affine_source(entries, holders, p)
-            if source:
-                done[entries] = _fill(*source, table, prec, counter)
-            else:
-                done[entries] = _transform(entries, table, prec, counter)
-                where = {e: j for j, e in enumerate(entries)}
-                if len(where) == p:
-                    for e in entries:
-                        holders.setdefault(e, []).append(
-                            (where, done[entries]))
-        for flat, l_entry, t_entry in zip(line, *done[entries]):
+        key = tuple(codes.setdefault(data[i], len(codes)) for i in line)
+        if key in known:
+            out = _fill(*known[key], table, prec, counter)
+        else:
+            out = _transform([data[i] for i in line], table, prec, counter)
+            for u in range(1, p):
+                # rotation r of key[u*j] is the image under (u, u*r)
+                doubled = [key[u * j % p] for j in range(p)] * 2
+                for r in range(p):
+                    known.setdefault(tuple(doubled[r:r + p]),
+                                     (out, u, u * r % p))
+        known[key] = (out, 1, 0)
+        for flat, l_entry, t_entry in zip(line, *out):
             ldata[flat], tdata[flat] = l_entry, t_entry
     return (replace(theta_prev, data=tuple(ldata)),
             replace(theta_prev, data=tuple(tdata)))

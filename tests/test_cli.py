@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -250,6 +251,23 @@ def test_series_command(capsys):
                                   "--generators", "(1,2,3,4,5);(1,4)(2,3)"])
     assert code == 0
     assert "p-chain: 5, 2" in out
+
+
+def test_closed_stdout_exits_0(monkeypatch, capsys):
+    # a reader that closes the pipe early (``| head -1``) ends the command
+    # quietly, with no error message
+    class ClosedPipe:
+        writes = 0
+
+        def write(self, text):
+            ClosedPipe.writes += 1
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["series", "--degree", "5",
+                 "--generators", "(1,2,3,4,5);(1,4)(2,3)"]) == 0
+    assert ClosedPipe.writes == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_series_not_solvable(capsys):

@@ -836,3 +836,126 @@ def test_unraised_error_class_is_detected(tmp_path):
         "def label_roots(G):\n"
         "    raise LabelingFailed('none')\n")
     assert unraised_errors(tmp_path) == ["LabelingAmbiguous"]
+
+
+def _is_tuple_call(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "tuple"
+
+
+def _line_keys(function: ast.FunctionDef) -> set[str]:
+    """Names that ``function`` binds to a ``tuple(...)`` call."""
+    return {stmt.targets[0].id for stmt in ast.walk(function)
+            if isinstance(stmt, ast.Assign)
+            and isinstance(stmt.targets[0], ast.Name)
+            and _is_tuple_call(stmt.value)}
+
+
+def line_tables(path: Path) -> list[str]:
+    """``_affine_source``, defined or named in ``path``, and every
+    line-keyed dict of ``forward_level`` when it has more than one: a dict
+    that a tuple of a line's entries indexes, tests or fills.  One table
+    holds every line a line can be filled from, an equal line being the
+    identity map."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = {f"{path.name}: _affine_source" for node in ast.walk(tree)
+             if "_affine_source" in (getattr(node, "id", None),
+                                     getattr(node, "name", None))}
+    level = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "forward_level")
+    keys = _line_keys(level)
+
+    def is_line(key):
+        return _is_tuple_call(key) or (isinstance(key, ast.Name)
+                                       and key.id in keys)
+
+    tables = set()
+    for node in ast.walk(level):
+        if isinstance(node, ast.Subscript) and is_line(node.slice):
+            table = node.value
+        elif isinstance(node, ast.Compare) and is_line(node.left) and \
+                isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            table = node.comparators[0]
+        elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute) and node.args and \
+                node.func.attr in ("get", "setdefault", "pop") and \
+                is_line(node.args[0]):
+            table = node.func.value
+        else:
+            continue
+        if isinstance(table, ast.Name):
+            tables.add(table.id)
+    if len(tables) > 1:
+        found |= {f"{path.name}: forward_level keys {name} by line"
+                  for name in tables}
+    return sorted(found)
+
+
+def test_forward_level_shares_lines_through_one_table():
+    assert line_tables(SRC / "resolvent.py") == []
+
+
+def test_equal_line_memo_beside_affine_images_is_detected(tmp_path):
+    # forward_level and its reference search as they stood before one table
+    # held both equal lines and affine images
+    (tmp_path / "resolvent.py").write_text(
+        "def _affine_source(entries, holders, p):\n"
+        "    for where, ref in holders.get(entries[0], ()):\n"
+        "        t = where[entries[0]]\n"
+        "        u = (where.get(entries[1], t) - t) % p\n"
+        "        if u and all(where.get(e) == (u * j + t) % p\n"
+        "                     for j, e in enumerate(entries)):\n"
+        "            return ref, u, t\n"
+        "    return None\n"
+        "def forward_level(theta_prev, level, zetas, counter):\n"
+        "    p = theta_prev.radices[level - 1]\n"
+        "    prec = mp.prec\n"
+        "    table = [mpc_ints(z) for z in zetas[p]]\n"
+        "    data = [mpc_ints(z) for z in theta_prev.data]\n"
+        "    ldata: list = [None] * len(data)\n"
+        "    tdata: list = [None] * len(data)\n"
+        "    done: dict = {}\n"
+        "    holders: dict = {}\n"
+        "    for line in axis_lines(theta_prev.radices, level - 1):\n"
+        "        entries = tuple(data[i] for i in line)\n"
+        "        if entries not in done:\n"
+        "            source = _affine_source(entries, holders, p)\n"
+        "            if source:\n"
+        "                done[entries] = _fill(*source, table, prec,\n"
+        "                                      counter)\n"
+        "            else:\n"
+        "                done[entries] = _transform(entries, table, prec,\n"
+        "                                           counter)\n"
+        "                where = {e: j for j, e in enumerate(entries)}\n"
+        "                if len(where) == p:\n"
+        "                    for e in entries:\n"
+        "                        holders.setdefault(e, []).append(\n"
+        "                            (where, done[entries]))\n"
+        "        for flat, l_entry, t_entry in zip(line, *done[entries]):\n"
+        "            ldata[flat], tdata[flat] = l_entry, t_entry\n"
+        "    return (replace(theta_prev, data=tuple(ldata)),\n"
+        "            replace(theta_prev, data=tuple(tdata)))\n")
+    # holders is keyed by an entry, not a line, so done is the one line table
+    assert line_tables(tmp_path / "resolvent.py") == [
+        "resolvent.py: _affine_source"]
+
+
+def test_second_line_keyed_dict_is_detected(tmp_path):
+    (tmp_path / "resolvent.py").write_text(
+        "def forward_level(theta_prev, level, zetas, counter):\n"
+        "    codes, known, equal, shifts = {}, {}, {}, {}\n"
+        "    for line in axis_lines(theta_prev.radices, level - 1):\n"
+        "        key = tuple(codes.setdefault(e, len(codes)) for e in line)\n"
+        "        if key in equal:\n"
+        "            out = equal[key]\n"
+        "        elif key in known:\n"
+        "            out = _fill(*known[key], counter)\n"
+        "        else:\n"
+        "            out = shifts.get(tuple(key[1:] + key[:1]))\n"
+        "        equal.setdefault(key, out)\n"
+        "    return out\n")
+    assert line_tables(tmp_path / "resolvent.py") == [
+        "resolvent.py: forward_level keys equal by line",
+        "resolvent.py: forward_level keys known by line",
+        "resolvent.py: forward_level keys shifts by line"]

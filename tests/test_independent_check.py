@@ -68,6 +68,11 @@ def test_auto_labeled_dihedral_and_cyclic_sextics_pass_the_check(text,
     assert check.check_report(report) is None
 
 
+# forward-pass products of x^n-2: lines with repeated entries are fill
+# references too
+LARGE_PURE_POWER_MULTIPLICATIONS = {17: 846, 19: 1218, 23: 2628}
+
+
 @pytest.mark.parametrize("n,unit", [(17, 3), (19, 2), (23, 5)])
 def test_large_pure_powers_pass_the_check(n, unit):
     # F272, F342 and F506: x^17-2, x^19-2 and x^23-2 with explicit labels
@@ -77,6 +82,7 @@ def test_large_pure_powers_pass_the_check(n, unit):
     report = solve(instance.poly, instance.generators,
                    labeling=instance.labeling, run_verification=True)
     assert check.check_report(report) is None
+    assert report.multiplications == LARGE_PURE_POWER_MULTIPLICATIONS[n]
 
 
 S4 = "(1,2,3,4);(1,2)"
