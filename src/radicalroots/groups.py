@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import re as _re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InputSyntaxError, NotSolvable, UnsupportedInput
 
@@ -30,7 +31,13 @@ DEFAULT_DEGREE_CAP = 8
 
 @dataclass(frozen=True, order=True)
 class Permutation:
-    """Bijection of {1..n}; images[j-1] is the image of j."""
+    """Bijection of {1..n}; images[j-1] is the image of j.
+
+    Calling the class validates the images, which come from input.  The
+    products, inverses and powers, the elements of a closure and the coset
+    representatives are bijections by construction and skip the check
+    (``_unchecked``).
+    """
 
     images: tuple[int, ...]
 
@@ -39,9 +46,9 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise InputSyntaxError(f"not a permutation of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(1, degree + 1)))
+    @staticmethod
+    def identity(degree: int) -> "Permutation":
+        return _unchecked(tuple(range(1, degree + 1)))
 
     @property
     def degree(self) -> int:
@@ -51,14 +58,13 @@ class Permutation:
         return self.images[j - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return Permutation(tuple(self.images[other.images[j] - 1]
-                                 for j in range(self.degree)))
+        return _unchecked(tuple([self.images[k - 1] for k in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for j, img in enumerate(self.images, start=1):
             inv[img - 1] = j
-        return Permutation(tuple(inv))
+        return _unchecked(tuple(inv))
 
     def power(self, k: int) -> "Permutation":
         if k < 0:
@@ -96,6 +102,22 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
+
+
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """The Permutation with ``images``, a bijection by construction, without
+    the check of ``__post_init__``."""
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "images", images)
+    return perm
+
+
+def _times(images: tuple[int, ...]):
+    """The map u -> (u * g).images on image tuples, for g with ``images``
+    (degree 1 has only the identity)."""
+    if len(images) == 1:
+        return lambda u: u
+    return itemgetter(*(k - 1 for k in images))
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -136,25 +158,22 @@ class PermutationGroup:
 
 def _close_elements(generators: list[Permutation],
                     degree: int) -> list[Permutation]:
-    """Breadth-first closure; returns elements in discovery order."""
-    identity = Permutation.identity(degree)
+    """Breadth-first closure on image tuples; returns elements in discovery
+    order, each wrapped once."""
+    identity = tuple(range(1, degree + 1))
+    times = [_times(g.images) for g in generators]
     elements = [identity]
-    seen = {identity.images}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in generators:
-                v = u * g
-                if v.images not in seen:
-                    seen.add(v.images)
-                    elements.append(v)
-                    nxt.append(v)
-                    if len(elements) > DEFAULT_ORDER_CAP:
-                        raise UnsupportedInput(
-                            f"group order exceeds cap {DEFAULT_ORDER_CAP}")
-        frontier = nxt
-    return elements
+    seen = {identity}
+    for u in elements:              # the queue: elements grows as it is read
+        for t in times:
+            v = t(u)
+            if v not in seen:
+                seen.add(v)
+                elements.append(v)
+                if len(elements) > DEFAULT_ORDER_CAP:
+                    raise UnsupportedInput(
+                        f"group order exceeds cap {DEFAULT_ORDER_CAP}")
+    return [_unchecked(v) for v in elements]
 
 
 def closure(generators) -> PermutationGroup:
@@ -243,6 +262,10 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
     yet captured.  Candidates are scanned deterministically: the user-supplied
     generators first (in input order), then all layer elements in lexicographic
     image order, so re-running on the same group yields the same series.
+    The subgroup H built so far contains the derived term below the layer,
+    so it is normal in <H, sigma> for a sigma of the layer, and adjoining a
+    sigma of order p modulo H extends H by its cosets: <H, sigma> is the
+    union of H * sigma^k for k < p, of order p * |H|, with no closure.
 
     Raises NotSolvable if the derived series stalls above the trivial group.
     """
@@ -261,7 +284,6 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
         chain.append((sub, sub_gens))
 
     steps: list[tuple[Permutation, int]] = []
-    h_gens: list[Permutation] = []
     h_set: set[tuple[int, ...]] = {Permutation.identity(G.degree).images}
     # refine layers bottom-up: D_r -> D_{r-1} -> ... -> D_0
     for upper_els, _ in reversed(chain[:-1]):
@@ -277,11 +299,9 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
                 d += 1
             p = smallest_prime_factor(d)
             sigma = x.power(d // p)
-            h_gens.append(sigma)
-            h_elements = _close_elements(h_gens, G.degree)
-            if len(h_elements) != p * len(h_set):
-                raise AssertionError("composition refinement index mismatch")
-            h_set = {e.images for e in h_elements}
+            h_list = list(h_set)
+            for k in range(1, p):
+                h_set.update(map(_times(sigma.power(k).images), h_list))
             steps.append((sigma, p))
     return CompositionSeries(tuple(steps), G)
 
@@ -304,7 +324,7 @@ def coset_representatives(G: PermutationGroup,
     for images in itertools.permutations(range(1, degree + 1)):
         if images in covered:
             continue
-        reps.append(Permutation(images))
+        reps.append(_unchecked(images))
         covered.update(tuple(images[k] for k in g) for g in positions)
     return reps
 

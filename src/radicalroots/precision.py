@@ -4,7 +4,10 @@ on digit budgets.
 Values carry no precision of their own: their arithmetic rounds at the
 current ``mp.dps``, which a solve sets once per attempt from its roots' digit
 budget.  The multi-step kernels here (root_of_unity, principal_root,
-nearest_integer) work with guard digits on top of it.
+nearest_integer) work with guard digits on top of it, on mpmath's ``libmp``
+tuples: root_of_unity takes cos and sin from one ``mpf_cos_sin_pi`` call,
+and nearest_integer rounds a mantissa that fits the guarded precision by a
+shift, so its residual is exact.
 
 The inner loops of the forward pass and of the branch test run on an
 integer form of the same values, which skips mpmath's per-call overhead and
@@ -19,9 +22,12 @@ of the ``mpc`` expression that each one names.
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (dps_to_prec, fzero, mpc_nthroot, normalize,
+from mpmath.libmp import (dps_to_prec, from_int, fzero, mpc_nthroot,
+                          mpf_abs, mpf_cos_sin_pi, mpf_div, normalize,
                           round_nearest)
 
 from .errors import PrecisionInfeasible
@@ -32,6 +38,7 @@ __all__ = [
     "root_of_unity",
     "principal_root",
     "nearest_integer",
+    "part_bits",
     "format_complex",
     "mpc_ints",
     "ints_mpc",
@@ -57,16 +64,20 @@ def check_digit_budget(digits: int) -> None:
 
 
 def root_of_unity(p: int, k: int) -> mpc:
-    """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the working precision."""
+    """cos(2*pi*k/p) + i*sin(2*pi*k/p) at the working precision.
+
+    One ``mpf_cos_sin_pi`` call at t = 2k/p, both at the guarded precision
+    and rounded to nearest, then each part rounded to ``mp.prec``: the bits
+    of ``mpc(cospi(t), sinpi(t))`` computed at the guarded precision.
+    """
     if not (p >= 2 and smallest_prime_factor(p) == p):
         raise ValueError(f"order {p} is not prime")
     if not 0 <= k < p:
         raise ValueError(f"power {k} not in [0, {p})")
-    with mp.workdps(mp.dps + _GUARD):
-        t = mpf(2 * k) / p
-        re = mpmath.cospi(t)
-        im = mpmath.sinpi(t)
-    return mpc(re, im)
+    wp, rnd = dps_to_prec(mp.dps + _GUARD), round_nearest
+    t = mpf_div(from_int(2 * k), from_int(p), wp, rnd)
+    parts = mpf_cos_sin_pi(t, wp, rnd)
+    return mp.make_mpc(tuple(normalize(*w, mp.prec, rnd) for w in parts))
 
 
 def principal_root(z: mpc, p: int) -> mpc:
@@ -84,11 +95,42 @@ def principal_root(z: mpc, p: int) -> mpc:
 
 
 def nearest_integer(z: mpc) -> tuple[int, mpf]:
-    """Nearest integer to re(z) and the residual max(|re - n|, |im|)."""
-    with mp.workdps(mp.dps + _GUARD):
-        n = int(mpmath.nint(z.real))
-        residual = max(abs(z.real - n), abs(z.imag))
-    return n, residual
+    """Nearest integer n to re(z), ties to even, and the residual
+    max(|re - n|, |im|) at the guarded precision.
+
+    When re's mantissa fits the guarded precision, n is that mantissa
+    shifted right with round-half-even, and |re - n| is exact: the bits
+    shifted out, or their complement.  A longer mantissa, made at a higher
+    precision, and a special value take mpmath's ``nint`` and subtraction at
+    the guarded precision, which round re first.
+    """
+    wp, rnd = dps_to_prec(mp.dps + _GUARD), round_nearest
+    (sign, man, exp, bc), im = z._mpc_
+    if not 0 <= bc <= wp:
+        with mp.workdps(mp.dps + _GUARD):
+            n = int(mpmath.nint(z.real))
+            residual = max(abs(z.real - n), abs(z.imag))
+        return n, residual
+    if exp >= 0:
+        n, rest = man << exp, 0
+    else:
+        n = man >> -exp
+        rest = man - (n << -exp)
+        half = 1 << (-exp - 1)
+        if rest > half or (rest == half and n & 1):
+            n += 1
+            rest = (1 << -exp) - rest
+    residual = max(mp.make_mpf(normalize(0, rest, exp, rest.bit_length(),
+                                         wp, rnd)),
+                   mp.make_mpf(mpf_abs(im, wp, rnd)))
+    return (-n if sign else n), residual
+
+
+def part_bits(z: mpc) -> int | float:
+    """The h with both parts of ``z`` below 2^h in magnitude and one at
+    2^(h-1) or more, so 2^(h-1) <= |z| < 2^(h+1/2); -inf for zero."""
+    return max((exp + bc for _, man, exp, bc in z._mpc_ if man),
+               default=-math.inf)
 
 
 def format_complex(z: mpc, digits: int) -> str:

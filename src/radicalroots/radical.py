@@ -26,7 +26,7 @@ from mpmath import mp, mpc, mpf
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
-from .precision import principal_root, root_of_unity
+from .precision import part_bits, principal_root, root_of_unity
 from .resolvent import (ForwardResult, IntegerThetaTensor, PrecisionPlan,
                         axis_lines, multiplication_budget,
                         position_root_indices)
@@ -333,22 +333,23 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     arg +pi/p as for an exactly negative real (``_root`` takes a compound
     radicand off the cut); between delta^2 and delta it raises PhaseAmbiguous.
 
-    The floor test runs only where a screen cannot pass it: with the parts
+    Both tests run exactly only where a screen cannot decide them.  An
+    entry with both parts below 2^h, 2^(h+1) <= 2^(e_delta - 1) <= delta,
+    is zero without ``abs``, e_delta the exponent of delta.  With the parts
     of the Theta line below 2^top, the computed floor is below
     2^(top + e + bitlen(p) + 2), e the exponent of the computed 10^(4-digits),
     and the computed |L_k|^p above 2^(p(e_k - 1) - 1), e_k that of |L_k|.
     """
     ten = mpf(10) ** (4 - mp.dps)
-    top = max((exp + bc for i in line
-               for _, man, exp, bc in theta.data[i]._mpc_ if man),
-              default=-math.inf)      # an all-zero line has a zero floor
+    # -inf for an all-zero line, whose floor is zero
+    top = max(part_bits(theta.data[i]) for i in line)
     clear = top + _exponent(ten) + p.bit_length() + 3
+    zero = _exponent(delta) - 2
     half = mpf(1) / 2
     picks: list = []
     for flat in line:
         target = stored.data[flat]
-        magnitude = abs(target)
-        if magnitude < delta:
+        if part_bits(target) <= zero or (magnitude := abs(target)) < delta:
             picks.append(None)
             continue
         if p * (_exponent(magnitude) - 1) < clear and magnitude ** p <= (

@@ -23,7 +23,7 @@ from mpmath import mp, mpc, mpf
 from .errors import LabelingFailed, ResidualTooLarge
 from .groups import CompositionSeries
 from .precision import (cadd, cdiv_int, check_digit_budget, cmul, ints_mpc,
-                        mpc_ints, nearest_integer, root_of_unity)
+                        mpc_ints, nearest_integer, part_bits, root_of_unity)
 from .rootfinder import RootSet
 
 __all__ = [
@@ -169,9 +169,14 @@ def build_theta0(roots: RootSet, series: CompositionSeries) -> ResolventTensor:
 
 def zeta_tables(series: CompositionSeries):
     """All powers of each primitive p-th root of unity used by the series,
-    at ``mp.dps``."""
-    return {p: [root_of_unity(p, k) for k in range(p)]
-            for p in set(series.primes)}
+    at ``mp.dps``: ``root_of_unity`` gives zeta^k for k <= p/2, and
+    zeta^(p-k) is the conjugate of zeta^k."""
+    tables = {}
+    for p in set(series.primes):
+        half = [root_of_unity(p, k) for k in range(p // 2 + 1)]
+        tables[p] = half + [z.conjugate()
+                            for z in reversed(half[1:(p + 1) // 2])]
+    return tables
 
 
 def _turn(table, e: int, x, prec: int):
@@ -315,11 +320,14 @@ def round_theta_m(theta_m: ResolventTensor) -> IntegerThetaTensor:
     labeling, or a non-irreducible input polynomial.  An entry of magnitude
     DEFAULT_ROUNDING_TOLERANCE * 10^mp.dps or more raises it first, with
     ``residual`` None: ``mp.dps`` digits cannot resolve its units, so its
-    nearest integer says nothing.
+    nearest integer says nothing.  The exact ``abs`` runs only for an entry
+    with a part of 2^(e-2) or more, 2^(e-1) <= limit < 2^e: a smaller entry
+    is below 2^(e-3/2), under the limit.
     """
     limit = DEFAULT_ROUNDING_TOLERANCE * mpf(10) ** mp.dps
+    screen = limit._mpf_[2] + limit._mpf_[3] - 1
     for flat, entry in enumerate(theta_m.data):
-        if abs(entry) >= limit:
+        if part_bits(entry) >= screen and abs(entry) >= limit:
             raise ResidualTooLarge(
                 f"entry {flat} of the final tensor has magnitude "
                 f"{mpmath.nstr(abs(entry), 4)}, too large to round at "

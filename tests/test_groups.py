@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from radicalroots import (InputSyntaxError, NotSolvable, Permutation,
                           UnsupportedInput, closure, composition_series,
                           coset_representatives, groups, orbit_sum_invariant,
-                          parse_cycles)
+                          parse_cycles, parse_polynomial)
+from radicalroots.pipeline import as_generators
+from tests.conftest import load_perfbench
 
 
 def dihedral(k):
@@ -141,6 +143,82 @@ def test_series_invariants_a4():
     G = closure([parse_cycles("(1,2,3)", 4), parse_cycles("(2,3,4)", 4)])
     assert G.order == 12
     validate_series(G, composition_series(G))
+
+
+# the series of the first instance of each group in the four benchmark
+# workloads (default seed), and of F272, F342 and F506, as the refinement
+# built them when it closed <H, sigma> from generators: (sigma, p) per step
+PINNED_SERIES = {
+    "C2 x^2-32": [("(1,2)", 2)],
+    "S3 x^3-2": [("(1,2,3)", 3), ("(1,2)", 2)],
+    "C3 x^3-3x-1": [("(1,2,3)", 3)],
+    "C5 deg-5 cyclic": [("(1,2,3,4,5)", 5)],
+    "C6 deg-6 cyclic": [("(1,4)(2,5)(3,6)", 2), ("(1,2,3,4,5,6)", 3)],
+    "D5 quintic": [("(1,2,3,4,5)", 5), ("(1,4)(2,3)", 2)],
+    "S4 x^4+x+1": [("(1,2)(3,4)", 2), ("(1,3)(2,4)", 2), ("(2,3,4)", 3),
+                   ("(1,2,3,4)", 2)],
+    "F20 x^5-2": [("(1,2,3,4,5)", 5), ("(2,5)(3,4)", 2), ("(2,3,5,4)", 2)],
+    "F42 x^7-2": [("(1,2,3,4,5,6,7)", 7), ("(2,7)(3,6)(4,5)", 2),
+                  ("(2,4,3,7,5,6)", 3)],
+    "D6 x^6-2": [("(1,3,5)(2,4,6)", 3), ("(1,2,3,4,5,6)", 2),
+                 ("(2,6)(3,5)", 2)],
+    "D4 x^4-2": [("(1,3)(2,4)", 2), ("(1,2,3,4)", 2), ("(2,4)", 2)],
+    "C16 Phi17 g=3": [
+        ("(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)", 2),
+        ("(1,5,9,13)(2,6,10,14)(3,7,11,15)(4,8,12,16)", 2),
+        ("(1,3,5,7,9,11,13,15)(2,4,6,8,10,12,14,16)", 2),
+        ("(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16)", 2)],
+    "C18 Phi19 g=2": [
+        ("(1,10)(2,11)(3,12)(4,13)(5,14)(6,15)(7,16)(8,17)(9,18)", 2),
+        ("(1,4,7,10,13,16)(2,5,8,11,14,17)(3,6,9,12,15,18)", 3),
+        ("(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18)", 3)],
+    "F110 x^11-2": [("(1,2,3,4,5,6,7,8,9,10,11)", 11),
+                    ("(2,11)(3,10)(4,9)(5,8)(6,7)", 2),
+                    ("(2,3,5,9,6,11,10,8,4,7)", 5)],
+    "F156 x^13-2": [("(1,2,3,4,5,6,7,8,9,10,11,12,13)", 13),
+                    ("(2,13)(3,12)(4,11)(5,10)(6,9)(7,8)", 2),
+                    ("(2,9,13,6)(3,4,12,11)(5,7,10,8)", 2),
+                    ("(2,3,5,9,4,7,13,12,10,6,11,8)", 3)],
+    "F272 x^17-2": [
+        ("(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17)", 17),
+        ("(2,17)(3,16)(4,15)(5,14)(6,13)(7,12)(8,11)(9,10)", 2),
+        ("(2,14,17,5)(3,10,16,9)(4,6,15,13)(7,11,12,8)", 2),
+        ("(2,10,14,16,17,9,5,3)(4,11,6,12,15,8,13,7)", 2),
+        ("(2,4,10,11,14,6,16,12,17,15,9,8,5,13,3,7)", 2)],
+    "F342 x^19-2": [
+        ("(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19)", 19),
+        ("(2,19)(3,18)(4,17)(5,16)(6,15)(7,14)(8,13)(9,12)(10,11)", 2),
+        ("(2,9,8,19,12,13)(3,17,15,18,4,6)(5,14,10,16,7,11)", 3),
+        ("(2,3,5,9,17,14,8,15,10,19,18,16,12,4,7,13,6,11)", 3)],
+    "F506 x^23-2": [
+        ("(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23)",
+         23),
+        ("(2,23)(3,22)(4,21)(5,20)(6,19)(7,18)(8,17)(9,16)(10,15)(11,14)"
+         "(12,13)", 2),
+        ("(2,6,3,11,5,21,9,18,17,12,10,23,19,22,14,20,4,16,7,8,13,15)", 11)],
+}
+
+
+def benchmark_group(name):
+    """The group of the benchmark instance ``name``."""
+    workloads = load_perfbench("workloads")
+    instances = [inst for make in workloads.WORKLOADS.values()
+                 for inst in make(workloads.DEFAULT_SEED)]
+    instances += [workloads.pure_power(group, n, 2, unit) for group, n, unit
+                  in (("F272", 17, 3), ("F342", 19, 2), ("F506", 23, 5))]
+    inst = next(inst for inst in instances if inst.name == name)
+    degree = parse_polynomial(inst.poly).degree
+    return closure(as_generators(inst.generators, degree))
+
+
+@pytest.mark.parametrize("name", PINNED_SERIES)
+def test_series_of_the_benchmark_groups(name):
+    G = benchmark_group(name)
+    series = composition_series(G)
+    validate_series(G, series)
+    assert [(sigma.images, p) for sigma, p in series.steps] == [
+        (parse_cycles(text, G.degree).images, p)
+        for text, p in PINNED_SERIES[name]]
 
 
 def test_not_solvable_s5_a5_s6():

@@ -959,3 +959,80 @@ def test_second_line_keyed_dict_is_detected(tmp_path):
         "resolvent.py: forward_level keys equal by line",
         "resolvent.py: forward_level keys known by line",
         "resolvent.py: forward_level keys shifts by line"]
+
+
+def series_reclosures(path: Path) -> list[str]:
+    """Each ``AssertionError`` that ``path`` raises or asserts, and each
+    ``_close_elements`` or ``closure`` call inside a loop of
+    ``composition_series``.  Adjoining sigma to H extends H by its cosets,
+    so the refinement closes nothing and has no index to check."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and node.exc is not None
+                and any(getattr(name, "id", None) == "AssertionError"
+                        for name in ast.walk(node.exc))):
+            found.add(f"{path.name}: raises AssertionError")
+    series = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "composition_series")
+    for loop in ast.walk(series):
+        if isinstance(loop, (ast.For, ast.While)):
+            found |= {f"{path.name}: composition_series calls "
+                      f"{call.func.id} in a loop"
+                      for call in ast.walk(loop)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Name)
+                      and call.func.id in ("_close_elements", "closure")}
+    return sorted(found)
+
+
+def test_composition_series_extends_by_cosets():
+    assert series_reclosures(SRC / "groups.py") == []
+
+
+def test_reclosing_refinement_is_detected(tmp_path):
+    # the refinement loop as it stood when it closed <H, sigma> again from
+    # its generators at every step
+    (tmp_path / "groups.py").write_text(
+        "def composition_series(G):\n"
+        "    steps = []\n"
+        "    h_gens = []\n"
+        "    h_set = {Permutation.identity(G.degree).images}\n"
+        "    for upper_els, _ in reversed(chain[:-1]):\n"
+        "        upper_set = {e.images for e in upper_els}\n"
+        "        candidates = [g for g in G.generators\n"
+        "                      if g.images in upper_set]\n"
+        "        candidates += sorted(upper_els, key=lambda e: e.images)\n"
+        "        while len(h_set) < len(upper_set):\n"
+        "            x = next(c for c in candidates\n"
+        "                     if c.images not in h_set)\n"
+        "            d, cur = 1, x\n"
+        "            while cur.images not in h_set:\n"
+        "                cur = cur * x\n"
+        "                d += 1\n"
+        "            p = smallest_prime_factor(d)\n"
+        "            sigma = x.power(d // p)\n"
+        "            h_gens.append(sigma)\n"
+        "            h_elements = _close_elements(h_gens, G.degree)\n"
+        "            if len(h_elements) != p * len(h_set):\n"
+        "                raise AssertionError('composition refinement index "
+        "mismatch')\n"
+        "            h_set = {e.images for e in h_elements}\n"
+        "            steps.append((sigma, p))\n"
+        "    return CompositionSeries(tuple(steps), G)\n")
+    assert series_reclosures(tmp_path / "groups.py") == [
+        "groups.py: composition_series calls _close_elements in a loop",
+        "groups.py: raises AssertionError"]
+
+
+def test_closure_in_the_refinement_is_detected(tmp_path):
+    (tmp_path / "groups.py").write_text(
+        "def composition_series(G):\n"
+        "    for upper_els, _ in reversed(chain[:-1]):\n"
+        "        h = closure(h_gens + [sigma])\n"
+        "        assert h.order == p * len(h_set)\n")
+    assert series_reclosures(tmp_path / "groups.py") == [
+        "groups.py: composition_series calls closure in a loop",
+        "groups.py: raises AssertionError"]

@@ -109,6 +109,26 @@ def test_certificate_rejects_coefficients_far_from_integers(d5):
     assert exc.value.residual > 0.25
 
 
+def test_certificate_rejects_an_invariant_that_is_not_its_root(monkeypatch):
+    # F = x - 4 from the coset products, but the labeled invariant reads 6:
+    # |F(theta)| = 2 is at least 0.25 * (1 + 6)
+    G = closure([parse_cycles("(1,2)", 2)])
+    rs = find_roots(parse_polynomial("x^2-2"), 20)
+    orbit_value = oracle._orbit_value
+
+    def shifted(orbit, values):
+        value = orbit_value(orbit, values)
+        return value + 2 if values is rs.roots else value
+
+    monkeypatch.setattr(oracle, "_orbit_value", shifted)
+    with pytest.raises(ResidualTooLarge, match=(
+            r"^labeled invariant is not a root of its own certificate "
+            r"polynomial \(\|F\(theta\)\| = 2\.0\)$")) as exc:
+        coset_product_certificate(G, orbit_sum_invariant(G, (2, 0)), rs)
+    assert abs(exc.value.residual - 2) < mpf("1e-15")
+    assert exc.value.position is None
+
+
 def test_label_roots_identity_for_full_group():
     G = closure([parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)])
     rs = find_roots(parse_polynomial("x^3-2"), 16)

@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
-from radicalroots import (format_complex, nearest_integer, principal_root,
-                          root_of_unity)
+from radicalroots import (format_complex, nearest_integer, precision,
+                          principal_root, root_of_unity)
 from radicalroots.groups import smallest_prime_factor
+from radicalroots.resolvent import zeta_tables
 
 
 def test_format_complex_round_trip_quintic_root():
@@ -157,6 +160,101 @@ def test_nearest_integer_recovers_offset(n, eps_num):
         assert got_n == n
         # slack: one ulp of n at 25 digits (|n| <= 1e9)
         assert abs(got_res - abs(mpf(eps))) < mpf(10) ** -15
+
+
+def reference_nearest_integer(z):
+    """mpmath's nint of re(z) and max(|re - n|, |im|), at mp.dps + 8."""
+    with mp.workdps(mp.dps + 8):
+        n = int(mpmath.nint(z.real))
+        return n, max(abs(z.real - n), abs(z.imag))
+
+
+def nearest_integer_cases():
+    """(digits, z): ties k +- 1/2 for even and odd k of both signs, exact
+    integers with exponent >= 0, |re| < 1/2, zero and nonzero imaginary
+    parts, entries of size 10^600, and mantissas longer than the guarded
+    precision (values made at 100-620 digits, rounded at 15-30)."""
+    half = mpf(1) / 2
+    cases = []
+    for digits in (15, 30, 134):
+        with mp.workdps(digits):
+            reals = [k + s * half for k in range(-4, 5) for s in (-1, 1)]
+            reals += [mpf(2) ** 70, -mpf(2) ** 70 * 3, mpf(10) ** 20,
+                      mpf(0), mpf("0.3"), mpf("-0.49"), mpf("1e-30"),
+                      mpf("-9999999.9999970"), mpf(10) ** 600,
+                      -mpf(10) ** 600 - 1, mpf(10) ** 600 / 3]
+            imags = [mpf(0), mpf("1e-20"), mpf("-0.3"), mpf(5)]
+            cases += [(digits, mp.mpc(re, im)) for re in reals
+                      for im in imags]
+    for made in (100, 300, 620):
+        with mp.workdps(made):
+            longs = [mp.mpc(mp.pi * 10 ** 40), mp.mpc(-mp.e),
+                     mp.mpc(mpf(10) ** 600 + half),
+                     mp.mpc(mpf(10) ** 80 + mpf(1) / 3),
+                     mp.mpc(7, mp.pi / 10 ** 20),
+                     mp.mpc(mp.pi * 10 ** 40, -mp.e)]
+        cases += [(digits, z) for digits in (15, 30) for z in longs]
+    return cases
+
+
+def test_nearest_integer_is_the_bits_of_mpmath_nint():
+    for digits, z in nearest_integer_cases():
+        with mp.workdps(digits):
+            n, residual = nearest_integer(z)
+            want_n, want = reference_nearest_integer(z)
+        assert (n, residual._mpf_) == (want_n, want._mpf_), (digits, z)
+
+
+@given(man=st.integers(-2 ** 400, 2 ** 400), exp=st.integers(-500, 100),
+       im=st.integers(-2 ** 60, 2 ** 60), im_exp=st.integers(-120, 10),
+       digits=st.sampled_from([15, 30, 50, 134]))
+@settings(max_examples=300, deadline=None)
+def test_nearest_integer_matches_mpmath_on_any_mantissa(man, exp, im, im_exp,
+                                                       digits):
+    # exact values, so a mantissa may be longer than the guarded precision
+    z = mp.make_mpc((libmp.from_man_exp(man, exp),
+                     libmp.from_man_exp(im, im_exp)))
+    with mp.workdps(digits):
+        n, residual = nearest_integer(z)
+        want_n, want = reference_nearest_integer(z)
+    assert (n, residual._mpf_) == (want_n, want._mpf_)
+
+
+TWIDDLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def reference_root_of_unity(p, k):
+    """mpc(cospi(2k/p), sinpi(2k/p)), each computed at mp.dps + 8."""
+    with mp.workdps(mp.dps + 8):
+        t = mpf(2 * k) / p
+        re, im = mpmath.cospi(t), mpmath.sinpi(t)
+    return mp.mpc(re, im)
+
+
+@pytest.mark.parametrize("digits", [15, 50, 134, 196, 472, 738])
+def test_twiddles_are_the_bits_of_cospi_and_sinpi(digits):
+    with mp.workdps(digits):
+        tables = zeta_tables(SimpleNamespace(primes=TWIDDLE_PRIMES))
+        for p in TWIDDLE_PRIMES:
+            want = [reference_root_of_unity(p, k)._mpc_ for k in range(p)]
+            assert [z._mpc_ for z in tables[p]] == want
+            assert [root_of_unity(p, k)._mpc_ for k in range(p)] == want
+
+
+def test_zeta_tables_make_one_cos_sin_call_per_conjugate_pair(monkeypatch):
+    calls = []
+    cos_sin = precision.mpf_cos_sin_pi
+
+    def counted(t, prec, rnd):
+        calls.append(t)
+        return cos_sin(t, prec, rnd)
+
+    monkeypatch.setattr(precision, "mpf_cos_sin_pi", counted)
+    for p in TWIDDLE_PRIMES:
+        calls.clear()
+        with mp.workdps(30):
+            zeta_tables(SimpleNamespace(primes=(p, p)))
+        assert len(calls) == p // 2 + 1
 
 
 def test_is_prime_small():

@@ -412,12 +412,19 @@ def test_the_screened_noise_floor_decides_as_the_unscreened_test():
         p = series.primes[0]
         with mp.workdps(digits):
             delta = mpf(10) ** (-mpf(digits) / 4)
-            for step in range(-60, 61):
-                # |L| from 10^-2 to 10^1, each entry at its own phase
-                data = tuple(mpmath.expjpi(mpf(flat) / 7)
-                             * mpf(10) ** (mpf(step) / 40 - mpf(1) / 2)
-                             for flat in range(len(level_1.data)))
-                stored = dataclasses.replace(level_1, data=data)
+            n = len(level_1.data)
+            # |L| from 10^-4 to 10^1, each entry at its own phase, then from
+            # delta/2 to 2 delta at phase pi/4, both parts |L|/sqrt(2): an
+            # entry is zero below delta = 10^-2, by the screen when both
+            # parts are below 2^-8
+            sweeps = [[mpmath.expjpi(mpf(flat) / 7)
+                       * mpf(10) ** (mpf(step) / 40 - mpf(1) / 2)
+                       for flat in range(n)] for step in range(-140, 61)]
+            sweeps += [[mpmath.expjpi(mpf(1) / 4) * delta
+                        * mpf(2) ** (mpf(step) / 64)] * n
+                       for step in range(-64, 65)]
+            for data in sweeps:
+                stored = dataclasses.replace(level_1, data=tuple(data))
                 for line in axis_lines(ints.radices, 0):
                     args = (1, p, line, stored, fwd.thetas[1], delta)
                     outcomes.append(decisions(unscreened_decide, *args))

@@ -205,6 +205,26 @@ def test_round_theta_m_rejects_offset():
             round_theta_m(bad)
 
 
+@pytest.mark.parametrize("digits", [15, 40])
+def test_round_theta_m_guards_by_the_exact_magnitude(digits):
+    # entries on both sides of the limit 0.25 * 10^digits, some with each
+    # part under it: the bit-length screen leaves the exact |entry| to decide
+    with mp.workdps(digits):
+        limit = resolvent.DEFAULT_ROUNDING_TOLERANCE * mpf(10) ** digits
+        parts = [(limit - 1, 0), (limit, 0), (-limit, 0), (0, limit),
+                 (limit / 4, 0), (limit / 5, 0), (limit / 2 + 1, 0),
+                 (limit * 0.71, limit * 0.71), (limit * 0.7, limit * 0.7),
+                 (-limit * 0.5, limit * 0.9), (10 ** 5, 0), (0, 0)]
+        for re, im in parts:
+            entry = mp.mpc(re, im)
+            try:
+                round_theta_m(ResolventTensor((1,), (entry,)))
+                refused = False
+            except ResidualTooLarge as exc:
+                refused = exc.residual is None
+            assert refused == (abs(entry) >= limit), (re, im)
+
+
 def test_fourier_inversion_identity(reference_label_order):
     series, zetas, theta0, fwd = quintic_forward(reference_label_order)
     digits = QUINTIC_DIGITS
