@@ -24,7 +24,7 @@ from .polynomial import render_polynomial, sanity_check, to_monic
 from .precision import format_complex
 from .radical import emit, json_ast
 from .resolvent import DEFAULT_MARGIN
-from .rootfinder import find_roots, relabel, root_residuals
+from .rootfinder import RootSet, find_roots, relabel, root_residuals
 
 __all__ = ["main"]
 
@@ -184,12 +184,16 @@ def _cmd_roots(args, out) -> int:
     if reduction.scale != 1:
         out.write(f"monic reduction: {render_polynomial(reduction.monic)} "
                   f"({reduction.note})\n")
+        # the input's roots are the monic reduction's divided by the scale
+        with mpmath.mp.workdps(rs.digits):
+            rs = RootSet(tuple(z / reduction.scale for z in rs.roots),
+                         rs.digits)
     report = sanity_check(reduction.monic)
     for note in report.notes:
         out.write(f"warning: {note}\n")
     for i, z in enumerate(rs.roots, start=1):
         out.write(f"  x_{i} = {format_complex(z, rs.digits)}\n")
-    residual = max(root_residuals(reduction.monic, rs))
+    residual = max(root_residuals(polynomial, rs))
     out.write(f"max residual |f(x)|: {mpmath.nstr(residual, 4)}\n")
     return 0
 

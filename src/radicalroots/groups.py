@@ -29,7 +29,7 @@ DEFAULT_ORDER_CAP = 10**6
 DEFAULT_DEGREE_CAP = 8
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..n}; images[j-1] is the image of j.
 

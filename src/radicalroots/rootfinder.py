@@ -1,16 +1,17 @@
 """Simultaneous root finding for monic integer polynomials.
 
 Strategy: one Aberth-Ehrlich run from deterministic initial guesses, swept in
-hardware ``complex``, then one 32-digit Newton step from each hardware root,
-by the f/f' of the test's own evaluation, when Smale's alpha-test certifies
-them all (Smale 1986; Blum, Cucker, Shub and Smale 1998, ch. 8); otherwise
-the sweeps continue in ``mpc`` to ~32 digits and one Newton step follows.
-One Newton step per root on each rung of a precision-doubling ladder, by the
-same evaluation's f/f', reaches each requested budget.  Every step gives the
-radius of a disc about its result that holds a zero, from that step's alpha
-and beta and its rounding bound; the roots are returned once the last
-step's discs, widened by the rounding to the budget, are within the budget
-and disjoint.  Until then the ``mpc`` sweeps rerun at doubled precision,
+hardware ``complex``, then one Newton step per root on each rung of a
+precision-doubling ladder, from 32 digits to each requested budget.  Every
+step is x - f/f' from one fixed-point evaluation of f and f' that also bounds
+Smale's alpha and beta (Smale 1986; Blum, Cucker, Shub and Smale 1998,
+ch. 8), and gives the radius of a disc about its result that holds a zero.
+One rule accepts a set of steps: every radius within a tolerance and the
+discs disjoint.  The first rung, the 32-digit step from the hardware roots,
+is accepted at 10^(6-32); where it is refused the sweeps continue in ``mpc``
+to ~32 digits and one Newton step follows.  The roots are returned once the
+last step's discs, widened by the rounding to the budget, are accepted at
+10^(1-digits); until then the ``mpc`` sweeps rerun at doubled precision,
 each followed by one Newton step.
 """
 
@@ -211,16 +212,13 @@ def _apart(points, radii) -> bool:
     return True
 
 
-def _alpha_test(coeffs, points):
-    """Each point's (beta, alpha, step, slip) from ``_alpha_data`` when
-    Smale's alpha-test certifies them all, or None: alpha < _ALPHA_MAX puts a
-    zero within 2*beta of the point, and disjoint such discs make them
-    distinct."""
-    data = [_alpha_data(coeffs, x) for x in points]
-    if (all(alpha < _ALPHA_MAX for _, alpha, _, _ in data)
-            and _apart(points, [2 * beta for beta, _, _, _ in data])):
-        return data
-    return None
+def _accepted(points, radii, tol) -> bool:
+    """Whether every radius is at most tol * max(1, |x|) at its point x and
+    the discs are pairwise disjoint (``_apart``): each disc then holds the
+    zero that Smale's bound ties to its step, and disjoint discs hold
+    distinct zeros.  The one acceptance rule for every Newton step."""
+    return (all(r <= tol * max(1, abs(x)) for x, r in zip(points, radii))
+            and _apart(points, radii))
 
 
 def _step_error(beta, alpha):
@@ -243,32 +241,16 @@ def _newton_step(x, data):
     return x - step, _step_error(beta, alpha) + slip
 
 
-def _certified_step(coeffs, points):
-    """One 32-digit Newton step from each hardware root in ``points``, by the
-    alpha-test's corrections f/f', as ``Iterates`` with each step's radius;
-    None unless the test certifies them all and every radius is below
-    10^(6-32) * max(1, |z|)."""
-    data = _alpha_test(coeffs, points)
-    if data is None:
-        return None
-    steps = [_newton_step(x, d) for x, d in zip(points, data)]
-    tol = 10.0 ** (6 - _BASE_DPS)
-    if not all(r < tol * max(1, abs(x)) for x, (_, r) in zip(points, steps)):
-        return None
-    return Iterates(*zip(*steps))
-
-
 def aberth_stage(p: IntPolynomial) -> Iterates:
     """All roots of monic ``p`` at ~32 digits, with the radii of their last
     Newton steps.
 
     Aberth sweeps in hardware ``complex`` from start points on Fujiwara's
-    bound, then one 32-digit Newton step from each root, by the f/f' from
-    the alpha-test's one evaluation there, when the test certifies all of
-    them; otherwise the sweeps continue in ``mpc`` to 32 digits, from the
-    hardware roots when the hardware sweeps converged and from ``mpc`` start
-    points when they did not, and one Newton step from each (at 42 digits)
-    follows.
+    bound, then the ladder's first rung: one 32-digit Newton step from each
+    root, returned when ``_accepted`` passes its radii at 10^(6-32).
+    Otherwise the sweeps continue in ``mpc`` to 32 digits, from the hardware
+    roots when the hardware sweeps converged and from ``mpc`` start points
+    when they did not, and one Newton step from each (at 42 digits) follows.
     """
     if not p.is_monic():
         raise ValueError("root finding expects a monic polynomial")
@@ -287,9 +269,10 @@ def aberth_stage(p: IntPolynomial) -> Iterates:
                 and all(cmath.isfinite(zk) for zk in fast)):
             z = [mpc(zk) for zk in fast]
             with mp.workdps(_BASE_DPS):
-                certified = _certified_step(p.coeffs, z)
-            if certified is not None:
-                return certified
+                rung = _newton_polish(p, z, _BASE_DPS)
+                if _accepted(rung.roots, rung.radii,
+                             mpf(10) ** (6 - _BASE_DPS)):
+                    return rung
     with mp.workdps(_BASE_DPS):
         radius = max(mpf(1), 2 * max(mpf(abs(c)) ** (mpf(1) / (n - k))
                                      for k, c in enumerate(p.coeffs[:-1])))
@@ -298,17 +281,17 @@ def aberth_stage(p: IntPolynomial) -> Iterates:
                                            + mpf(k) / 1000))
                  for k in range(n)]
         if _sweeps(p.coeffs, deriv, z, radius, _BASE_DPS):
-            return _newton_polish(p, z, _BASE_DPS)
+            return _newton_polish(p, z, _BASE_DPS + 10)
         residuals = [abs(eval_poly(p.coeffs, zi)) for zi in z]
     raise NonConvergence("simultaneous iteration did not converge",
                          residuals=residuals)
 
 
 def _newton_polish(p: IntPolynomial, roots, dps: int) -> Iterates:
-    """One Newton step from each of ``roots`` at dps + 10 digits, by the
+    """One Newton step from each of ``roots`` at ``dps`` digits, by the
     correction f/f' of ``_alpha_data``, with the radius it certifies
     (``_newton_step``)."""
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps):
         return Iterates(*zip(*(_newton_step(x, _alpha_data(p.coeffs, x))
                                for x in roots)))
 
@@ -353,36 +336,35 @@ def _canonical_order(points) -> list[int]:
 
 def _certify(it: Iterates, raw, digits: int):
     """The snapped iterates ``raw`` of ``it`` in canonical order, rounded to
-    ``digits``, with a radius about each that holds its zero, when every
-    radius is at most 10^(1-digits) * max(1, |x~|) and the discs are
-    disjoint; None otherwise.  Each zero lies within the last step's radius
-    of that step's result x', so within that radius plus |x~ - x'| of the
-    returned x~; the sum is widened by 2^-40 of itself for its own
+    ``digits``, with a radius about each that holds its zero, when
+    ``_accepted`` passes them at 10^(1-digits), by the rule that accepts
+    the first rung; None otherwise.  Each zero lies within the last step's
+    radius of that step's result x', so within that radius plus |x~ - x'|
+    of the returned x~; the sum is widened by 2^-40 of itself for its own
     roundings."""
     order = _canonical_order(raw)
     with mp.workdps(digits):
         roots = tuple(+raw[i] for i in order)
     radii = [(it.radii[i] + abs(x - it.roots[i])) * (1 + 2.0 ** -40)
              for x, i in zip(roots, order)]
-    tol = mpf(10) ** (1 - digits)
-    if (all(r <= tol * max(1, abs(x)) for x, r in zip(roots, radii))
-            and _apart(roots, radii)):
+    if _accepted(roots, radii, mpf(10) ** (1 - digits)):
         return roots, radii
     return None
 
 
 def polish_roots(p: IntPolynomial, start: Iterates, digits: int) -> RootSet:
     """All n roots of a monic square-free polynomial at the given budget,
-    polished from ``start = aberth_stage(p)`` by one Newton step per root on
-    each rung of a ladder that doubles the digits from 32 to digits + 8,
-    then rounded, with a real or imaginary part zeroed when at most
+    polished from ``start = aberth_stage(p)``, whose 32-digit step is the
+    ladder's first rung, by one Newton step per root on each further rung,
+    at 10 digits above the rung, as the digits double to digits + 8, then
+    rounded, with a real or imaginary part zeroed when at most
     min(10^(2-digits) * |x~|, 10^(1-digits) * max(1, |x~|) / 4).  They are
-    returned once the radii of the last steps, widened by |x~ - x'|, are
-    each at most 10^(1-digits) * max(1, |x~|) and the discs are disjoint
-    (``_certify``); until then the ``mpc`` sweeps run at twice the last
-    digits, to steps below 10^(-digits-2), from these roots the first time
-    and from their own last roots after that, and one Newton step from
-    their roots follows each run.  Certified roots closer than
+    returned once ``_certify`` accepts the radii of the last steps, widened
+    by |x~ - x'|, at 10^(1-digits), by the rule that accepted the first
+    rung; until then the ``mpc`` sweeps run at twice the last digits, to
+    steps below 10^(-digits-2), from these roots the first time and from
+    their own last roots after that, and one Newton step from their roots
+    follows each run.  Certified roots closer than
     10^(-digits/2) raise NonConvergence, as do roots left uncertified by
     sweeps at up to 4 * (digits + 32) digits; budgets above DIGITS_HARD_CAP
     raise PrecisionInfeasible.  Output order is canonical: ascending
@@ -394,7 +376,7 @@ def polish_roots(p: IntPolynomial, start: Iterates, digits: int) -> RootSet:
     it, dps, swept = start, _BASE_DPS, None
     while dps < digits + 8:
         dps = min(dps * 2, digits + 8)
-        it = _newton_polish(p, it.roots, dps)
+        it = _newton_polish(p, it.roots, dps + 10)
     while True:
         with mp.workdps(max(digits + 10, dps)):
             # components below the budget's own noise floor are exactly zero
@@ -427,7 +409,7 @@ def polish_roots(p: IntPolynomial, start: Iterates, digits: int) -> RootSet:
         with mp.workdps(dps):
             radius = max(mpf(1), *(abs(z) for z in swept))
             _sweeps(p.coeffs, p.derivative_coeffs(), swept, radius, digits + 8)
-        it = _newton_polish(p, swept, dps)
+        it = _newton_polish(p, swept, dps + 10)
 
 
 def find_roots(p: IntPolynomial, digits: int) -> RootSet:

@@ -283,6 +283,23 @@ def test_roots_command(capsys):
     assert "-1.3639621650899" in out
 
 
+def test_roots_of_a_non_monic_input_are_its_own(capsys):
+    # 2x^3 - 3 has roots of modulus (3/2)^(1/3); its monic reduction
+    # x^3 - 12 has roots twice as large, 2.2894...
+    code, out, err = run(capsys, ["roots", "--poly", "2x^3-3"])
+    assert code == 0
+    assert "monic reduction: x^3 - 12 (y = 2*x)" in out
+    roots = [complex(float(re_part), float(sign + im_part) if sign else 0.0)
+             for re_part, sign, im_part in re.findall(
+                 r"x_\d = (\S+)(?: ([+-]) (\S+)i)?\n", out)]
+    assert len(roots) == 3
+    assert "  x_2 = 1.1447142425533318678080422119397\n" in out
+    assert all(abs(abs(z) - 1.5 ** (1 / 3)) < 1e-15 for z in roots)
+    assert "2.289" not in out
+    residual = re.search(r"max residual \|f\(x\)\|: (\S+)\n", out)
+    assert float(residual.group(1)) < 1e-30
+
+
 def test_check_command(capsys):
     code, out, err = run(capsys, ["check", "--poly", "x^5+20x+32",
                                   "--generators", "(1,2,3,4,5);(1,4)(2,3)",

@@ -356,8 +356,8 @@ def pairwise_loops(path: Path) -> list[str]:
 
 
 def test_rootfinder_has_one_pairwise_loop():
-    # the separation rule, the hardware alpha-test and the budget
-    # certificate all ask _apart whether discs around the roots are disjoint
+    # the separation rule and the one acceptance rule of every Newton step
+    # ask _apart whether discs around the roots are disjoint
     assert pairwise_loops(SRC / "rootfinder.py") == ["rootfinder.py: _apart"]
 
 
@@ -404,15 +404,37 @@ def test_residual_in_polish_roots_is_detected(tmp_path):
         "eval_poly", "root_residuals"}
 
 
+def extra_namings(path: Path, helper: str, allowed: dict) -> list[str]:
+    """Functions of ``path`` that call or pass on ``helper`` more often than
+    ``allowed`` gives for their name; functions it does not name, at all."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            uses = sum(isinstance(name, ast.Name) and name.id == helper
+                       and isinstance(name.ctx, ast.Load)
+                       for stmt in node.body for name in ast.walk(stmt))
+            if uses > allowed.get(node.name, 0):
+                found.append(f"{path.name}: {node.name} names {helper}")
+    return found
+
+
+def defined(path: Path, names) -> list[str]:
+    """``def`` lines of ``path`` for the functions in ``names``."""
+    return [f"{path.name}: def {node.name}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in names]
+
+
 def evaluations_outside_the_alpha_test(path: Path) -> set[str]:
-    """Polynomial evaluators that ``_certified_step`` calls, and an
-    ``_exact_value`` that ``path`` defines: the Newton step from each
-    hardware root takes f/f' from the alpha-test's own evaluation."""
-    found = {"eval_poly", "horner", "_exact_value"} & names_called(
-        path, "_certified_step")
-    found |= {node.name for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.FunctionDef)
-              and node.name == "_exact_value"}
+    """Polynomial evaluators that ``_newton_step`` calls, and an
+    ``_exact_value`` that ``path`` defines: the Newton step from each root
+    takes f/f' from the alpha-test's own evaluation, the ``_alpha_data``
+    it is handed."""
+    found = {"eval_poly", "horner", "_scaled_horner", "_taylor",
+             "_exact_value"} & names_called(path, "_newton_step")
+    found |= {line.rsplit(" ", 1)[1]
+              for line in defined(path, ("_exact_value",))}
     return found
 
 
@@ -424,25 +446,21 @@ def test_second_evaluation_in_the_step_is_detected(tmp_path):
     (tmp_path / "rootfinder.py").write_text(
         "def _exact_value(coeffs, z):\n"
         "    return z\n"
-        "def _certified_step(coeffs, deriv, z):\n"
-        "    data = _alpha_test(coeffs, z)\n"
-        "    return [x - eval_poly(coeffs, x) / horner(deriv, x, 53)\n"
-        "            for x in z], data\n")
+        "def _newton_step(x, data):\n"
+        "    coeffs, deriv = data\n"
+        "    return (x - eval_poly(coeffs, x) / horner(deriv, x, 53),\n"
+        "            _scaled_horner(coeffs, x))\n")
     assert evaluations_outside_the_alpha_test(tmp_path / "rootfinder.py") == {
-        "eval_poly", "horner", "_exact_value"}
+        "eval_poly", "horner", "_scaled_horner", "_exact_value"}
 
 
 def alpha_test_callers(path: Path) -> list[str]:
-    """Functions of ``path`` other than ``_certified_step`` that call or
-    pass on ``_alpha_test``: a returned root is certified by the Newton step
-    that produced it, not by a second alpha-evaluation."""
-    return [f"{path.name}: {node.name}"
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name != "_certified_step"
-            and any(isinstance(name, ast.Name) and name.id == "_alpha_test"
-                    and isinstance(name.ctx, ast.Load)
-                    for stmt in node.body for name in ast.walk(stmt))]
+    """A definition of ``_alpha_test``, and the functions of ``path`` that
+    call or pass on ``_alpha_data`` other than by ``_newton_polish``'s one
+    call: every Newton step, the hardware rung included, is taken and
+    certified there, not by a second alpha-evaluation."""
+    return (defined(path, ("_alpha_test",))
+            + extra_namings(path, "_alpha_data", {"_newton_polish": 1}))
 
 
 def test_only_the_hardware_step_runs_the_alpha_test():
@@ -453,17 +471,61 @@ def test_second_alpha_test_caller_is_detected(tmp_path):
     (tmp_path / "rootfinder.py").write_text(
         "def _alpha_test(coeffs, points):\n"
         "    return points\n"
-        "def _certified_step(coeffs, points):\n"
-        "    return _alpha_test(coeffs, points)\n"
+        "def _newton_polish(p, roots, dps):\n"
+        "    return [_alpha_data(p.coeffs, x) for x in roots]\n"
         "def polish_roots(p, start, digits):\n"
         "    def certify(roots):\n"
-        "        return _alpha_test(p.coeffs, roots)\n"
+        "        return _alpha_data(p.coeffs, roots)\n"
         "    return certify(start)\n"
         "def _mapped(coeffs, batches):\n"
-        "    return map(_alpha_test, [coeffs] * len(batches), batches)\n")
+        "    return map(_alpha_data, [coeffs] * len(batches), batches)\n"
+        "def _twice(p, x):\n"
+        "    return _alpha_data(p.coeffs, x), _alpha_data(p.coeffs, -x)\n")
     assert alpha_test_callers(tmp_path / "rootfinder.py") == [
-        "rootfinder.py: polish_roots", "rootfinder.py: _mapped",
-        "rootfinder.py: certify"]
+        "rootfinder.py: def _alpha_test",
+        "rootfinder.py: polish_roots names _alpha_data",
+        "rootfinder.py: _mapped names _alpha_data",
+        "rootfinder.py: _twice names _alpha_data",
+        "rootfinder.py: certify names _alpha_data"]
+
+
+def certificate_forks(path: Path) -> list[str]:
+    """Second acceptance rules for Newton steps in ``path``: a definition
+    of ``_certified_step``, and a function that calls or passes on
+    ``_apart`` other than ``_accepted`` and ``polish_roots``' separation
+    check.  Every step is accepted by ``_accepted``."""
+    return (defined(path, ("_certified_step",))
+            + extra_namings(path, "_apart",
+                            {"_accepted": 1, "polish_roots": 1}))
+
+
+def test_every_newton_step_has_one_certificate():
+    assert certificate_forks(SRC / "rootfinder.py") == []
+
+
+def test_second_certificate_is_detected(tmp_path):
+    (tmp_path / "rootfinder.py").write_text(
+        "def _certified_step(coeffs, points):\n"
+        "    return _apart(points, [0] * len(points))\n"
+        "def _accepted(points, radii, tol):\n"
+        "    return _apart(points, radii)\n"
+        "def _certify(it, raw, digits):\n"
+        "    return _apart(raw, it.radii)\n"
+        "def polish_roots(p, start, digits):\n"
+        "    def recheck(roots):\n"
+        "        return _apart(roots, [digits] * len(roots))\n"
+        "    if not _apart(start, [digits] * len(start)):\n"
+        "        raise ValueError(digits)\n"
+        "    return _accepted(start, [], 1) and recheck(start)\n"
+        "def _mapped(batches, radii):\n"
+        "    return list(map(_apart, batches, radii))\n")
+    assert certificate_forks(tmp_path / "rootfinder.py") == [
+        "rootfinder.py: def _certified_step",
+        "rootfinder.py: _certified_step names _apart",
+        "rootfinder.py: _certify names _apart",
+        "rootfinder.py: polish_roots names _apart",
+        "rootfinder.py: _mapped names _apart",
+        "rootfinder.py: recheck names _apart"]
 
 
 def forward_pass_forks(path: Path) -> list[str]:

@@ -44,6 +44,7 @@ def test_parse_render_idempotent(coeffs):
     once = parse_polynomial(render_polynomial(p))
     twice = parse_polynomial(render_polynomial(once))
     assert once == twice == p
+    assert str(p) == render_polynomial(p)
 
 
 def test_to_monic_examples():

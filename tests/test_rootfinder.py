@@ -226,29 +226,40 @@ def test_hardware_sweeps_change_no_outcome(monkeypatch, poly_text, max_iters,
 
 
 # Mignotte-type polynomials x^n - 2(a x - 1)^2: a pair of roots near 1/a,
-# about 1.4e-9, 4.5e-17 and 4.5e-4 apart, that the alpha-test refuses
+# about 1.4e-9, 4.5e-17 and 4.5e-4 apart, whose first rung is refused
 MIGNOTTE = ["x^7-20000x^2+400x-2", "x^9-2000000x^2+4000x-2", "x^5-200x^2+40x-2"]
 
 
-def _certificates(monkeypatch):
-    """Record (hardware roots, result) of every alpha-test aberth_stage runs."""
-    certify = rootfinder._certified_step
+def _first_rungs(monkeypatch):
+    """Record [hardware roots, rung, accepted] of every first rung that
+    aberth_stage takes: the 32-digit Newton step from the hardware roots and
+    whether ``_accepted`` passes it."""
+    polish, accept = rootfinder._newton_polish, rootfinder._accepted
     calls = []
 
-    def record(coeffs, z):
-        result = certify(coeffs, z)
-        calls.append((list(z), result))
+    def record_polish(p, roots, dps):
+        rung = polish(p, roots, dps)
+        if dps == rootfinder._BASE_DPS:
+            calls.append([list(roots), rung, None])
+        return rung
+
+    def record_accept(points, radii, tol):
+        result = accept(points, radii, tol)
+        if calls and calls[-1][2] is None and points is calls[-1][1].roots:
+            calls[-1][2] = result
         return result
-    monkeypatch.setattr(rootfinder, "_certified_step", record)
+    monkeypatch.setattr(rootfinder, "_newton_polish", record_polish)
+    monkeypatch.setattr(rootfinder, "_accepted", record_accept)
     return calls
 
 
 @pytest.mark.parametrize("poly_text", MIGNOTTE)
 def test_close_roots_fall_back_to_mpc_sweeps(monkeypatch, poly_text):
     p = parse_polynomial(poly_text)
-    calls = _certificates(monkeypatch)
+    calls = _first_rungs(monkeypatch)
     outcomes = [_outcome(p, d) for d in (20, 30, 60)]
-    assert len(calls) == 3 and all(result is None for _, result in calls)
+    assert len(calls) == 3 and all(accepted is False
+                                   for _, _, accepted in calls)
     _mpmath_only(monkeypatch)
     assert [_outcome(p, d) for d in (20, 30, 60)] == outcomes
 
@@ -283,9 +294,9 @@ def _gamma(coeffs, z):
                          ids=[c[0] for c in HARDWARE_CASES] + MIGNOTTE)
 def test_gamma_bound_is_an_upper_bound(monkeypatch, poly_text):
     p = parse_polynomial(poly_text)
-    calls = _certificates(monkeypatch)
+    calls = _first_rungs(monkeypatch)
     aberth_stage(p)
-    (hardware, _), = calls
+    (hardware, _, _), = calls
     for z in hardware:
         with mp.workdps(rootfinder._BASE_DPS):
             beta, alpha, _, _ = rootfinder._alpha_data(p.coeffs, z)
@@ -296,15 +307,17 @@ def test_gamma_bound_is_an_upper_bound(monkeypatch, poly_text):
 @pytest.mark.parametrize("poly_text", [c[1] for c in HARDWARE_CASES],
                          ids=[c[0] for c in HARDWARE_CASES])
 def test_certified_step_is_the_newton_step(monkeypatch, poly_text):
-    # the correction from the alpha-test's fixed-point f and f' moves each
-    # hardware root to within 10^-32 * max(1, |z|) of the exact Newton step
+    # the first rung's correction from the fixed-point f and f' moves each
+    # hardware root to within 10^-32 * max(1, |z|) of the exact Newton step,
+    # and the rung is accepted
     p = parse_polynomial(poly_text)
-    calls = _certificates(monkeypatch)
-    aberth_stage(p)
-    (hardware, steps), = calls
+    calls = _first_rungs(monkeypatch)
+    start = aberth_stage(p)
+    (hardware, rung, accepted), = calls
+    assert accepted and start is rung
     deriv = p.derivative_coeffs()
     with mp.workdps(3 * rootfinder._BASE_DPS):
-        for x, step in zip(hardware, steps.roots):
+        for x, step in zip(hardware, rung.roots):
             exact = x - eval_poly(p.coeffs, x) / eval_poly(deriv, x)
             assert abs(step - exact) <= mpf(10) ** -32 * max(1, abs(x))
 
@@ -368,11 +381,12 @@ def test_short_mantissa_loop_is_the_padded_loop(dps):
                                        "x^6+x^5-5x^4-4x^3+6x^2+3x-1",
                                        "x^5+20x+32"])
 def test_ladder_steps_are_newton_steps(poly_text, dps):
-    # a rung takes one step by the alpha-test's f/f' from each root: the
-    # exact Newton step from the 32-digit start, to the rung's digits
+    # a rung takes one step by _alpha_data's f/f' from each root, at 10
+    # digits above the rung: the exact Newton step from the 32-digit start,
+    # to the rung's digits
     p = parse_polynomial(poly_text)
     start = aberth_stage(p).roots
-    rung = rootfinder._newton_polish(p, start, dps).roots
+    rung = rootfinder._newton_polish(p, start, dps + 10).roots
     deriv = p.derivative_coeffs()
     with mp.workdps(2 * dps + 20):
         for x, z in zip(start, rung):
@@ -381,11 +395,11 @@ def test_ladder_steps_are_newton_steps(poly_text, dps):
 
 
 def _three_step_rung(p, roots, dps):
-    """A rung of the ladder that always takes three steps per root, each by
-    the alpha-test's f/f', stopping only where there is none, with the
-    radius of the last step."""
+    """A rung of the ladder that always takes three steps per root at ``dps``
+    digits, each by _alpha_data's f/f', stopping only where there is none,
+    with the radius of the last step."""
     out = []
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps):
         for x in roots:
             for _ in range(3):
                 x, radius = rootfinder._newton_step(x, _ALPHA_DATA(p.coeffs, x))
@@ -420,7 +434,7 @@ def test_ladder_stops_a_root_once_its_step_is_converged(monkeypatch,
             calls.clear()
             raw = [x]
             for dps in (64, 128, 208):
-                raw = rootfinder._newton_polish(p, raw, dps).roots
+                raw = rootfinder._newton_polish(p, raw, dps + 10).roots
             assert len(calls) == 3
     monkeypatch.setattr(rootfinder, "_newton_polish", _three_step_rung)
     reference = polish_roots(p, start, 200).roots
@@ -562,20 +576,23 @@ def test_newton_step_without_a_correction_stays_put():
 ], ids=["separated", "same-root-twice", "critical-point"])
 def test_certified_step_refuses_unless_every_root_is_certified(points,
                                                                certified):
+    # the acceptance rule on a first rung from the given hardware roots
     p = parse_polynomial("x^2-2")
-    with mp.workdps(rootfinder._BASE_DPS):
-        steps = rootfinder._certified_step(p.coeffs, [mpc(x) for x in points])
+    base = rootfinder._BASE_DPS
+    with mp.workdps(base):
+        rung = rootfinder._newton_polish(p, [mpc(x) for x in points], base)
+        accepted = rootfinder._accepted(rung.roots, rung.radii,
+                                        mpf(10) ** (6 - base))
+        assert accepted == certified
         if certified:
-            assert [abs(s ** 2 - 2) < mpf(10) ** -30 for s in steps.roots] \
+            assert [abs(s ** 2 - 2) < mpf(10) ** -30 for s in rung.roots] \
                 == [True, True]
-        else:
-            assert steps is None
 
 
 def _polish_skipping(monkeypatch, skips):
     """Make ``_newton_polish`` return its roots unchanged, each with an
-    infinite radius, on its first ``skips`` calls; return the list of rungs
-    it was called with."""
+    infinite radius, on its first ``skips`` calls; return the list of
+    working digits it was called with, 10 above each rung's."""
     polish = rootfinder._newton_polish
     rungs = []
 
@@ -613,7 +630,7 @@ def test_skipped_polish_escalates_to_mpc_sweeps(monkeypatch):
     rungs = _polish_skipping(monkeypatch, 2)
     swept = _mpc_sweeps(monkeypatch)
     rs = polish_roots(p, start, 60)
-    assert (rungs, swept) == ([64, 68, 136], [136])
+    assert (rungs, swept) == ([74, 78, 146], [136])
     assert [z._mpc_ for z in rs.roots] == [z._mpc_ for z in expected.roots]
 
 
@@ -626,7 +643,7 @@ def test_uncertified_roots_raise_at_the_sweep_cap(monkeypatch):
     with pytest.raises(NonConvergence, match="roots not certified at 60 "
                                              "digits after sweeps at 272"):
         polish_roots(p, start, 60)
-    assert (rungs, swept) == ([64, 68, 136, 272], [136, 272])
+    assert (rungs, swept) == ([74, 78, 146, 282], [136, 272])
 
 
 def test_a_duplicated_start_escalates(monkeypatch):
