@@ -37,13 +37,14 @@ def as_polynomial(poly) -> IntPolynomial:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` if it is an integer (not a float, not text), else
+    """``value`` if it is an integer (not a bool, a float or text), else
     InputSyntaxError naming ``what``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise InputSyntaxError(
-            f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise InputSyntaxError(f"{what} must be an integer, got {value!r}")
 
 
 def as_generators(generators, degree: int) -> list[Permutation]:

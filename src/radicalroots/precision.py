@@ -11,13 +11,14 @@ shift, so its residual is exact.
 
 The inner loops of the forward pass and of the branch test run on an
 integer form of the same values, which skips mpmath's per-call overhead and
-gives its exact bits; so does the division f/f' of the root finder's
-fixed-point evaluation.  A real is a pair (m, e) of a signed odd mantissa,
-or 0, and an exponent, worth m * 2^e; a complex is the four ints (re m,
-re e, im m, im e), from ``mpc_ints`` and back through ``ints_mpc``.  Each operation takes the precision in bits and rounds
-as ``mpmath.libmp`` does (``mpf_add``, ``mpf_div``, ``mpc_mul``,
-``mpc_div``, ``mpc_div_mpf``), with round-half-even, so the bits equal those
-of the ``mpc`` expression that each one names.
+gives its exact bits.  A real is a pair (m, e) of a signed odd mantissa, or
+0, and an exponent, worth m * 2^e; a complex is the four ints (re m, re e,
+im m, im e), from ``mpc_ints`` and back through ``ints_mpc``.  Each
+operation takes the precision in bits and rounds as ``mpmath.libmp`` does
+(``mpf_add``, ``mpc_mul``, and ``mpf_div`` in ``mpc_div_mpf``), with
+round-half-even, so the bits equal those of the ``mpc`` expression that each
+one names.  The root finder's Newton correction is one ``cdiv_int`` too: an
+exact Gaussian numerator over an integer, each part rounded once.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ __all__ = [
     "principal_root",
     "nearest_integer",
     "part_bits",
+    "bit_exponent",
     "format_complex",
     "mpc_ints",
     "ints_mpc",
     "cadd",
     "cmul",
-    "cdiv",
     "cdiv_int",
 ]
 
@@ -133,6 +134,11 @@ def part_bits(z: mpc) -> int | float:
                default=-math.inf)
 
 
+def bit_exponent(x: mpf) -> int:
+    """The e with 2^(e-1) <= |x| < 2^e, for a nonzero ``x``."""
+    return x._mpf_[2] + x._mpf_[3]
+
+
 def format_complex(z: mpc, digits: int) -> str:
     """``re + im i`` with each part to the given significant digits."""
     re = mpmath.nstr(z.real, digits)
@@ -165,9 +171,9 @@ def ints_mpc(x) -> mpc:
     return mp.make_mpc((_raw(x[0], x[1]), _raw(x[2], x[3])))
 
 
-def _round(m: int, e: int, prec: int, down: bool = False) -> tuple[int, int]:
-    """m * 2^e rounded to ``prec`` bits, half to even (or toward zero when
-    ``down``), with the mantissa's trailing zero bits moved to e."""
+def _round(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2^e rounded to ``prec`` bits, half to even, with the mantissa's
+    trailing zero bits moved to e."""
     if not m:
         return 0, 0
     neg = m < 0
@@ -175,14 +181,11 @@ def _round(m: int, e: int, prec: int, down: bool = False) -> tuple[int, int]:
         m = -m
     n = m.bit_length() - prec
     if n > 0:
-        if down:
-            m >>= n
+        t = m >> (n - 1)
+        if t & 1 and (t & 2 or m != t << (n - 1)):
+            m = (t >> 1) + 1
         else:
-            t = m >> (n - 1)
-            if t & 1 and (t & 2 or m != t << (n - 1)):
-                m = (t >> 1) + 1
-            else:
-                m = t >> 1
+            m = t >> 1
         e += n
     if not m & 1:
         z = (m & -m).bit_length() - 1
@@ -191,21 +194,20 @@ def _round(m: int, e: int, prec: int, down: bool = False) -> tuple[int, int]:
     return (-m if neg else m), e
 
 
-def _add(m1: int, e1: int, m2: int, e2: int, prec: int,
-         down: bool = False) -> tuple[int, int]:
+def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
     """m1 * 2^e1 + m2 * 2^e2 rounded as ``mpf_add``: when one term's lowest
     bit lies over 100 places above the other's and its top bit over prec + 4
     places above, the smaller term is replaced by a sticky bit prec + 4
     places below the larger term's lowest bit."""
     if not m1 or not m2:
-        return _round(m1 or m2, e1 if m1 else e2, prec, down)
+        return _round(m1 or m2, e1 if m1 else e2, prec)
     if e1 < e2:
         m1, e1, m2, e2 = m2, e2, m1, e1
     off = e1 - e2
     if off > 100 and m1.bit_length() + off - m2.bit_length() > prec + 4:
         return _round((m1 << (prec + 4)) + (1 if m2 > 0 else -1),
-                      e1 - prec - 4, prec, down)
-    return _round((m1 << off) + m2, e2, prec, down)
+                      e1 - prec - 4, prec)
+    return _round((m1 << off) + m2, e2, prec)
 
 
 def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
@@ -217,16 +219,12 @@ def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
         return 0, 0
     neg = (m1 < 0) != (m2 < 0)
     a, b = abs(m1), abs(m2)
-    if b == 1:
-        q, e = a, e1 - e2
-    else:
-        extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
-        q, r = divmod(a << extra, b)
-        if r:
-            q = (q << 1) | 1
-            extra += 1
-        e = e1 - e2 - extra
-    return _round(-q if neg else q, e, prec)
+    extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
+    q, r = divmod(a << extra, b)
+    if r:
+        q = (q << 1) | 1
+        extra += 1
+    return _round(-q if neg else q, e1 - e2 - extra, prec)
 
 
 def cadd(x, y, prec: int):
@@ -244,25 +242,7 @@ def cmul(x, y, prec: int):
             + _add(a * d, ae + de, b * c, be + ce, prec))
 
 
-def cdiv(x, y, prec: int):
-    """x / y, as ``mpc_div``: |y|^2 and the two numerators rounded toward
-    zero at prec + 10 bits, then each quotient rounded at ``prec``."""
-    a, ae, b, be = x
-    c, ce, d, de = y
-    wp = prec + 10
-    mag = _add(c * c, 2 * ce, d * d, 2 * de, wp, True)
-    t = _add(a * c, ae + ce, b * d, be + de, wp, True)
-    u = _add(b * c, be + ce, -(a * d), ae + de, wp, True)
-    return _div(*t, *mag, prec) + _div(*u, *mag, prec)
-
-
-def _int_pair(n: int) -> tuple[int, int]:
-    """The integer form (m, e) of the integer ``n``, as ``from_int``."""
-    return _round(n, 0, max(n.bit_length(), 1))
-
-
 def cdiv_int(x, n: int, prec: int):
     """x / n for a nonzero integer n, as ``mpc / int``."""
-    m, e = _int_pair(n)
-    return _div(x[0], x[1], m, e, prec) + _div(x[2], x[3], m, e, prec)
+    return _div(x[0], x[1], n, 0, prec) + _div(x[2], x[3], n, 0, prec)
 

@@ -26,7 +26,7 @@ from mpmath import mp, mpc, mpf
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
-from .precision import part_bits, principal_root, root_of_unity
+from .precision import bit_exponent, part_bits, principal_root, root_of_unity
 from .resolvent import (ForwardResult, IntegerThetaTensor, PrecisionPlan,
                         axis_lines, multiplication_budget,
                         position_root_indices)
@@ -315,11 +315,6 @@ class ReconstructionResult:
     zero_notes: tuple[ZeroRadicandNote, ...]
 
 
-def _exponent(x: mpf) -> int:
-    """The e with 2^(e-1) <= |x| < 2^e, for a nonzero ``x``."""
-    return x._mpf_[2] + x._mpf_[3]
-
-
 def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     """The zero and branch decisions of one tensor line from the stored
     resolvent entries alone: per entry None for a zero, else (branch, best
@@ -343,8 +338,8 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     ten = mpf(10) ** (4 - mp.dps)
     # -inf for an all-zero line, whose floor is zero
     top = max(part_bits(theta.data[i]) for i in line)
-    clear = top + _exponent(ten) + p.bit_length() + 3
-    zero = _exponent(delta) - 2
+    clear = top + bit_exponent(ten) + p.bit_length() + 3
+    zero = bit_exponent(delta) - 2
     half = mpf(1) / 2
     picks: list = []
     for flat in line:
@@ -352,7 +347,7 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
         if part_bits(target) <= zero or (magnitude := abs(target)) < delta:
             picks.append(None)
             continue
-        if p * (_exponent(magnitude) - 1) < clear and magnitude ** p <= (
+        if p * (bit_exponent(magnitude) - 1) < clear and magnitude ** p <= (
                 floor := ten * sum(abs(theta.data[i]) for i in line)):
             raise PhaseAmbiguous(
                 f"resolvent entry at level {level}, index {flat} is on the "

@@ -22,8 +22,9 @@ from mpmath import mp, mpc, mpf
 
 from .errors import LabelingFailed, ResidualTooLarge
 from .groups import CompositionSeries
-from .precision import (cadd, cdiv_int, check_digit_budget, cmul, ints_mpc,
-                        mpc_ints, nearest_integer, part_bits, root_of_unity)
+from .precision import (bit_exponent, cadd, cdiv_int, check_digit_budget,
+                        cmul, ints_mpc, mpc_ints, nearest_integer, part_bits,
+                        root_of_unity)
 from .rootfinder import RootSet
 
 __all__ = [
@@ -179,40 +180,40 @@ def zeta_tables(series: CompositionSeries):
     return tables
 
 
-def _turn(table, e: int, x, prec: int):
+def _turn(table, e: int, x, prec: int, counter: MultiplicationCounter):
     """zeta^e * x in the integer form, ``table`` holding zeta's powers: x
     itself at e = 0, its negation where zeta^e = -1 (p = 2), else one kernel
-    product.  Both shortcuts give the bits of the product, since x is
-    rounded at ``prec`` already."""
+    product, which the counter adds.  Both shortcuts give the bits of the
+    product, since x is rounded at ``prec`` already."""
     if e == 0:
         return x
     if len(table) == 2:
         return (-x[0], x[1], -x[2], x[3])
+    counter.add(1)
     return cmul(table[e], x, prec)
 
 
 def _transform(entries, table, prec: int, counter: MultiplicationCounter):
     """One line's L and Theta entries from its Theta entries in the integer
-    form: p(p - 1) products for the powers and, for odd p, (p - 1)^2
-    twiddles for the L sums and for the Theta sums each, which the counter
-    adds (``_turn`` takes none for the factors 1 and -1)."""
+    form: the L sums and the Theta sums by ``_turn``, and p - 1 products
+    for each p-th power; the counter adds each product where it is made."""
     p = len(entries)
-    counter.add(p * (p - 1) + (2 * (p - 1) ** 2 if p > 2 else 0))
     l_line, powered, t_line = [], [], []
     for k in range(p):
         acc = None
         for j in range(p):
-            term = _turn(table, (j * k) % p, entries[j], prec)
+            term = _turn(table, (j * k) % p, entries[j], prec, counter)
             acc = term if acc is None else cadd(acc, term, prec)
         l_line.append(ints_mpc(acc))
         w = acc
         for _ in range(p - 1):
             w = cmul(w, acc, prec)
+            counter.add(1)
         powered.append(w)
     for j in range(p):
         acc = None
         for k in range(p):
-            term = _turn(table, (-k * j) % p, powered[k], prec)
+            term = _turn(table, (-k * j) % p, powered[k], prec, counter)
             acc = term if acc is None else cadd(acc, term, prec)
         t_line.append(ints_mpc(cdiv_int(acc, p, prec)))
     return l_line, t_line
@@ -231,9 +232,7 @@ def _fill(ref, u: int, t: int, table, prec: int,
         k = j * inverse % p
         e = -t * k % p
         l_line.append(l_ref[k] if e == 0 else ints_mpc(
-            _turn(table, e, mpc_ints(l_ref[k]), prec)))
-        if e and p > 2:
-            counter.add(1)
+            _turn(table, e, mpc_ints(l_ref[k]), prec, counter)))
     return l_line, [t_ref[u * j % p] for j in range(p)]
 
 
@@ -325,7 +324,7 @@ def round_theta_m(theta_m: ResolventTensor) -> IntegerThetaTensor:
     is below 2^(e-3/2), under the limit.
     """
     limit = DEFAULT_ROUNDING_TOLERANCE * mpf(10) ** mp.dps
-    screen = limit._mpf_[2] + limit._mpf_[3] - 1
+    screen = bit_exponent(limit) - 1
     for flat, entry in enumerate(theta_m.data):
         if part_bits(entry) >= screen and abs(entry) >= limit:
             raise ResidualTooLarge(

@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import NonConvergence, UnsupportedInput
 from .polynomial import IntPolynomial, eval_poly
-from .precision import cdiv, check_digit_budget, ints_mpc, mpc_ints
+from .precision import cdiv_int, check_digit_budget, ints_mpc, mpc_ints
 
 __all__ = ["RootSet", "aberth_stage", "polish_roots", "find_roots",
            "root_residuals", "root_magnitude_bound", "relabel"]
@@ -157,15 +157,16 @@ def _alpha_data(coeffs, x: mpc):
 
     They come from ``_scaled_horner``'s g and g': f's beta is 2^e times
     g's, and its alpha is g's.  The correction is 2^e g(y)/g'(y) from the
-    same integers, divided once at mp.prec on the integer kernel.  As g and
-    g' are each within err = (n+2)^3 units of 2^-P, |g| <= g_up < d_low and
-    |g'| >= d_low, the quotient of the integers is within 2 err / d_low of
-    g/g'.  The division and the subtraction round each part within 2^-prec
-    of itself, twice, and |correction| <= beta, |x - correction| <= 2^e +
-    beta, so the slip is at most 2^(e+1) err / d_low + 2^(2-prec) (2^e +
-    beta).  |g^(k)/k!| is at most the k-th Taylor coefficient of
-    sum |b_i| t^i at t = |y|, both rounded up, in floats widened by 8(n+3)
-    float epsilons.
+    same integers, as 2^e g conj(g')/|g'|^2: the exact Gaussian integer over
+    the integer |g'|^2 >= 1, a quotient of integers that the kernel's
+    ``cdiv_int`` rounds once per part at mp.prec.  As g and g' are each
+    within err = (n+2)^3 units of 2^-P, |g| <= g_up < d_low and |g'| >=
+    d_low, the quotient of the integers is within 2 err / d_low of g/g'.
+    The division and the subtraction round each part within 2^-prec of
+    itself, twice, and |correction| <= beta, |x - correction| <= 2^e + beta,
+    so the slip is at most 2^(e+1) err / d_low + 2^(2-prec) (2^e + beta).
+    |g^(k)/k!| is at most the k-th Taylor coefficient of sum |b_i| t^i at
+    t = |y|, both rounded up, in floats widened by 8(n+3) float epsilons.
     """
     n = len(coeffs) - 1
     e, prec, b, (yr, yi), (gr, gi, dr, di) = _scaled_horner(coeffs, x)
@@ -183,7 +184,8 @@ def _alpha_data(coeffs, x: mpc):
     gamma = max(((c * up + tiny) / low) ** (1 / (k - 1))
                 for k, c in enumerate(size) if k >= 2) if n > 1 else 0.0
     g_up += g_up >> 40      # covers rounding beta to 32 digits or more, twice
-    step = ints_mpc(cdiv((gr, e, gi, e), (dr, 0, di, 0), mp.prec))
+    step = ints_mpc(cdiv_int((gr * dr + gi * di, e, gi * dr - gr * di, e),
+                             dr * dr + di * di, mp.prec))
     beta = mpf((g_up, e)) / d_low
     slip = (mpf((2 * err, e)) / d_low
             + mpmath.ldexp(beta + mpf((1, e)), 2 - mp.prec))

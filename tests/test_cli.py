@@ -382,6 +382,9 @@ INPUT_FILE_ERRORS = {
                           "got 2.5"),
     "number-poly": ({"poly": 5, "generators": ["(1,2)"]},
                     "a polynomial is text or a list of coefficients, got 5"),
+    "boolean-coefficient": ({"poly": [-2, 0, True], "generators": ["(1,2)"]},
+                            "polynomial coefficient 2 must be an integer, "
+                            "got True"),
     "text-coefficient": ({"poly": [1, "a", 1], "generators": ["(1,2)"]},
                          "polynomial coefficient 1 must be an integer, "
                          "got 'a'"),

@@ -1098,3 +1098,45 @@ def test_closure_in_the_refinement_is_detected(tmp_path):
     assert series_reclosures(tmp_path / "groups.py") == [
         "groups.py: composition_series calls closure in a loop",
         "groups.py: raises AssertionError"]
+
+
+ROUNDING_PARAMETERS = {"_round": ["m", "e", "prec"],
+                       "_add": ["m1", "e1", "m2", "e2", "prec"]}
+
+
+def second_divisions(path: Path) -> list[str]:
+    """Definitions of ``cdiv`` and ``_int_pair`` in ``path``, and a
+    ``_round`` or ``_add`` with parameters beyond its operands and
+    precision, such as a rounding mode: the kernel rounds half to even
+    only, and ``cdiv_int`` is its one division."""
+    found = defined(path, ("cdiv", "_int_pair"))
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name in ROUNDING_PARAMETERS
+                and _parameter_names(node.args)
+                != ROUNDING_PARAMETERS[node.name]):
+            found.append(f"{path.name}: {node.name} takes "
+                         f"{', '.join(_parameter_names(node.args))}")
+    return found
+
+
+def test_the_kernel_has_one_division_and_one_rounding_mode():
+    assert second_divisions(SRC / "precision.py") == []
+
+
+def test_second_division_is_detected(tmp_path):
+    # the kernel's division and rounding as they stood with mpc_div's copy
+    (tmp_path / "precision.py").write_text(
+        "def _round(m, e, prec, down=False):\n"
+        "    return (m >> 1 if down else m), e\n"
+        "def _add(m1, e1, m2, e2, prec, *, mode='n'):\n"
+        "    return _round((m1 << (e1 - e2)) + m2, e2, prec, mode == 'd')\n"
+        "def cdiv(x, y, prec):\n"
+        "    return x\n"
+        "def _int_pair(n):\n"
+        "    return _round(n, 0, max(n.bit_length(), 1))\n")
+    assert second_divisions(tmp_path / "precision.py") == [
+        "precision.py: def cdiv",
+        "precision.py: def _int_pair",
+        "precision.py: _round takes m, e, prec, down",
+        "precision.py: _add takes m1, e1, m2, e2, prec, mode"]

@@ -7,7 +7,7 @@ from mpmath import mpc
 from radicalroots import (InputSyntaxError, IntPolynomial, Permutation,
                           build_theta0, closure, composition_series, emit,
                           find_roots, label_roots, orbit_sum_invariant,
-                          parse_expr_json, parse_polynomial, verify)
+                          parse_expr_json, parse_polynomial, solve, verify)
 from radicalroots.pipeline import as_labeling
 from radicalroots.precision import principal_root
 from radicalroots.radical import IntegerLiteral
@@ -46,6 +46,14 @@ CHECKS = [
      InputSyntaxError, "leading coefficient must be nonzero"),
     ("labeling-length", lambda: as_labeling([2, 1], 3),
      InputSyntaxError, "labeling must list 3 root positions, got 2"),
+    ("boolean-coefficient", lambda: solve([-2, 0, True], "(1,2)"),
+     InputSyntaxError, "polynomial coefficient 2 must be an integer, "
+     "got True"),
+    ("boolean-digits", lambda: solve([-2, 0, 1], "(1,2)", digits=True),
+     InputSyntaxError, "digits must be an integer, got True"),
+    ("boolean-labeling", lambda: solve([-2, 0, 1], "(1,2)",
+                                       labeling=[True, 2]),
+     InputSyntaxError, "a root order entry must be an integer, got True"),
     ("polynomial-constant", lambda: IntPolynomial((5,)),
      InputSyntaxError, "polynomial degree must be >= 1"),
     ("polynomial-trailing-sign", lambda: parse_polynomial("x+"),

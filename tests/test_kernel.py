@@ -8,8 +8,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, mpf_add, mpf_pos
 
 from radicalroots.polynomial import eval_poly
-from radicalroots.precision import (cadd, cdiv, cdiv_int, cmul, ints_mpc,
-                                    mpc_ints)
+from radicalroots.precision import cadd, cdiv_int, cmul, ints_mpc, mpc_ints
 
 DIGITS = (5, 15, 50, 134, 196, 400, 700)
 DIVISORS = (2, 3, 4, 6, 12, 13)
@@ -58,8 +57,6 @@ def _check_all(x: mpc, y: mpc) -> None:
     assert ints_mpc(a)._mpc_ == x._mpc_
     _same(cadd(a, b, prec), x + y)
     _same(cmul(a, b, prec), x * y)
-    if y != 0:
-        _same(cdiv(a, b, prec), x / y)
     for n in DIVISORS:
         _same(cdiv_int(a, n, prec), x / n)
 
@@ -82,11 +79,10 @@ def test_zero_parts_and_zero_values(dps):
             for x in (zero, mpc(v.real, 0), mpc(0, v.imag), v):
                 _check_all(x, v)
                 _check_all(v, x)
-        a = mpc_ints(v)
         with pytest.raises(ZeroDivisionError):
-            v / zero
+            v / 0
         with pytest.raises(ZeroDivisionError):
-            cdiv(a, mpc_ints(zero), mp.prec)
+            cdiv_int(mpc_ints(v), 0, mp.prec)
 
 
 @pytest.mark.parametrize("dps", DIGITS)
@@ -138,6 +134,22 @@ def test_exponent_gaps_around_the_sticky_bit_threshold(dps):
             naive = mpf_pos(mpf_add(s._mpf_, t._mpf_), prec, "n")
             naive_differs += naive != (s + t)._mpf_
     assert naive_differs > 0
+
+
+@pytest.mark.parametrize("dps", DIGITS)
+def test_division_by_long_integers(dps):
+    """The Newton correction divides by |g'|^2, about 2 prec bits or more:
+    divisors of 1 to 3 prec bits, odd and with trailing zeros, and 1."""
+    rng = random.Random(5000 + dps)
+    with mp.workdps(dps):
+        prec = mp.prec
+        for _ in range(30):
+            x = _value(rng)
+            a = mpc_ints(x)
+            odd = _odd(rng, rng.randint(1, 3 * prec))
+            for n in (1, odd, odd << rng.randint(1, 2 * prec),
+                      rng.getrandbits(rng.randint(1, 3 * prec)) or 1):
+                _same(cdiv_int(a, n, prec), x / n)
 
 
 @pytest.mark.parametrize("dps", DIGITS)

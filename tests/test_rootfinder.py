@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from radicalroots import (IntPolynomial, NonConvergence, closure,
                           composition_series, eval_poly, find_roots,
@@ -551,6 +552,34 @@ def test_alpha_test_refuses_a_point_where_the_derivative_vanishes():
     with mp.workdps(rootfinder._BASE_DPS):
         assert rootfinder._alpha_data(p.coeffs, mpc(0)) == (
             mpmath.inf, math.inf, None, mpmath.inf)
+
+
+@pytest.mark.parametrize("dps", (32, 50, 134))
+def test_correction_is_the_quotient_rounded_once(dps):
+    # the correction is 2^e g/g' of _scaled_horner's integers, computed by
+    # mpmath at three times the precision and rounded to mp.prec, part by
+    # part, at points near each root and in a box about them
+    rng = random.Random(dps)
+    checked = 0
+    with mp.workdps(dps):
+        for _, text, _ in HARDWARE_CASES:
+            p = parse_polynomial(text)
+            for z in aberth_stage(p).roots:
+                for x in (z, z * (1 + mpf(rng.uniform(-1, 1)) / 1000),
+                          mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))):
+                    step = rootfinder._alpha_data(p.coeffs, x)[2]
+                    if step is None:
+                        continue
+                    e, _, _, _, (gr, gi, dr, di) = rootfinder._scaled_horner(
+                        p.coeffs, x)
+                    g, dg = (mp.make_mpc((from_man_exp(re, k),
+                                          from_man_exp(im, k)))
+                             for re, im, k in ((gr, gi, e), (dr, di, 0)))
+                    with mp.workprec(3 * mp.prec):
+                        quotient = g / dg
+                    assert step._mpc_ == (+quotient)._mpc_
+                    checked += 1
+    assert checked > 200
 
 
 def test_sweeps_nudge_a_point_where_the_derivative_vanishes():
