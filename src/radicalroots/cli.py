@@ -74,12 +74,18 @@ def _resolve_inputs(args):
     return poly, generators, root_order
 
 
+def _write_reduction(reduction, out):
+    """The `monic reduction:` line of a non-monic input, which `solve`,
+    `roots` and `check` print before any number of the reduction."""
+    if reduction.scale != 1:
+        out.write(f"monic reduction: {render_polynomial(reduction.monic)} "
+                  f"({reduction.note})\n")
+
+
 def _print_solve_text(report, args, out):
     w = out.write
     w(f"polynomial: {render_polynomial(report.polynomial)}\n")
-    if report.reduction.scale != 1:
-        w(f"monic reduction: {render_polynomial(report.reduction.monic)} "
-          f"({report.reduction.note})\n")
+    _write_reduction(report.reduction, out)
     w(f"group: order {report.series.order}, degree {report.series.degree}\n")
     chain = " ; ".join(f"{sigma} [p={p}]" for sigma, p in report.series.steps)
     w(f"composition series: {chain if chain else '(trivial)'}\n")
@@ -181,9 +187,8 @@ def _cmd_roots(args, out) -> int:
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
     rs = find_roots(reduction.monic, args.digits)
+    _write_reduction(reduction, out)
     if reduction.scale != 1:
-        out.write(f"monic reduction: {render_polynomial(reduction.monic)} "
-                  f"({reduction.note})\n")
         # the input's roots are the monic reduction's divided by the scale
         with mpmath.mp.workdps(rs.digits):
             rs = RootSet(tuple(z / reduction.scale for z in rs.roots),
@@ -219,6 +224,8 @@ def _cmd_check(args, out) -> int:
     degree = reduction.monic.degree
     group = closure(as_generators(generators, degree))
     rs = find_roots(reduction.monic, args.digits)
+    # the invariants and the certificate are those of the monic reduction
+    _write_reduction(reduction, out)
     if root_order is not None:
         sigma = as_labeling(root_order, degree)
     else:

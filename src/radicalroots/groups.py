@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import re as _re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -307,26 +308,28 @@ def composition_series(G: PermutationGroup) -> CompositionSeries:
 
 
 def coset_representatives(G: PermutationGroup,
-                          cap: int = DEFAULT_DEGREE_CAP) -> list[Permutation]:
+                          cap: int = DEFAULT_DEGREE_CAP) -> Iterator[Permutation]:
     """One representative per coset sigma*G of the symmetric group on
-    G's degree, lex order.
+    G's degree, lex order, as an iterator.
 
     The representative of each coset is its lexicographically least member;
-    the identity comes first.
+    the identity comes first.  The walk of S_n goes only as far as the
+    caller reads; a degree above ``cap`` raises at the call.
     """
     degree = G.degree
     if degree > cap:
         raise UnsupportedInput(f"degree {degree} exceeds cap {cap}")
     # the images of rep * g, composed on tuples: (rep * g)(j) = rep(g(j))
     positions = [tuple(k - 1 for k in g.images) for g in G.elements]
-    reps: list[Permutation] = []
-    covered: set[tuple[int, ...]] = set()
-    for images in itertools.permutations(range(1, degree + 1)):
-        if images in covered:
-            continue
-        reps.append(_unchecked(images))
-        covered.update(tuple(images[k] for k in g) for g in positions)
-    return reps
+
+    def walk():
+        covered: set[tuple[int, ...]] = set()
+        for images in itertools.permutations(range(1, degree + 1)):
+            if images not in covered:
+                covered.update(tuple(images[k] for k in g) for g in positions)
+                yield _unchecked(images)
+
+    return walk()
 
 
 def orbit_sum_invariant(G: PermutationGroup,

@@ -309,6 +309,17 @@ def test_check_command(capsys):
     assert "1600000000" in out
 
 
+def test_check_of_a_non_monic_input_names_its_monic_reduction(capsys):
+    # the orbit sums are those of x^3 - 12's roots: x_1*x_2^2 sums to -36
+    # there, and to -4.5 on 2x^3 - 3's own roots
+    code, out, err = run(capsys, ["check", "--poly", "2x^3-3",
+                                  "--generators", "(1,2,3);(1,2)"])
+    assert code == 0
+    assert out.startswith("monic reduction: x^3 - 12 (y = 2*x)\n"
+                          "labeling: ")
+    assert "orbit sum of x_1*x_2^2: -36 " in out
+
+
 @pytest.mark.parametrize("argv", [
     ["roots", "--poly", "x^2-2", "--digits", "0"],
     ["solve", "--poly", "x^2-2", "--generators", "(1,2)", "--digits", "0"],

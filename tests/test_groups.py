@@ -240,7 +240,7 @@ def test_trivial_group_series():
 
 
 def test_coset_representatives_d5(d5):
-    reps = coset_representatives(d5)
+    reps = list(coset_representatives(d5))
     assert len(reps) == 12
     assert reps[0].is_identity()
     # pairwise distinct cosets: r1^-1 * r2 never lands in G
@@ -253,14 +253,13 @@ def test_coset_representatives_d5(d5):
 def test_coset_representatives_full_group():
     for n in (2, 3, 4):
         G = symmetric(n)
-        reps = coset_representatives(G)
+        reps = list(coset_representatives(G))
         assert len(reps) == 1 and reps[0].is_identity()
 
 
 def test_coset_representatives_trivial_group():
     G = closure([Permutation.identity(3)])
-    reps = coset_representatives(G)
-    assert len(reps) == 6
+    assert len(list(coset_representatives(G))) == 6
 
 
 @pytest.mark.parametrize("degree,generators", [
@@ -274,13 +273,31 @@ def test_coset_representatives_match_permutation_products(degree, generators):
         if images not in covered:
             reps.append(Permutation(images))
             covered.update((reps[-1] * g).images for g in G.elements)
-    assert coset_representatives(G) == reps
+    assert list(coset_representatives(G)) == reps
 
 
 def test_coset_representatives_degree_cap():
+    # the cap raises at the call, before anything is read
     G = closure([Permutation.identity(9)])
     with pytest.raises(UnsupportedInput):
         coset_representatives(G)
+
+
+def test_coset_representatives_walk_only_as_far_as_read(monkeypatch):
+    # the identity is the first representative, so reading it takes the
+    # first permutation of the walk; a list of all 8!/16 cosets takes 8!
+    read = []
+    permutations = itertools.permutations
+
+    def counted(*args):
+        for images in permutations(*args):
+            read.append(images)
+            yield images
+
+    monkeypatch.setattr(groups.itertools, "permutations", counted)
+    reps = coset_representatives(dihedral(8))
+    assert next(reps).is_identity()
+    assert len(read) == 1
 
 
 def test_orbit_sum_examples(d5):

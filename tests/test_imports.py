@@ -1140,3 +1140,61 @@ def test_second_division_is_detected(tmp_path):
         "precision.py: def _int_pair",
         "precision.py: _round takes m, e, prec, down",
         "precision.py: _add takes m1, e1, m2, e2, prec, mode"]
+
+
+EAGER_CALLS = ("list", "tuple", "sorted", "len")
+
+
+def _callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def second_labeling_tests(path: Path) -> list[str]:
+    """A ``_screen`` definition and ``complex`` calls in ``path``, and a
+    ``label_roots`` that hands ``coset_representatives(...)`` to ``list``,
+    ``tuple``, ``sorted`` or ``len``: one ``mpc`` test decides each
+    candidate, and the walk reads no coset past the first confirmed one."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = defined(path, ("_screen",))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found += [f"{path.name}: calls complex" for call in calls
+              if _callee(call) == "complex"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "label_roots":
+            found += [f"{path.name}: label_roots calls {_callee(call)}"
+                      "(coset_representatives(...))"
+                      for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and _callee(call) in EAGER_CALLS
+                      and any(isinstance(arg, ast.Call)
+                              and _callee(arg) == "coset_representatives"
+                              for arg in call.args)]
+    return found
+
+
+def test_one_test_decides_each_labeling_candidate():
+    assert second_labeling_tests(SRC / "oracle.py") == []
+
+
+def test_float_screen_and_eager_walk_are_detected(tmp_path):
+    # the labeling as it stood with the hardware screen, and a walk that
+    # reads every coset before the first test
+    (tmp_path / "oracle.py").write_text(
+        "def _screen(reps, invariants, roots):\n"
+        "    powers = [complex(z) for z in roots.roots]\n"
+        "    return [rep for rep in reps if powers]\n"
+        "def label_roots(G, roots):\n"
+        "    reps = _screen(coset_representatives(G), [], roots)\n"
+        "    if len(groups.coset_representatives(G)) > 1:\n"
+        "        reps = list(coset_representatives(G))\n"
+        "    for rep in reps:\n"
+        "        return rep\n")
+    assert second_labeling_tests(tmp_path / "oracle.py") == [
+        "oracle.py: def _screen",
+        "oracle.py: calls complex",
+        "oracle.py: label_roots calls len(coset_representatives(...))",
+        "oracle.py: label_roots calls list(coset_representatives(...))"]

@@ -140,9 +140,11 @@ def test_label_roots_identity_for_full_group():
 def test_label_roots_quintic_recovers_valid_labeling(d5):
     rs = find_roots(parse_polynomial("x^5+20x+32"), 19)
     result = label_roots(d5, rs)
-    # the float screen keeps two candidates, and both pass in mpc
-    assert result.candidates_passed == 2
-    assert len(reference_passing(d5, rs)) == 2
+    # two of the 12 cosets pass in mpc; the first of them is the 5th
+    passing = reference_passing(d5, rs)
+    assert len(passing) == 2
+    assert result.permutation == passing[0]
+    assert result.candidates_passed == 5
     # the recovered labeling makes the whole pipeline succeed with the same
     # integer multiset as the reference ordering
     report = solve("x^5+20x+32", "(1,2,3,4,5);(1,4)(2,3)", labeling="auto")
@@ -153,18 +155,18 @@ def test_label_roots_quintic_recovers_valid_labeling(d5):
 def test_label_roots_takes_the_first_coset_with_symmetric_invariants(
         d5, monkeypatch):
     # fully symmetric test invariants cannot separate any cosets: every one
-    # passes, and the first is returned
+    # passes, and the first is returned after one test
     rs = find_roots(parse_polynomial("x^5+20x+32"), 19)
     symmetric_orbit = orbit_sum_invariant(d5, (1, 0, 0, 0, 0))
     monkeypatch.setattr(oracle, "default_labeling_invariants",
                         lambda G: [("x_1", symmetric_orbit)])
-    reps = coset_representatives(d5)
+    reps = list(coset_representatives(d5))
     assert len(reps) == 12
     for rep in reps:
         assert invariant_value(symmetric_orbit, relabel(rs, rep))[0] == 0
     result = label_roots(d5, rs)
     assert result.permutation == reps[0]
-    assert result.candidates_passed == 12
+    assert result.candidates_passed == 1
 
 
 F42 = "(1,2,3,4,5,6,7);(2,4,3,7,5,6)"
@@ -194,7 +196,7 @@ def budget_roots(text, generators):
 
 
 def reference_passing(G, roots):
-    """Every coset representative tested in mpc, with no screen."""
+    """Every coset representative that passes in mpc, with no early stop."""
     invariants = [orbit for _, orbit in default_labeling_invariants(G)]
     passing = []
     with mp.workdps(roots.digits):
@@ -208,18 +210,17 @@ def reference_passing(G, roots):
 
 
 def assert_labels_like_reference(G, roots):
+    """label_roots returns the reference's first passing coset, after
+    testing every coset up to it, or raises when none passes."""
     passing = reference_passing(G, roots)
-    kept = oracle._screen(coset_representatives(G),
-                          [orbit for _, orbit in default_labeling_invariants(G)],
-                          roots)
-    assert set(passing) <= set(kept)
     if not passing:
         with pytest.raises(LabelingFailed):
             label_roots(G, roots)
         return passing
     result = label_roots(G, roots)
     assert result.permutation == passing[0]
-    assert result.candidates_passed == len(kept)
+    assert result.candidates_passed == \
+        list(coset_representatives(G)).index(passing[0]) + 1
     return passing
 
 
@@ -240,8 +241,7 @@ def test_wrong_group_passes_no_candidate(text, generators):
     ("x^5+x^4-4x^3-3x^2+3x+1", "(1,2,3,4,5)"), ("x^6+3", D6)])
 def test_label_roots_matches_reference_at_low_budgets(text, generators,
                                                       digits):
-    # at a few digits the roots' own error decides which candidates the
-    # screen may reject
+    # at a few digits the roots' own error decides which candidates pass
     p = parse_polynomial(text)
     G = closure([parse_cycles(t, p.degree) for t in generators.split(";")])
     assert_labels_like_reference(G, find_roots(p, digits))
@@ -261,8 +261,8 @@ def test_dihedral_pure_powers_pass_pinned_candidate_counts(text, generators,
     ("x^3-3" + "0" * 400 + "x-1" + "0" * 600, "(1,2,3)"),
 ])
 def test_candidates_whose_powers_overflow_are_kept(text, generators):
-    # roots near 1e120 or 1e200: their products or squares overflow a float,
-    # so the hardware screen cannot decide and the mpc test labels them
+    # roots near 1e120 or 1e200: their products or squares overflow a
+    # float, and the mpc test labels them
     passing = assert_labels_like_reference(*budget_roots(text, generators))
     assert passing[0].is_identity()
     report = solve(text, generators)
@@ -270,26 +270,27 @@ def test_candidates_whose_powers_overflow_are_kept(text, generators):
     assert report.verification is not None
 
 
-def test_label_roots_confirms_only_screen_survivors(monkeypatch):
+def test_label_roots_reads_one_coset_when_the_first_passes(monkeypatch):
+    # x^7 - 2 under F42: the first of the 120 cosets is confirmed, so the
+    # walk yields one representative and one test evaluates the orbit sums
     G, roots = budget_roots("x^7-2", F42)
-    survivors, calls = [], []
-    screen, orbit_value = oracle._screen, oracle._orbit_value
+    read, calls = [], []
+    walk, orbit_value = oracle.coset_representatives, oracle._orbit_value
 
-    def counted_screen(*args):
-        kept = screen(*args)
-        survivors.extend(kept)
-        return kept
+    def counted_walk(*args):
+        for rep in walk(*args):
+            read.append(rep)
+            yield rep
 
     def counted_orbit_value(orbit, values):
         calls.append(orbit)
         return orbit_value(orbit, values)
 
-    monkeypatch.setattr(oracle, "_screen", counted_screen)
+    monkeypatch.setattr(oracle, "coset_representatives", counted_walk)
     monkeypatch.setattr(oracle, "_orbit_value", counted_orbit_value)
     assert label_roots(G, roots).candidates_passed == 1
-    # 120 cosets x 2 orbits were evaluated in mpc before the screen
-    assert len(coset_representatives(G)) == 120
-    assert 1 <= len(survivors) and len(calls) <= 2 * len(survivors)
+    assert len(read) == 1
+    assert len(calls) <= len(default_labeling_invariants(G))
 
 
 def test_label_roots_stops_at_the_first_confirmed_candidate(monkeypatch):
@@ -303,7 +304,7 @@ def test_label_roots_stops_at_the_first_confirmed_candidate(monkeypatch):
 
     monkeypatch.setattr(oracle, "_orbit_value", counted_orbit_value)
     result = label_roots(G, roots)
-    # four candidates survive the screen; the first one is confirmed and
-    # the other three are never evaluated in mpc
-    assert result.candidates_passed == 4
+    # four of the 60 cosets pass; the first is confirmed, and the walk
+    # reads no further
+    assert result.candidates_passed == 1
     assert len(calls) <= len(default_labeling_invariants(G))
