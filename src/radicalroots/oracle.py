@@ -9,6 +9,8 @@ at the first one whose invariants are integral in ``mpc``.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import mpmath
@@ -131,6 +133,15 @@ def default_labeling_invariants(G: PermutationGroup):
     return named
 
 
+def _symmetric_orbit_length(exponents) -> int:
+    """n!/prod m_i!, the length of the monomial's orbit under S_n, m_i the
+    multiplicities of its exponents."""
+    length = math.factorial(len(exponents))
+    for m in Counter(exponents).values():
+        length //= math.factorial(m)
+    return length
+
+
 @dataclass(frozen=True)
 class LabelingResult:
     """The first coset representative that passes, and its 1-based position
@@ -147,7 +158,11 @@ def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
     representatives of the symmetric group modulo G are tested in lex order,
     as ``coset_representatives`` yields them: a valid relabeling makes every
     invariant in the test set integral in ``mpc`` at the roots' digit
-    budget.  The first representative that passes is returned, with the
+    budget.  The test set is ``default_labeling_invariants`` less every
+    orbit as long as its monomial's S_n orbit: such an orbit sum is
+    symmetric, an integer under every coset, so it separates none (under
+    S_n none is left, and its one coset passes).  The first representative
+    that passes is returned, with the
     number of representatives tested, itself included, as
     ``candidates_passed``; the walk reads no further.  When none passes,
     LabelingFailed is raised.  A labeling that is not the Galois action can
@@ -157,7 +172,8 @@ def label_roots(G: PermutationGroup, roots: RootSet) -> LabelingResult:
     """
     if roots.n != G.degree:
         raise ValueError("root count does not match the group degree")
-    invariants = [orbit for _, orbit in default_labeling_invariants(G)]
+    invariants = [orbit for _, orbit in default_labeling_invariants(G)
+                  if len(orbit) < _symmetric_orbit_length(orbit[0])]
     with mp.workdps(roots.digits):
         for tested, rep in enumerate(coset_representatives(G), start=1):
             moved = relabel(roots, rep).roots

@@ -217,20 +217,28 @@ def _children(expr: RadicalExpr) -> tuple:
     raise TypeError(f"not a radical expression node: {expr!r}")
 
 
-def _walk(visit, expr: RadicalExpr, memo: dict):
+def _walk(visit, expr: RadicalExpr, memo: dict, carry: dict | None = None):
     """``visit(node, results of its children)`` at ``expr``, bottom-up, once
     per node: ``memo`` maps node -> result.  The nodes are visited in
     post-order, children left to right, from an explicit stack, so the depth
-    of an expression is not bounded by the recursion limit."""
+    of an expression is not bounded by the recursion limit.  A node below
+    ``expr`` found in ``carry``, the memo of an earlier walk with the same
+    ``visit``, moves its result into ``memo`` and is not walked below, so
+    ``memo`` ends with only the entries that this walk read or made."""
+    carry = carry or {}
     if expr in memo:
         return memo[expr]
     stack = [(expr, _children(expr))]
     while stack:
         node, kids = stack[-1]
         for c in kids:
-            if c not in memo:
-                stack.append((c, _children(c)))
-                break
+            if c in memo:
+                continue
+            if c in carry:
+                memo[c] = carry[c]
+                continue
+            stack.append((c, _children(c)))
+            break
         else:
             stack.pop()
             memo[node] = visit(node, [memo[c] for c in kids])
@@ -244,6 +252,9 @@ class ValueCache:
     keyed by node; a node is its structure, so each structurally distinct
     node is computed once.  Roots of unity come from the zeta tables when
     given; all branches of a radicand share the value of its branch-0 root.
+    A sum or a product folds over its children alone: each child is already
+    rounded at mp.prec, so starting from 0 or 1 would only cost one more
+    operation for the same bits.
     """
 
     def __init__(self, zetas=None):
@@ -263,9 +274,9 @@ class ValueCache:
             return (_walk(self.value, principal, self.nodes)
                     * self.unity(node.degree, node.branch))
         if isinstance(node, Sum):
-            return sum(kids, mpc(0))
+            return sum(kids[1:], kids[0])
         if isinstance(node, Product):
-            return math.prod(kids, start=mpc(1))
+            return math.prod(kids[1:], start=kids[0])
         if isinstance(node, RationalScale):
             return kids[0] / node.denominator
         if isinstance(node, IntegerLiteral):
@@ -289,6 +300,9 @@ class BranchChoice:
     ``best_distance`` |x - c| for the sector centre c that ``_decide`` picks
     and ``second_distance`` 1 - |x - c|.  Off the branch cut the best
     distance is at most 1/2 - delta; on it both are 1/2 to within delta^2.
+    Where the float screen of ``_decide`` picks c, x is its hardware value,
+    so the distances are accurate to 2^-40, or to mp.prec where that is
+    coarser; elsewhere x is the exact arg's at mp.prec.
     """
 
     level: int
@@ -315,6 +329,39 @@ class ReconstructionResult:
     zero_notes: tuple[ZeroRadicandNote, ...]
 
 
+# leading bits of each part that the sector screen converts to floats, and
+# its error bound on x in sector units: x_f is within p * 2^-50 of x modulo
+# p, below 2^-30 for any p below 2^20
+_SCREEN_BITS = 60
+_SCREEN_ERROR = 2.0 ** -30
+
+
+def _sector_floats(z: mpc, h: int) -> list[float]:
+    """Both parts of a nonzero ``z`` times 2^(60 - h), h = part_bits(z), as
+    floats: each integer form shifted to that one power of two, the lower
+    bits truncated, so the larger part has 60 bits and a part 2^1100 below
+    it is 0 rather than an overflow or an underflow."""
+    floats = []
+    for sign, man, exp, _ in z._mpc_:
+        shift = exp + _SCREEN_BITS - h
+        man = man << shift if shift >= 0 else man >> -shift
+        floats.append(float(-man if sign else man))
+    return floats
+
+
+def _exact_sector(p: int, target: mpc, delta: mpf):
+    """The fallback of the sector screen, at mp.prec: x = p * arg(L_k) / 2pi,
+    the centre nint(x), or nint(x - 1/2) within delta^2 of a sector
+    boundary, and the edge 1/2 - |x - nint(x)|."""
+    half = mpf(1) / 2
+    x = p * mpmath.arg(target) / (2 * mp.pi)
+    centre = mpmath.nint(x)
+    edge = half - abs(x - centre)
+    if edge < delta * delta:
+        centre = mpmath.nint(x - half)
+    return x, centre, edge
+
+
 def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     """The zero and branch decisions of one tensor line from the stored
     resolvent entries alone: per entry None for a zero, else (branch, best
@@ -328,38 +375,49 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     arg +pi/p as for an exactly negative real (``_root`` takes a compound
     radicand off the cut); between delta^2 and delta it raises PhaseAmbiguous.
 
-    Both tests run exactly only where a screen cannot decide them.  An
-    entry with both parts below 2^h, 2^(h+1) <= 2^(e_delta - 1) <= delta,
-    is zero without ``abs``, e_delta the exponent of delta.  With the parts
-    of the Theta line below 2^top, the computed floor is below
-    2^(top + e + bitlen(p) + 2), e the exponent of the computed 10^(4-digits),
-    and the computed |L_k|^p above 2^(p(e_k - 1) - 1), e_k that of |L_k|.
+    Every test runs exactly only where a screen cannot decide it.  With
+    both parts of L_k below 2^h and one at 2^(h-1) or more, the entry is
+    zero without ``abs`` when 2^(h+1) <= 2^(e_delta - 1) <= delta, e_delta
+    the exponent of delta, and nonzero when 2^(h-1) >= 2^e_delta > delta.
+    With the parts of the Theta line below 2^top, the computed floor is
+    below 2^(top + e + bitlen(p) + 2), e the exponent of the computed
+    10^(4-digits), and the computed |L_k|^p above 2^(p(h - 1) - 1).  The
+    sector comes from x_f = p * atan2 / 2pi in hardware floats on the
+    leading 60 bits of the parts (``_sector_floats``), within p * 2^-50 of
+    x modulo p: where it is more than float(delta) + 2^-30 from a boundary,
+    the exact x is more than delta from it, so the branch is round(x_f)
+    mod p as the exact path would pick, and the distances are those of x_f.
+    Elsewhere, the cut included, the exact path decides (``_exact_sector``).
     """
     ten = mpf(10) ** (4 - mp.dps)
     # -inf for an all-zero line, whose floor is zero
     top = max(part_bits(theta.data[i]) for i in line)
     clear = top + bit_exponent(ten) + p.bit_length() + 3
-    zero = bit_exponent(delta) - 2
-    half = mpf(1) / 2
+    nonzero = bit_exponent(delta)
+    screen = float(delta) + _SCREEN_ERROR
     picks: list = []
     for flat in line:
         target = stored.data[flat]
-        if part_bits(target) <= zero or (magnitude := abs(target)) < delta:
+        h = part_bits(target)
+        if h <= nonzero - 2 or h <= nonzero and abs(target) < delta:
             picks.append(None)
             continue
-        if p * (bit_exponent(magnitude) - 1) < clear and magnitude ** p <= (
+        if p * (h - 1) < clear and (magnitude := abs(target)) ** p <= (
                 floor := ten * sum(abs(theta.data[i]) for i in line)):
             raise PhaseAmbiguous(
                 f"resolvent entry at level {level}, index {flat} is on the "
                 f"noise floor: |L|^{p} = {mpmath.nstr(magnitude ** p, 4)} vs "
                 f"{mpmath.nstr(floor, 4)}, |L| = {mpmath.nstr(magnitude, 4)} "
                 f"vs delta {mpmath.nstr(delta, 4)}")
-        x = p * mpmath.arg(target) / (2 * mp.pi)
-        centre = mpmath.nint(x)
-        edge = half - abs(x - centre)
-        if edge < delta * delta:
-            centre = mpmath.nint(x - half)
-        elif edge < delta:
+        re, im = _sector_floats(target, h)
+        x_f = p * math.atan2(im, re) / math.tau
+        c = round(x_f)
+        if 0.5 - abs(x_f - c) > screen:
+            best = mpf(abs(x_f - c))
+            picks.append((c % p, best, 1 - best, False))
+            continue
+        x, centre, edge = _exact_sector(p, target, delta)
+        if delta * delta <= edge < delta:
             raise PhaseAmbiguous(
                 f"cannot fix the branch of a {p}-th root at level {level}, "
                 f"index {flat}: {mpmath.nstr(edge, 4)} sectors from a "
@@ -558,22 +616,41 @@ def json_ast(expr: RadicalExpr):
     return _walk(_json, expr, {})
 
 
+# format -> its visit function and the memo of the last emit in it
+_renders = {"text": (_text, {}), "latex": (_latex, {})}
+
+
 def emit(expr: RadicalExpr, format: str = "text") -> str:
-    """Render an expression as text, LaTeX, or the JSON AST."""
-    if format == "text":
-        return _walk(_text, expr, {})
-    if format == "latex":
-        return _walk(_latex, expr, {})
+    """Render an expression as text, LaTeX, or the JSON AST.
+
+    Text and LaTeX start from the memo of the previous call in the same
+    format, so a subtree that the roots of one solve share, such as the
+    radicand of each p-th root, is rendered once for all of them.  Unless
+    that memo holds ``expr`` itself, it is then replaced by this call's,
+    which holds only the nodes of ``expr`` that the call read or made: the
+    slot keeps no more than one expression's nodes alive, and an unrelated
+    call renders as a fresh one.  A stored memo is never written again, so
+    calls from several threads render correctly.  JSON takes a fresh memo
+    per call, as ``json_ast`` returns shared dicts."""
     if format == "json":
         return json.dumps(json_ast(expr), separators=(",", ":"))
-    raise ValueError(f"unknown format {format!r}")
+    if format not in _renders:
+        raise ValueError(f"unknown format {format!r}")
+    visit, previous = _renders[format]
+    if expr in previous:        # rendered by the last call: the slot stays
+        return previous[expr]
+    memo: dict = {}
+    rendered = _walk(visit, expr, memo, previous)
+    _renders[format] = visit, memo
+    return rendered
 
 
 def _from_json_obj(obj) -> RadicalExpr:
     """The node of a parsed JSON AST.  It recurses once per level: the
     standard library's json module does as well, so an AST deep enough to
     reach the recursion limit cannot be read or written as JSON anyway."""
-    if not isinstance(obj, dict) or not obj:
+    if not isinstance(obj, dict) or not obj or [] in (obj.get("sum"),
+                                                      obj.get("product")):
         raise ValueError(f"bad expression node: {obj!r}")
     if "scale" in obj:
         num, _, den = obj["scale"].partition("/")

@@ -1198,3 +1198,68 @@ def test_float_screen_and_eager_walk_are_detected(tmp_path):
         "oracle.py: calls complex",
         "oracle.py: label_roots calls len(coset_representatives(...))",
         "oracle.py: label_roots calls list(coset_representatives(...))"]
+
+
+def _names(node) -> set[str]:
+    return {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+
+
+def unscreened_sectors(path: Path) -> list[str]:
+    """Calls of ``arg`` or ``nint`` in ``path`` outside ``_exact_sector``,
+    the fallback of ``_decide``'s float screen, and calls of
+    ``_exact_sector`` in ``_decide`` other than in the loop statements after
+    the screen's ``if ... screen: ... continue``: the exact sector runs only
+    where the screen cannot decide."""
+    found = []
+    for function in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        found += [f"{path.name}: {function.name} calls {_callee(call)}"
+                  for call in ast.walk(function)
+                  if isinstance(call, ast.Call)
+                  and _callee(call) in ("arg", "nint")
+                  and function.name != "_exact_sector"]
+        if function.name != "_decide":
+            continue
+        fallback = set()
+        for loop in ast.walk(function):
+            if not isinstance(loop, ast.For):
+                continue
+            screened = False
+            for stmt in loop.body:
+                if screened:
+                    fallback.update(ast.walk(stmt))
+                screened = screened or (
+                    isinstance(stmt, ast.If) and "screen" in _names(stmt.test)
+                    and isinstance(stmt.body[-1], ast.Continue))
+        found += [f"{path.name}: _decide calls _exact_sector outside the "
+                  "screen's fallback" for call in ast.walk(function)
+                  if isinstance(call, ast.Call)
+                  and _callee(call) == "_exact_sector"
+                  and call not in fallback]
+    return found
+
+
+def test_the_exact_sector_is_the_screens_fallback_only():
+    assert unscreened_sectors(SRC / "radical.py") == []
+
+
+def test_exact_sector_outside_the_fallback_is_detected(tmp_path):
+    # the exact arg before the screen, and the fallback called ahead of it
+    (tmp_path / "radical.py").write_text(
+        "def _decide(level, p, line, stored, theta, delta):\n"
+        "    for flat in line:\n"
+        "        x = p * mpmath.arg(stored.data[flat]) / (2 * mp.pi)\n"
+        "        x, centre, edge = _exact_sector(p, stored.data[flat], delta)\n"
+        "        if 0.5 - abs(x - centre) > screen:\n"
+        "            continue\n"
+        "        x, centre, edge = _exact_sector(p, stored.data[flat], delta)\n"
+        "def _exact_sector(p, target, delta):\n"
+        "    return mpmath.nint(p * mpmath.arg(target))\n"
+        "def _branch(x):\n"
+        "    return int(mpmath.nint(x))\n")
+    assert unscreened_sectors(tmp_path / "radical.py") == [
+        "radical.py: _decide calls arg",
+        "radical.py: _decide calls _exact_sector outside the screen's "
+        "fallback",
+        "radical.py: _branch calls nint"]

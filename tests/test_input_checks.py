@@ -21,6 +21,8 @@ CHECKS = [
      ValueError, "bad expression node: 5"),
     ("json-empty-node", lambda: parse_expr_json("{}"),
      ValueError, "bad expression node: {}"),
+    ("json-empty-product", lambda: parse_expr_json('{"product": []}'),
+     ValueError, "bad expression node: {'product': []}"),
     ("json-scale-not-1/p",
      lambda: parse_expr_json('{"scale": "2/3", "sum": [{"int": "1"}]}'),
      ValueError, "scale must be 1/p, got '2/3'"),

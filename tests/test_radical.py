@@ -5,10 +5,11 @@ import math
 import pickle
 import re
 import weakref
+from types import SimpleNamespace
 
 import mpmath
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from radicalroots import pipeline, radical
 from radicalroots import (Permutation, PhaseAmbiguous, VerificationFailed,
@@ -25,7 +26,7 @@ from radicalroots.resolvent import (axis_lines, build_theta0, forward_pass,
                                     position_root_indices, round_theta_m,
                                     zeta_tables)
 from radicalroots.rootfinder import relabel
-from tests.conftest import QUINTIC_ROOT_STRINGS
+from tests.conftest import QUINTIC_ROOT_STRINGS, load_perfbench
 from tests.test_properties import INSTANCES, run_instance
 
 
@@ -346,8 +347,9 @@ def demanded_lines(series):
 
 
 def unscreened_decide(level, p, line, stored, theta, delta):
-    """``radical._decide`` without its screen: the noise floor and |L_k|^p
-    are computed for every key and every nonzero entry."""
+    """``radical._decide`` without its screens: |L_k| for every entry, the
+    noise floor and |L_k|^p for every nonzero one, and the sector from the
+    exact arg at the working precision."""
     floor = mpf(10) ** (4 - mp.dps) * sum(abs(theta.data[i]) for i in line)
     half = mpf(1) / 2
     picks = []
@@ -374,18 +376,39 @@ def unscreened_decide(level, p, line, stored, theta, delta):
                 f"index {flat}: {mpmath.nstr(edge, 4)} sectors from a "
                 f"boundary, delta {mpmath.nstr(delta, 4)}")
         best = abs(x - centre)
-        picks.append((int(centre) % p, best, 1 - best))
+        picks.append((int(centre) % p, best, 1 - best, edge < delta * delta))
     return picks
 
 
 def decisions(decide, *args):
-    """The picks of ``decide``, each distance by its bits, or the message of
-    the PhaseAmbiguous it raises."""
+    """The picks of ``decide``, or the message of the PhaseAmbiguous it
+    raises."""
     try:
-        return [pick and (pick[0], pick[1]._mpf_, pick[2]._mpf_)
-                for pick in decide(*args)]
+        return decide(*args)
     except PhaseAmbiguous as exc:
         return str(exc)
+
+
+def decide_alike(*args):
+    """The outcome of ``unscreened_decide`` on one line, after checking that
+    ``radical._decide`` gives the same zeros, branches, on-cut flags or
+    error text, and each distance within 2^-40 of the reference's.  The
+    reference rounds x to the working precision, so where that is coarser
+    the bound is p * 2^(2 - prec) instead."""
+    reference = decisions(unscreened_decide, *args)
+    screened = decisions(radical._decide, *args)
+    if isinstance(reference, str) or isinstance(screened, str):
+        assert screened == reference
+        return reference
+    assert [pick and (pick[0], pick[3]) for pick in screened] == \
+        [pick and (pick[0], pick[3]) for pick in reference]
+    p = args[1]
+    bound = max(mpf(2) ** -40, p * mpf(2) ** (2 - mp.prec))
+    for got, want in zip(screened, reference):
+        if want:
+            assert abs(got[1] - want[1]) <= bound
+            assert abs(got[2] - want[2]) <= bound
+    return reference
 
 
 def test_the_screened_noise_floor_decides_as_the_unscreened_test():
@@ -402,8 +425,7 @@ def test_the_screened_noise_floor_decides_as_the_unscreened_test():
                     args = (level, series.primes[level - 1], line,
                             fwd.resolvents[level - 1], fwd.thetas[level],
                             delta)
-                    outcomes.append(decisions(unscreened_decide, *args))
-                    assert decisions(radical._decide, *args) == outcomes[-1]
+                    outcomes.append(decide_alike(*args))
     for poly_text, gens_text in (("x^2-2", "(1,2)"),
                                  ("x^3-2", "(1,2,3);(1,2)")):
         series, zetas, theta0, fwd, ints, recon, labeled, digits = \
@@ -427,10 +449,68 @@ def test_the_screened_noise_floor_decides_as_the_unscreened_test():
                 stored = dataclasses.replace(level_1, data=tuple(data))
                 for line in axis_lines(ints.radices, 0):
                     args = (1, p, line, stored, fwd.thetas[1], delta)
-                    outcomes.append(decisions(unscreened_decide, *args))
-                    assert decisions(radical._decide, *args) == outcomes[-1]
+                    outcomes.append(decide_alike(*args))
     floors = [o for o in outcomes if isinstance(o, str) and "noise" in o]
     assert floors and len(floors) < len(outcomes)
+
+
+def sector_line(p, values):
+    """The arguments of ``radical._decide`` for one level-1 line of p stored
+    entries, over a Theta line of ones, whose noise floor binds no entry
+    here, at the working precision's delta = 10^(-digits/4)."""
+    stored = SimpleNamespace(data=tuple(mpc(v) for v in values))
+    theta = SimpleNamespace(data=(mpc(1),) * p)
+    return 1, p, range(p), stored, theta, mpf(10) ** (-mpf(mp.dps) / 4)
+
+
+def test_the_sector_screen_decides_as_the_exact_arg(monkeypatch):
+    # the float screen decides where x is more than delta + 2^-30 from a
+    # sector boundary, and the exact arg elsewhere: the same branches,
+    # on-cut flags and errors, and distances within 2^-40
+    exact_calls = []
+    exact_sector = radical._exact_sector
+    monkeypatch.setattr(radical, "_exact_sector", lambda *args: (
+        exact_calls.append(args) or exact_sector(*args)))
+    outcomes, screened = [], 0
+    for digits in (16, 40):     # delta 10^-4 above 2^-30, 10^-10 below it
+        with mp.workdps(digits):
+            delta = mpf(10) ** (-mpf(digits) / 4)
+            # x at k + 1/2 -+ eps for every sector k: on the cut (eps below
+            # delta^2), refused (below delta), inside the screen's error
+            # bound (delta to delta + 2^-30) and beyond it
+            eps = [0, delta ** 2 / 2, 2 * delta ** 2, delta / 2,
+                   delta - mpf(2) ** -56, delta + mpf(2) ** -56, delta * 1.01,
+                   delta + mpf(2) ** -31, delta + mpf(2) ** -29,
+                   mpf(10) ** -3, mpf(1) / 4, mpf(1) / 2]
+            for p in (2, 3, 5, 7, 13):
+                for e in eps:
+                    for side in (1, -1):
+                        calls = len(exact_calls)
+                        outcomes.append(decide_alike(*sector_line(p, [
+                            3 * mpmath.expjpi(
+                                2 * (k + mpf(1) / 2 - side * e) / p)
+                            for k in range(p)])))
+                        screened += len(exact_calls) == calls
+    with mp.workdps(40):
+        # parts 2^1100 apart, on and off the axes, at both signs
+        big, small = mpf(2) ** 600, mpf(2) ** -500
+        for p in (2, 3, 5):
+            for re, im in ((big, small), (-big, small), (small, big),
+                           (small, -big), (-big, -small), (big, -small)):
+                outcomes.append(decide_alike(*sector_line(
+                    p, [mpc(re, im)] * p)))
+    with mp.workdps(400):
+        # mantissas of 1330 bits on entries near 10^679, beyond a float
+        for p in (3, 11):
+            values = [mpf(10) ** 679 * mpmath.expjpi(mpf(2 * k + 1) / (7 * p))
+                      for k in range(p)]
+            assert min(v.real._mpf_[3] for v in values) > 1024
+            outcomes.append(decide_alike(*sector_line(p, values)))
+    picks = [pick for o in outcomes if not isinstance(o, str) for pick in o]
+    assert any(pick[3] for pick in picks)               # on the cut
+    assert any("sectors from a boundary" in o for o in outcomes
+               if isinstance(o, str))
+    assert screened and exact_calls                     # both arms ran
 
 
 def value_based_selection(series, ints, fwd, zetas):
@@ -760,3 +840,68 @@ def test_intern_table_drops_the_nodes_of_a_dropped_solve():
     gc.collect()
     assert [ref() for ref in built if ref() is not None] == []
     assert {id(node) for node in radical._interned.values()} <= kept
+
+
+def fresh_render(expr, format):
+    """``emit`` of text or LaTeX with a fresh memo, as it stood before it
+    kept the memo of its last call."""
+    visit = {"text": radical._text, "latex": radical._latex}[format]
+    return radical._walk(visit, expr, {})
+
+
+def pure_power_roots(*args):
+    """The root expressions of ``workloads.pure_power(*args)``."""
+    instance = load_perfbench("workloads").pure_power(*args)
+    return solve(instance.poly, instance.generators,
+                 labeling=instance.labeling).root_exprs
+
+
+def test_emit_renders_every_root_as_a_fresh_walk():
+    f20, f42 = pure_power_roots("F20", 5, 2, 2), pure_power_roots(
+        "F42", 7, 3, 3)
+    orders = [
+        [(e, "text") for e in f20],                     # forward
+        [(e, "text") for e in reversed(f20)],           # reverse
+        [(e, format) for e in f42 for format in ("text", "latex")],
+        # two solves interleaved, in both formats
+        [(e, format) for pair in zip(f20, reversed(f42)) for e in pair
+         for format in ("latex", "text")],
+    ]
+    for order in orders:
+        for expr, format in order:
+            assert emit(expr, format) == fresh_render(expr, format)
+
+
+def test_emit_keeps_no_earlier_expression_alive():
+    # an input no other test solves, so that its nodes are new
+    report = solve("x^3-61", "(1,2,3);(1,2)")
+    for expr in report.root_exprs:
+        emit(expr, "text"), emit(expr, "latex")
+    radicals = [node for node in radical._renders["text"][1]
+                if isinstance(node, Root)]
+    assert radicals
+    ref = weakref.ref(radicals[0])
+    del report, expr, radicals
+    unrelated = make_root(2, IntegerLiteral(3), 0)
+    emit(unrelated, "text"), emit(unrelated, "latex")
+    gc.collect()
+    assert ref() is None
+
+
+def test_emit_slot_holds_at_most_the_last_expression():
+    exprs = pure_power_roots("F20", 5, 2, 2) + (
+        make_root(3, IntegerLiteral(7), 1), IntegerLiteral(5))
+    for k in range(50):
+        expr = exprs[k * 3 % len(exprs)]
+        emit(expr, "text")
+        nodes = {}
+        fresh = radical._walk(radical._text, expr, nodes)
+        slot = radical._renders["text"][1]
+        assert set(slot) <= set(nodes) and slot[expr] == fresh
+    # a root emitted after another of its solve, even one emitted twice,
+    # reads their shared subtrees from the slot, not walking below them
+    for expr in (exprs[-1], exprs[0], exprs[0], exprs[1]):
+        emit(expr, "text")
+    nodes = {}
+    radical._walk(radical._text, exprs[1], nodes)
+    assert len(radical._renders["text"][1]) < len(nodes)
