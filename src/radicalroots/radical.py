@@ -301,8 +301,9 @@ class BranchChoice:
     and ``second_distance`` 1 - |x - c|.  Off the branch cut the best
     distance is at most 1/2 - delta; on it both are 1/2 to within delta^2.
     Where the float screen of ``_decide`` picks c, x is its hardware value,
-    so the distances are accurate to 2^-40, or to mp.prec where that is
-    coarser; elsewhere x is the exact arg's at mp.prec.
+    so the distances are within 2^-40 of the exact path's, or within
+    p * 2^(2 - mp.prec), that path's own rounding, where that is coarser;
+    elsewhere x is the exact arg's at mp.prec.
     """
 
     level: int
@@ -329,24 +330,10 @@ class ReconstructionResult:
     zero_notes: tuple[ZeroRadicandNote, ...]
 
 
-# leading bits of each part that the sector screen converts to floats, and
-# its error bound on x in sector units: x_f is within p * 2^-50 of x modulo
-# p, below 2^-30 for any p below 2^20
-_SCREEN_BITS = 60
+# the sector screen's error bound on x in sector units, beside the exact
+# path's own rounding: x_f is within p * 2^-50 of x modulo p, below 2^-30
+# for any p below 2^20
 _SCREEN_ERROR = 2.0 ** -30
-
-
-def _sector_floats(z: mpc, h: int) -> list[float]:
-    """Both parts of a nonzero ``z`` times 2^(60 - h), h = part_bits(z), as
-    floats: each integer form shifted to that one power of two, the lower
-    bits truncated, so the larger part has 60 bits and a part 2^1100 below
-    it is 0 rather than an overflow or an underflow."""
-    floats = []
-    for sign, man, exp, _ in z._mpc_:
-        shift = exp + _SCREEN_BITS - h
-        man = man << shift if shift >= 0 else man >> -shift
-        floats.append(float(-man if sign else man))
-    return floats
 
 
 def _exact_sector(p: int, target: mpc, delta: mpf):
@@ -382,19 +369,22 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
     With the parts of the Theta line below 2^top, the computed floor is
     below 2^(top + e + bitlen(p) + 2), e the exponent of the computed
     10^(4-digits), and the computed |L_k|^p above 2^(p(h - 1) - 1).  The
-    sector comes from x_f = p * atan2 / 2pi in hardware floats on the
-    leading 60 bits of the parts (``_sector_floats``), within p * 2^-50 of
-    x modulo p: where it is more than float(delta) + 2^-30 from a boundary,
-    the exact x is more than delta from it, so the branch is round(x_f)
-    mod p as the exact path would pick, and the distances are those of x_f.
-    Elsewhere, the cut included, the exact path decides (``_exact_sector``).
+    sector comes from x_f = p * atan2 / 2pi in hardware floats on both
+    parts scaled by 2^-h, so the larger is in [1/2, 1) and one 2^1100
+    below it is 0 rather than an overflow.  x_f is within p * 2^-50 of x
+    modulo p, and the exact path's x at mp.prec within p * 2^(2 - prec) of
+    it: where x_f is more than float(delta) + 2^-30 + p * 2^(3 - prec) from
+    a boundary, the computed x is more than delta from it too, so the
+    branch is round(x_f) mod p as the exact path would pick, and the
+    distances are those of x_f.  Elsewhere, the cut included, the exact
+    path decides (``_exact_sector``).
     """
     ten = mpf(10) ** (4 - mp.dps)
     # -inf for an all-zero line, whose floor is zero
     top = max(part_bits(theta.data[i]) for i in line)
     clear = top + bit_exponent(ten) + p.bit_length() + 3
     nonzero = bit_exponent(delta)
-    screen = float(delta) + _SCREEN_ERROR
+    screen = float(delta) + _SCREEN_ERROR + p * 2.0 ** (3 - mp.prec)
     picks: list = []
     for flat in line:
         target = stored.data[flat]
@@ -409,7 +399,8 @@ def _decide(level: int, p: int, line, stored, theta, delta: mpf) -> list:
                 f"noise floor: |L|^{p} = {mpmath.nstr(magnitude ** p, 4)} vs "
                 f"{mpmath.nstr(floor, 4)}, |L| = {mpmath.nstr(magnitude, 4)} "
                 f"vs delta {mpmath.nstr(delta, 4)}")
-        re, im = _sector_floats(target, h)
+        re, im = (float(mpmath.ldexp(v, -h))
+                  for v in (target.real, target.imag))
         x_f = p * math.atan2(im, re) / math.tau
         c = round(x_f)
         if 0.5 - abs(x_f - c) > screen:

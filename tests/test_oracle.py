@@ -1,5 +1,3 @@
-import itertools
-
 import mpmath
 import pytest
 from mpmath import mp, mpf
@@ -199,11 +197,8 @@ def budget_roots(text, generators):
 
 def reference_passing(G, roots):
     """Every coset representative that passes in mpc, with no early stop,
-    on the default invariants less those whose orbit holds every
-    permutation of its monomial: a symmetric orbit sum separates no
-    cosets."""
-    invariants = [orbit for _, orbit in default_labeling_invariants(G)
-                  if len(orbit) < len(set(itertools.permutations(orbit[0])))]
+    on every default invariant."""
+    invariants = [orbit for _, orbit in default_labeling_invariants(G)]
     passing = []
     with mp.workdps(roots.digits):
         for rep in coset_representatives(G):
@@ -240,6 +235,12 @@ def test_wrong_group_passes_no_candidate(text, generators):
     assert reference_passing(*budget_roots(text, generators)) == []
 
 
+# the only cases where skipping the invariants that separate no cosets
+# changes the outcome of label_roots: LabelingFailed becomes a labeling
+SYMMETRIC_SUMS_NOT_INTEGRAL = [("x^2-3x-7", "(1,2)", 3),
+                               ("x^3-3x-1", "(1,2,3);(1,2)", 3)]
+
+
 @pytest.mark.parametrize("digits", [3, 4, 6])
 @pytest.mark.parametrize("text,generators", [
     ("x^2-3x-7", "(1,2)"), ("x^3-3x-1", "(1,2,3);(1,2)"), ("x^4+1", D4),
@@ -250,7 +251,17 @@ def test_label_roots_matches_reference_at_low_budgets(text, generators,
     # at a few digits the roots' own error decides which candidates pass
     p = parse_polynomial(text)
     G = closure([parse_cycles(t, p.degree) for t in generators.split(";")])
-    assert_labels_like_reference(G, find_roots(p, digits))
+    roots = find_roots(p, digits)
+    if (text, generators, digits) in SYMMETRIC_SUMS_NOT_INTEGRAL:
+        # label_roots skips every default invariant of S_2 and S_3, all of
+        # them symmetric sums, so it returns the one coset where the full
+        # set refuses: those sums are not integral at 3 digits
+        assert reference_passing(G, roots) == []
+        result = label_roots(G, roots)
+        assert result.permutation == next(coset_representatives(G))
+        assert result.candidates_passed == 1
+    else:
+        assert_labels_like_reference(G, roots)
 
 
 @pytest.mark.parametrize("text,generators,count",

@@ -464,25 +464,31 @@ def sector_line(p, values):
 
 
 def test_the_sector_screen_decides_as_the_exact_arg(monkeypatch):
-    # the float screen decides where x is more than delta + 2^-30 from a
-    # sector boundary, and the exact arg elsewhere: the same branches,
-    # on-cut flags and errors, and distances within 2^-40
+    # the float screen decides where x is more than delta + 2^-30 +
+    # p * 2^(3 - prec) from a sector boundary, and the exact arg elsewhere:
+    # the same branches, on-cut flags and errors, and distances within 2^-40
+    # (or the exact path's own rounding at 8 digits)
     exact_calls = []
     exact_sector = radical._exact_sector
     monkeypatch.setattr(radical, "_exact_sector", lambda *args: (
         exact_calls.append(args) or exact_sector(*args)))
     outcomes, screened = [], 0
-    for digits in (16, 40):     # delta 10^-4 above 2^-30, 10^-10 below it
+    # delta 10^-2 and 10^-4 above 2^-30, 10^-10 below it; at 8 digits the
+    # exact path rounds x to 2^-27, beyond the screen's own 2^-30
+    for digits in (8, 16, 40):
         with mp.workdps(digits):
             delta = mpf(10) ** (-mpf(digits) / 4)
-            # x at k + 1/2 -+ eps for every sector k: on the cut (eps below
-            # delta^2), refused (below delta), inside the screen's error
-            # bound (delta to delta + 2^-30) and beyond it
-            eps = [0, delta ** 2 / 2, 2 * delta ** 2, delta / 2,
-                   delta - mpf(2) ** -56, delta + mpf(2) ** -56, delta * 1.01,
-                   delta + mpf(2) ** -31, delta + mpf(2) ** -29,
-                   mpf(10) ** -3, mpf(1) / 4, mpf(1) / 2]
             for p in (2, 3, 5, 7, 13):
+                # x at k + 1/2 -+ eps for every sector k: on the cut (eps
+                # below delta^2), refused (below delta), inside the screen's
+                # margin (delta to delta + margin, in steps of margin/32,
+                # where the exact path's rounding puts x on either side of
+                # delta) and beyond it
+                margin = mpf(2) ** -30 + p * mpf(2) ** (3 - mp.prec)
+                eps = [0, delta ** 2 / 2, 2 * delta ** 2, delta / 2,
+                       delta - mpf(2) ** -56, delta + mpf(2) ** -56,
+                       delta * 1.01, mpf(10) ** -3, mpf(1) / 4, mpf(1) / 2]
+                eps += [delta + margin * step / 32 for step in range(66)]
                 for e in eps:
                     for side in (1, -1):
                         calls = len(exact_calls)
