@@ -186,16 +186,16 @@ def _cmd_roots(args, out) -> int:
     poly, _, _ = _resolve_inputs(args)
     polynomial = as_polynomial(poly)
     reduction = to_monic(polynomial)
-    rs = find_roots(reduction.monic, args.digits)
+    # the warnings come first: a repeated root stops the root finding
     _write_reduction(reduction, out)
+    for note in sanity_check(reduction.monic).notes:
+        out.write(f"warning: {note}\n")
+    rs = find_roots(reduction.monic, args.digits)
     if reduction.scale != 1:
         # the input's roots are the monic reduction's divided by the scale
         with mpmath.mp.workdps(rs.digits):
             rs = RootSet(tuple(z / reduction.scale for z in rs.roots),
                          rs.digits)
-    report = sanity_check(reduction.monic)
-    for note in report.notes:
-        out.write(f"warning: {note}\n")
     for i, z in enumerate(rs.roots, start=1):
         out.write(f"  x_{i} = {format_complex(z, rs.digits)}\n")
     residual = max(root_residuals(polynomial, rs))

@@ -199,7 +199,8 @@ def _divisors(n: int) -> tuple[list[int], bool]:
 
 
 def sanity_check(p: IntPolynomial) -> SanityReport:
-    """Report square-freeness and integer roots among divisors of a_0."""
+    """Report square-freeness and integer roots among divisors of a_0; an
+    integer root is noted as reducibility only above degree 1."""
     if not p.is_monic():
         raise ValueError("sanity_check expects a monic polynomial")
     fa = [Fraction(c) for c in p.coeffs]
@@ -220,6 +221,6 @@ def sanity_check(p: IntPolynomial) -> SanityReport:
                     roots.append(cand)
     if not square_free:
         notes.append("gcd(f, f') is nonconstant: repeated roots")
-    if roots:
+    if roots and p.degree > 1:
         notes.append("integer roots found: polynomial is reducible")
     return SanityReport(square_free, tuple(sorted(roots)), tuple(notes))

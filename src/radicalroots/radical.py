@@ -26,7 +26,8 @@ from mpmath import mp, mpc, mpf
 from .errors import PhaseAmbiguous, VerificationFailed
 from .groups import CompositionSeries, Permutation
 from .polynomial import IntPolynomial, MonicReduction
-from .precision import bit_exponent, part_bits, principal_root, root_of_unity
+from .precision import (bit_exponent, mpc_ints, part_bits, principal_root,
+                        root_of_unity)
 from .resolvent import (ForwardResult, IntegerThetaTensor, PrecisionPlan,
                         axis_lines, multiplication_budget,
                         position_root_indices)
@@ -123,7 +124,8 @@ def _zeta(p: int, k: int) -> RadicalExpr:
 
 
 def make_product(factors) -> RadicalExpr:
-    """Light folding: integer factors multiply out, zeta powers combine."""
+    """Light folding: integer factors multiply out, and each zeta_p power,
+    an integer part of -1 as zeta_2, merges into the first p-th root."""
     int_part = 1
     zetas: dict[int, int] = {}
     rest: list[RadicalExpr] = []
@@ -137,11 +139,7 @@ def make_product(factors) -> RadicalExpr:
     if int_part == 0:
         return _ZERO
     if int_part == -1:
-        for i, f in enumerate(rest):
-            if isinstance(f, Root) and f.degree == 2:
-                rest[i] = Root(2, f.radicand, (f.branch + 1) % 2)
-                int_part = 1
-                break
+        int_part, zetas[2] = 1, (zetas.get(2, 0) + 1) % 2
     out: list[RadicalExpr] = []
     if int_part != 1:
         out.append(IntegerLiteral(int_part))
@@ -505,7 +503,7 @@ def reconstruct(series: CompositionSeries, int_theta: IntegerThetaTensor,
         decided: dict = {}
         for line in demand[level - 1]:
             line_exprs = tuple(exact[i] for i in line)
-            key = (line_exprs, tuple(stored.data[i]._mpc_ for i in line))
+            key = line_exprs, tuple(mpc_ints(stored.data[i]) for i in line)
             if key not in decided:
                 decisions = _decide(level, p, line, stored,
                                     forward.thetas[level], delta)

@@ -366,6 +366,25 @@ def test_roots_warns_on_a_reducible_polynomial(capsys):
                           "reducible\n")
 
 
+@pytest.mark.parametrize("poly", ["x-5", "2x-1"])
+def test_roots_of_a_linear_polynomial_warn_of_nothing(capsys, poly):
+    code, out, err = run(capsys, ["roots", "--poly", poly])
+    assert code == 0
+    assert "warning" not in out
+    assert "  x_1 = " in out
+
+
+@pytest.mark.parametrize("poly", ["x^2-2x+1", "x^3-x^2-x+1"])
+def test_roots_warns_of_repeated_roots_before_root_finding(capsys, poly):
+    # the repeated root stops the root finding, after the warning
+    code, out, err = run(capsys, ["roots", "--poly", poly])
+    assert code == 8
+    assert out.startswith("warning: gcd(f, f') is nonconstant: repeated "
+                          "roots\n")
+    assert "x_1" not in out
+    assert err.startswith("error[NonConvergence]: ")
+
+
 def test_roots_warns_on_a_truncated_divisor_search(capsys):
     # a constant term above 10^12 is searched for small divisors only: that
     # finds the root 1 of (x - 1)(x - 2000000000003), and no root of

@@ -1263,3 +1263,104 @@ def test_exact_sector_outside_the_fallback_is_detected(tmp_path):
         "radical.py: _decide calls _exact_sector outside the screen's "
         "fallback",
         "radical.py: _branch calls nint"]
+
+
+MPMATH_LAYOUT = ("_mpc_", "_mpf_", "make_mpc", "make_mpf")
+
+
+def layout_readers(package: Path) -> list[str]:
+    """Names of mpmath's number layout (``_mpc_``, ``_mpf_``, ``make_mpc``,
+    ``make_mpf``, as attribute, name or string) and imports of
+    ``mpmath.libmp`` in the package's modules other than ``precision.py``:
+    one module reads and builds mpmath's internal tuples."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "precision.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if name in MPMATH_LAYOUT:
+                found.append(f"{path.name}: names {name}")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: imports {module}" for module in modules
+                      if module.startswith("mpmath.libmp")]
+    return found
+
+
+def test_only_precision_reads_the_mpmath_layout():
+    assert layout_readers(SRC) == []
+
+
+def test_layout_reader_is_detected(tmp_path):
+    # the decision memo keyed by mpmath's tuples, as it stood, and the same
+    # reads in precision.py, which may make them
+    reader = ("from mpmath import libmp, mp\n"
+              "from mpmath.libmp import mpf_add\n"
+              "import mpmath.libmp.libmpf\n"
+              "def key(stored, line):\n"
+              "    return tuple(stored.data[i]._mpc_ for i in line)\n"
+              "def build(t):\n"
+              "    return mp.make_mpf(getattr(t, '_mpf_'))\n")
+    (tmp_path / "radical.py").write_text(reader)
+    (tmp_path / "precision.py").write_text(reader)
+    assert layout_readers(tmp_path) == [
+        "radical.py: imports mpmath.libmp",
+        "radical.py: imports mpmath.libmp.mpf_add",
+        "radical.py: imports mpmath.libmp.libmpf",
+        "radical.py: names make_mpf",
+        "radical.py: names _mpc_",
+        "radical.py: names _mpf_"]
+
+
+def product_merges(path: Path) -> list[str]:
+    """In ``make_product``, each ``Root`` built past the first (a merge into
+    a branch tag) and each test of a ``degree`` against a constant: one loop
+    merges every zeta_p, -1 as zeta_2, into the first p-th root."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.FunctionDef) and node.name == "make_product":
+            merges = [call for call in ast.walk(node)
+                      if isinstance(call, ast.Call)
+                      and _callee(call) == "Root"]
+            found = [f"{path.name}: make_product builds Root "
+                     f"{len(merges)} times"] if len(merges) > 1 else []
+            return found + [
+                f"{path.name}: make_product tests degree against "
+                f"{side.value}" for test in ast.walk(node)
+                if isinstance(test, ast.Compare)
+                and "degree" in {n.attr for n in ast.walk(test)
+                                 if isinstance(n, ast.Attribute)}
+                for side in [test.left, *test.comparators]
+                if isinstance(side, ast.Constant)]
+    raise LookupError(f"{path.name} defines no make_product")
+
+
+def test_make_product_merges_roots_of_unity_in_one_loop():
+    assert product_merges(SRC / "radical.py") == []
+
+
+def test_second_merge_loop_is_detected(tmp_path):
+    # the -1 folding as it stood, beside the zeta merge
+    (tmp_path / "radical.py").write_text(
+        "def make_product(factors):\n"
+        "    if int_part == -1:\n"
+        "        for i, f in enumerate(rest):\n"
+        "            if isinstance(f, Root) and f.degree == 2:\n"
+        "                rest[i] = Root(2, f.radicand, (f.branch + 1) % 2)\n"
+        "                break\n"
+        "    for p in sorted(zetas):\n"
+        "        for i, f in enumerate(rest):\n"
+        "            if isinstance(f, Root) and f.degree == p:\n"
+        "                rest[i] = Root(p, f.radicand, f.branch + zetas[p])\n"
+        "                break\n")
+    assert product_merges(tmp_path / "radical.py") == [
+        "radical.py: make_product builds Root 2 times",
+        "radical.py: make_product tests degree against 2"]

@@ -153,6 +153,12 @@ def test_sanity_check_integer_roots():
     assert rep.notes == ("integer roots found: polynomial is reducible",)
 
 
+def test_sanity_check_linear_integer_root_is_not_reducibility():
+    rep = sanity_check(parse_polynomial("x-5"))
+    assert rep.integer_roots == (5,)
+    assert rep.notes == ()
+
+
 def test_sanity_check_not_square_free():
     rep = sanity_check(parse_polynomial("x^4-4x^2+4"))  # (x^2-2)^2
     assert not rep.square_free

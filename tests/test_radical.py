@@ -213,6 +213,17 @@ def test_simplification_rules():
     r5 = Root(5, IntegerLiteral(3), 4)
     assert make_product([RootOfUnitySymbol(5, 2), r5]) == \
         Root(5, IntegerLiteral(3), 1)
+    # -1 is zeta_2: it cancels a zeta_2 factor, and without a square root to
+    # merge into it stays the first factor
+    assert make_product([IntegerLiteral(-1), RootOfUnitySymbol(2, 1)]) == \
+        IntegerLiteral(1)
+    zeta3 = RootOfUnitySymbol(3, 1)
+    assert emit(make_product([IntegerLiteral(-1), zeta3,
+                              Root(5, IntegerLiteral(2), 0)])) == \
+        "(-1)*zeta_3^1*root(5,0; 2)"
+    assert emit(make_product([IntegerLiteral(-1), zeta3,
+                              Root(2, IntegerLiteral(2), 0)])) == \
+        "zeta_3^1*root(2,1; 2)"
 
 
 def test_emit_formats_reference_strings():
