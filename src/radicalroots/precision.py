@@ -9,16 +9,14 @@ tuples: root_of_unity takes cos and sin from one ``mpf_cos_sin_pi`` call,
 and nearest_integer rounds a mantissa that fits the guarded precision by a
 shift, so its residual is exact.
 
-The inner loops of the forward pass and of the branch test run on an
-integer form of the same values, which skips mpmath's per-call overhead and
-gives its exact bits.  A real is a pair (m, e) of a signed odd mantissa, or
-0, and an exponent, worth m * 2^e; a complex is the four ints (re m, re e,
-im m, im e), from ``mpc_ints`` and back through ``ints_mpc``.  Each
-operation takes the precision in bits and rounds as ``mpmath.libmp`` does
-(``mpf_add``, ``mpc_mul``, and ``mpf_div`` in ``mpc_div_mpf``), with
-round-half-even, so the bits equal those of the ``mpc`` expression that each
-one names.  The root finder's Newton correction is one ``cdiv_int`` too: an
-exact Gaussian numerator over an integer, each part rounded once.
+The inner loops of the forward pass and of the root finder's Newton step run
+on integer forms of the same values, which skip mpmath's per-call overhead:
+the four ints (re m, re e, im m, im e) of ``mpc_ints`` and ``ints_mpc``, and
+Gaussian integers (re, im) at one binary exponent.  Every rounding is one
+``_shift``, to nearest with ties to even, so an operation adds at most half
+a unit of its result's last place per part: ``fixed_line`` at the exponent
+it picks, ``gmul`` after its exact product, ``cdiv_int`` and
+``nearest_integer`` at prec bits.  Sums at one exponent are exact.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ __all__ = [
     "format_complex",
     "mpc_ints",
     "ints_mpc",
-    "cadd",
-    "cmul",
+    "fixed_line",
+    "gmul",
     "cdiv_int",
 ]
 
@@ -100,10 +98,10 @@ def nearest_integer(z: mpc) -> tuple[int, mpf]:
     max(|re - n|, |im|) at the guarded precision.
 
     When re's mantissa fits the guarded precision, n is that mantissa
-    shifted right with round-half-even, and |re - n| is exact: the bits
-    shifted out, or their complement.  A longer mantissa, made at a higher
-    precision, and a special value take mpmath's ``nint`` and subtraction at
-    the guarded precision, which round re first.
+    rounded by ``_shift``, and |re - n| is exact: the bits shifted out, or
+    their complement.  A longer mantissa, made at a higher precision, and a
+    special value take mpmath's ``nint`` and subtraction at the guarded
+    precision, which round re first.
     """
     wp, rnd = dps_to_prec(mp.dps + _GUARD), round_nearest
     (sign, man, exp, bc), im = z._mpc_
@@ -112,15 +110,8 @@ def nearest_integer(z: mpc) -> tuple[int, mpf]:
             n = int(mpmath.nint(z.real))
             residual = max(abs(z.real - n), abs(z.imag))
         return n, residual
-    if exp >= 0:
-        n, rest = man << exp, 0
-    else:
-        n = man >> -exp
-        rest = man - (n << -exp)
-        half = 1 << (-exp - 1)
-        if rest > half or (rest == half and n & 1):
-            n += 1
-            rest = (1 << -exp) - rest
+    n = _shift(man, -exp)
+    rest = abs((n << -exp) - man) if exp < 0 else 0
     residual = max(mp.make_mpf(normalize(0, rest, exp, rest.bit_length(),
                                          wp, rnd)),
                    mp.make_mpf(mpf_abs(im, wp, rnd)))
@@ -151,6 +142,16 @@ def format_complex(z: mpc, digits: int) -> str:
 # --- the integer kernel ------------------------------------------------------
 
 
+def _shift(m: int, s: int) -> int:
+    """m * 2^-s rounded to the nearest integer, half to even: exact for
+    s <= 0, within 1/2 for s > 0.  With q = floor(m / 2^s), adding
+    2^(s-1) - 1 plus q's lowest bit before the floor shift carries into q
+    past a half, and at a half exactly when q is odd."""
+    if s <= 0:
+        return m << -s
+    return (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s
+
+
 def mpc_ints(z: mpc) -> tuple[int, int, int, int]:
     """The integer form (re m, re e, im m, im e) of ``z``."""
     (rs, rm, re, _), (js, jm, je, _) = z._mpc_
@@ -158,91 +159,68 @@ def mpc_ints(z: mpc) -> tuple[int, int, int, int]:
 
 
 def _raw(m: int, e: int):
-    """The mpmath tuple (sign, mantissa, exponent, bit count) of m * 2^e."""
+    """The mpmath tuple of m * 2^e: sign, odd mantissa, exponent, bits."""
     if not m:
         return fzero
-    if m < 0:
-        return (1, -m, e, (-m).bit_length())
-    return (0, m, e, m.bit_length())
-
-
-def ints_mpc(x) -> mpc:
-    """The ``mpc`` with the integer form ``x``."""
-    return mp.make_mpc((_raw(x[0], x[1]), _raw(x[2], x[3])))
-
-
-def _round(m: int, e: int, prec: int) -> tuple[int, int]:
-    """m * 2^e rounded to ``prec`` bits, half to even, with the mantissa's
-    trailing zero bits moved to e."""
-    if not m:
-        return 0, 0
-    neg = m < 0
-    if neg:
-        m = -m
-    n = m.bit_length() - prec
-    if n > 0:
-        t = m >> (n - 1)
-        if t & 1 and (t & 2 or m != t << (n - 1)):
-            m = (t >> 1) + 1
-        else:
-            m = t >> 1
-        e += n
+    sign, m = (1, -m) if m < 0 else (0, m)
     if not m & 1:
         z = (m & -m).bit_length() - 1
         m >>= z
         e += z
-    return (-m if neg else m), e
+    return (sign, m, e, m.bit_length())
 
 
-def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
-    """m1 * 2^e1 + m2 * 2^e2 rounded as ``mpf_add``: when one term's lowest
-    bit lies over 100 places above the other's and its top bit over prec + 4
-    places above, the smaller term is replaced by a sticky bit prec + 4
-    places below the larger term's lowest bit."""
-    if not m1 or not m2:
-        return _round(m1 or m2, e1 if m1 else e2, prec)
-    if e1 < e2:
-        m1, e1, m2, e2 = m2, e2, m1, e1
-    off = e1 - e2
-    if off > 100 and m1.bit_length() + off - m2.bit_length() > prec + 4:
-        return _round((m1 << (prec + 4)) + (1 if m2 > 0 else -1),
-                      e1 - prec - 4, prec)
-    return _round((m1 << off) + m2, e2, prec)
+def ints_mpc(x) -> mpc:
+    """The ``mpc`` worth the integer form ``x``, exactly."""
+    return mp.make_mpc((_raw(x[0], x[1]), _raw(x[2], x[3])))
 
 
 def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple[int, int]:
-    """m1 * 2^e1 / (m2 * 2^e2) rounded as ``mpf_div``: a quotient with
-    prec + 5 or more bits, and a sticky bit below it when inexact."""
+    """m1 * 2^e1 / (m2 * 2^e2) rounded as ``mpf_div``: m1 itself over a power
+    of two, else a quotient of prec + 5 or more bits and a sticky bit, 1
+    when inexact, rounded to ``prec`` bits by ``_shift``, and its trailing
+    zero bits moved to the exponent."""
     if not m2:
         raise ZeroDivisionError
     if not m1:
         return 0, 0
     neg = (m1 < 0) != (m2 < 0)
     a, b = abs(m1), abs(m2)
-    extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
-    q, r = divmod(a << extra, b)
-    if r:
-        q = (q << 1) | 1
-        extra += 1
-    return _round(-q if neg else q, e1 - e2 - extra, prec)
-
-
-def cadd(x, y, prec: int):
-    """x + y, as ``mpc.__add__``."""
-    return (_add(x[0], x[1], y[0], y[1], prec)
-            + _add(x[2], x[3], y[2], y[3], prec))
-
-
-def cmul(x, y, prec: int):
-    """x * y, as ``mpc_mul``: the four products exact, then one rounding
-    for each part."""
-    a, ae, b, be = x
-    c, ce, d, de = y
-    return (_add(a * c, ae + ce, -(b * d), be + de, prec)
-            + _add(a * d, ae + de, b * c, be + ce, prec))
+    if b & (b - 1):
+        extra = max(prec - a.bit_length() + b.bit_length() + 5, 5)
+        q, r = divmod(a << extra, b)
+        q, extra = (q << 1) + (r > 0), extra + 1
+    else:
+        q, extra = a, b.bit_length() - 1
+    n = q.bit_length() - prec
+    q = _shift(-q if neg else q, n)
+    z = (q & -q).bit_length() - 1
+    return q >> z, e1 - e2 - extra + n + z
 
 
 def cdiv_int(x, n: int, prec: int):
     """x / n for a nonzero integer n, as ``mpc / int``."""
     return _div(x[0], x[1], n, 0, prec) + _div(x[2], x[3], n, 0, prec)
 
+
+def fixed_line(values, prec: int):
+    """``values``, integer forms, as the nearest Gaussian integers times 2^E,
+    and E = top - prec, with the largest part in [2^(top-1), 2^top); E = 0
+    for an all-zero line."""
+    top = None
+    for m1, k1, m2, k2 in values:
+        if m1 and (top is None or m1.bit_length() + k1 > top):
+            top = m1.bit_length() + k1
+        if m2 and (top is None or m2.bit_length() + k2 > top):
+            top = m2.bit_length() + k2
+    e = 0 if top is None else top - prec
+    return [(_shift(m1, e - k1), _shift(m2, e - k2))
+            for m1, k1, m2, k2 in values], e
+
+
+def gmul(x, y, s: int) -> tuple[int, int]:
+    """x * y for Gaussian integers x and y, each part of the exact product
+    shifted right by s bits by ``_shift``."""
+    a, b = x
+    c, d = y
+    return _shift(a * c - b * d, s), _shift(a * d + b * c, s)

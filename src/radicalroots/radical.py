@@ -24,7 +24,8 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from .errors import PhaseAmbiguous, VerificationFailed
-from .groups import CompositionSeries, Permutation
+from .groups import (DEFAULT_ORDER_CAP, CompositionSeries, Permutation,
+                     smallest_prime_factor)
 from .polynomial import IntPolynomial, MonicReduction
 from .precision import (bit_exponent, mpc_ints, part_bits, principal_root,
                         root_of_unity)
@@ -635,15 +636,16 @@ def emit(expr: RadicalExpr, format: str = "text") -> str:
 
 
 def _from_json_obj(obj) -> RadicalExpr:
-    """The node of a parsed JSON AST.  It recurses once per level: the
-    standard library's json module does as well, so an AST deep enough to
-    reach the recursion limit cannot be read or written as JSON anyway."""
+    """The node of a parsed JSON AST, as ``reconstruct`` builds them: a scale
+    1/d, d >= 2, or a root or zeta of prime p <= DEFAULT_ORDER_CAP (p divides
+    the group's order) and tag in [0, p).  It recurses once per level, as
+    the json module does, so an AST too deep to recurse is not JSON anyway."""
     if not isinstance(obj, dict) or not obj or [] in (obj.get("sum"),
                                                       obj.get("product")):
         raise ValueError(f"bad expression node: {obj!r}")
     if "scale" in obj:
         num, _, den = obj["scale"].partition("/")
-        if num != "1":
+        if num != "1" or not den.isdecimal() or int(den) < 2:
             raise ValueError(f"scale must be 1/p, got {obj['scale']!r}")
         return RationalScale(int(den), _from_json_obj({"sum": obj["sum"]}))
     if "int" in obj:
@@ -653,11 +655,14 @@ def _from_json_obj(obj) -> RadicalExpr:
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
     if "product" in obj:
         return Product(tuple(_from_json_obj(f) for f in obj["product"]))
-    if "zeta" in obj:
-        return RootOfUnitySymbol(obj["zeta"]["p"], obj["zeta"]["k"])
-    if "root" in obj:
-        r = obj["root"]
-        return Root(r["p"], _from_json_obj(r["radicand"]), r["branch"])
+    if "zeta" in obj or "root" in obj:
+        fields = obj["zeta"] if "zeta" in obj else obj["root"]
+        p, k = fields["p"], fields["k" if "zeta" in obj else "branch"]
+        if not (type(p) is type(k) is int and 2 <= p <= DEFAULT_ORDER_CAP
+                and 0 <= k < p and smallest_prime_factor(p) == p):
+            raise ValueError(f"bad expression node: {obj!r}")
+        return RootOfUnitySymbol(p, k) if "zeta" in obj else Root(
+            p, _from_json_obj(fields["radicand"]), k)
     raise ValueError(f"unknown expression node keys: {sorted(obj)}")
 
 

@@ -10,6 +10,11 @@ an affine reindexing j -> u*j + t (mod p), an equal line being the map
 (1, 0); each level transforms one line of each such family, whether or not
 its entries repeat, and fills the others from it.  The transforms and the
 rounding compute at the caller's ``mp.dps``.
+
+A line is transformed in block fixed point, at wp = mp.prec + 2 bitlen(p)
++ 2 bits: one exponent per line, exact sums, each product rounded once, and
+each Theta entry once to mp.prec bits.  The guard bits give entries equal in
+exact arithmetic equal bits in most cases, which line sharing keys on.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from mpmath import mp, mpc, mpf
 
 from .errors import LabelingFailed, ResidualTooLarge
 from .groups import CompositionSeries
-from .precision import (bit_exponent, cadd, cdiv_int, check_digit_budget,
-                        cmul, ints_mpc, mpc_ints, nearest_integer, part_bits,
-                        root_of_unity)
+from .precision import (bit_exponent, cdiv_int, check_digit_budget,
+                        fixed_line, gmul, ints_mpc, mpc_ints, nearest_integer,
+                        part_bits, root_of_unity)
 from .rootfinder import RootSet
 
 __all__ = [
@@ -180,60 +185,70 @@ def zeta_tables(series: CompositionSeries):
     return tables
 
 
-def _turn(table, e: int, x, prec: int, counter: MultiplicationCounter):
-    """zeta^e * x in the integer form, ``table`` holding zeta's powers: x
-    itself at e = 0, its negation where zeta^e = -1 (p = 2), else one kernel
-    product, which the counter adds.  Both shortcuts give the bits of the
-    product, since x is rounded at ``prec`` already."""
+def _turn(table, e: int, x, wp: int, counter: MultiplicationCounter):
+    """zeta^e * x for a Gaussian integer x, ``table`` holding zeta's powers
+    at exponent -wp: x at e = 0, -x where zeta^e = -1 (p = 2), else one
+    ``gmul``, which the counter adds; the shortcuts give its bits."""
     if e == 0:
         return x
     if len(table) == 2:
-        return (-x[0], x[1], -x[2], x[3])
+        return -x[0], -x[1]
     counter.add(1)
-    return cmul(table[e], x, prec)
+    return gmul(table[e], x, wp)
 
 
-def _transform(entries, table, prec: int, counter: MultiplicationCounter):
-    """One line's L and Theta entries from its Theta entries in the integer
-    form: the L sums and the Theta sums by ``_turn``, and p - 1 products
-    for each p-th power; the counter adds each product where it is made."""
-    p = len(entries)
-    l_line, powered, t_line = [], [], []
+def _dft(table, x, sign: int, wp: int, counter: MultiplicationCounter):
+    """sum_j zeta^(sign*j*k) x_j for each k: x_0 plus exact sums of
+    ``_turn``s, written out as x_0 + x_1 and x_0 - x_1 at p = 2."""
+    p = len(x)
+    if p == 2:
+        (a, b), (c, d) = x
+        return [(a + c, b + d), (a - c, b - d)]
+    out = []
     for k in range(p):
-        acc = None
-        for j in range(p):
-            term = _turn(table, (j * k) % p, entries[j], prec, counter)
-            acc = term if acc is None else cadd(acc, term, prec)
-        l_line.append(ints_mpc(acc))
-        w = acc
-        for _ in range(p - 1):
-            w = cmul(w, acc, prec)
-            counter.add(1)
-        powered.append(w)
-    for j in range(p):
-        acc = None
-        for k in range(p):
-            term = _turn(table, (-k * j) % p, powered[k], prec, counter)
-            acc = term if acc is None else cadd(acc, term, prec)
-        t_line.append(ints_mpc(cdiv_int(acc, p, prec)))
-    return l_line, t_line
+        re, im = x[0]
+        for j in range(1, p):
+            a, b = _turn(table, sign * j * k % p, x[j], wp, counter)
+            re, im = re + a, im + b
+        out.append((re, im))
+    return out
 
 
-def _fill(ref, u: int, t: int, table, prec: int,
+def _transform(entries, table, wp: int, counter: MultiplicationCounter):
+    """A line's L as Gaussian integers, their exponent e, and Theta, from
+    its Theta entries' integer forms: L is the ``_dft`` of the entries put
+    to ``fixed_line``, each power step makes w_k * L_k by one ``gmul``, and
+    ``cdiv_int`` divides the inverse ``_dft`` of the p-th powers by p."""
+    p, prec = len(entries), mp.prec
+    x, e = fixed_line(entries, wp)
+    l_line = _dft(table, x, 1, wp, counter)
+    # max |L_k|^2 = 2^(2e) * [2^(n-1), 2^n): the k-th powers keep wp bits at t
+    n = max([a * a + b * b for a, b in l_line]).bit_length()
+    w, s = l_line, e
+    for k in range(2, p + 1):
+        t = k * e + k * (n - 1) // 2 - wp
+        counter.add(p)
+        w, s = [gmul(y, z, t - s - e) for y, z in zip(w, l_line)], t
+    return l_line, e, [ints_mpc(cdiv_int((a, s, b, s), p, prec))
+                       for a, b in _dft(table, w, -1, wp, counter)]
+
+
+def _fill(ref, u: int, t: int, table, wp: int,
           counter: MultiplicationCounter):
-    """The L and Theta entries of the line (u, t) maps onto ``ref``:
-    L_j = zeta^(-t*k) * L_k(ref) with k = j/u mod p, by one ``_turn`` each,
-    and Theta_j = Theta_(u*j)(ref) by index copy."""
-    l_ref, t_ref = ref
+    """L at ``ref``'s exponent, and Theta, of the line (u, t) maps onto
+    ``ref``: L_j = zeta^(-t*k) * L_k(ref) with k = j/u mod p, one ``_turn``
+    each, and Theta_j = Theta_(u*j)(ref) by index copy."""
+    l_ref, e, _, t_ref = ref
     p = len(l_ref)
     inverse = pow(u, -1, p)
-    l_line = []
-    for j in range(p):
-        k = j * inverse % p
-        e = -t * k % p
-        l_line.append(l_ref[k] if e == 0 else ints_mpc(
-            _turn(table, e, mpc_ints(l_ref[k]), prec, counter)))
-    return l_line, [t_ref[u * j % p] for j in range(p)]
+    ks = [j * inverse % p for j in range(p)]
+    l_line = [_turn(table, -t * k % p, l_ref[k], wp, counter) for k in ks]
+    return l_line, e, [t_ref[u * j % p] for j in range(p)]
+
+
+def _record(l_line, e: int, t_line):
+    """A line as ``known`` holds it: L at exponent e, e, L as mpc, Theta."""
+    return l_line, e, [ints_mpc((a, e, b, e)) for a, b in l_line], t_line
 
 
 def forward_level(theta_prev: ResolventTensor, level: int, zetas,
@@ -241,33 +256,34 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
     """One transform level: resolvent sums, p-th powers, coefficient extraction.
 
     Returns (L_{level-1}, Theta_level).  One table, ``known``, maps the bits
-    of a line's entries to (ref, u, t): ``ref`` holds the L and Theta
-    entries of a line met before whose entry (u*j + t) mod p is the line's
-    j-th, u a unit.  A line in the table is filled from it by ``_fill``; an
-    equal line is the map (1, 0), which shares ``ref``'s objects with no
-    product, so a line equal to a filled one copies it.  Every other line
-    is transformed (``_transform``), and its images under every map join
-    the table whether or not its entries repeat; an image already there
-    keeps its earlier map.  The counter is incremented by exactly the complex
-    multiplications performed, which stay at or below
-    ``multiplication_budget``.  The sums and products run on the integer
-    kernel of ``precision`` at ``mp.prec``, with the bits of the same
-    ``mpc`` expressions.
+    of a line's entries to (ref, u, t): ``ref`` holds the entries
+    (``_record``) of a line met before whose entry (u*j + t) mod p is the
+    line's j-th, u a unit.  A line in the table is filled from it by
+    ``_fill``; an equal line is the map (1, 0), which shares ``ref``'s
+    objects with no product, so a line equal to a filled one copies it.
+    Every other line is transformed (``_transform``), and its images under
+    every map join the table whether or not its entries repeat; an image
+    already there keeps its earlier map.  The counter is incremented by
+    exactly the complex multiplications performed, which stay at or below
+    ``multiplication_budget``.
     """
     p = theta_prev.radices[level - 1]
-    prec = mp.prec
-    table = [mpc_ints(z) for z in zetas[p]]
+    wp = mp.prec + 2 * p.bit_length() + 2
+    # zeta^0 = 1 is the table's largest part, so it sits at exponent -wp
+    table, _ = fixed_line([mpc_ints(z) for z in zetas[p]], wp + 1)
     data = [mpc_ints(z) for z in theta_prev.data]
-    ldata: list = [None] * len(data)
-    tdata: list = [None] * len(data)
+    ldata, tdata = [None] * len(data), [None] * len(data)
     codes: dict = {}     # an entry's bits -> a small int
     known: dict = {}     # a line's entry codes -> (ref, u, t) for _fill
     for line in axis_lines(theta_prev.radices, level - 1):
         key = tuple(codes.setdefault(data[i], len(codes)) for i in line)
         if key in known:
-            out = _fill(*known[key], table, prec, counter)
+            ref, u, t = known[key]
+            out = ref if (u, t) == (1, 0) else _record(
+                *_fill(ref, u, t, table, wp, counter))
         else:
-            out = _transform([data[i] for i in line], table, prec, counter)
+            out = _record(*_transform([data[i] for i in line], table, wp,
+                                      counter))
             for u in range(1, p):
                 # rotation r of key[u*j] is the image under (u, u*r)
                 doubled = [key[u * j % p] for j in range(p)] * 2
@@ -275,7 +291,7 @@ def forward_level(theta_prev: ResolventTensor, level: int, zetas,
                     known.setdefault(tuple(doubled[r:r + p]),
                                      (out, u, u * r % p))
         known[key] = (out, 1, 0)
-        for flat, l_entry, t_entry in zip(line, *out):
+        for flat, l_entry, t_entry in zip(line, *out[2:]):
             ldata[flat], tdata[flat] = l_entry, t_entry
     return (replace(theta_prev, data=tuple(ldata)),
             replace(theta_prev, data=tuple(tdata)))

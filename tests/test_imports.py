@@ -1364,3 +1364,42 @@ def test_second_merge_loop_is_detected(tmp_path):
     assert product_merges(tmp_path / "radical.py") == [
         "radical.py: make_product builds Root 2 times",
         "radical.py: make_product tests degree against 2"]
+
+
+RETIRED_KERNEL = ("_add", "cadd", "cmul")
+
+
+def copies_of_mpmath_rounding(package: Path) -> list[str]:
+    """Definitions of ``_add``, ``cadd`` and ``cmul`` in ``precision.py``,
+    and ``mpc_ints`` or ``ints_mpc`` named by ``resolvent._fill``: the
+    forward pass sums exactly and rounds each product once instead of
+    copying mpmath's add and multiply, and ``_fill`` turns the fixed-point
+    L that the table of known lines holds, converting nothing."""
+    found = defined(package / "precision.py", RETIRED_KERNEL)
+    named = names_called(package / "resolvent.py", "_fill")
+    return found + [f"resolvent.py: _fill names {name}"
+                    for name in sorted({"mpc_ints", "ints_mpc"} & named)]
+
+
+def test_the_forward_pass_copies_no_mpmath_rounding():
+    assert copies_of_mpmath_rounding(SRC) == []
+
+
+def test_copied_rounding_is_detected(tmp_path):
+    # the kernel and the fill as they stood with mpc's bits in the pass
+    (tmp_path / "precision.py").write_text(
+        "def _add(m1, e1, m2, e2, prec):\n"
+        "    return _round((m1 << (e1 - e2)) + m2, e2, prec)\n"
+        "def cadd(x, y, prec):\n"
+        "    return _add(x[0], x[1], y[0], y[1], prec)\n"
+        "def cmul(x, y, prec):\n"
+        "    return _add(x[0] * y[0], x[1] + y[1], 0, 0, prec)\n")
+    (tmp_path / "resolvent.py").write_text(
+        "def _fill(ref, u, t, table, prec, counter):\n"
+        "    l_ref, t_ref = ref\n"
+        "    return [ints_mpc(_turn(table, t, mpc_ints(z), prec, counter))\n"
+        "            for z in l_ref], t_ref\n")
+    assert copies_of_mpmath_rounding(tmp_path) == [
+        "precision.py: def _add", "precision.py: def cadd",
+        "precision.py: def cmul", "resolvent.py: _fill names ints_mpc",
+        "resolvent.py: _fill names mpc_ints"]

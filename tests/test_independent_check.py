@@ -70,7 +70,7 @@ def test_auto_labeled_dihedral_and_cyclic_sextics_pass_the_check(text,
 
 # forward-pass products of x^n-2: lines with repeated entries are fill
 # references too
-LARGE_PURE_POWER_MULTIPLICATIONS = {17: 846, 19: 1218, 23: 2628}
+LARGE_PURE_POWER_MULTIPLICATIONS = {17: 846, 19: 1200, 23: 2628}
 
 
 @pytest.mark.parametrize("n,unit", [(17, 3), (19, 2), (23, 5)])

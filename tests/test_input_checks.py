@@ -26,6 +26,32 @@ CHECKS = [
     ("json-scale-not-1/p",
      lambda: parse_expr_json('{"scale": "2/3", "sum": [{"int": "1"}]}'),
      ValueError, "scale must be 1/p, got '2/3'"),
+    ("json-scale-1/0",
+     lambda: parse_expr_json('{"scale": "1/0", "sum": [{"int": "1"}]}'),
+     ValueError, "scale must be 1/p, got '1/0'"),
+    ("json-scale-1/-2",
+     lambda: parse_expr_json('{"scale": "1/-2", "sum": [{"int": "1"}]}'),
+     ValueError, "scale must be 1/p, got '1/-2'"),
+    ("json-root-branch-above-degree",
+     lambda: parse_expr_json(
+         '{"root": {"p": 2, "branch": 5, "radicand": {"int": "2"}}}'),
+     ValueError, "bad expression node: {'root': {'p': 2, 'branch': 5, "
+     "'radicand': {'int': '2'}}}"),
+    ("json-zeta-power-negative",
+     lambda: parse_expr_json('{"zeta": {"p": 3, "k": -1}}'),
+     ValueError, "bad expression node: {'zeta': {'p': 3, 'k': -1}}"),
+    ("json-zeta-order-not-an-integer",
+     lambda: parse_expr_json('{"zeta": {"p": 2.5, "k": 0}}'),
+     ValueError, "bad expression node: {'zeta': {'p': 2.5, 'k': 0}}"),
+    ("json-root-degree-not-prime",
+     lambda: parse_expr_json(
+         '{"root": {"p": 4, "branch": 1, "radicand": {"int": "2"}}}'),
+     ValueError, "bad expression node: {'root': {'p': 4, 'branch': 1, "
+     "'radicand': {'int': '2'}}}"),
+    ("json-zeta-order-above-the-group-order-cap",
+     lambda: parse_expr_json('{"zeta": {"p": 1000000000000000003, "k": 0}}'),
+     ValueError, "bad expression node: {'zeta': {'p': 1000000000000000003, "
+     "'k': 0}}"),
     ("json-unknown-keys", lambda: parse_expr_json('{"foo": 1, "bar": 2}'),
      ValueError, "unknown expression node keys: ['bar', 'foo']"),
     ("emit-svg", lambda: emit(IntegerLiteral(1), "svg"),

@@ -160,10 +160,10 @@ def test_forward_pass_counts_its_real_multiplications(bundle, monkeypatch):
     series, zetas, theta0, fwd, ints, recon, labeled, digits = bundle
     kernel, mpc_products = [0], [0]
 
-    def counting_cmul(x, y, prec, _original=resolvent.cmul):
+    def counting_gmul(x, y, s, _original=resolvent.gmul):
         kernel[0] += 1
-        return _original(x, y, prec)
-    monkeypatch.setattr(resolvent, "cmul", counting_cmul)
+        return _original(x, y, s)
+    monkeypatch.setattr(resolvent, "gmul", counting_gmul)
     for name in ("__mul__", "__rmul__"):
         def counting(self, other, _original=getattr(mpmath.mpc, name)):
             mpc_products[0] += 1

@@ -765,7 +765,7 @@ def test_deep_solves_share_every_equal_subtree(deep_solves, n, distinct):
                                    for node in nodes if isinstance(node, Root)})
 
 
-@pytest.mark.parametrize("n,keys,lines", [(13, 34, 220), (11, 19, 87)])
+@pytest.mark.parametrize("n,keys,lines", [(13, 34, 220), (11, 23, 87)])
 def test_reconstruct_decides_each_distinct_key_once(monkeypatch, n, keys,
                                                     lines):
     decided = []

@@ -1,4 +1,5 @@
 import pytest
+import mpmath
 from mpmath import mp, mpf
 
 import math
@@ -12,7 +13,8 @@ from radicalroots import (LabelingFailed, Permutation, PrecisionInfeasible,
 from radicalroots.resolvent import (DEFAULT_MARGIN, MultiplicationCounter,
                                     ResolventTensor, axis_lines, multiplication_budget,
                                     position_root_indices, zeta_tables)
-from radicalroots.precision import cadd, cdiv_int, cmul, ints_mpc, mpc_ints
+from radicalroots.precision import (cdiv_int, fixed_line, gmul, ints_mpc,
+                                    mpc_ints, root_of_unity)
 from radicalroots.rootfinder import relabel
 from tests.conftest import QUINTIC_THETA, load_perfbench, reindex_axis
 from tests.test_properties import INSTANCES
@@ -289,29 +291,37 @@ def _unmemoised_level(theta, level, zetas):
     """L_(level-1) and Theta_level from ``theta`` = Theta_(level-1), every
     line transformed on its own with every twiddle a kernel product and no
     memo: the loop of ``forward_level`` before it shared lines and skipped
-    the factors 1 and -1."""
+    the factors 1 and -1.  At wp = mp.prec + 2 bitlen(p) + 2 bits, the
+    twiddles sit at exponent -wp and each line at one exponent e, both by
+    ``fixed_line``, sums are exact, every product is one ``gmul``, the k-th
+    powers sit at the exponent k e + floor(k (n - 1) / 2) - wp, with
+    2^(n-1) <= the largest |L|^2 in units of 2^(2e) < 2^n, and
+    ``cdiv_int`` divides by p to mp.prec bits."""
     prec, p = mp.prec, theta.radices[level - 1]
-    table = [mpc_ints(z) for z in zetas[p]]
+    wp = prec + 2 * p.bit_length() + 2
+    table, shift = fixed_line([mpc_ints(z) for z in zetas[p]], wp + 1)
+    assert shift == -wp
     data = [mpc_ints(z) for z in theta.data]
     ldata, tdata = [None] * len(data), [None] * len(data)
-    for line in axis_lines(theta.radices, level - 1):
-        entries, powered = [data[i] for i in line], []
+
+    def dft(x, sign):
+        out = []
         for k in range(p):
-            acc = None
-            for j in range(p):
-                term = cmul(table[(j * k) % p], entries[j], prec)
-                acc = term if acc is None else cadd(acc, term, prec)
-            ldata[line[k]] = ints_mpc(acc)
-            w = acc
-            for _ in range(p - 1):
-                w = cmul(w, acc, prec)
-            powered.append(w)
-        for j in range(p):
-            acc = None
-            for k in range(p):
-                term = cmul(table[(-k * j) % p], powered[k], prec)
-                acc = term if acc is None else cadd(acc, term, prec)
-            tdata[line[j]] = ints_mpc(cdiv_int(acc, p, prec))
+            terms = [gmul(table[sign * j * k % p], x[j], wp)
+                     for j in range(p)]
+            out.append((sum(a for a, _ in terms), sum(b for _, b in terms)))
+        return out
+    for line in axis_lines(theta.radices, level - 1):
+        x, e = fixed_line([data[i] for i in line], wp)
+        l_line = dft(x, 1)
+        n = max(a * a + b * b for a, b in l_line).bit_length()
+        w, s = l_line, e
+        for k in range(2, p + 1):
+            t = k * e + k * (n - 1) // 2 - wp
+            w, s = [gmul(y, z, t - s - e) for y, z in zip(w, l_line)], t
+        for j, (l_entry, (a, b)) in enumerate(zip(l_line, dft(w, -1))):
+            ldata[line[j]] = ints_mpc((l_entry[0], e, l_entry[1], e))
+            tdata[line[j]] = ints_mpc(cdiv_int((a, s, b, s), p, prec))
     return (ResolventTensor(theta.radices, tuple(ldata)),
             ResolventTensor(theta.radices, tuple(tdata)))
 
@@ -357,14 +367,14 @@ def _counted_forward(monkeypatch, report):
     products that the pass performs."""
     kernel = [0]
 
-    def counting_cmul(x, y, prec, _original=resolvent.cmul):
+    def counting_gmul(x, y, s, _original=resolvent.gmul):
         kernel[0] += 1
-        return _original(x, y, prec)
+        return _original(x, y, s)
     series = report.series
     with mp.workdps(report.digits):
         zetas = zeta_tables(series)
         theta0 = build_theta0(report.roots, series)
-        monkeypatch.setattr(resolvent, "cmul", counting_cmul)
+        monkeypatch.setattr(resolvent, "gmul", counting_gmul)
         fwd = forward_pass(theta0, series, zetas)
         monkeypatch.undo()
     return zetas, theta0, fwd, kernel[0]
@@ -445,11 +455,11 @@ def test_memoised_forward_pass_is_the_unmemoised_loop(monkeypatch, name, poly,
 def test_lines_with_repeated_entries_are_fill_references(seed, name):
     """The deep-radicals x^13-a at seeds 7 and 99 have transformed lines
     whose entries repeat; the lines that are their affine images are filled
-    from them, so the pass takes 538 products of the budget's 8736."""
+    from them, so the pass takes 536 products of the budget's 8736."""
     instance = load_perfbench("workloads").deep_radicals(seed)[1]
     report = solve(instance.poly, instance.generators,
                    labeling=instance.labeling)
-    assert (instance.name, report.multiplications) == (name, 538)
+    assert (instance.name, report.multiplications) == (name, 536)
     assert report.budget == 8736
 
 
@@ -518,3 +528,90 @@ def test_swapped_lines_at_p2_keep_the_bits_of_their_own_transform(name):
                 assert [[t.data[f]._mpc_ for f in line] for t in ours] == \
                     [[z._mpc_ for z in t.data] for t in own]
     assert swapped
+
+
+def _level_bounds(p: int, wp: int, prec: int, ref_prec: int):
+    """The error model of a level's line: bounds on L relative to the line's
+    largest reference |L_k| = Lambda, on Theta relative to Lambda^p before
+    its rounding to prec bits, that rounding's relative size, and the
+    reference's error on Theta relative to Lambda^p; see
+    ``test_forward_pass_stays_within_its_error_model``."""
+    u, r, s2 = mpf(2) ** -wp, mpf(2) ** -ref_prec, mpmath.sqrt(2)
+    z = mpf(2) ** -prec + u / s2
+    eps_l = p * (z * (1 + s2 * u) + 2 * s2 * u)
+    a = eps_l
+    for k in range(2, p + 1):
+        a = a * (1 + eps_l) + eps_l + u / s2 * (1 + eps_l) ** k
+    on_l = eps_l + z * (1 + eps_l) + s2 * u + 4 * p * p * r
+    before = z * (1 + a) + a + u / s2 * (1 + eps_l) ** p
+    return on_l, before, mpf(2) ** -prec, 4 * p ** 3 * r
+
+
+ERROR_INSTANCES = ["S4 x^4+x+1", "F42 x^7-2", "C16 Phi17 g=3", "F110 x^11-2",
+                   "S3 x^3-2", "C16 Phi17 g=11", "F272 x^17-2"]
+
+
+@pytest.mark.parametrize("name", ERROR_INSTANCES)
+def test_forward_pass_stays_within_its_error_model(name):
+    """Each level's L and Theta, against ``mpc`` at twice the digits fed the
+    same Theta of the level below, stay within the bound that the stated
+    error model gives, with u = 2^-wp, wp = prec + 2 bitlen(p) + 2:
+
+    - the line's entries x_j, whose largest part is in [2^(t-1), 2^t), are
+      held at exponent E = t - wp, each part within 2^(E-1); as
+      max|x_j| <= Lambda (Parseval: sum |L_k|^2 = p sum |x_j|^2),
+      2^E <= 2 u Lambda and |dx| <= sqrt(2) u Lambda;
+    - each twiddle, an ``mpc`` at prec bits held at exponent -wp, is within
+      z = 2^-prec + u / sqrt(2) of zeta^k, and each twiddle product rounds
+      to 2^E, within sqrt(2) u Lambda; the sums are exact, so a transformed
+      line has |dL_k| <= eps_L Lambda, eps_L = p (z (1 + sqrt(2) u) +
+      2 sqrt(2) u), and a filled line, one twiddle product of its
+      reference's L, adds z (1 + eps_L) + sqrt(2) u;
+    - the k-th power is w_k = w_(k-1) L_k rounded to an exponent S_k with
+      2^S_k <= u max|L~|^k <= u (Lambda (1 + eps_L))^k, so with a_1 = eps_L
+      its error is below a_k Lambda^k, a_k = a_(k-1) (1 + eps_L) + eps_L +
+      u (1 + eps_L)^k / sqrt(2);
+    - Theta_j is the average of p twiddle products of the w_p, each within
+      z |w_p| of the product with zeta and rounded to 2^S_p, so it is within
+      (z (1 + a_p) + a_p + u (1 + eps_L)^p / sqrt(2)) Lambda^p before
+      ``cdiv_int`` rounds it to prec bits, which adds at most 2^-prec of its
+      size.  A filled line's Theta is its reference's.
+
+    The reference's own rounding, 4 p^2 2^-P Lambda on L and 4 p^3 2^-P
+    Lambda^p on Theta at its P bits, counts the products and sums of its
+    loop and is added.  Each line is bounded by its own Lambda, which is
+    what one exponent per line buys."""
+    workloads = load_perfbench("workloads")
+    seed = workloads.DEFAULT_SEED
+    pool = (workloads.small_mixed(seed) + workloads.label_search(seed)
+            + workloads.cyclo_roots(seed) + workloads.cyclo_roots(7)
+            + workloads.deep_radicals(seed)
+            + [workloads.pure_power("F272", 17, 2, 3)])
+    instance = next(i for i in pool if i.name == name)
+    report = solve(instance.poly, instance.generators,
+                   labeling=instance.labeling)
+    series, digits = report.series, report.digits
+    with mp.workdps(digits):
+        prec = mp.prec
+        zetas = zeta_tables(series)
+        fwd = forward_pass(build_theta0(report.roots, series), series, zetas)
+    with mp.workdps(2 * digits):
+        for level, p in enumerate(series.primes, start=1):
+            prev = fwd.thetas[level - 1]
+            L, theta = fwd.resolvents[level - 1], fwd.thetas[level]
+            zeta = [root_of_unity(p, k) for k in range(p)]
+            on_l, before, last, on_theta = _level_bounds(
+                p, prec + 2 * p.bit_length() + 2, prec, mp.prec)
+            for line in axis_lines(prev.radices, level - 1):
+                x = [prev.data[i] for i in line]
+                ref_l = [mpmath.fsum(zeta[j * k % p] * x[j] for j in range(p))
+                         for k in range(p)]
+                big = max(abs(v) for v in ref_l)
+                for f, v in zip(line, ref_l):
+                    assert abs(L.data[f] - v) <= on_l * big
+                for j, f in enumerate(line):
+                    v = mpmath.fsum(zeta[-j * k % p] * ref_l[k] ** p
+                                    for k in range(p)) / p
+                    bound = (before + on_theta) * big ** p
+                    assert abs(theta.data[f] - v) <= \
+                        bound + last * (abs(v) + bound)
